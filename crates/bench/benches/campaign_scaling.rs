@@ -1,13 +1,13 @@
-//! Campaign engine scaling: the memoizing snapshot executor vs its
-//! memo-off configuration vs the seed-style fresh-boot-per-test executor,
-//! across thread counts, on the full 2662-test paper campaign.
+//! Campaign engine scaling: the snapshot executor across thread counts,
+//! on the full 2662-test paper campaign, the 4976-test sweep and the
+//! sequence campaigns.
 //!
-//! Sampling is *paired*: each sample times one memo-on run, one memo-off
-//! run and one fresh-boot run back-to-back, so machine-load drift across
-//! the sampling window hits every engine equally and cancels out of the
-//! speedups. The committed `BENCH_campaign_scaling_pr1_baseline.json`
-//! holds the PR 1 snapshot engine's numbers on the same labels; the CI
-//! bench-smoke job diffs quick-mode runs against it.
+//! Sampling is *paired*: each sample round runs the configurations being
+//! compared back-to-back, so machine-load drift across the sampling
+//! window hits every row equally and cancels out of the ratios. The
+//! fresh-boot vs snapshot-clone cost is measured per test in
+//! `kernel_microbench`. The CI bench-smoke job diffs quick-mode runs
+//! against the committed `BENCH_campaign_scaling.json`.
 
 use eagleeye::EagleEye;
 use skrt::exec::{run_campaign, CampaignOptions};
@@ -17,25 +17,14 @@ use std::time::Instant;
 use xm_campaign::paper_campaign;
 use xtratum::vuln::KernelBuild;
 
-/// One full campaign run; returns (elapsed ns, memo hits).
-fn run_once(
-    spec: &skrt::suite::CampaignSpec,
-    threads: usize,
-    reuse_snapshot: bool,
-    memoize: bool,
-) -> (f64, u64) {
-    let o = CampaignOptions {
-        build: KernelBuild::Legacy,
-        threads,
-        reuse_snapshot,
-        memoize,
-        ..Default::default()
-    };
+/// One full campaign run; returns elapsed ns.
+fn run_once(spec: &skrt::suite::CampaignSpec, threads: usize) -> f64 {
+    let o = CampaignOptions { build: KernelBuild::Legacy, threads, ..Default::default() };
     let t = Instant::now();
     let result = run_campaign(&EagleEye, spec, &o);
     let elapsed = t.elapsed().as_nanos() as f64;
     black_box(result.records.len());
-    (elapsed, result.metrics.memo_hits)
+    elapsed
 }
 
 fn main() {
@@ -48,47 +37,14 @@ fn main() {
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     b.note_meta("available_parallelism", cores as f64);
 
-    let mut lines = Vec::new();
     let mut on_means = Vec::new();
     for &t in threads {
-        // Warm all paths once (page cache, allocator arenas, CPU governor).
-        run_once(&spec, t, true, true);
-        run_once(&spec, t, true, false);
-        run_once(&spec, t, false, false);
-        let mut memo_on = Vec::with_capacity(samples);
-        let mut memo_off = Vec::with_capacity(samples);
-        let mut fresh = Vec::with_capacity(samples);
-        let mut hits = 0u64;
-        for _ in 0..samples {
-            let (ns, h) = run_once(&spec, t, true, true);
-            memo_on.push(ns);
-            hits = h;
-            memo_off.push(run_once(&spec, t, true, false).0);
-            fresh.push(run_once(&spec, t, false, false).0);
-        }
-        let on_mean = b.record(&format!("snapshot_engine/threads_{t}"), &memo_on, Some(n)).mean_ns;
-        on_means.push((t, on_mean));
-        let off_mean =
-            b.record(&format!("snapshot_engine_no_memo/threads_{t}"), &memo_off, Some(n)).mean_ns;
-        let fresh_mean =
-            b.record(&format!("fresh_boot_seed_executor/threads_{t}"), &fresh, Some(n)).mean_ns;
-        let geo = |a: &[f64], c: &[f64]| {
-            (a.iter().zip(c).map(|(x, y)| (y / x).ln()).sum::<f64>() / samples as f64).exp()
-        };
-        b.note_meta(&format!("per_test_mean_ns/threads_{t}"), on_mean / n as f64);
-        b.note_meta(&format!("memo_hit_rate/threads_{t}"), hits as f64 / n as f64);
-        b.note_meta(&format!("speedup_vs_fresh/threads_{t}"), geo(&memo_on, &fresh));
-        b.note_meta(&format!("speedup_memo_vs_no_memo/threads_{t}"), geo(&memo_on, &memo_off));
-        lines.push(format!(
-            "  threads {t}: memo {:.1} ms ({:.1} us/test), no-memo {:.1} ms, fresh-boot {:.1} ms, \
-             memo hits {hits} ({:.1}%), speedup vs fresh {:.2}x",
-            on_mean / 1e6,
-            on_mean / 1e3 / n as f64,
-            off_mean / 1e6,
-            fresh_mean / 1e6,
-            100.0 * hits as f64 / n as f64,
-            geo(&memo_on, &fresh),
-        ));
+        // Warm the path once (page cache, allocator arenas, CPU governor).
+        run_once(&spec, t);
+        let runs: Vec<f64> = (0..samples).map(|_| run_once(&spec, t)).collect();
+        let mean = b.record(&format!("snapshot_engine/threads_{t}"), &runs, Some(n)).mean_ns;
+        on_means.push((t, mean));
+        b.note_meta(&format!("per_test_mean_ns/threads_{t}"), mean / n as f64);
     }
 
     // Per-thread scaling table for the snapshot engine: speedup vs the
@@ -103,11 +59,6 @@ fn main() {
         b.note_meta(&format!("efficiency/threads_{t}"), speedup / t as f64);
     }
 
-    println!("\ncampaign engine configurations, {n}-test campaign:");
-    println!("(speedups = geometric means of per-pair ratios; runs are interleaved)");
-    for l in lines {
-        println!("{l}");
-    }
     println!("\nthread scaling (snapshot engine, {cores} core(s) available):");
     println!("  {:>7} {:>12} {:>9} {:>11}", "threads", "mean", "speedup", "efficiency");
     for &(t, mean) in &on_means {
@@ -132,11 +83,11 @@ fn main() {
     let sn = sweep_spec.total_tests();
     let mut sweep: Vec<Vec<f64>> = vec![Vec::with_capacity(samples); threads.len()];
     for &t in threads {
-        run_once(&sweep_spec, t, true, true);
+        run_once(&sweep_spec, t);
     }
     for _ in 0..samples {
         for (i, &t) in threads.iter().enumerate() {
-            sweep[i].push(run_once(&sweep_spec, t, true, true).0);
+            sweep[i].push(run_once(&sweep_spec, t));
         }
     }
     let sweep_base =
@@ -187,14 +138,14 @@ fn main() {
     };
     let mut seq_lines = Vec::new();
     for &t in threads {
-        run_once(&spec, t, true, true);
+        run_once(&spec, t);
         seq_once(KernelBuild::Legacy, t);
         seq_once(KernelBuild::Patched, t);
         let mut single = Vec::with_capacity(samples);
         let mut legacy = Vec::with_capacity(samples);
         let mut patched = Vec::with_capacity(samples);
         for _ in 0..samples {
-            single.push(run_once(&spec, t, true, true).0);
+            single.push(run_once(&spec, t));
             legacy.push(seq_once(KernelBuild::Legacy, t));
             patched.push(seq_once(KernelBuild::Patched, t));
         }

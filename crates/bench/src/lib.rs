@@ -72,7 +72,7 @@ impl Bench {
         Bench { name: name.to_string(), quick, results: Vec::new(), meta: Vec::new() }
     }
 
-    /// Attaches a named numeric fact (memo hit rate, derived speedup...)
+    /// Attaches a named numeric fact (hit rate, derived speedup...)
     /// to the report's `meta` object.
     pub fn note_meta(&mut self, key: &str, value: f64) {
         self.meta.push((key.to_string(), format!("{value:.4}")));

@@ -189,7 +189,7 @@ impl FuzzReport {
         out
     }
 
-    /// Renders the run-specific metrics (throughput, boots, memo hits).
+    /// Renders the run-specific metrics (throughput, boots, cache hits).
     pub fn render_metrics(&self) -> String {
         self.result.metrics.render()
     }

@@ -202,8 +202,8 @@ impl SequenceReport {
 
     /// Renders the campaign report. Deterministic: derived only from the
     /// records (never from run metrics), so the same seed and build yield
-    /// byte-identical output whatever the thread count, memoization or
-    /// recorder settings.
+    /// byte-identical output whatever the thread count or recorder
+    /// settings.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let r = &self.result;
@@ -283,7 +283,7 @@ impl SequenceReport {
         out
     }
 
-    /// Renders the run-specific metrics (throughput, boots, memo hits).
+    /// Renders the run-specific metrics (throughput, boots, cache hits).
     pub fn render_metrics(&self) -> String {
         self.result.metrics.render()
     }

@@ -28,14 +28,16 @@
 //! the same forensics path as fuzzer findings.
 
 use crate::classify::{Cause, Classification, CrashClass};
-use crate::flight::{FlightLog, TestFlight, DEFAULT_RING_CAPACITY};
-use crate::metrics::{CampaignMetrics, LocalMetrics, MetricsReport};
+use crate::exec::{fold_logs, par_indexed, resolve_threads, Booter, WorkerLog};
+use crate::flight::{FlightLog, DEFAULT_RING_CAPACITY};
+use crate::metrics::MetricsReport;
 use crate::oracle::{ChannelView, OracleContext};
-use crate::sequence::{run_one_sequence_bounded, MinimalRepro, SeqBooter, SequenceVerdict};
+use crate::sequence::{run_one_sequence_bounded, MinimalRepro, SequenceVerdict};
 use crate::shrink::shrink_sequence;
 use crate::testbed::Testbed;
 use flightrec::{Event, EventKind, NO_PARTITION};
 use leon3_sim::addrspace::{AccessCtx, Perms};
+use std::sync::atomic::AtomicU64;
 use std::time::Instant;
 use xtratum::config::{ChannelCfg, MemAreaCfg, PartitionCfg, PlanCfg, PortKind, SlotCfg, XmConfig};
 use xtratum::guest::{GuestSet, PartitionApi};
@@ -778,23 +780,20 @@ fn evaluate_once(
     CaseRun { verdict: eval.verdict, steps_executed: eval.steps_executed, violations }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_case<'t>(
     tb: &'t CheckTestbed,
     ctx: &OracleContext,
     opts: &CheckOptions,
-    booter: &mut SeqBooter<'t, CheckTestbed>,
-    local: &mut LocalMetrics,
+    booter: &mut Booter<'t, CheckTestbed>,
+    log: &mut WorkerLog,
     index: usize,
     probe: &CheckProbe,
-    flights: &mut Vec<TestFlight>,
-    hist: &mut flightrec::HistogramSet,
 ) -> CheckCaseRecord {
     let t0 = Instant::now();
     let horizon = opts.scope.horizon as usize;
 
     // Main evaluation on the worker's arena.
-    let (kernel, guests) = booter.booted(local);
+    let (kernel, guests) = booter.booted(&mut log.local);
     let main = evaluate_once(tb, ctx, kernel, guests, &probe.steps, horizon);
 
     let record = |run: CaseRun, minimal: Option<MinimalRepro>| CheckCaseRecord {
@@ -809,7 +808,7 @@ fn run_case<'t>(
     };
 
     if finding_sig(&main.verdict, &main.violations).is_none() {
-        local.note_outcome(CrashClass::Pass, t0.elapsed());
+        log.local.note_outcome(CrashClass::Pass, t0.elapsed());
         return record(main, None);
     }
 
@@ -821,7 +820,7 @@ fn run_case<'t>(
     let Some(sig) = finding_sig(&fresh.verdict, &fresh.violations) else {
         // The arena run diverged but a fresh boot does not reproduce it:
         // the clean fresh outcome is authoritative.
-        local.note_outcome(CrashClass::Pass, t0.elapsed());
+        log.local.note_outcome(CrashClass::Pass, t0.elapsed());
         return record(fresh, None);
     };
 
@@ -838,7 +837,7 @@ fn run_case<'t>(
                 if cand.is_empty() {
                     return false;
                 }
-                let (kernel, guests) = booter.booted(local);
+                let (kernel, guests) = booter.booted(&mut log.local);
                 match &sig {
                     FindingSig::Oracle(target) => {
                         let _ = flightrec::drain();
@@ -861,13 +860,13 @@ fn run_case<'t>(
             let _ = flightrec::drain();
             flightrec::record(0, EventKind::TestBegin, NO_PARTITION, index as u32, 0, 0);
         }
-        let (kernel, guests) = booter.booted(local);
+        let (kernel, guests) = booter.booted(&mut log.local);
         if !opts.record {
             let _ = flightrec::drain();
         }
         let meval = run_one_sequence_bounded(tb, ctx, kernel, guests, &out.steps, 1, horizon);
         if opts.record {
-            end_check_flight(index, class, flights, hist);
+            log.end_flight(index, class);
         } else {
             let _ = flightrec::drain();
         }
@@ -883,31 +882,15 @@ fn run_case<'t>(
         if opts.record {
             let _ = flightrec::drain();
             flightrec::record(0, EventKind::TestBegin, NO_PARTITION, index as u32, 0, 0);
-            let (kernel, guests) = booter.booted(local);
+            let (kernel, guests) = booter.booted(&mut log.local);
             let _ = run_one_sequence_bounded(tb, ctx, kernel, guests, &probe.steps, 1, horizon);
-            end_check_flight(index, class, flights, hist);
+            log.end_flight(index, class);
         }
         None
     };
 
-    local.note_outcome(class, t0.elapsed());
+    log.local.note_outcome(class, t0.elapsed());
     record(fresh, minimal)
-}
-
-fn end_check_flight(
-    index: usize,
-    class: CrashClass,
-    flights: &mut Vec<TestFlight>,
-    hist: &mut flightrec::HistogramSet,
-) {
-    flightrec::record_timeless(EventKind::TestEnd, NO_PARTITION, class.index() as u32, 0, 0);
-    let drained = flightrec::drain();
-    for e in &drained.events {
-        if e.kind == EventKind::HypercallExit {
-            hist.observe(e.code, e.b);
-        }
-    }
-    flights.push(TestFlight { index, events: drained.events, dropped: drained.dropped });
 }
 
 // ---------------------------------------------------------------------------
@@ -915,10 +898,9 @@ fn end_check_flight(
 // ---------------------------------------------------------------------------
 
 /// Exhaustively checks every configuration in `opts.scope`, in parallel,
-/// preserving enumeration order in the result. Mirrors
-/// [`crate::sequence::run_sequence_campaign`]: one work-stealing range per
-/// worker (work unit = one configuration, so a configuration's arena
-/// never crosses workers), per-worker metrics, lock-free hot path. The
+/// preserving enumeration order in the result. Runs on [`par_indexed`]
+/// with one configuration as the work unit, so a configuration's arena
+/// never crosses workers; per-worker metrics, lock-free hot path. The
 /// result is byte-identical across thread counts and recorder settings.
 pub fn run_check(opts: &CheckOptions) -> CheckResult {
     let started = Instant::now();
@@ -932,81 +914,35 @@ pub fn run_check(opts: &CheckOptions) -> CheckResult {
         total_cases += set.len();
     }
 
-    let metrics = CampaignMetrics::new(1);
-    let n_threads = crate::exec::resolve_threads(opts.threads, configs.len());
-    let chunk = crate::exec::resolve_chunk(0, configs.len(), n_threads);
-    let queues = crate::exec::WorkStealQueues::new(configs.len(), n_threads);
-
-    let mut runs: Vec<(usize, Vec<CheckCaseRecord>)> = Vec::new();
-    let mut all_flights: Vec<TestFlight> = Vec::new();
-    let mut merged_hist = flightrec::HistogramSet::new(64);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_threads)
-            .map(|w| {
-                let (queues, metrics, configs, probe_sets, case_offsets) =
-                    (&queues, &metrics, &configs, &probe_sets, &case_offsets);
-                scope.spawn(move || {
-                    // The recorder always runs: the temporal invariants
-                    // are checked against its stream.
-                    flightrec::enable(DEFAULT_RING_CAPACITY);
-                    let mut local = LocalMetrics::new(1);
-                    let mut done: Vec<(usize, Vec<CheckCaseRecord>)> = Vec::new();
-                    let mut flights: Vec<TestFlight> = Vec::new();
-                    let mut hist = flightrec::HistogramSet::new(64);
-                    while let Some((lo, hi, stolen)) = queues.next_with_origin(w, chunk) {
-                        if stolen {
-                            local.note_steal();
-                        }
-                        for ci in lo..hi {
-                            let tb = CheckTestbed::new(configs[ci].clone());
-                            let ctx = tb.oracle_context(opts.build);
-                            let mut booter =
-                                SeqBooter::new(&tb, opts.build, true, false, &mut local);
-                            // The per-configuration boot belongs to no case.
-                            let _ = flightrec::drain();
-                            let mut records = Vec::with_capacity(probe_sets[ci].len());
-                            for (pi, probe) in probe_sets[ci].iter().enumerate() {
-                                records.push(run_case(
-                                    &tb,
-                                    &ctx,
-                                    opts,
-                                    &mut booter,
-                                    &mut local,
-                                    case_offsets[ci] + pi,
-                                    probe,
-                                    &mut flights,
-                                    &mut hist,
-                                ));
-                            }
-                            done.push((case_offsets[ci], records));
-                        }
-                    }
-                    flightrec::disable();
-                    metrics.merge_local(&local);
-                    (done, flights, hist)
+    let mut logs: Vec<WorkerLog> =
+        (0..resolve_threads(opts.threads, configs.len())).map(|_| WorkerLog::new(1)).collect();
+    let steals = AtomicU64::new(0);
+    let per_config = par_indexed(
+        configs.len(),
+        &mut logs,
+        &steals,
+        // The recorder always runs: the temporal invariants are checked
+        // against its stream.
+        |_| flightrec::enable(DEFAULT_RING_CAPACITY),
+        |log, _, ci| {
+            let tb = CheckTestbed::new(configs[ci].clone());
+            let ctx = tb.oracle_context(opts.build);
+            let mut booter = Booter::new(&tb, opts.build, false, &mut log.local);
+            // The per-configuration boot belongs to no case.
+            let _ = flightrec::drain();
+            probe_sets[ci]
+                .iter()
+                .enumerate()
+                .map(|(pi, probe)| {
+                    run_case(&tb, &ctx, opts, &mut booter, log, case_offsets[ci] + pi, probe)
                 })
-            })
-            .collect();
-        for h in handles {
-            let (done, f, h) = h.join().expect("check worker panicked");
-            runs.extend(done);
-            all_flights.extend(f);
-            merged_hist.merge(&h);
-        }
-    });
-
-    runs.sort_unstable_by_key(|&(start, _)| start);
-    let cases: Vec<CheckCaseRecord> = runs.into_iter().flat_map(|(_, r)| r).collect();
+                .collect::<Vec<_>>()
+        },
+    );
+    let cases: Vec<CheckCaseRecord> = per_config.into_iter().flatten().collect();
     debug_assert_eq!(cases.len(), total_cases);
 
-    let flight = opts.record.then(|| {
-        all_flights.sort_by_key(|f| f.index);
-        FlightLog { tests: all_flights }
-    });
-    let mut report = metrics.finish(started.elapsed(), n_threads);
-    if opts.record {
-        report.hc_latency = crate::metrics::latency_rows(&merged_hist);
-    }
+    let (report, flight) = fold_logs(1, logs, steals.into_inner(), opts.record, started);
     CheckResult {
         build: opts.build,
         scope: opts.scope,

@@ -1,10 +1,11 @@
-//! Test generation and execution phase (paper Section III.B, steps 1–6).
+//! Test generation and execution phase (paper Section III.B, steps 1–6),
+//! and the one parallel driver every campaign mode runs on.
 //!
 //! For every test case the executor:
 //!
 //! 1. materialises a booted testbed — normally by **rewinding a
 //!    per-worker [`Workspace`]** to the boot snapshot taken once per
-//!    `(Testbed, KernelBuild)`: the snapshot's memory is flat, so the
+//!    worker (see [`Booter`]): the snapshot's memory is flat, so the
 //!    rewind is one bounded dirty-page copy plus capacity-preserving
 //!    `clone_from`s, with no per-test allocation or refcount traffic.
 //!    Falls back to a fresh boot when the testbed's guests are not
@@ -15,21 +16,23 @@
 //! 3. runs the configured number of cyclic schedules ("the test call is
 //!    invoked at least once per major frame");
 //! 4. logs return codes and partition/kernel health;
-//! 5. classifies the outcome against the oracle (memoised per worker —
+//! 5. classifies the outcome against the oracle (cached per worker —
 //!    datasets repeat magic values across suites).
 //!
-//! [`run_campaign`] executes a whole [`CampaignSpec`] across
-//! `std::thread::scope` workers using **work stealing**: the case list
-//! is pre-split into one contiguous index range per worker, each packed
-//! into a single `AtomicU64` ([`WorkStealQueues`]). A worker pops
+//! [`par_indexed`] is the parallel driver behind [`run_campaign`], the
+//! sequence campaign, the fuzzer's rounds and the isolation checker. It
+//! runs one `std::thread::scope` worker per entry of a caller-owned
+//! worker-state slice and distributes indices by **work stealing**: the
+//! index space is pre-split into one contiguous range per worker, each
+//! packed into a single `AtomicU64` ([`WorkStealQueues`]). A worker pops
 //! chunk-sized runs off the *front* of its own range with a CAS; once
 //! empty it steals runs from the *back* of a victim's range, so no
-//! worker idles while another still holds cases. Every index is claimed
+//! worker idles while another still holds work. Every index is claimed
 //! exactly once, runs carry their start index, and the result reassembles
-//! by sorting runs — records are byte-identical whatever the thread count
-//! or steal schedule. Metrics tally into per-worker [`LocalMetrics`]
-//! (plain integers) merged once per worker, keeping shared atomics off
-//! the hot path entirely; the merged counters stream into a
+//! by sorting runs — results are byte-identical whatever the thread count
+//! or steal schedule. Metrics tally into per-worker [`WorkerLog`]s
+//! (plain integers) folded once after the run, keeping shared atomics off
+//! the hot path entirely; the folded counters stream into a
 //! [`MetricsReport`] and an optional JSONL trace sink (see
 //! [`crate::metrics`]).
 
@@ -45,14 +48,12 @@ use crate::observe::TestObservation;
 use crate::oracle::{Expectation, OracleCache, OracleContext, ParamClass};
 use crate::suite::{CampaignSpec, TestCase};
 use crate::testbed::{BootSnapshot, Testbed, Workspace};
-use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xtratum::guest::GuestSet;
-use xtratum::hypercall::RawHypercall;
 use xtratum::kernel::XmKernel;
 use xtratum::vuln::KernelBuild;
 
@@ -78,28 +79,8 @@ pub struct CampaignOptions {
     pub build: KernelBuild,
     /// Worker threads (0 = one per available core).
     pub threads: usize,
-    /// Cases per work chunk (0 = choose automatically from the campaign
-    /// size and thread count). Chunking only affects scheduling, never
-    /// results.
-    pub chunk_size: usize,
-    /// Boot once per worker and rewind a persistent workspace to the
-    /// booted state per test (default). Off reproduces the seed
-    /// executor's fresh-boot-per-test behaviour, kept for benchmarking
-    /// the snapshot engine against it.
-    pub reuse_snapshot: bool,
     /// When set, write a JSONL per-test trace here after the run.
     pub trace_path: Option<PathBuf>,
-    /// Memoize per-worker results keyed on the canonical raw invocation
-    /// (default on; the testbed is deterministic, so re-running an
-    /// identical raw call on an identical booted clone reproduces the
-    /// identical record). `--no-memo` turns this off for A/B runs.
-    pub memoize: bool,
-    /// Coverage feedback is being collected from the executions: forces
-    /// memoization off regardless of `memoize`. A memo hit replays a
-    /// cached record without executing anything, so its flight stream
-    /// carries no behavioural events and must never be able to mask (or
-    /// fabricate) coverage novelty. The fuzzer sets this implicitly.
-    pub coverage_feedback: bool,
     /// Run the flight recorder: each worker records kernel/executor
     /// events into a preallocated ring, drained per test into
     /// [`CampaignResult::flight`] and folded into per-hypercall latency
@@ -109,12 +90,13 @@ pub struct CampaignOptions {
     /// Scale the campaign to exactly this many tests: truncate the case
     /// list when smaller, cycle it from the start when larger (the
     /// `campaign sweep --tests N` mode; repeated cases keep their
-    /// original suite/case indices). `None` runs the spec as-is.
+    /// original suite/case indices and are executed again). `None` runs
+    /// the spec as-is.
     pub max_tests: Option<usize>,
     /// Stream heartbeat JSONL lines while the campaign runs
-    /// (`--live-stats`). Progress is folded into shared atomics once per
-    /// work chunk (never per test) and sampled by a dedicated emitter
-    /// thread, so the deterministic result surface is untouched:
+    /// (`--live-stats`). Workers fold each finished test into shared
+    /// atomics (only when this is set) that a dedicated emitter thread
+    /// samples, so the deterministic result surface is untouched:
     /// records, tables and traces are byte-identical on and off.
     pub live_stats: Option<LiveStats>,
 }
@@ -139,11 +121,7 @@ impl Default for CampaignOptions {
         CampaignOptions {
             build: KernelBuild::Legacy,
             threads: 0,
-            chunk_size: 0,
-            reuse_snapshot: true,
             trace_path: None,
-            memoize: true,
-            coverage_feedback: false,
             record: false,
             max_tests: None,
             live_stats: None,
@@ -181,62 +159,52 @@ impl CampaignResult {
 
     /// Number of failing (non-Pass) tests.
     pub fn failing_tests(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.classification.class != crate::classify::CrashClass::Pass)
-            .count()
+        self.records.iter().filter(|r| r.classification.class != CrashClass::Pass).count()
     }
 }
 
-/// Runs one case on an already-booted `(kernel, guests)` pair.
-fn execute_booted<T: Testbed + ?Sized>(
+/// Executes one test case against a freshly booted testbed instance. This
+/// is the reference the campaign engine's snapshot rewind is tested
+/// against: [`run_campaign`] must produce the identical record.
+pub fn run_single_test<T: Testbed + ?Sized>(
     testbed: &T,
-    mut kernel: XmKernel,
-    mut guests: GuestSet,
     ctx: &OracleContext,
-    expectation: Expectation,
+    build: KernelBuild,
     case: &TestCase,
 ) -> TestRecord {
-    let mutant = MutantGuest::new(case.raw(), testbed.prologue());
-    guests.set(testbed.test_partition(), Box::new(mutant));
+    let (mut kernel, mut guests) = testbed.boot(build);
+    let expectation = ctx.expect(&case.raw());
+    let part = testbed.test_partition();
+    guests.set(part, Box::new(MutantGuest::new(case.raw(), testbed.prologue())));
     kernel.step_major_frames(&mut guests, testbed.frames_per_test());
-    let invocations = crate::mutant::take_invocations(&mut guests, testbed.test_partition());
+    let invocations = crate::mutant::take_invocations(&mut guests, part);
     let observation = TestObservation { invocations, summary: kernel.into_summary() };
-    let classification = classify(&observation, &expectation, testbed.test_partition());
+    let classification = classify(&observation, &expectation, part);
     let param_signature = ctx.param_signature(&expectation, &case.dataset);
     TestRecord { case: case.clone(), observation, expectation, classification, param_signature }
 }
 
-/// Runs one case in a worker's persistent [`Workspace`]: rewind to the
-/// boot snapshot (skipping the test partition's guest, replaced next
-/// line), install the mutant, run, summarise by reference. Produces a
-/// record byte-identical to [`execute_booted`] on a fresh snapshot clone
-/// — the restore rebuilds the exact boot state and
+/// Runs one case on a worker's [`Booter`]: rewind to the boot snapshot
+/// (skipping the test partition's guest, replaced next), install the
+/// mutant, run, summarise by reference. Produces a record byte-identical
+/// to [`run_single_test`] — the restore rebuilds the exact boot state and
 /// [`XmKernel::summary`] equals [`XmKernel::into_summary`] — without the
-/// per-test deep copy.
-fn execute_in_workspace<T: Testbed + ?Sized>(
+/// per-test boot.
+fn execute<T: Testbed + ?Sized>(
     testbed: &T,
-    ws: &mut Workspace,
-    snapshot: &BootSnapshot,
+    booter: &mut Booter<'_, T>,
+    local: &mut LocalMetrics,
     ctx: &OracleContext,
     expectation: Expectation,
     case: &TestCase,
-    mut profile: Option<&mut LocalMetrics>,
 ) -> TestRecord {
     let part = testbed.test_partition();
+    let profile = booter.profile;
+    let (kernel, guests) = booter.booted(local);
+    guests.set(part, Box::new(MutantGuest::new(case.raw(), testbed.prologue())));
     // Phase timers only run on observability (recorder-on) campaigns:
     // the plain path stays clock-free beyond the existing per-test stamp.
-    if let Some(local) = profile.as_deref_mut() {
-        let t = Instant::now();
-        ws.restore(snapshot, Some(part));
-        local.note_phase(Phase::Rewind, t.elapsed());
-    } else {
-        ws.restore(snapshot, Some(part));
-    }
-    let (kernel, guests) = ws.parts();
-    let mutant = MutantGuest::new(case.raw(), testbed.prologue());
-    guests.set(part, Box::new(mutant));
-    if let Some(local) = profile {
+    if profile {
         let t = Instant::now();
         kernel.step_major_frames(guests, testbed.frames_per_test());
         local.note_phase(Phase::Frames, t.elapsed());
@@ -250,83 +218,143 @@ fn execute_in_workspace<T: Testbed + ?Sized>(
     TestRecord { case: case.clone(), observation, expectation, classification, param_signature }
 }
 
-/// Execution outcome of one canonical raw invocation, reusable for every
-/// case that injects the same words. Everything here is a pure function
-/// of `(build, raw invocation)` on the deterministic testbed; only the
-/// per-case metadata (`case`, `param_signature`) is excluded.
-struct MemoEntry {
-    observation: TestObservation,
-    expectation: Expectation,
-    classification: Classification,
-}
-
-impl MemoEntry {
-    /// Reattaches fresh per-case metadata to the memoized outcome. The
-    /// parameter signature is recomputed from this case's dataset — two
-    /// cases can share raw words yet differ in which parameter carries
-    /// the offending value class.
-    fn to_record(&self, ctx: &OracleContext, case: &TestCase) -> TestRecord {
-        TestRecord {
-            case: case.clone(),
-            observation: self.observation.clone(),
-            expectation: self.expectation,
-            classification: self.classification,
-            param_signature: ctx.param_signature(&self.expectation, &case.dataset),
-        }
-    }
-}
-
-/// Raw invocations appearing more than once in the campaign — the only
-/// keys worth memoizing. Computed once up front so workers don't pay a
-/// deep `TestObservation` clone for the (vast) unrepeated majority.
-fn repeated_raws(cases: &[TestCase]) -> HashSet<RawHypercall> {
-    let mut seen: HashMap<RawHypercall, bool> = HashMap::with_capacity(cases.len());
-    for case in cases {
-        seen.entry(case.raw()).and_modify(|dup| *dup = true).or_insert(false);
-    }
-    seen.into_iter().filter_map(|(raw, dup)| dup.then_some(raw)).collect()
-}
-
-/// Executes one test case against a fresh testbed instance (the seed
-/// executor's path; the campaign engine prefers snapshot clones).
-pub fn run_single_test<T: Testbed + ?Sized>(
-    testbed: &T,
-    ctx: &OracleContext,
+/// A worker's source of booted `(kernel, guests)` pairs. It boots once
+/// and keeps one persistent [`Workspace`] rewound before every evaluation
+/// (the flat-arena fast path: no per-evaluation deep copy). When the
+/// testbed cannot snapshot (its guests are not cloneable), it fresh-boots
+/// into a scratch slot per evaluation instead.
+pub(crate) struct Booter<'t, T: ?Sized> {
+    testbed: &'t T,
     build: KernelBuild,
-    case: &TestCase,
-) -> TestRecord {
-    let (kernel, guests) = testbed.boot(build);
-    let expectation = ctx.expect(&case.raw());
-    execute_booted(testbed, kernel, guests, ctx, expectation, case)
+    arena: Option<(BootSnapshot, Workspace)>,
+    scratch: Option<(XmKernel, GuestSet)>,
+    /// Time arena rewinds into the self-profile (observability runs only).
+    profile: bool,
 }
 
-/// Closes one test's recording window: stamps the terminal `TestEnd`
-/// event, drains the worker's ring, folds hypercall costs into the
-/// latency histograms and files the flight under its campaign index.
-fn end_flight(
-    index: usize,
-    rec: &TestRecord,
-    flights: &mut Vec<TestFlight>,
-    hist: &mut flightrec::HistogramSet,
-) {
-    flightrec::record_timeless(
-        flightrec::EventKind::TestEnd,
-        flightrec::NO_PARTITION,
-        rec.classification.class.index() as u32,
-        0,
-        0,
-    );
-    let drained = flightrec::drain();
-    for e in &drained.events {
-        if e.kind == flightrec::EventKind::HypercallExit {
-            hist.observe(e.code, e.b);
+impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
+    pub(crate) fn new(
+        testbed: &'t T,
+        build: KernelBuild,
+        profile: bool,
+        local: &mut LocalMetrics,
+    ) -> Self {
+        local.note_fresh_boot();
+        let arena = testbed.snapshot(build).map(|s| {
+            let ws = s.workspace();
+            (s, ws)
+        });
+        Booter { testbed, build, arena, scratch: None, profile }
+    }
+
+    /// A booted pair rewound to (or freshly booted at) the boot state.
+    /// The test partition's guest is skipped on restore — every caller
+    /// immediately replaces it.
+    pub(crate) fn booted(&mut self, local: &mut LocalMetrics) -> (&mut XmKernel, &mut GuestSet) {
+        let skip = self.testbed.test_partition();
+        match &mut self.arena {
+            Some((snap, ws)) => {
+                local.note_snapshot_clone();
+                flightrec::record_timeless(
+                    flightrec::EventKind::SnapshotClone,
+                    flightrec::NO_PARTITION,
+                    0,
+                    0,
+                    0,
+                );
+                if self.profile {
+                    let t = Instant::now();
+                    ws.restore(snap, Some(skip));
+                    local.note_phase(Phase::Rewind, t.elapsed());
+                } else {
+                    ws.restore(snap, Some(skip));
+                }
+                ws.parts()
+            }
+            None => {
+                local.note_fresh_boot();
+                let pair = self.scratch.insert(self.testbed.boot(self.build));
+                (&mut pair.0, &mut pair.1)
+            }
         }
     }
-    flights.push(TestFlight { index, events: drained.events, dropped: drained.dropped });
 }
 
-/// Packs a contiguous, not-yet-claimed case index range `[lo, hi)` into
-/// one word: `lo` in the low 32 bits, `hi` in the high 32.
+/// The bookkeeping every campaign worker keeps on plain, unshared state:
+/// metrics counters, its drained per-test flights, and the
+/// hypercall-latency histograms folded from them. Folded once per run by
+/// [`fold_logs`].
+pub(crate) struct WorkerLog {
+    pub(crate) local: LocalMetrics,
+    pub(crate) flights: Vec<TestFlight>,
+    pub(crate) hist: flightrec::HistogramSet,
+}
+
+impl WorkerLog {
+    pub(crate) fn new(n_suites: usize) -> Self {
+        WorkerLog {
+            local: LocalMetrics::new(n_suites),
+            flights: Vec::new(),
+            hist: flightrec::HistogramSet::new(64),
+        }
+    }
+
+    /// Closes one test's recording window: stamps the terminal `TestEnd`
+    /// event, drains the worker's ring, folds hypercall costs into the
+    /// latency histograms and files the flight under its campaign index.
+    pub(crate) fn end_flight(&mut self, index: usize, class: CrashClass) {
+        flightrec::record_timeless(
+            flightrec::EventKind::TestEnd,
+            flightrec::NO_PARTITION,
+            class.index() as u32,
+            0,
+            0,
+        );
+        let drained = flightrec::drain();
+        for e in &drained.events {
+            if e.kind == flightrec::EventKind::HypercallExit {
+                self.hist.observe(e.code, e.b);
+            }
+        }
+        self.flights.push(TestFlight { index, events: drained.events, dropped: drained.dropped });
+    }
+}
+
+/// Folds the workers' logs and the run's steal count into its metrics
+/// report and, when recording, its flight log in campaign order (flights
+/// are filed under their campaign index, so sorting undoes the steal
+/// schedule).
+pub(crate) fn fold_logs(
+    n_suites: usize,
+    logs: impl IntoIterator<Item = WorkerLog>,
+    steals: u64,
+    record: bool,
+    started: Instant,
+) -> (MetricsReport, Option<FlightLog>) {
+    let metrics = CampaignMetrics::new(n_suites);
+    let mut flights = Vec::new();
+    let mut hist = flightrec::HistogramSet::new(64);
+    let mut threads = 0;
+    for log in logs {
+        threads += 1;
+        metrics.merge_local(&log.local);
+        flights.extend(log.flights);
+        hist.merge(&log.hist);
+    }
+    let mut report = metrics.finish(started.elapsed(), threads);
+    report.steals = steals;
+    if record {
+        report.hc_latency = latency_rows(&hist);
+    }
+    let flight = record.then(|| {
+        flights.sort_by_key(|f| f.index);
+        FlightLog { tests: flights }
+    });
+    (report, flight)
+}
+
+/// Packs a contiguous, not-yet-claimed index range `[lo, hi)` into one
+/// word: `lo` in the low 32 bits, `hi` in the high 32.
 fn pack(lo: u32, hi: u32) -> u64 {
     (u64::from(hi) << 32) | u64::from(lo)
 }
@@ -358,25 +386,25 @@ fn claim(slot: &AtomicU64, chunk: usize, front: bool) -> Option<(usize, usize)> 
     }
 }
 
-/// Work-stealing distribution of the case list: one contiguous index
-/// range per worker, each packed `lo|hi` into a single `AtomicU64`. The
-/// owner pops chunk-sized runs off the front; a worker whose range is
-/// empty steals runs off the back of a victim's range. Every index is
-/// claimed exactly once (the CAS publishes a strictly shrinking range, so
-/// there is no ABA hazard), which is what keeps results independent of
-/// the steal schedule: records are reassembled by run start index, not by
+/// Work-stealing distribution of an index space: one contiguous range
+/// per worker, each packed `lo|hi` into a single `AtomicU64`. The owner
+/// pops chunk-sized runs off the front; a worker whose range is empty
+/// steals runs off the back of a victim's range. Every index is claimed
+/// exactly once (the CAS publishes a strictly shrinking range, so there
+/// is no ABA hazard), which is what keeps results independent of the
+/// steal schedule: results are reassembled by run start index, not by
 /// execution order.
-pub(crate) struct WorkStealQueues {
+struct WorkStealQueues {
     ranges: Vec<AtomicU64>,
 }
 
 impl WorkStealQueues {
-    /// Splits `[0, n_cases)` evenly (front-loaded remainder) across
-    /// `n_workers` ranges.
-    pub(crate) fn new(n_cases: usize, n_workers: usize) -> Self {
-        assert!(n_cases <= u32::MAX as usize, "case index must fit u32");
-        let per = n_cases / n_workers;
-        let extra = n_cases % n_workers;
+    /// Splits `[0, n)` evenly (front-loaded remainder) across `n_workers`
+    /// ranges.
+    fn new(n: usize, n_workers: usize) -> Self {
+        assert!(n <= u32::MAX as usize, "index must fit u32");
+        let per = n / n_workers;
+        let extra = n % n_workers;
         let mut lo = 0usize;
         let ranges = (0..n_workers)
             .map(|w| {
@@ -389,16 +417,10 @@ impl WorkStealQueues {
         WorkStealQueues { ranges }
     }
 
-    /// Next run for worker `w`: front of its own range, else stolen from
-    /// the back of the first non-empty victim (scanned starting after `w`
-    /// so thieves spread across victims).
-    pub(crate) fn next(&self, w: usize, chunk: usize) -> Option<(usize, usize)> {
-        self.next_with_origin(w, chunk).map(|(lo, hi, _)| (lo, hi))
-    }
-
-    /// Like [`WorkStealQueues::next`], additionally reporting whether the
-    /// run was stolen from a victim's range (for the steal telemetry).
-    pub(crate) fn next_with_origin(&self, w: usize, chunk: usize) -> Option<(usize, usize, bool)> {
+    /// Next run `(lo, hi, stolen)` for worker `w`: the front of its own
+    /// range, else stolen from the back of the first non-empty victim
+    /// (scanned starting after `w` so thieves spread across victims).
+    fn next(&self, w: usize, chunk: usize) -> Option<(usize, usize, bool)> {
         if let Some((lo, hi)) = claim(&self.ranges[w], chunk, true) {
             return Some((lo, hi, false));
         }
@@ -409,46 +431,99 @@ impl WorkStealQueues {
     }
 }
 
-/// Shared in-flight progress counters behind `--live-stats`. Workers fold
-/// into these once per work chunk; the emitter thread samples them on its
-/// interval. Nothing on the result path ever reads them.
+/// Worker threads for `n` work items: `requested` (0 = one per available
+/// core), never more than there are items, never fewer than one.
+pub(crate) fn resolve_threads(requested: usize, n: usize) -> usize {
+    let threads = if requested == 0 {
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
+    } else {
+        requested
+    };
+    threads.min(n).max(1)
+}
+
+/// Indices per work-stealing run: ~8 runs per worker balances load
+/// without shredding locality.
+fn resolve_chunk(n: usize, n_threads: usize) -> usize {
+    (n / (n_threads * 8)).clamp(1, 64)
+}
+
+/// Runs `body` for every index in `0..n`, on one scoped thread per entry
+/// of `workers`, and returns the results in index order.
+///
+/// Each thread first calls `start` on its worker state; the value it
+/// returns is thread-local scratch handed to every `body` call on that
+/// thread. The flight recorder is thread-local, so enabling it — and
+/// booting a per-worker arena whose boot events must then be drained —
+/// belongs in `start`. The `workers` entries outlive the call, so state
+/// such as the fuzzer's boot arenas persists from one call to the next.
+/// A run claimed from another worker's range adds one to `steals` (once
+/// per run, never per item). Results depend only on `body`, never on the
+/// thread count or the steal schedule.
+pub(crate) fn par_indexed<W, S, R>(
+    n: usize,
+    workers: &mut [W],
+    steals: &AtomicU64,
+    start: impl Fn(&mut W) -> S + Sync,
+    body: impl Fn(&mut W, &mut S, usize) -> R + Sync,
+) -> Vec<R>
+where
+    W: Send,
+    R: Send,
+{
+    assert!(!workers.is_empty(), "par_indexed needs at least one worker");
+    let chunk = resolve_chunk(n, workers.len());
+    let queues = WorkStealQueues::new(n, workers.len());
+    let (queues, start, body) = (&queues, &start, &body);
+    let mut runs: Vec<(usize, Vec<R>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .iter_mut()
+            .enumerate()
+            .map(|(w, state)| {
+                scope.spawn(move || {
+                    let mut scratch = start(state);
+                    let mut runs = Vec::new();
+                    while let Some((lo, hi, stolen)) = queues.next(w, chunk) {
+                        if stolen {
+                            steals.fetch_add(1, Ordering::Relaxed);
+                        }
+                        runs.push((lo, (lo..hi).map(|i| body(state, &mut scratch, i)).collect()));
+                    }
+                    runs
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("campaign worker panicked")).collect()
+    });
+    runs.sort_unstable_by_key(|&(lo, _)| lo);
+    runs.into_iter().flat_map(|(_, r)| r).collect()
+}
+
+/// Shared in-flight progress counters behind `--live-stats`. With live
+/// stats on, workers fold every finished test into these; the emitter
+/// thread samples them on its interval. Nothing on the result path ever
+/// reads them.
 #[derive(Debug, Default)]
-pub(crate) struct LiveProgress {
-    pub(crate) done: AtomicU64,
-    pub(crate) classes: [AtomicU64; 6],
-    pub(crate) memo_hits: AtomicU64,
-    pub(crate) snapshot_clones: AtomicU64,
-    pub(crate) steals: AtomicU64,
+struct LiveProgress {
+    done: AtomicU64,
+    classes: [AtomicU64; 6],
+    snapshot_clones: AtomicU64,
+    steals: AtomicU64,
+    stop: AtomicBool,
 }
 
 impl LiveProgress {
-    /// Folds one finished chunk's records plus its cache/steal deltas.
-    pub(crate) fn fold_chunk(&self, records: &[TestRecord], memo_hits: u64, clones: u64) {
-        let mut counts = [0u64; 6];
-        for r in records {
-            counts[r.classification.class.index()] += 1;
+    fn note_test(&self, class: CrashClass, snapshot_clone: bool) {
+        self.done.fetch_add(1, Ordering::Relaxed);
+        self.classes[class.index()].fetch_add(1, Ordering::Relaxed);
+        if snapshot_clone {
+            self.snapshot_clones.fetch_add(1, Ordering::Relaxed);
         }
-        self.done.fetch_add(records.len() as u64, Ordering::Relaxed);
-        for (shared, c) in self.classes.iter().zip(counts) {
-            if c > 0 {
-                shared.fetch_add(c, Ordering::Relaxed);
-            }
-        }
-        if memo_hits > 0 {
-            self.memo_hits.fetch_add(memo_hits, Ordering::Relaxed);
-        }
-        if clones > 0 {
-            self.snapshot_clones.fetch_add(clones, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn note_steal(&self) {
-        self.steals.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 /// One heartbeat JSONL line from the shared progress counters.
-pub(crate) fn live_line(
+fn live_line(
     seq: u64,
     elapsed: Duration,
     progress: &LiveProgress,
@@ -470,29 +545,46 @@ pub(crate) fn live_line(
         line.push_str(&format!(",\"{}\":{count}", class.label().to_ascii_lowercase()));
     }
     line.push_str(&format!(
-        ",\"memo_hits\":{},\"snapshot_clones\":{},\"steals\":{},\"final\":{fin}}}",
-        progress.memo_hits.load(Ordering::Relaxed),
+        ",\"snapshot_clones\":{},\"steals\":{},\"final\":{fin}}}",
         progress.snapshot_clones.load(Ordering::Relaxed),
         progress.steals.load(Ordering::Relaxed),
     ));
     line
 }
 
-pub(crate) fn resolve_threads(requested: usize, n_cases: usize) -> usize {
-    let n = if requested == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-    } else {
-        requested
-    };
-    n.min(n_cases).max(1)
+/// Starts the heartbeat emitter: it writes one line per `cfg.interval`
+/// until `progress.stop` is set, then a final line. It never touches
+/// worker state, so results are byte-identical with or without it. The
+/// handle yields the sink error, if writing failed.
+fn spawn_emitter(
+    cfg: &LiveStats,
+    progress: Arc<LiveProgress>,
+    total: usize,
+    started: Instant,
+) -> std::thread::JoinHandle<Option<String>> {
+    let cfg = cfg.clone();
+    std::thread::spawn(move || {
+        let emit = || -> std::io::Result<()> {
+            let mut w = std::io::BufWriter::new(std::fs::File::create(&cfg.path)?);
+            for seq in 0.. {
+                let stopping = progress.stop.load(Ordering::Acquire);
+                writeln!(w, "{}", live_line(seq, started.elapsed(), &progress, total, stopping))?;
+                w.flush()?;
+                if stopping {
+                    break;
+                }
+                std::thread::park_timeout(cfg.interval);
+            }
+            Ok(())
+        };
+        emit().err().map(|e| format!("failed to write live stats {}: {e}", cfg.path.display()))
+    })
 }
 
-pub(crate) fn resolve_chunk(requested: usize, n_cases: usize, n_threads: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    // ~8 chunks per worker balances load without shredding locality.
-    (n_cases / (n_threads * 8)).clamp(1, 64)
+/// A campaign worker's persistent state: its log and its oracle cache.
+struct ExecWorker<'c> {
+    log: WorkerLog,
+    cache: OracleCache<'c>,
 }
 
 /// Executes a whole campaign, in parallel, preserving campaign order in
@@ -516,228 +608,89 @@ pub fn run_campaign<T: Testbed + ?Sized>(
         }
     }
     let ctx = testbed.oracle_context(opts.build);
-    let metrics = CampaignMetrics::new(spec.suites.len());
-
-    let n_threads = resolve_threads(opts.threads, cases.len());
-    let chunk = resolve_chunk(opts.chunk_size, cases.len(), n_threads);
     let n_suites = spec.suites.len();
-    let queues = WorkStealQueues::new(cases.len(), n_threads);
-    // Under coverage feedback a memo hit would replay a cached record
-    // with an empty flight stream — never memoize there.
-    let memoize = opts.memoize && !opts.coverage_feedback;
-    let memoizable = if memoize { repeated_raws(&cases) } else { HashSet::new() };
+    let progress = Arc::new(LiveProgress::default());
+    let emitter = opts
+        .live_stats
+        .as_ref()
+        .map(|cfg| spawn_emitter(cfg, Arc::clone(&progress), cases.len(), started));
 
-    let mut runs: Vec<(usize, Vec<TestRecord>)> = Vec::new();
-    let mut all_flights: Vec<TestFlight> = Vec::new();
-    let mut merged_hist = flightrec::HistogramSet::new(64);
-    let progress = opts.live_stats.as_ref().map(|_| LiveProgress::default());
-    let stop = AtomicBool::new(false);
-    let live_error: Mutex<Option<String>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        // The heartbeat emitter samples the shared progress atomics on
-        // its interval; it never touches worker state, so results are
-        // byte-identical with or without it.
-        let emitter = opts.live_stats.as_ref().map(|cfg| {
-            let (progress, stop, live_error) = (progress.as_ref().unwrap(), &stop, &live_error);
-            let total = cases.len();
-            scope.spawn(move || {
-                let emit = || -> std::io::Result<()> {
-                    let file = std::fs::File::create(&cfg.path)?;
-                    let mut w = std::io::BufWriter::new(file);
-                    let mut seq = 0u64;
-                    loop {
-                        let stopping = stop.load(Ordering::Acquire);
-                        writeln!(
-                            w,
-                            "{}",
-                            live_line(seq, started.elapsed(), progress, total, stopping)
-                        )?;
-                        w.flush()?;
-                        if stopping {
-                            return Ok(());
-                        }
-                        seq += 1;
-                        std::thread::park_timeout(cfg.interval);
-                    }
-                };
-                if let Err(e) = emit() {
-                    *live_error.lock().expect("live-stats error mutex poisoned") =
-                        Some(format!("failed to write live stats {}: {e}", cfg.path.display()));
-                }
-            })
-        });
-        let handles: Vec<_> = (0..n_threads)
-            .map(|w| {
-                let (queues, metrics, cases, ctx, memoizable, progress) =
-                    (&queues, &metrics, &cases, &ctx, &memoizable, &progress);
-                scope.spawn(move || {
-                    // One snapshot + workspace per worker: guest trait
-                    // objects are Send but not Sync, so the booted
-                    // prototype cannot be shared across threads — but one
-                    // boot per worker (instead of one per test) already
-                    // removes the dominant cost, and the workspace is
-                    // rewound (never re-cloned) per test.
-                    if opts.record {
-                        flightrec::enable(DEFAULT_RING_CAPACITY);
-                    }
-                    let mut local = LocalMetrics::new(n_suites);
-                    let snapshot = if opts.reuse_snapshot {
-                        local.note_fresh_boot();
-                        testbed.snapshot(opts.build)
-                    } else {
-                        None
-                    };
-                    let mut workspace = snapshot.as_ref().map(|s| s.workspace());
-                    if opts.record {
-                        // The per-worker snapshot boot belongs to no test.
-                        let _ = flightrec::drain();
-                    }
-                    let mut cache = OracleCache::new(ctx);
-                    let mut memo: HashMap<RawHypercall, MemoEntry> = HashMap::new();
-                    let mut done: Vec<(usize, Vec<TestRecord>)> = Vec::new();
-                    let mut flights: Vec<TestFlight> = Vec::new();
-                    let mut hist = flightrec::HistogramSet::new(64);
-                    while let Some((lo, hi, stolen)) = queues.next_with_origin(w, chunk) {
-                        if stolen {
-                            local.note_steal();
-                            if let Some(p) = progress {
-                                p.note_steal();
-                            }
-                        }
-                        let mut records = Vec::with_capacity(hi - lo);
-                        let (mut chunk_memo_hits, mut chunk_clones) = (0u64, 0u64);
-                        for (off, case) in cases[lo..hi].iter().enumerate() {
-                            let t0 = Instant::now();
-                            let raw = case.raw();
-                            if opts.record {
-                                let idx = (lo + off) as u32;
-                                flightrec::record(
-                                    0,
-                                    flightrec::EventKind::TestBegin,
-                                    flightrec::NO_PARTITION,
-                                    idx,
-                                    0,
-                                    0,
-                                );
-                            }
-                            if let Some(entry) = memo.get(&raw) {
-                                local.note_memo_hit();
-                                chunk_memo_hits += 1;
-                                let rec = entry.to_record(ctx, case);
-                                local.note_record(&rec, t0.elapsed());
-                                if opts.record {
-                                    flightrec::record_timeless(
-                                        flightrec::EventKind::MemoHit,
-                                        flightrec::NO_PARTITION,
-                                        0,
-                                        0,
-                                        0,
-                                    );
-                                    end_flight(lo + off, &rec, &mut flights, &mut hist);
-                                }
-                                records.push(rec);
-                                continue;
-                            }
-                            if memoize {
-                                local.note_memo_miss();
-                            }
-                            let expectation = if opts.record {
-                                let t = Instant::now();
-                                let e = cache.expect(&raw);
-                                local.note_phase(Phase::Oracle, t.elapsed());
-                                e
-                            } else {
-                                cache.expect(&raw)
-                            };
-                            let rec = match (&snapshot, &mut workspace) {
-                                (Some(s), Some(ws)) => {
-                                    local.note_snapshot_clone();
-                                    chunk_clones += 1;
-                                    flightrec::record_timeless(
-                                        flightrec::EventKind::SnapshotClone,
-                                        flightrec::NO_PARTITION,
-                                        0,
-                                        0,
-                                        0,
-                                    );
-                                    let profile = opts.record.then_some(&mut local);
-                                    execute_in_workspace(
-                                        testbed,
-                                        ws,
-                                        s,
-                                        ctx,
-                                        expectation,
-                                        case,
-                                        profile,
-                                    )
-                                }
-                                _ => {
-                                    local.note_fresh_boot();
-                                    let (kernel, guests) = testbed.boot(opts.build);
-                                    execute_booted(testbed, kernel, guests, ctx, expectation, case)
-                                }
-                            };
-                            if memoizable.contains(&raw) {
-                                memo.insert(
-                                    raw,
-                                    MemoEntry {
-                                        observation: rec.observation.clone(),
-                                        expectation: rec.expectation,
-                                        classification: rec.classification,
-                                    },
-                                );
-                            }
-                            local.note_record(&rec, t0.elapsed());
-                            if opts.record {
-                                end_flight(lo + off, &rec, &mut flights, &mut hist);
-                            }
-                            records.push(rec);
-                        }
-                        if let Some(p) = progress {
-                            p.fold_chunk(&records, chunk_memo_hits, chunk_clones);
-                        }
-                        done.push((lo, records));
-                    }
-                    let (hits, misses) = cache.stats();
-                    metrics.note_oracle(hits, misses);
-                    metrics.merge_local(&local);
-                    (done, flights, hist)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (done, f, h) = h.join().expect("campaign worker panicked");
-            runs.extend(done);
-            all_flights.extend(f);
-            merged_hist.merge(&h);
-        }
-        if let Some(h) = emitter {
-            stop.store(true, Ordering::Release);
-            h.thread().unpark();
-            h.join().expect("live-stats emitter panicked");
-        }
-    });
-
-    // Runs carry their start index, so sorting reassembles campaign order
-    // whatever the steal schedule was.
-    runs.sort_unstable_by_key(|&(start, _)| start);
-    let records: Vec<TestRecord> = runs.into_iter().flat_map(|(_, r)| r).collect();
+    let mut workers: Vec<ExecWorker> = (0..resolve_threads(opts.threads, cases.len()))
+        .map(|_| ExecWorker { log: WorkerLog::new(n_suites), cache: OracleCache::new(&ctx) })
+        .collect();
+    let records = par_indexed(
+        cases.len(),
+        &mut workers,
+        &progress.steals,
+        |w| {
+            // One snapshot + workspace per worker: guest trait objects are
+            // Send but not Sync, so the booted prototype cannot be shared
+            // across threads — but one boot per worker (instead of one per
+            // test) already removes the dominant cost, and the workspace
+            // is rewound (never re-cloned) per test.
+            if opts.record {
+                flightrec::enable(DEFAULT_RING_CAPACITY);
+            }
+            let booter = Booter::new(testbed, opts.build, opts.record, &mut w.log.local);
+            if opts.record {
+                // The per-worker snapshot boot belongs to no test.
+                let _ = flightrec::drain();
+            }
+            booter
+        },
+        |w, booter, i| {
+            let case = &cases[i];
+            let t0 = Instant::now();
+            let local = &mut w.log.local;
+            if opts.record {
+                flightrec::record(
+                    0,
+                    flightrec::EventKind::TestBegin,
+                    flightrec::NO_PARTITION,
+                    i as u32,
+                    0,
+                    0,
+                );
+            }
+            let expectation = if opts.record {
+                let t = Instant::now();
+                let e = w.cache.expect(&case.raw());
+                local.note_phase(Phase::Oracle, t.elapsed());
+                e
+            } else {
+                w.cache.expect(&case.raw())
+            };
+            let rec = execute(testbed, booter, local, &ctx, expectation, case);
+            local.note_record(&rec, t0.elapsed());
+            if opts.record {
+                w.log.end_flight(i, rec.classification.class);
+            }
+            if opts.live_stats.is_some() {
+                progress.note_test(rec.classification.class, booter.arena.is_some());
+            }
+            rec
+        },
+    );
     debug_assert_eq!(records.len(), cases.len());
 
-    let flight = opts.record.then(|| {
-        all_flights.sort_by_key(|f| f.index);
-        FlightLog { tests: all_flights }
+    let live_stats_error = emitter.and_then(|h| {
+        progress.stop.store(true, Ordering::Release);
+        h.thread().unpark();
+        h.join().expect("live-stats emitter panicked")
     });
-    let mut report = metrics.finish(started.elapsed(), n_threads);
-    if opts.record {
-        report.hc_latency = latency_rows(&merged_hist);
-    }
+    let (oracle_hits, oracle_misses) =
+        workers.iter().map(|w| w.cache.stats()).fold((0, 0), |(h, m), s| (h + s.0, m + s.1));
+    let steals = progress.steals.load(Ordering::Relaxed);
+    let logs = workers.into_iter().map(|w| w.log);
+    let (mut report, flight) = fold_logs(n_suites, logs, steals, opts.record, started);
+    report.oracle_hits = oracle_hits;
+    report.oracle_misses = oracle_misses;
     let mut result = CampaignResult {
         build: opts.build,
         records,
         metrics: report,
         trace_error: None,
-        live_stats_error: live_error.into_inner().expect("live-stats error mutex poisoned"),
+        live_stats_error,
         flight,
     };
     if let Some(path) = &opts.trace_path {
@@ -757,11 +710,7 @@ mod tests {
         let o = CampaignOptions::default();
         assert_eq!(o.build, KernelBuild::Legacy);
         assert_eq!(o.threads, 0);
-        assert_eq!(o.chunk_size, 0);
-        assert!(o.reuse_snapshot);
         assert!(o.trace_path.is_none());
-        assert!(o.memoize);
-        assert!(!o.coverage_feedback);
         assert!(!o.record);
         assert!(o.max_tests.is_none());
         assert!(o.live_stats.is_none());
@@ -770,10 +719,11 @@ mod tests {
     #[test]
     fn live_line_shape_and_eta() {
         let p = LiveProgress::default();
-        p.done.store(50, Ordering::Relaxed);
-        p.classes[CrashClass::Pass.index()].store(48, Ordering::Relaxed);
-        p.classes[CrashClass::Silent.index()].store(2, Ordering::Relaxed);
-        p.memo_hits.store(10, Ordering::Relaxed);
+        for _ in 0..48 {
+            p.note_test(CrashClass::Pass, true);
+        }
+        p.note_test(CrashClass::Silent, true);
+        p.note_test(CrashClass::Silent, false);
         p.steals.store(3, Ordering::Relaxed);
         let line = live_line(7, Duration::from_secs(1), &p, 100, false);
         assert!(line.starts_with("{\"type\":\"live\",\"seq\":7,"));
@@ -782,7 +732,7 @@ mod tests {
         assert!(line.contains("\"eta_ms\":1000"), "{line}");
         assert!(line.contains("\"pass\":48"));
         assert!(line.contains("\"silent\":2"));
-        assert!(line.contains("\"memo_hits\":10"));
+        assert!(line.contains("\"snapshot_clones\":49"));
         assert!(line.contains("\"steals\":3"));
         assert!(line.ends_with("\"final\":false}"));
         let done = live_line(8, Duration::from_secs(2), &p, 100, true);
@@ -796,7 +746,7 @@ mod tests {
         // from worker 0's range.
         let mut own = 0;
         let mut stolen = 0;
-        while let Some((_, _, theft)) = q.next_with_origin(1, 5) {
+        while let Some((_, _, theft)) = q.next(1, 5) {
             if theft {
                 stolen += 1;
             } else {
@@ -808,44 +758,12 @@ mod tests {
     }
 
     #[test]
-    fn repeated_raws_finds_only_duplicates() {
-        use xtratum::hypercall::HypercallId;
-        let case = |raw: u64, case_index: u64| TestCase {
-            hypercall: HypercallId::HaltPartition,
-            dataset: vec![crate::dictionary::TestValue::scalar(raw)],
-            suite_index: 0,
-            case_index,
-        };
-        let dups = repeated_raws(&[case(1, 0), case(2, 1), case(1, 2), case(3, 3)]);
-        assert_eq!(dups.len(), 1);
-        assert!(dups.contains(&case(1, 9).raw()));
-    }
-
-    #[test]
-    fn memo_keys_distinguish_pointer_width_fields() {
-        // Two datasets for a pointer-taking call whose raw words differ
-        // only in the high half of the 64-bit injection word. The kernel
-        // ABI truncates pointers to 32 bits, but the memo key must stay
-        // canonical over the *injected* words, never the truncation.
-        use xtratum::hypercall::HypercallId;
-        let lo = RawHypercall::new_unchecked(HypercallId::Multicall, [0x4010_0000u64, 0]);
-        let hi = RawHypercall::new_unchecked(HypercallId::Multicall, [0xdead_beef_4010_0000u64, 0]);
-        assert_ne!(lo, hi);
-        let mut memo: HashMap<RawHypercall, u32> = HashMap::new();
-        memo.insert(lo, 1);
-        memo.insert(hi, 2);
-        assert_eq!(memo.len(), 2, "pointer-width variants must not collide");
-        assert_eq!(memo.get(&lo), Some(&1));
-        assert_eq!(memo.get(&hi), Some(&2));
-    }
-
-    #[test]
     fn work_steal_covers_every_index_exactly_once() {
         let q = WorkStealQueues::new(100, 4);
         let mut seen = [false; 100];
         // One thief drains all four ranges: its own from the front, the
         // victims' from the back.
-        while let Some((lo, hi)) = q.next(2, 7) {
+        while let Some((lo, hi, _)) = q.next(2, 7) {
             assert!(lo < hi && hi <= 100);
             for s in &mut seen[lo..hi] {
                 assert!(!*s, "index claimed twice");
@@ -867,8 +785,8 @@ mod tests {
                     let q = &q;
                     s.spawn(move || {
                         let mut mine = Vec::new();
-                        while let Some(run) = q.next(w, 13) {
-                            mine.push(run);
+                        while let Some((lo, hi, _)) = q.next(w, 13) {
+                            mine.push((lo, hi));
                         }
                         mine
                     })
@@ -891,9 +809,33 @@ mod tests {
         assert_eq!(resolve_threads(16, 3), 3);
         assert_eq!(resolve_threads(2, 0), 1);
         assert!(resolve_threads(0, 100) >= 1);
-        assert_eq!(resolve_chunk(10, 1000, 4), 10);
-        assert_eq!(resolve_chunk(0, 2662, 8), 41);
-        assert_eq!(resolve_chunk(0, 5, 8), 1);
-        assert_eq!(resolve_chunk(0, 1_000_000, 2), 64);
+        assert_eq!(resolve_chunk(2662, 8), 41);
+        assert_eq!(resolve_chunk(5, 8), 1);
+        assert_eq!(resolve_chunk(1_000_000, 2), 64);
+    }
+
+    #[test]
+    fn par_indexed_returns_index_order_and_keeps_worker_state() {
+        // Per-worker counters persist across calls; results come back in
+        // index order whatever the thread count.
+        for threads in [1usize, 3, 8] {
+            let mut workers = vec![0usize; threads];
+            let steals = AtomicU64::new(0);
+            for round in 0..2 {
+                let out = par_indexed(
+                    100,
+                    &mut workers,
+                    &steals,
+                    |_| 0usize,
+                    |count, scratch, i| {
+                        *count += 1;
+                        *scratch += 1;
+                        i * 2 + round
+                    },
+                );
+                assert_eq!(out, (0..100).map(|i| i * 2 + round).collect::<Vec<_>>());
+            }
+            assert_eq!(workers.iter().sum::<usize>(), 200, "every item ran exactly once");
+        }
     }
 }

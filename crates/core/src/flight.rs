@@ -107,7 +107,6 @@ pub fn describe_event(e: &Event, names: &FlightNames) -> String {
             CrashClass::ALL.get(e.code as usize).map(|c| c.label()).unwrap_or("?")
         ),
         EventKind::SnapshotClone => "boot snapshot cloned".into(),
-        EventKind::MemoHit => "served from result memo".into(),
         EventKind::VtimerExpiry => format!(
             "vtimer expiry delivered to {who} ({} clock, {} expirations)",
             if e.code == 0 { "HW" } else { "exec" },
@@ -221,7 +220,7 @@ pub fn export_chrome_trace_with_counters(
                 }
                 EventKind::HypercallExit => w.end(PID, tid, ts),
                 EventKind::TestBegin | EventKind::TestEnd => {}
-                EventKind::SnapshotClone | EventKind::MemoHit => {
+                EventKind::SnapshotClone => {
                     w.instant(PID, TID_EXEC, ts, e.kind.name(), None);
                 }
                 _ => {

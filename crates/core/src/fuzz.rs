@@ -28,25 +28,26 @@
 //!   thread counts and recorder settings (the recorder is always enabled
 //!   internally — coverage *is* the feedback — so [`FuzzOptions::record`]
 //!   only controls whether triage flights are retained);
-//! - memoization is structurally absent: every candidate executes, so a
-//!   memo hit can never masquerade as (or mask) novel coverage;
+//! - every candidate executes in full, so each coverage signature comes
+//!   from a real flight stream;
 //! - every find is byte-reproducible from its corpus entry and
 //!   shrinkable by the existing ddmin shrinker ([`crate::shrink`]),
 //!   because mutation is prefix-stable: an operator that edits position
 //!   `k` never changes steps before `k`.
 
 use crate::classify::CrashClass;
-use crate::exec::LiveStats;
+use crate::exec::{fold_logs, par_indexed, resolve_threads, Booter, LiveStats, WorkerLog};
 use crate::flight::{FlightLog, TestFlight, DEFAULT_RING_CAPACITY};
-use crate::metrics::{latency_rows, CampaignMetrics, LocalMetrics, MetricsReport, Phase};
+use crate::metrics::{MetricsReport, Phase};
 use crate::sequence::{
-    draw_weighted, run_one_sequence, AlphabetEntry, MinimalRepro, SeqBooter, SeqRng, SequenceEval,
+    draw_weighted, run_one_sequence, AlphabetEntry, MinimalRepro, SeqRng, SequenceEval,
     SequenceVerdict,
 };
 use crate::shrink::shrink_sequence;
 use crate::testbed::Testbed;
 use flightrec::coverage::{CoverageMap, EdgeTrace, ExecCoverage};
 use std::io::Write as _;
+use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 use xtratum::hypercall::{HypercallId, RawHypercall};
 use xtratum::vuln::KernelBuild;
@@ -662,7 +663,6 @@ fn fuzz_live_line(elapsed: Duration, max_execs: u64, last: &RoundStat, fin: bool
 }
 
 struct CandidateOutcome {
-    slot: usize,
     coverage: ExecCoverage,
     finding: Option<PendingFinding>,
 }
@@ -671,6 +671,14 @@ struct PendingFinding {
     verdict: SequenceVerdict,
     steps_executed: usize,
     minimal: Option<MinimalRepro>,
+}
+
+/// A fuzz worker's state, kept across rounds: booting is the expensive
+/// part, rewinding is the cheap one.
+struct FuzzWorker<'t, T: ?Sized> {
+    booter: Booter<'t, T>,
+    log: WorkerLog,
+    trace: EdgeTrace,
 }
 
 /// Runs a coverage-guided fuzzing campaign over `alphabet` on `testbed`.
@@ -687,24 +695,21 @@ pub fn run_fuzz<T: Testbed + ?Sized>(
 ) -> FuzzResult {
     let started = Instant::now();
     let ctx = testbed.oracle_context(opts.build);
-    let metrics = CampaignMetrics::new(1);
     let mutator = Mutator::new(alphabet, opts.max_steps.max(1));
 
-    let n_threads = crate::exec::resolve_threads(opts.threads, opts.batch.max(1));
-    let mut locals: Vec<LocalMetrics> = (0..n_threads).map(|_| LocalMetrics::new(1)).collect();
-    // Worker boot arenas persist across rounds: booting is the expensive
-    // part, rewinding is the cheap one.
-    let mut booters: Vec<SeqBooter<'_, T>> = locals
-        .iter_mut()
-        .map(|local| SeqBooter::new(testbed, opts.build, true, opts.record, local))
+    let mut workers: Vec<FuzzWorker<'_, T>> = (0..resolve_threads(opts.threads, opts.batch.max(1)))
+        .map(|_| {
+            let mut log = WorkerLog::new(1);
+            let booter = Booter::new(testbed, opts.build, opts.record, &mut log.local);
+            FuzzWorker { booter, log, trace: EdgeTrace::new() }
+        })
         .collect();
+    let steals = AtomicU64::new(0);
 
     let mut map = CoverageMap::new();
     let mut corpus: Vec<CorpusEntry> = Vec::new();
     let mut findings: Vec<FuzzFinding> = Vec::new();
     let mut rounds: Vec<RoundStat> = Vec::new();
-    let mut all_flights: Vec<TestFlight> = Vec::new();
-    let mut merged_hist = flightrec::HistogramSet::new(64);
     let mut execs: u64 = 0;
     let mut round = 0usize;
     let mut since_novel = 0usize;
@@ -725,69 +730,33 @@ pub fn run_fuzz<T: Testbed + ?Sized>(
             (0..batch_n).map(|slot| make_candidate(opts, &mutator, &corpus, round, slot)).collect();
 
         let round_base = execs;
-        let chunk = crate::exec::resolve_chunk(0, batch_n, n_threads);
-        let queues = crate::exec::WorkStealQueues::new(batch_n, n_threads);
-        let mut outcomes: Vec<CandidateOutcome> = Vec::with_capacity(batch_n);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = booters
-                .iter_mut()
-                .zip(locals.iter_mut())
-                .enumerate()
-                .map(|(w, (booter, local))| {
-                    let (queues, candidates, ctx) = (&queues, &candidates, &ctx);
-                    scope.spawn(move || {
-                        // Coverage is the feedback signal: the recorder
-                        // is always on, independent of opts.record.
-                        flightrec::enable(DEFAULT_RING_CAPACITY);
-                        let mut trace = EdgeTrace::new();
-                        let mut out: Vec<CandidateOutcome> = Vec::new();
-                        let mut flights: Vec<TestFlight> = Vec::new();
-                        let mut hist = flightrec::HistogramSet::new(64);
-                        while let Some((lo, hi)) = queues.next(w, chunk) {
-                            for (slot, cand) in candidates.iter().enumerate().take(hi).skip(lo) {
-                                out.push(evaluate_candidate(
-                                    testbed,
-                                    ctx,
-                                    opts,
-                                    booter,
-                                    local,
-                                    &mut trace,
-                                    slot,
-                                    round_base + slot as u64 + 1,
-                                    &cand.steps,
-                                    &mut flights,
-                                    &mut hist,
-                                ));
-                            }
-                        }
-                        flightrec::disable();
-                        (out, flights, hist)
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (out, f, h) = h.join().expect("fuzz worker panicked");
-                outcomes.extend(out);
-                all_flights.extend(f);
-                merged_hist.merge(&h);
-            }
-        });
+        let outcomes = par_indexed(
+            batch_n,
+            &mut workers,
+            &steals,
+            // Coverage is the feedback signal: the recorder is always on,
+            // independent of opts.record.
+            |_| flightrec::enable(DEFAULT_RING_CAPACITY),
+            |w, _, slot| {
+                let exec_index = round_base + slot as u64 + 1;
+                evaluate_candidate(testbed, &ctx, opts, w, exec_index, &candidates[slot].steps)
+            },
+        );
 
         // Sequential fold, in candidate order: the only place coverage
         // state mutates, so the evolved corpus is schedule-independent.
-        outcomes.sort_unstable_by_key(|o| o.slot);
         let mut round_novel = 0usize;
-        for o in outcomes {
-            let exec_index = round_base + o.slot as u64 + 1;
+        for (slot, o) in outcomes.into_iter().enumerate() {
+            let exec_index = round_base + slot as u64 + 1;
             let novel = map.observe(&o.coverage);
             if novel > 0 {
                 corpus.push(CorpusEntry {
                     id: corpus.len(),
-                    steps: candidates[o.slot].steps.clone(),
+                    steps: candidates[slot].steps.clone(),
                     signature: o.coverage.signature,
                     new_cells: novel,
                     exec_index,
-                    origin: candidates[o.slot].origin,
+                    origin: candidates[slot].origin,
                 });
                 round_novel += 1;
             }
@@ -795,7 +764,7 @@ pub fn run_fuzz<T: Testbed + ?Sized>(
                 findings.push(FuzzFinding {
                     exec_index,
                     round,
-                    steps: candidates[o.slot].steps.clone(),
+                    steps: candidates[slot].steps.clone(),
                     verdict: f.verdict,
                     steps_executed: f.steps_executed,
                     minimal: f.minimal,
@@ -832,17 +801,8 @@ pub fn run_fuzz<T: Testbed + ?Sized>(
         live.write(&fuzz_live_line(started.elapsed(), opts.max_execs, last, true));
     }
 
-    for local in &locals {
-        metrics.merge_local(local);
-    }
-    let flight = opts.record.then(|| {
-        all_flights.sort_by_key(|f| f.index);
-        FlightLog { tests: all_flights }
-    });
-    let mut report = metrics.finish(started.elapsed(), n_threads);
-    if opts.record {
-        report.hc_latency = latency_rows(&merged_hist);
-    }
+    let logs = workers.into_iter().map(|w| w.log);
+    let (report, flight) = fold_logs(1, logs, steals.into_inner(), opts.record, started);
     FuzzResult {
         build: opts.build,
         seed: opts.seed,
@@ -861,20 +821,16 @@ pub fn run_fuzz<T: Testbed + ?Sized>(
 /// (on divergence) the one-step-per-slot authoritative re-judgement,
 /// ddmin shrink, and a recorded minimal-reproducer run when retaining
 /// triage flights.
-#[allow(clippy::too_many_arguments)]
 fn evaluate_candidate<T: Testbed + ?Sized>(
     testbed: &T,
     ctx: &crate::oracle::OracleContext,
     opts: &FuzzOptions,
-    booter: &mut SeqBooter<'_, T>,
-    local: &mut LocalMetrics,
-    trace: &mut EdgeTrace,
-    slot: usize,
+    worker: &mut FuzzWorker<'_, T>,
     exec_index: u64,
     steps: &[RawHypercall],
-    flights: &mut Vec<TestFlight>,
-    hist: &mut flightrec::HistogramSet,
 ) -> CandidateOutcome {
+    let FuzzWorker { booter, log, trace } = worker;
+    let local = &mut log.local;
     let t0 = Instant::now();
     let (kernel, guests) = booter.booted(local);
     let _ = flightrec::drain(); // the arena rewind belongs to no candidate
@@ -887,7 +843,7 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
     if opts.record {
         for e in &drained.events {
             if e.kind == flightrec::EventKind::HypercallExit {
-                hist.observe(e.code, e.b);
+                log.hist.observe(e.code, e.b);
             }
         }
     }
@@ -937,7 +893,7 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
                 let minimal_eval = run_one_sequence(testbed, ctx, kernel, guests, &out.steps, 1);
                 let min_flight = flightrec::drain();
                 if opts.record {
-                    flights.push(TestFlight {
+                    log.flights.push(TestFlight {
                         index: exec_index as usize,
                         events: min_flight.events,
                         dropped: min_flight.dropped,
@@ -959,7 +915,7 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
         }
     }
     local.note_outcome(class, t0.elapsed());
-    CandidateOutcome { slot, coverage, finding }
+    CandidateOutcome { coverage, finding }
 }
 
 #[cfg(test)]

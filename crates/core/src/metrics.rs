@@ -1,4 +1,4 @@
-//! Campaign observability: per-worker atomic counters aggregated into a
+//! Campaign observability: per-worker plain counters aggregated into a
 //! [`MetricsReport`], plus an optional JSONL per-test trace sink.
 //!
 //! The counters live outside the determinism surface on purpose: two
@@ -49,20 +49,17 @@ impl Phase {
 
 /// Per-worker plain counters — the hot path's contention-free metrics.
 ///
-/// Workers tally into these unsynchronised fields per test and fold them
-/// into the shared [`CampaignMetrics`] exactly once, when the worker
-/// finishes (see [`CampaignMetrics::merge_local`]). No shared atomics are
-/// touched per test, so metrics bookkeeping costs the same at 1 thread
-/// and at 16.
+/// Workers tally into these unsynchronised fields per test; each
+/// worker's set is folded into [`CampaignMetrics`] exactly once, after
+/// the workers join (see [`CampaignMetrics::merge_local`]). No shared
+/// atomics are touched per test, so metrics bookkeeping costs the same
+/// at 1 thread and at 16.
 #[derive(Debug, Default)]
 pub(crate) struct LocalMetrics {
     tests_executed: u64,
     class_counts: [u64; 6],
     snapshot_clones: u64,
     fresh_boots: u64,
-    memo_hits: u64,
-    memo_misses: u64,
-    steals: u64,
     phase: [LatencyHistogram; N_PHASES],
     suite_nanos: Vec<u64>,
 }
@@ -70,10 +67,6 @@ pub(crate) struct LocalMetrics {
 impl LocalMetrics {
     pub(crate) fn new(n_suites: usize) -> Self {
         LocalMetrics { suite_nanos: vec![0; n_suites], ..Default::default() }
-    }
-
-    pub(crate) fn note_steal(&mut self) {
-        self.steals += 1;
     }
 
     /// Telemetry hot path for the self-profiler: one log2-histogram
@@ -89,14 +82,6 @@ impl LocalMetrics {
 
     pub(crate) fn note_fresh_boot(&mut self) {
         self.fresh_boots += 1;
-    }
-
-    pub(crate) fn note_memo_hit(&mut self) {
-        self.memo_hits += 1;
-    }
-
-    pub(crate) fn note_memo_miss(&mut self) {
-        self.memo_misses += 1;
     }
 
     pub(crate) fn note_record(&mut self, record: &TestRecord, took: Duration) {
@@ -118,18 +103,13 @@ impl LocalMetrics {
     }
 }
 
-/// Shared live counters, updated lock-free by every worker.
+/// Run totals, folded from every worker's [`LocalMetrics`].
 #[derive(Debug)]
 pub(crate) struct CampaignMetrics {
     tests_executed: AtomicU64,
     class_counts: [AtomicU64; 6],
     snapshot_clones: AtomicU64,
     fresh_boots: AtomicU64,
-    memo_hits: AtomicU64,
-    memo_misses: AtomicU64,
-    oracle_hits: AtomicU64,
-    oracle_misses: AtomicU64,
-    steals: AtomicU64,
     /// Per-phase self-profile histograms. A mutex, not atomics: it is
     /// taken once per worker (in [`CampaignMetrics::merge_local`]), never
     /// on the per-test path.
@@ -145,23 +125,13 @@ impl CampaignMetrics {
             class_counts: Default::default(),
             snapshot_clones: AtomicU64::new(0),
             fresh_boots: AtomicU64::new(0),
-            memo_hits: AtomicU64::new(0),
-            memo_misses: AtomicU64::new(0),
-            oracle_hits: AtomicU64::new(0),
-            oracle_misses: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             phase: Mutex::new([LatencyHistogram::default(); N_PHASES]),
             suite_nanos: (0..n_suites).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    pub(crate) fn note_oracle(&self, hits: u64, misses: u64) {
-        self.oracle_hits.fetch_add(hits, Ordering::Relaxed);
-        self.oracle_misses.fetch_add(misses, Ordering::Relaxed);
-    }
-
-    /// Folds a worker's [`LocalMetrics`] into the shared counters — called
-    /// once per worker at shard end, keeping atomics off the per-test path.
+    /// Folds a worker's [`LocalMetrics`] into the totals — called once per
+    /// worker after the run, keeping shared state off the per-test path.
     pub(crate) fn merge_local(&self, local: &LocalMetrics) {
         self.tests_executed.fetch_add(local.tests_executed, Ordering::Relaxed);
         for (shared, v) in self.class_counts.iter().zip(local.class_counts) {
@@ -169,9 +139,6 @@ impl CampaignMetrics {
         }
         self.snapshot_clones.fetch_add(local.snapshot_clones, Ordering::Relaxed);
         self.fresh_boots.fetch_add(local.fresh_boots, Ordering::Relaxed);
-        self.memo_hits.fetch_add(local.memo_hits, Ordering::Relaxed);
-        self.memo_misses.fetch_add(local.memo_misses, Ordering::Relaxed);
-        self.steals.fetch_add(local.steals, Ordering::Relaxed);
         if local.phase.iter().any(|h| h.count > 0) {
             let mut shared = self.phase.lock().expect("phase profile mutex poisoned");
             for (s, l) in shared.iter_mut().zip(&local.phase) {
@@ -196,16 +163,11 @@ impl CampaignMetrics {
             class_counts: std::array::from_fn(|i| self.class_counts[i].load(Ordering::Relaxed)),
             snapshot_clones: self.snapshot_clones.load(Ordering::Relaxed),
             fresh_boots: self.fresh_boots.load(Ordering::Relaxed),
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            memo_misses: self.memo_misses.load(Ordering::Relaxed),
-            oracle_hits: self.oracle_hits.load(Ordering::Relaxed),
-            oracle_misses: self.oracle_misses.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
             phases,
             suite_nanos: self.suite_nanos.iter().map(|s| s.load(Ordering::Relaxed)).collect(),
             wall,
             threads,
-            hc_latency: Vec::new(),
+            ..Default::default()
         }
     }
 }
@@ -221,11 +183,10 @@ pub struct MetricsReport {
     pub snapshot_clones: u64,
     /// Tests that required a full fresh boot.
     pub fresh_boots: u64,
-    /// Tests served from a per-worker result memo (no execution at all:
-    /// the worker had already run the identical raw invocation).
+    /// Always 0: every test executes. Kept so readers of the report
+    /// written when a per-worker result memo existed still compile.
     pub memo_hits: u64,
-    /// Tests executed with memoization enabled (first sighting of their
-    /// raw invocation on that worker). Zero when memoization is off.
+    /// Always 0, like [`MetricsReport::memo_hits`].
     pub memo_misses: u64,
     /// Oracle expectation cache hits across all workers.
     pub oracle_hits: u64,
@@ -338,15 +299,6 @@ impl MetricsReport {
             "  boots: {} snapshot clones, {} fresh boots\n",
             self.snapshot_clones, self.fresh_boots
         ));
-        let memo_seen = self.memo_hits + self.memo_misses;
-        if memo_seen > 0 {
-            out.push_str(&format!(
-                "  result memo: {} hits / {} tests ({:.1}%)\n",
-                self.memo_hits,
-                memo_seen,
-                100.0 * self.memo_hits as f64 / memo_seen as f64
-            ));
-        }
         let lookups = self.oracle_hits + self.oracle_misses;
         let hit_pct =
             if lookups > 0 { 100.0 * self.oracle_hits as f64 / lookups as f64 } else { 0.0 };
@@ -421,8 +373,6 @@ impl MetricsReport {
             &[],
             self.fresh_boots,
         );
-        reg.push_counter("skrt_memo_hits", "Result-memo hits.", &[], self.memo_hits);
-        reg.push_counter("skrt_memo_misses", "Result-memo misses.", &[], self.memo_misses);
         reg.push_counter("skrt_oracle_hits", "Oracle cache hits.", &[], self.oracle_hits);
         reg.push_counter("skrt_oracle_misses", "Oracle cache misses.", &[], self.oracle_misses);
         reg.push_counter("skrt_steals", "Work-stealing chunk claims.", &[], self.steals);
@@ -517,7 +467,6 @@ pub fn write_trace(path: &Path, result: &CampaignResult) -> std::io::Result<()> 
         concat!(
             "{{\"type\":\"metrics\",\"tests\":{},\"wall_ns\":{},\"tests_per_sec\":{:.1},",
             "\"threads\":{},\"snapshot_clones\":{},\"fresh_boots\":{},",
-            "\"memo_hits\":{},\"memo_misses\":{},",
             "\"oracle_hits\":{},\"oracle_misses\":{}}}"
         ),
         m.tests_executed,
@@ -526,8 +475,6 @@ pub fn write_trace(path: &Path, result: &CampaignResult) -> std::io::Result<()> 
         m.threads,
         m.snapshot_clones,
         m.fresh_boots,
-        m.memo_hits,
-        m.memo_misses,
         m.oracle_hits,
         m.oracle_misses,
     )?;
@@ -563,7 +510,6 @@ mod tests {
         let mut r = MetricsReport {
             tests_executed: 10,
             wall: Duration::from_secs(1),
-            memo_hits: 3,
             steals: 2,
             threads: 4,
             ..Default::default()
@@ -584,8 +530,6 @@ mod tests {
             "skrt_verdicts",
             "skrt_snapshot_clones",
             "skrt_fresh_boots",
-            "skrt_memo_hits",
-            "skrt_memo_misses",
             "skrt_oracle_hits",
             "skrt_oracle_misses",
             "skrt_steals",

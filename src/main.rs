@@ -2,7 +2,7 @@
 //! toolset.
 //!
 //! ```text
-//! skrt-repro campaign [--build legacy|patched] [--threads N] [--trace FILE] [--record FILE] [--no-snapshot] [--no-memo]
+//! skrt-repro campaign [--build legacy|patched] [--threads N] [--trace FILE] [--record FILE]
 //! skrt-repro campaign sweep [--tests N] [--build ...]         full cartesian invocation space
 //! skrt-repro campaign sequences [--seed N] [--count N] [--steps N] [--build ...]
 //! skrt-repro campaign fuzz [--seed N] [--execs N] [--time SECS] [--corpus-dir DIR] [--build ...]
@@ -24,6 +24,7 @@ use skrt::report::{
     campaign_table, distribution, render_distribution, render_issues, render_table,
 };
 use skrt::suite::CampaignSpec;
+use skrt::{LiveStats, MetricsReport};
 use xm_campaign::{
     automatic_campaign, paper_campaign, paper_dictionary, run_paper_campaign,
     run_paper_campaign_with,
@@ -41,49 +42,46 @@ fn main() {
         Some("triage") => cmd_triage(&args[1..]),
         Some("specgen") => cmd_specgen(&args[1..]),
         Some("coverage") => cmd_coverage(&args[1..]),
-        Some("tables") => cmd_tables(),
+        Some("tables") => Ok(cmd_tables()),
         Some("--help" | "-h" | "help") | None => {
             print!("{}", usage());
-            0
+            Ok(0)
         }
-        Some(other) => {
-            eprintln!("unknown command '{other}'\n{}", usage());
-            2
-        }
+        Some(other) => Err(format!("unknown command '{other}'\n{}", usage())),
     };
-    std::process::exit(code);
+    std::process::exit(code.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        2
+    }));
 }
 
 fn usage() -> &'static str {
     "skrt-repro — separation kernel robustness testing (XtratuM case study)\n\
      \n\
      USAGE:\n\
-     \x20 skrt-repro campaign [--build legacy|patched] [--threads N] [--chunk N]\n\
-     \x20                     [--trace FILE] [--record FILE] [--no-snapshot] [--no-memo]\n\
+     \x20 skrt-repro campaign [--build legacy|patched] [--threads N]\n\
+     \x20                     [--trace FILE] [--record FILE]\n\
      \x20                     [--metrics] [--metrics-out FILE]\n\
      \x20                     [--live-stats FILE [--live-interval SECS]]\n\
      \x20     Run the full 2662-test Table III campaign on the EagleEye testbed.\n\
      \x20     --trace writes a JSONL per-test trace; --record runs the kernel\n\
      \x20     flight recorder and writes a Perfetto/Chrome trace.json (open at\n\
-     \x20     https://ui.perfetto.dev); --no-snapshot forces the seed-style fresh\n\
-     \x20     boot per test; --no-memo re-executes duplicate raw invocations\n\
-     \x20     instead of reusing the per-worker memoized result; --metrics prints\n\
-     \x20     run counters (with per-hypercall latency and executor phase timers\n\
-     \x20     when recording); --metrics-out exports the telemetry registry\n\
-     \x20     (OpenMetrics text for .prom paths, JSONL otherwise); --live-stats\n\
-     \x20     streams heartbeat JSONL (throughput, ETA, verdicts) while running.\n\
-     \x20     Results are byte-identical with telemetry on or off.\n\
+     \x20     https://ui.perfetto.dev); --metrics prints run counters (with\n\
+     \x20     per-hypercall latency and executor phase timers when recording);\n\
+     \x20     --metrics-out exports the telemetry registry (OpenMetrics text for\n\
+     \x20     .prom paths, JSONL otherwise); --live-stats streams heartbeat JSONL\n\
+     \x20     (throughput, ETA, verdicts) while running. Results are\n\
+     \x20     byte-identical with telemetry on or off.\n\
      \x20 skrt-repro campaign sweep [--tests N] [--build legacy|patched] [--threads N]\n\
-     \x20                     [--chunk N] [--trace FILE] [--record FILE] [--no-snapshot]\n\
-     \x20                     [--no-memo] [--metrics]\n\
+     \x20                     [--trace FILE] [--record FILE] [--metrics]\n\
      \x20     Run the full cartesian invocation space: every hypercall in the API\n\
      \x20     header crossed with its complete dictionary product (61 suites,\n\
      \x20     4976 tests) instead of the sampled 2662. --tests N scales the run:\n\
      \x20     truncates below 4976, cycles the case list deterministically above\n\
-     \x20     it (e.g. --tests 1000000 for a soak run).\n\
+     \x20     it (e.g. --tests 1000000 for a soak run); every test executes.\n\
      \x20 skrt-repro campaign sequences [--seed N] [--count N] [--steps N]\n\
-     \x20                     [--build legacy|patched] [--threads N] [--chunk N]\n\
-     \x20                     [--record FILE] [--no-snapshot] [--no-memo] [--no-shrink]\n\
+     \x20                     [--build legacy|patched] [--threads N]\n\
+     \x20                     [--record FILE] [--no-shrink]\n\
      \x20                     [--metrics] [--metrics-out FILE]\n\
      \x20     Run a stateful sequence campaign: seeded multi-hypercall sequences\n\
      \x20     judged step-by-step by the differential state oracle; failures are\n\
@@ -159,8 +157,22 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
 }
 
+fn has_flag(args: &[String], flag: &str) -> bool {
+    args.iter().any(|a| a == flag)
+}
+
+/// `flag N`: `default` when the flag is absent, an error when its value
+/// is missing or does not parse.
+fn num_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
+    if !has_flag(args, flag) {
+        return Ok(default);
+    }
+    let value = flag_value(args, flag).ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map_err(|_| format!("{flag}: '{value}' is not a valid number"))
+}
+
 /// `--live-stats FILE [--live-interval SECS]` (default 1 s).
-fn parse_live_stats(args: &[String]) -> Result<Option<skrt::LiveStats>, String> {
+fn parse_live_stats(args: &[String]) -> Result<Option<LiveStats>, String> {
     let Some(path) = flag_value(args, "--live-stats") else {
         return Ok(None);
     };
@@ -171,233 +183,227 @@ fn parse_live_stats(args: &[String]) -> Result<Option<skrt::LiveStats>, String> 
         },
         None => std::time::Duration::from_secs(1),
     };
-    Ok(Some(skrt::LiveStats::new(path.into(), interval)))
+    Ok(Some(LiveStats::new(path.into(), interval)))
 }
 
-/// `--metrics-out FILE`: OpenMetrics text for `.prom` paths, JSONL
-/// telemetry snapshots otherwise.
-fn write_metrics_out(path: &str, metrics: &skrt::MetricsReport, job: &str) -> Result<(), String> {
-    let registry = metrics.telemetry(job);
-    let text = if path.ends_with(".prom") {
-        registry.render_openmetrics()
-    } else {
-        registry.render_jsonl()
-    };
-    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("wrote telemetry snapshot to {path}");
-    Ok(())
+/// The flags every `campaign` mode shares, parsed once, and the post-run
+/// steps they drive.
+struct RunFlags {
+    build: KernelBuild,
+    /// `--threads N` (0 = one per available core).
+    threads: usize,
+    /// `--record FILE`: Perfetto trace destination.
+    record: Option<String>,
+    /// `--metrics`: print run counters.
+    metrics: bool,
+    /// `--metrics-out FILE`: telemetry snapshot destination.
+    metrics_out: Option<String>,
+    live_stats: Option<LiveStats>,
 }
 
-fn cmd_campaign(args: &[String]) -> i32 {
-    if args.first().map(String::as_str) == Some("sequences") {
-        return cmd_sequences(&args[1..]);
+impl RunFlags {
+    /// Parses the shared flags. `live` says whether the mode streams
+    /// `--live-stats`; the others reject the flag instead of ignoring it.
+    fn parse(args: &[String], live: bool) -> Result<Self, String> {
+        if !live && has_flag(args, "--live-stats") {
+            return Err("--live-stats is only available in `campaign`, `campaign sweep` \
+                        and `campaign fuzz`"
+                .into());
+        }
+        Ok(RunFlags {
+            build: parse_build(args)?,
+            threads: num_flag(args, "--threads", 0)?,
+            record: flag_value(args, "--record"),
+            metrics: has_flag(args, "--metrics"),
+            metrics_out: flag_value(args, "--metrics-out"),
+            live_stats: parse_live_stats(args)?,
+        })
     }
-    if args.first().map(String::as_str) == Some("fuzz") {
-        return cmd_fuzz(&args[1..]);
+
+    /// The steps every mode runs after its own report: the Perfetto trace
+    /// (`perfetto` builds it, only when `--record` was given), the
+    /// live-stats outcome, the `--metrics-out` snapshot tagged `job`, the
+    /// `--metrics` printout, and the wall-clock line.
+    fn finish(
+        &self,
+        job: &str,
+        metrics: &MetricsReport,
+        render_metrics: impl FnOnce() -> String,
+        perfetto: impl FnOnce() -> Option<String>,
+        live_stats_error: Option<&str>,
+    ) -> Result<(), String> {
+        if let Some(path) = &self.record {
+            if let Some(json) = perfetto() {
+                std::fs::write(path, json)
+                    .map_err(|e| format!("cannot write Perfetto trace {path}: {e}"))?;
+                println!("wrote Perfetto trace to {path} (open at https://ui.perfetto.dev)");
+            }
+        }
+        if let Some(e) = live_stats_error {
+            eprintln!("warning: live-stats stream failed: {e}");
+        } else if let Some(l) = &self.live_stats {
+            println!("wrote live stats to {}", l.path.display());
+        }
+        if let Some(path) = &self.metrics_out {
+            // OpenMetrics text for `.prom` paths, JSONL snapshots otherwise.
+            let registry = metrics.telemetry(job);
+            let text = if path.ends_with(".prom") {
+                registry.render_openmetrics()
+            } else {
+                registry.render_jsonl()
+            };
+            std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+            println!("wrote telemetry snapshot to {path}");
+        }
+        if self.metrics {
+            println!();
+            print!("{}", render_metrics());
+        }
+        println!("\ncompleted in {:.2?}", metrics.wall);
+        Ok(())
     }
-    if args.first().map(String::as_str) == Some("check") {
-        return cmd_check(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("report") {
-        return cmd_report(&args[1..]);
+}
+
+fn cmd_campaign(args: &[String]) -> Result<i32, String> {
+    match args.first().map(String::as_str) {
+        Some("sequences") => return cmd_sequences(&args[1..]),
+        Some("fuzz") => return cmd_fuzz(&args[1..]),
+        Some("check") => return cmd_check(&args[1..]),
+        Some("report") => return cmd_report(&args[1..]),
+        _ => {}
     }
     let sweep = args.first().map(String::as_str) == Some("sweep");
     let args = if sweep { &args[1..] } else { args };
-    let build = match parse_build(args) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
-    let threads = flag_value(args, "--threads").and_then(|t| t.parse().ok()).unwrap_or(0);
-    let chunk_size = flag_value(args, "--chunk").and_then(|t| t.parse().ok()).unwrap_or(0);
-    let record_path = flag_value(args, "--record");
+    let flags = RunFlags::parse(args, true)?;
     let max_tests = match flag_value(args, "--tests") {
-        Some(t) if !sweep => {
-            let _ = t;
-            return fail("--tests is only available in `campaign sweep` mode");
+        Some(_) if !sweep => {
+            return Err("--tests is only available in `campaign sweep` mode".into())
         }
         Some(t) => match t.parse::<usize>() {
             Ok(n) if n > 0 => Some(n),
-            _ => return fail("campaign sweep: --tests must be a positive integer"),
+            _ => return Err("campaign sweep: --tests must be a positive integer".into()),
         },
         None => None,
     };
-    let live_stats = match parse_live_stats(args) {
-        Ok(l) => l,
-        Err(e) => return fail(&e),
-    };
     let opts = CampaignOptions {
-        build,
-        threads,
-        chunk_size,
-        reuse_snapshot: !args.iter().any(|a| a == "--no-snapshot"),
+        build: flags.build,
+        threads: flags.threads,
         trace_path: flag_value(args, "--trace").map(Into::into),
-        memoize: !args.iter().any(|a| a == "--no-memo"),
-        coverage_feedback: false,
-        record: record_path.is_some(),
+        record: flags.record.is_some(),
         max_tests,
-        live_stats,
+        live_stats: flags.live_stats.clone(),
     };
     let report = if sweep {
-        match xm_campaign::run_sweep_campaign_with(&opts) {
-            Ok(r) => r,
-            Err(e) => return fail(&e),
-        }
+        xm_campaign::run_sweep_campaign_with(&opts)?
     } else {
         run_paper_campaign_with(&opts)
     };
     if sweep {
         println!(
-            "campaign sweep: {} suites, {} tests executed, build {build:?}\n",
+            "campaign sweep: {} suites, {} tests executed, build {:?}\n",
             report.spec.suites.len(),
             report.result.records.len(),
+            flags.build,
         );
     }
     match flag_value(args, "--format").as_deref() {
         None | Some("text") => print!("{}", report.render()),
         Some("md" | "markdown") => {
-            println!("## Table III — {}\n", build.label());
+            println!("## Table III — {}\n", flags.build.label());
             print!("{}", skrt::report::render_table_markdown(&report.table));
             println!();
             print!("{}", skrt::report::render_issues_markdown(&report.issues));
         }
-        Some(other) => return fail(&format!("unknown format '{other}' (use text|md)")),
+        Some(other) => return Err(format!("unknown format '{other}' (use text|md)")),
     }
     if let Some(path) = flag_value(args, "--csv") {
         let csv = skrt::report::records_to_csv(&report.result);
-        if let Err(e) = std::fs::write(&path, csv) {
-            return fail(&format!("cannot write {path}: {e}"));
-        }
+        std::fs::write(&path, csv).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("\nwrote per-test records to {path}");
     }
     if let Some(e) = report.trace_error() {
-        return fail(e);
+        return Err(e.to_string());
     } else if let Some(path) = &opts.trace_path {
         println!("wrote JSONL trace to {}", path.display());
     }
-    if let (Some(path), Some(flight)) = (&record_path, &report.result.flight) {
-        let json = skrt::flight::export_chrome_trace(
-            flight,
-            &report.result.records,
-            &xm_campaign::eagleeye_flight_names(),
-        );
-        if let Err(e) = std::fs::write(path, json) {
-            return fail(&format!("cannot write Perfetto trace {path}: {e}"));
-        }
-        println!("wrote Perfetto trace to {path} (open at https://ui.perfetto.dev)");
-    }
-    if let Some(e) = &report.result.live_stats_error {
-        eprintln!("warning: live-stats stream failed: {e}");
-    } else if let Some(l) = &opts.live_stats {
-        println!("wrote live stats to {}", l.path.display());
-    }
-    if let Some(path) = flag_value(args, "--metrics-out") {
-        let job = if sweep { "sweep" } else { "campaign" };
-        if let Err(e) = write_metrics_out(&path, &report.result.metrics, job) {
-            return fail(&e);
-        }
-    }
-    if args.iter().any(|a| a == "--metrics") {
-        println!();
-        print!("{}", report.render_metrics());
-    }
-    println!("\ncompleted in {:.2?}", report.metrics().wall);
-    i32::from(!report.issues.is_empty())
+    flags.finish(
+        if sweep { "sweep" } else { "campaign" },
+        report.metrics(),
+        || report.render_metrics(),
+        || {
+            let flight = report.result.flight.as_ref()?;
+            let names = xm_campaign::eagleeye_flight_names();
+            Some(skrt::flight::export_chrome_trace(flight, &report.result.records, &names))
+        },
+        report.result.live_stats_error.as_deref(),
+    )?;
+    Ok(i32::from(!report.issues.is_empty()))
 }
 
-fn cmd_sequences(args: &[String]) -> i32 {
-    let build = match parse_build(args) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
-    let seed = flag_value(args, "--seed").and_then(|s| s.parse().ok()).unwrap_or(1);
-    let count = flag_value(args, "--count").and_then(|s| s.parse().ok()).unwrap_or(500);
-    let steps = flag_value(args, "--steps").and_then(|s| s.parse().ok()).unwrap_or(8);
+fn cmd_sequences(args: &[String]) -> Result<i32, String> {
+    let flags = RunFlags::parse(args, false)?;
+    let seed = num_flag(args, "--seed", 1)?;
+    let count = num_flag(args, "--count", 500)?;
+    let steps = num_flag(args, "--steps", 8)?;
     if steps == 0 || count == 0 {
-        return fail("campaign sequences: --count and --steps must be positive");
+        return Err("campaign sequences: --count and --steps must be positive".into());
     }
-    let record_path = flag_value(args, "--record");
     let opts = skrt::sequence::SequenceOptions {
-        build,
-        threads: flag_value(args, "--threads").and_then(|t| t.parse().ok()).unwrap_or(0),
-        chunk_size: flag_value(args, "--chunk").and_then(|t| t.parse().ok()).unwrap_or(0),
-        reuse_snapshot: !args.iter().any(|a| a == "--no-snapshot"),
-        memoize: !args.iter().any(|a| a == "--no-memo"),
-        coverage_feedback: false,
-        record: record_path.is_some(),
-        shrink: !args.iter().any(|a| a == "--no-shrink"),
+        build: flags.build,
+        threads: flags.threads,
+        record: flags.record.is_some(),
+        shrink: !has_flag(args, "--no-shrink"),
         ..Default::default()
     };
     let report = xm_campaign::run_eagleeye_sequences(seed, count, steps, &opts);
     print!("{}", report.render());
-    if let (Some(path), Some(flight)) = (&record_path, &report.result.flight) {
-        let json =
-            skrt::flight::export_chrome_trace(flight, &[], &xm_campaign::eagleeye_flight_names());
-        if let Err(e) = std::fs::write(path, json) {
-            return fail(&format!("cannot write Perfetto trace {path}: {e}"));
-        }
-        println!("\nwrote Perfetto trace to {path} (open at https://ui.perfetto.dev)");
-    }
-    if let Some(path) = flag_value(args, "--metrics-out") {
-        if let Err(e) = write_metrics_out(&path, &report.result.metrics, "sequences") {
-            return fail(&e);
-        }
-    }
-    if args.iter().any(|a| a == "--metrics") {
-        println!();
-        print!("{}", report.render_metrics());
-    }
-    println!("\ncompleted in {:.2?}", report.result.metrics.wall);
-    i32::from(!report.result.divergences().is_empty())
+    flags.finish(
+        "sequences",
+        &report.result.metrics,
+        || report.render_metrics(),
+        || {
+            let flight = report.result.flight.as_ref()?;
+            let names = xm_campaign::eagleeye_flight_names();
+            Some(skrt::flight::export_chrome_trace(flight, &[], &names))
+        },
+        None,
+    )?;
+    Ok(i32::from(!report.result.divergences().is_empty()))
 }
 
 /// `campaign check`: exhaustively enumerate the small-scope
 /// configuration space and verify the kernel's isolation invariants in
 /// lockstep with the state oracle.
-fn cmd_check(args: &[String]) -> i32 {
-    let build = match parse_build(args) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
+fn cmd_check(args: &[String]) -> Result<i32, String> {
+    let flags = RunFlags::parse(args, false)?;
     let defaults = skrt::CheckScope::default();
     let scope = skrt::CheckScope {
-        partitions: flag_value(args, "--partitions")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(defaults.partitions),
-        slots: flag_value(args, "--slots").and_then(|s| s.parse().ok()).unwrap_or(defaults.slots),
-        horizon: flag_value(args, "--horizon")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(defaults.horizon),
+        partitions: num_flag(args, "--partitions", defaults.partitions)?,
+        slots: num_flag(args, "--slots", defaults.slots)?,
+        horizon: num_flag(args, "--horizon", defaults.horizon)?,
     };
     if scope.partitions == 0 || scope.slots == 0 || scope.horizon == 0 {
-        return fail("campaign check: --partitions, --slots and --horizon must be positive");
+        return Err("campaign check: --partitions, --slots and --horizon must be positive".into());
     }
     if scope.partitions > 4 || scope.slots > 3 {
-        return fail(
-            "campaign check: scope too large for exhaustive enumeration \
-             (max 4 partitions, 3 slots/MAF)",
-        );
+        return Err("campaign check: scope too large for exhaustive enumeration \
+                    (max 4 partitions, 3 slots/MAF)"
+            .into());
     }
     let out_dir = flag_value(args, "--out");
-    let record_path = flag_value(args, "--record");
     let opts = skrt::CheckOptions {
-        build,
+        build: flags.build,
         scope,
-        threads: flag_value(args, "--threads").and_then(|t| t.parse().ok()).unwrap_or(0),
-        record: record_path.is_some() || out_dir.is_some(),
+        threads: flags.threads,
+        record: flags.record.is_some() || out_dir.is_some(),
         ..Default::default()
     };
     let res = skrt::run_check(&opts);
     print!("{}", xm_campaign::render_check_report(&res));
     if let Some(out) = &out_dir {
-        let tag = match build {
-            KernelBuild::Legacy => "legacy",
-            KernelBuild::Patched => "patched",
-        };
-        let job = format!("check-{tag}");
-        let bundle = match xm_campaign::write_check_bundle(std::path::Path::new(out), &job, &res) {
-            Ok(b) => b,
-            Err(e) => return fail(&format!("cannot write bundle {out}: {e}")),
-        };
+        let job = format!("check-{}", build_tag(flags.build));
+        let bundle = xm_campaign::write_check_bundle(std::path::Path::new(out), &job, &res)
+            .map_err(|e| format!("cannot write bundle {out}: {e}"))?;
         println!(
             "\nforensics bundle: {} counterexample(s), {} file(s) under {}",
             bundle.findings,
@@ -406,61 +412,48 @@ fn cmd_check(args: &[String]) -> i32 {
         );
         println!("start at {}/summary.md", bundle.root.display());
     }
-    if let (Some(path), Some(flight)) = (&record_path, &res.flight) {
-        let json = skrt::flight::export_chrome_trace(
-            flight,
-            &[],
-            &xm_campaign::check_flight_names(res.scope.partitions),
-        );
-        if let Err(e) = std::fs::write(path, json) {
-            return fail(&format!("cannot write Perfetto trace {path}: {e}"));
-        }
-        println!("wrote Perfetto trace to {path} (open at https://ui.perfetto.dev)");
+    flags.finish(
+        "check",
+        &res.metrics,
+        || res.metrics.render(),
+        || {
+            let flight = res.flight.as_ref()?;
+            let names = xm_campaign::check_flight_names(res.scope.partitions);
+            Some(skrt::flight::export_chrome_trace(flight, &[], &names))
+        },
+        None,
+    )?;
+    Ok(i32::from(!res.findings().is_empty()))
+}
+
+fn build_tag(build: KernelBuild) -> &'static str {
+    match build {
+        KernelBuild::Legacy => "legacy",
+        KernelBuild::Patched => "patched",
     }
-    if let Some(path) = flag_value(args, "--metrics-out") {
-        if let Err(e) = write_metrics_out(&path, &res.metrics, "check") {
-            return fail(&e);
-        }
-    }
-    if args.iter().any(|a| a == "--metrics") {
-        println!();
-        print!("{}", res.metrics.render());
-    }
-    println!("\ncompleted in {:.2?}", res.metrics.wall);
-    i32::from(!res.findings().is_empty())
 }
 
 /// `campaign report`: run a recorded sequence campaign and write a
 /// self-contained forensics bundle for every divergence.
-fn cmd_report(args: &[String]) -> i32 {
-    let build = match parse_build(args) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
+fn cmd_report(args: &[String]) -> Result<i32, String> {
+    let flags = RunFlags::parse(args, false)?;
     let out = flag_value(args, "--out").unwrap_or_else(|| "forensics".into());
-    let seed = flag_value(args, "--seed").and_then(|s| s.parse().ok()).unwrap_or(1);
-    let count = flag_value(args, "--count").and_then(|s| s.parse().ok()).unwrap_or(120);
-    let steps = flag_value(args, "--steps").and_then(|s| s.parse().ok()).unwrap_or(8);
+    let seed = num_flag(args, "--seed", 1)?;
+    let count = num_flag(args, "--count", 120)?;
+    let steps = num_flag(args, "--steps", 8)?;
     if steps == 0 || count == 0 {
-        return fail("campaign report: --count and --steps must be positive");
+        return Err("campaign report: --count and --steps must be positive".into());
     }
     let opts = skrt::sequence::SequenceOptions {
-        build,
-        threads: flag_value(args, "--threads").and_then(|t| t.parse().ok()).unwrap_or(0),
+        build: flags.build,
+        threads: flags.threads,
         record: true,
         ..Default::default()
     };
     let report = xm_campaign::run_eagleeye_sequences(seed, count, steps, &opts);
-    let tag = match build {
-        KernelBuild::Legacy => "legacy",
-        KernelBuild::Patched => "patched",
-    };
-    let job = format!("sequences-{tag}");
-    let bundle =
-        match xm_campaign::write_forensics_bundle(std::path::Path::new(&out), &job, &report) {
-            Ok(b) => b,
-            Err(e) => return fail(&format!("cannot write bundle {out}: {e}")),
-        };
+    let job = format!("sequences-{}", build_tag(flags.build));
+    let bundle = xm_campaign::write_forensics_bundle(std::path::Path::new(&out), &job, &report)
+        .map_err(|e| format!("cannot write bundle {out}: {e}"))?;
     println!(
         "forensics bundle: {} finding(s), {} file(s) under {}",
         bundle.findings,
@@ -471,30 +464,23 @@ fn cmd_report(args: &[String]) -> i32 {
         println!("  {}", f.display());
     }
     println!("start at {}/summary.md", bundle.root.display());
-    i32::from(bundle.findings > 0)
+    Ok(i32::from(bundle.findings > 0))
 }
 
-fn cmd_fuzz(args: &[String]) -> i32 {
-    let build = match parse_build(args) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
+fn cmd_fuzz(args: &[String]) -> Result<i32, String> {
+    let flags = RunFlags::parse(args, true)?;
 
     // Replay mode: re-execute one corpus/finding file and report.
     if let Some(path) = flag_value(args, "--replay") {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => return fail(&format!("cannot read {path}: {e}")),
-        };
-        let steps = match skrt::parse_steps(&text) {
-            Ok(s) => s,
-            Err(e) => return fail(&format!("{path}: {e}")),
-        };
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let steps = skrt::parse_steps(&text).map_err(|e| format!("{path}: {e}"))?;
         // Same steps-per-slot as the fuzzer's coverage-producing
         // evaluation, so the printed signature matches the corpus header.
         let steps_per_slot = skrt::FuzzOptions::default().steps_per_slot;
-        let (coverage, verdict) = skrt::replay_coverage(&EagleEye, build, &steps, steps_per_slot);
-        println!("replay {path} on {} ({} steps):", build.label(), steps.len());
+        let (coverage, verdict) =
+            skrt::replay_coverage(&EagleEye, flags.build, &steps, steps_per_slot);
+        println!("replay {path} on {} ({} steps):", flags.build.label(), steps.len());
         for (i, step) in steps.iter().enumerate() {
             let marker = if verdict.failing_step == Some(i) { ">" } else { " " };
             println!("  {marker} {i}: {step}");
@@ -512,37 +498,32 @@ fn cmd_fuzz(args: &[String]) -> i32 {
             coverage.signature,
             coverage.cells.len()
         );
-        return i32::from(verdict.classification.class != skrt::CrashClass::Pass);
+        return Ok(i32::from(verdict.classification.class != skrt::CrashClass::Pass));
     }
 
     let max_time = match flag_value(args, "--time") {
         Some(t) => match t.parse::<f64>() {
             Ok(secs) if secs > 0.0 => Some(std::time::Duration::from_secs_f64(secs)),
-            _ => return fail("campaign fuzz: --time must be a positive number of seconds"),
+            _ => return Err("campaign fuzz: --time must be a positive number of seconds".into()),
         },
         None => None,
     };
-    let record_path = flag_value(args, "--record");
-    let live_stats = match parse_live_stats(args) {
-        Ok(l) => l,
-        Err(e) => return fail(&e),
-    };
     let defaults = skrt::FuzzOptions::default();
     let opts = skrt::FuzzOptions {
-        build,
-        threads: flag_value(args, "--threads").and_then(|t| t.parse().ok()).unwrap_or(0),
-        seed: flag_value(args, "--seed").and_then(|s| s.parse().ok()).unwrap_or(1),
-        max_execs: flag_value(args, "--execs").and_then(|s| s.parse().ok()).unwrap_or(1000),
+        build: flags.build,
+        threads: flags.threads,
+        seed: num_flag(args, "--seed", 1)?,
+        max_execs: num_flag(args, "--execs", 1000)?,
         max_time,
-        steps: flag_value(args, "--steps").and_then(|s| s.parse().ok()).unwrap_or(defaults.steps),
-        batch: flag_value(args, "--batch").and_then(|s| s.parse().ok()).unwrap_or(defaults.batch),
-        record: record_path.is_some(),
-        shrink: !args.iter().any(|a| a == "--no-shrink"),
-        live_stats,
+        steps: num_flag(args, "--steps", defaults.steps)?,
+        batch: num_flag(args, "--batch", defaults.batch)?,
+        record: flags.record.is_some(),
+        shrink: !has_flag(args, "--no-shrink"),
+        live_stats: flags.live_stats.clone(),
         ..defaults
     };
     if opts.max_execs == 0 || opts.steps == 0 || opts.batch == 0 {
-        return fail("campaign fuzz: --execs, --steps and --batch must be positive");
+        return Err("campaign fuzz: --execs, --steps and --batch must be positive".into());
     }
 
     let report = xm_campaign::run_eagleeye_fuzz(&opts);
@@ -550,66 +531,45 @@ fn cmd_fuzz(args: &[String]) -> i32 {
 
     if let Some(dir) = flag_value(args, "--corpus-dir") {
         let dir = std::path::Path::new(&dir);
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            return fail(&format!("cannot create {}: {e}", dir.display()));
-        }
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         for entry in &report.result.corpus {
             let path = dir.join(entry.file_name());
-            if let Err(e) = std::fs::write(&path, entry.render()) {
-                return fail(&format!("cannot write {}: {e}", path.display()));
-            }
+            std::fs::write(&path, entry.render())
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         }
         println!("\nwrote {} corpus entries to {}", report.result.corpus.len(), dir.display());
     }
     if let Some(path) = flag_value(args, "--stats") {
-        if let Err(e) = std::fs::write(&path, report.stats_jsonl()) {
-            return fail(&format!("cannot write {path}: {e}"));
-        }
+        std::fs::write(&path, report.stats_jsonl())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote JSONL stats to {path}");
     }
-    if let (Some(path), Some(flight)) = (&record_path, &report.result.flight) {
-        // Counter tracks ride along: coverage growth and per-round
-        // throughput under the minimal-reproducer flights.
-        let json = skrt::flight::export_chrome_trace_with_counters(
-            flight,
-            &[],
-            &xm_campaign::eagleeye_flight_names(),
-            &report.counter_series(),
-        );
-        if let Err(e) = std::fs::write(path, json) {
-            return fail(&format!("cannot write Perfetto trace {path}: {e}"));
-        }
-        println!("wrote Perfetto trace to {path} (open at https://ui.perfetto.dev)");
-    }
-    if let Some(e) = &report.result.live_stats_error {
-        eprintln!("warning: live-stats stream failed: {e}");
-    } else if let Some(l) = &opts.live_stats {
-        println!("wrote live stats to {}", l.path.display());
-    }
-    if let Some(path) = flag_value(args, "--metrics-out") {
-        if let Err(e) = write_metrics_out(&path, &report.result.metrics, "fuzz") {
-            return fail(&e);
-        }
-    }
-    if args.iter().any(|a| a == "--metrics") {
-        println!();
-        print!("{}", report.render_metrics());
-    }
-    println!("\ncompleted in {:.2?}", report.result.metrics.wall);
-    i32::from(!report.result.findings.is_empty())
+    flags.finish(
+        "fuzz",
+        &report.result.metrics,
+        || report.render_metrics(),
+        || {
+            // Counter tracks ride along: coverage growth and per-round
+            // throughput under the minimal-reproducer flights.
+            let flight = report.result.flight.as_ref()?;
+            Some(skrt::flight::export_chrome_trace_with_counters(
+                flight,
+                &[],
+                &xm_campaign::eagleeye_flight_names(),
+                &report.counter_series(),
+            ))
+        },
+        report.result.live_stats_error.as_deref(),
+    )?;
+    Ok(i32::from(!report.result.findings.is_empty()))
 }
 
-fn cmd_sweep(args: &[String]) -> i32 {
-    let build = match parse_build(args) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
+fn cmd_sweep(args: &[String]) -> Result<i32, String> {
+    let build = parse_build(args)?;
     let api = api_header_doc();
     let dict = paper_dictionary();
-    let spec = match automatic_campaign(&api, &dict) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
+    let spec = automatic_campaign(&api, &dict)?;
     println!(
         "automatic sweep: {} suites, {} tests, build {build:?}",
         spec.suites.len(),
@@ -623,24 +583,19 @@ fn cmd_sweep(args: &[String]) -> i32 {
     println!();
     let issues = result.issues();
     print!("{}", render_issues(&issues));
-    i32::from(!issues.is_empty())
+    Ok(i32::from(!issues.is_empty()))
 }
 
-fn cmd_suite(args: &[String]) -> i32 {
+fn cmd_suite(args: &[String]) -> Result<i32, String> {
     let Some(name) = args.first() else {
-        return fail("suite: missing hypercall name (e.g. XM_set_timer)");
+        return Err("suite: missing hypercall name (e.g. XM_set_timer)".into());
     };
-    let Some(id) = HypercallId::by_name(name) else {
-        return fail(&format!("unknown hypercall '{name}'"));
-    };
-    let build = match parse_build(&args[1..]) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
+    let id = HypercallId::by_name(name).ok_or_else(|| format!("unknown hypercall '{name}'"))?;
+    let build = parse_build(&args[1..])?;
     let report = xm_campaign::runner::run_hypercall_suites(build, id, 0);
     if report.result.records.is_empty() {
         println!("{name} is not part of the Table III campaign (untested hypercall).");
-        return 0;
+        return Ok(0);
     }
     for rec in &report.result.records {
         println!(
@@ -653,19 +608,15 @@ fn cmd_suite(args: &[String]) -> i32 {
     }
     println!();
     print!("{}", render_issues(&report.issues));
-    i32::from(!report.issues.is_empty())
+    Ok(i32::from(!report.issues.is_empty()))
 }
 
-fn cmd_mutant(args: &[String]) -> i32 {
+fn cmd_mutant(args: &[String]) -> Result<i32, String> {
     let (Some(name), Some(idx)) = (args.first(), args.get(1)) else {
-        return fail("mutant: usage: mutant <XM_hypercall> <case-index>");
+        return Err("mutant: usage: mutant <XM_hypercall> <case-index>".into());
     };
-    let Some(id) = HypercallId::by_name(name) else {
-        return fail(&format!("unknown hypercall '{name}'"));
-    };
-    let Ok(idx) = idx.parse::<usize>() else {
-        return fail("mutant: case-index must be a number");
-    };
+    let id = HypercallId::by_name(name).ok_or_else(|| format!("unknown hypercall '{name}'"))?;
+    let idx: usize = idx.parse().map_err(|_| "mutant: case-index must be a number")?;
     let full = paper_campaign();
     let mut spec = CampaignSpec::new("mutant");
     for s in full.suites.into_iter().filter(|s| s.hypercall == id) {
@@ -673,36 +624,27 @@ fn cmd_mutant(args: &[String]) -> i32 {
     }
     let cases = spec.all_cases();
     if cases.is_empty() {
-        return fail(&format!("{name} has no campaign suites"));
+        return Err(format!("{name} has no campaign suites"));
     }
     let Some(case) = cases.into_iter().nth(idx) else {
-        return fail(&format!(
-            "case-index out of range (suite has {} datasets)",
-            spec.total_tests()
-        ));
+        return Err(format!("case-index out of range (suite has {} datasets)", spec.total_tests()));
     };
     print!("{}", MutantSpec::new(case).emit_c_source());
-    0
+    Ok(0)
 }
 
-fn cmd_triage(args: &[String]) -> i32 {
+fn cmd_triage(args: &[String]) -> Result<i32, String> {
     let (Some(name), Some(idx)) = (args.first(), args.get(1)) else {
-        return fail("triage: usage: triage <XM_hypercall> <case-index> [--build legacy|patched] [--last N] [--record FILE]");
+        return Err("triage: usage: triage <XM_hypercall> <case-index> [--build legacy|patched] \
+                    [--last N] [--record FILE]"
+            .into());
     };
-    let Some(id) = HypercallId::by_name(name) else {
-        return fail(&format!("unknown hypercall '{name}'"));
-    };
-    let Ok(idx) = idx.parse::<usize>() else {
-        return fail("triage: case-index must be a number");
-    };
-    let build = match parse_build(&args[2..]) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
-    let last_n = flag_value(args, "--last").and_then(|n| n.parse().ok()).unwrap_or(40);
-    let Some(report) = xm_campaign::triage_case(build, id, idx) else {
-        return fail(&format!("{name} case-index {idx} is out of range"));
-    };
+    let id = HypercallId::by_name(name).ok_or_else(|| format!("unknown hypercall '{name}'"))?;
+    let idx: usize = idx.parse().map_err(|_| "triage: case-index must be a number")?;
+    let build = parse_build(&args[2..])?;
+    let last_n = num_flag(args, "--last", 40)?;
+    let report = xm_campaign::triage_case(build, id, idx)
+        .ok_or_else(|| format!("{name} case-index {idx} is out of range"))?;
     if report.is_severe() {
         print!("{}", report.render(last_n));
     } else {
@@ -712,7 +654,7 @@ fn cmd_triage(args: &[String]) -> i32 {
             report.record.case.display_call(),
             report.record.classification.class.label(),
         );
-        if flag_value(args, "--last").is_some() {
+        if has_flag(args, "--last") {
             print!("{}", report.render(last_n));
         }
     }
@@ -725,19 +667,16 @@ fn cmd_triage(args: &[String]) -> i32 {
             std::slice::from_ref(&report.record),
             &report.names,
         );
-        if let Err(e) = std::fs::write(&path, json) {
-            return fail(&format!("cannot write Perfetto trace {path}: {e}"));
-        }
+        std::fs::write(&path, json)
+            .map_err(|e| format!("cannot write Perfetto trace {path}: {e}"))?;
         println!("wrote Perfetto trace to {path}");
     }
-    0
+    Ok(0)
 }
 
-fn cmd_specgen(args: &[String]) -> i32 {
+fn cmd_specgen(args: &[String]) -> Result<i32, String> {
     let out = flag_value(args, "--out").unwrap_or_else(|| "specs".into());
-    if let Err(e) = std::fs::create_dir_all(&out) {
-        return fail(&format!("cannot create {out}: {e}"));
-    }
+    std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {out}: {e}"))?;
     let api = api_header_doc().to_xml();
     let dt = data_type_doc(&paper_dictionary()).to_xml();
     let camp = xm_campaign::campaign_to_xml(&paper_campaign());
@@ -745,23 +684,18 @@ fn cmd_specgen(args: &[String]) -> i32 {
         [("xm_api.xml", &api), ("xm_datatypes.xml", &dt), ("xm_campaign.xml", &camp)]
     {
         let path = format!("{out}/{name}");
-        if let Err(e) = std::fs::write(&path, content) {
-            return fail(&format!("cannot write {path}: {e}"));
-        }
+        std::fs::write(&path, content).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path} ({} bytes)", content.len());
     }
-    0
+    Ok(0)
 }
 
-fn cmd_coverage(args: &[String]) -> i32 {
-    let build = match parse_build(args) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
+fn cmd_coverage(args: &[String]) -> Result<i32, String> {
+    let build = parse_build(args)?;
     let report = run_paper_campaign(build, 0);
     let rows = skrt::report::response_coverage(&report.result);
     print!("{}", skrt::report::render_coverage(&rows));
-    0
+    Ok(0)
 }
 
 fn cmd_tables() -> i32 {
@@ -780,9 +714,4 @@ fn cmd_tables() -> i32 {
         println!("  {:>12}  {}", v.as_s32(), v.label.unwrap_or("*"));
     }
     0
-}
-
-fn fail(msg: &str) -> i32 {
-    eprintln!("error: {msg}");
-    2
 }

@@ -24,24 +24,44 @@ use skrt::mutant::{take_invocations, MutantGuest};
 use skrt::observe::TestObservation;
 use skrt::testbed::Testbed;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use xtratum::vuln::KernelBuild;
 
-/// The counting allocator is process-global, so tests that open a
+/// The allocation counter is process-global, so tests that open a
 /// counting window must not overlap.
 static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes the counting window. A test that failed while holding it
+/// poisons the lock; the next test still runs and reports its own result.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Set only on the measuring thread, so allocations made meanwhile
+    /// by other threads (the test harness's own) are never counted.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn set_counting(on: bool) {
+    COUNTING.with(|c| c.set(on));
+}
+
+fn note_alloc() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -50,9 +70,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -75,7 +93,7 @@ const BUDGET: u64 = 110;
 /// campaign, so the pin is zero, not a budget.
 #[test]
 fn workspace_restore_is_allocation_free_after_warmup() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let testbed = eagleeye::EagleEye;
     let spec = xm_campaign::paper_campaign();
     let cases = spec.all_cases();
@@ -103,9 +121,9 @@ fn workspace_restore_is_allocation_free_after_warmup() {
     let mut restores = 0u64;
     ALLOCS.store(0, Ordering::SeqCst);
     for case in cases.iter().take(50) {
-        COUNTING.store(true, Ordering::SeqCst);
+        set_counting(true);
         ws.restore(&snapshot, Some(part));
-        COUNTING.store(false, Ordering::SeqCst);
+        set_counting(false);
         restores += 1;
         run_one(&mut ws, case); // dirty the arena again, outside the window
     }
@@ -127,7 +145,7 @@ fn workspace_restore_is_allocation_free_after_warmup() {
 #[test]
 fn telemetry_hot_path_is_allocation_free() {
     use flightrec::{HistogramSet, LatencyHistogram};
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
 
     // Built outside the window, like a worker's LocalMetrics: the set is
     // sized once per worker, then only observed into per test.
@@ -137,14 +155,14 @@ fn telemetry_hot_path_is_allocation_free() {
     let mut class_counts = [0u64; 6];
 
     ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    set_counting(true);
     for i in 0..10_000u64 {
         tests_executed += 1;
         class_counts[(i % 6) as usize] += 1;
         phase[(i % 2) as usize].observe(i % 20_000); // spans every log2 bucket
         latency.observe((i % 64) as u32, i % 1_000);
     }
-    COUNTING.store(false, Ordering::SeqCst);
+    set_counting(false);
     let count = ALLOCS.load(Ordering::SeqCst);
 
     std::hint::black_box((&phase, &latency, tests_executed, class_counts));
@@ -157,7 +175,7 @@ fn telemetry_hot_path_is_allocation_free() {
 
 #[test]
 fn snapshot_path_steady_state_allocations_stay_in_budget() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let testbed = eagleeye::EagleEye;
     let spec = xm_campaign::paper_campaign();
     // A representative non-resetting case: XM_set_timer with an ordinary
@@ -194,11 +212,11 @@ fn snapshot_path_steady_state_allocations_stay_in_budget() {
     const RUNS: u64 = 5;
     let measure = || {
         ALLOCS.store(0, Ordering::SeqCst);
-        COUNTING.store(true, Ordering::SeqCst);
+        set_counting(true);
         for _ in 0..RUNS {
             std::hint::black_box(run_once());
         }
-        COUNTING.store(false, Ordering::SeqCst);
+        set_counting(false);
         ALLOCS.load(Ordering::SeqCst) / RUNS
     };
 

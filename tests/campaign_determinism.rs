@@ -4,17 +4,23 @@
 //! snapshot-reusing sharded executor optimise freely.
 
 use eagleeye::EagleEye;
-use skrt::exec::{run_campaign, CampaignOptions, CampaignResult};
+use skrt::classify::CrashClass;
+use skrt::exec::{run_campaign, run_single_test, CampaignOptions, CampaignResult};
+use skrt::oracle::OracleContext;
 use skrt::report::{campaign_table, distribution, render_distribution, render_table};
+use skrt::sequence::{run_one_sequence, SequenceOptions};
 use skrt::suite::CampaignSpec;
+use skrt::testbed::{BootSnapshot, Testbed};
 use xm_campaign::paper_campaign;
+use xtratum::guest::{GuestSet, PartitionApi};
 use xtratum::hypercall::HypercallId;
+use xtratum::kernel::XmKernel;
 use xtratum::vuln::KernelBuild;
 
 fn subset() -> CampaignSpec {
     // The three defective hypercalls plus robust ones — a mix of all
     // outcome kinds. XM_memory_copy is the campaign's only source of
-    // repeated raw invocations, so its suites exercise the result memo.
+    // repeated raw invocations, so the oracle cache hits on its suites.
     let full = paper_campaign();
     let mut spec = CampaignSpec::new("determinism subset");
     for s in full.suites {
@@ -85,67 +91,67 @@ fn thread_count_does_not_change_results_or_rendering() {
     }
 }
 
-/// The snapshot engine and the seed-style fresh-boot path observe the
-/// same behaviour: boot state cloning is transparent to every test.
+/// The EagleEye testbed with snapshots switched off: its guests count as
+/// not cloneable, so the engine falls back to one fresh boot per test.
+struct NoSnapshot;
+
+impl Testbed for NoSnapshot {
+    fn boot(&self, build: KernelBuild) -> (XmKernel, GuestSet) {
+        EagleEye.boot(build)
+    }
+    fn snapshot(&self, _build: KernelBuild) -> Option<BootSnapshot> {
+        None
+    }
+    fn test_partition(&self) -> u32 {
+        EagleEye.test_partition()
+    }
+    fn frames_per_test(&self) -> u32 {
+        EagleEye.frames_per_test()
+    }
+    fn prologue(&self) -> fn(&mut PartitionApi<'_>) {
+        EagleEye.prologue()
+    }
+    fn oracle_context(&self, build: KernelBuild) -> OracleContext {
+        EagleEye.oracle_context(build)
+    }
+}
+
+/// The snapshot engine is checked against its slow reference: every
+/// record the campaign produces by rewinding a per-worker arena — at 1
+/// and 4 threads — equals, field for field, the record of the same case
+/// run on a freshly booted testbed ([`run_single_test`]). The fresh-boot
+/// fallback for testbeds that cannot snapshot is held to the same
+/// reference, and the boot counters prove which path each run took.
 #[test]
 fn snapshot_reuse_is_observationally_transparent() {
     let spec = subset();
-    let snap = run_campaign(&EagleEye, &spec, &opts(4));
-    let fresh = run_campaign(
-        &EagleEye,
-        &spec,
-        &CampaignOptions {
-            build: KernelBuild::Legacy,
-            threads: 4,
-            reuse_snapshot: false,
-            ..Default::default()
-        },
-    );
-    assert_eq!(fingerprint(&snap), fingerprint(&fresh));
-    // and the metrics prove each path was actually exercised: every test
-    // is served by a snapshot clone or a memo hit, never a fresh boot
-    assert_eq!(snap.metrics.snapshot_clones + snap.metrics.memo_hits, spec.total_tests());
-    assert_eq!(fresh.metrics.snapshot_clones, 0);
-    assert_eq!(fresh.metrics.fresh_boots + fresh.metrics.memo_hits, spec.total_tests());
-}
-
-/// Result memoization on vs off: identical records and byte-identical
-/// renderings at 1, 4 and 16 threads. Memoization only ever substitutes
-/// a record the worker already produced for the identical raw invocation,
-/// so it must be invisible to the whole deterministic surface.
-#[test]
-fn memoization_is_observationally_transparent() {
-    let spec = subset();
-    for threads in [1usize, 4, 16] {
-        let on = run_campaign(&EagleEye, &spec, &opts(threads));
-        let off =
-            run_campaign(&EagleEye, &spec, &CampaignOptions { memoize: false, ..opts(threads) });
-        assert_eq!(fingerprint(&on), fingerprint(&off), "memo divergence at {threads} threads");
-        assert_eq!(
-            rendered(&spec, &on),
-            rendered(&spec, &off),
-            "memo render divergence at {threads} threads"
-        );
-        assert_eq!(off.metrics.memo_hits, 0);
-        assert_eq!(off.metrics.memo_misses, 0);
-        assert_eq!(on.metrics.memo_hits + on.metrics.memo_misses, spec.total_tests());
-        assert_eq!(on.metrics.snapshot_clones + on.metrics.memo_hits, spec.total_tests());
+    let ctx = EagleEye.oracle_context(KernelBuild::Legacy);
+    let reference: Vec<String> = spec
+        .all_cases()
+        .iter()
+        .map(|case| format!("{:?}", run_single_test(&EagleEye, &ctx, KernelBuild::Legacy, case)))
+        .collect();
+    let total = spec.total_tests();
+    for threads in [1usize, 4] {
+        let snap = run_campaign(&EagleEye, &spec, &opts(threads));
+        let fresh = run_campaign(&NoSnapshot, &spec, &opts(threads));
+        for (name, result) in [("snapshot", &snap), ("fresh-boot fallback", &fresh)] {
+            assert_eq!(result.records.len(), reference.len());
+            for (i, (rec, want)) in result.records.iter().zip(&reference).enumerate() {
+                assert_eq!(
+                    &format!("{rec:?}"),
+                    want,
+                    "{name} record {i} differs from a fresh boot at {threads} threads"
+                );
+            }
+        }
+        // One boot per worker, then every test rewinds the arena...
+        assert_eq!(snap.metrics.snapshot_clones, total);
+        assert_eq!(snap.metrics.fresh_boots, threads as u64);
+        // ...while the fallback boots afresh for every test.
+        assert_eq!(fresh.metrics.snapshot_clones, 0);
+        assert_eq!(fresh.metrics.fresh_boots, total + threads as u64);
     }
-}
-
-/// On one worker the memo sees the whole campaign, so every repeated raw
-/// invocation beyond its first sighting is exactly one memo hit.
-#[test]
-fn single_worker_memo_hits_every_duplicate() {
-    let spec = subset();
-    let mut counts = std::collections::HashMap::new();
-    for c in spec.all_cases() {
-        *counts.entry(c.raw()).or_insert(0u64) += 1;
-    }
-    let duplicates: u64 = counts.values().map(|c| c - 1).sum();
-    assert!(duplicates > 0, "subset must contain repeated raw invocations");
-    let result = run_campaign(&EagleEye, &spec, &opts(1));
-    assert_eq!(result.metrics.memo_hits, duplicates);
 }
 
 #[test]
@@ -176,8 +182,8 @@ fn flight_recorder_is_observationally_transparent() {
         assert!(off.flight.is_none(), "no flight log unless requested");
         let flight = on.flight.as_ref().expect("recording run keeps its flight log");
         assert_eq!(flight.tests.len() as u64, spec.total_tests());
-        // flights come back in campaign order, and executed (non-memoized)
-        // tests carry real event streams
+        // flights come back in campaign order, and tests carry real
+        // event streams
         assert!(flight.tests.iter().enumerate().all(|(i, t)| t.index == i));
         assert!(flight.tests.iter().any(|t| !t.events.is_empty()));
         // recording also feeds the latency histograms
@@ -198,38 +204,33 @@ fn sweep_spec() -> CampaignSpec {
         .expect("sweep spec builds from the generated spec docs")
 }
 
-/// The sweep campaign is byte-identical across thread counts 1/4/16,
-/// memoization on/off, and the flight recorder on/off. Unlike the fixed
+/// The sweep campaign is byte-identical across thread counts 1/4/16 and
+/// the flight recorder on/off. Unlike the fixed
 /// pre-sliced shards of earlier engines, workers now pull and steal
 /// index ranges dynamically — so every configuration here also runs a
 /// different work-stealing schedule, and the assertion pins that the
 /// schedule is invisible to the result surface.
 #[test]
-fn sweep_campaign_is_deterministic_across_threads_memo_and_recorder() {
+fn sweep_campaign_is_deterministic_across_threads_and_recorder() {
     let spec = sweep_spec();
     let base = run_campaign(&EagleEye, &spec, &opts(1));
     let base_fp = fingerprint(&base);
     let base_render = rendered(&spec, &base);
     assert_eq!(base.records.len() as u64, spec.total_tests());
     for threads in [4usize, 16] {
-        for memoize in [true, false] {
-            for record in [true, false] {
-                let other = run_campaign(
-                    &EagleEye,
-                    &spec,
-                    &CampaignOptions { memoize, record, ..opts(threads) },
-                );
-                assert_eq!(
-                    base_fp,
-                    fingerprint(&other),
-                    "sweep divergence at threads={threads} memo={memoize} record={record}"
-                );
-                assert_eq!(
-                    base_render,
-                    rendered(&spec, &other),
-                    "sweep render divergence at threads={threads} memo={memoize} record={record}"
-                );
-            }
+        for record in [true, false] {
+            let other =
+                run_campaign(&EagleEye, &spec, &CampaignOptions { record, ..opts(threads) });
+            assert_eq!(
+                base_fp,
+                fingerprint(&other),
+                "sweep divergence at threads={threads} record={record}"
+            );
+            assert_eq!(
+                base_render,
+                rendered(&spec, &other),
+                "sweep render divergence at threads={threads} record={record}"
+            );
         }
     }
 }
@@ -289,93 +290,88 @@ fn seq_fingerprint(result: &skrt::sequence::SequenceCampaignResult) -> Vec<Strin
         .collect()
 }
 
-fn seq_run(threads: usize, memoize: bool, record: bool) -> xm_campaign::SequenceReport {
-    xm_campaign::run_eagleeye_sequences(
-        7,
-        60,
-        6,
-        &skrt::sequence::SequenceOptions {
-            build: KernelBuild::Legacy,
-            threads,
-            memoize,
-            record,
-            ..Default::default()
-        },
-    )
+fn seq_opts(threads: usize, record: bool) -> SequenceOptions {
+    SequenceOptions { build: KernelBuild::Legacy, threads, record, ..Default::default() }
 }
 
-/// Sequence campaigns are byte-identical across thread counts 1/4/16,
-/// with memoization on or off and the flight recorder on or off — same
-/// seed, same fingerprints, same rendered report.
+fn seq_run(threads: usize, record: bool) -> xm_campaign::SequenceReport {
+    xm_campaign::run_eagleeye_sequences(7, 60, 6, &seq_opts(threads, record))
+}
+
+/// Sequence campaigns are byte-identical across thread counts 1/4/16 and
+/// with the flight recorder on or off — same seed, same fingerprints,
+/// same rendered report.
 #[test]
-fn sequence_campaign_is_deterministic_across_threads_memo_and_recorder() {
-    let base = seq_run(1, true, false);
+fn sequence_campaign_is_deterministic_across_threads_and_recorder() {
+    let base = seq_run(1, false);
     let base_fp = seq_fingerprint(&base.result);
     let base_render = base.render();
     assert!(!base.result.divergences().is_empty(), "subset must exercise the divergence path");
     for threads in [1usize, 4, 16] {
-        for memoize in [true, false] {
-            for record in [true, false] {
-                let other = seq_run(threads, memoize, record);
-                assert_eq!(
-                    base_fp,
-                    seq_fingerprint(&other.result),
-                    "sequence divergence at threads={threads} memo={memoize} record={record}"
-                );
-                assert_eq!(
-                    base_render,
-                    other.render(),
-                    "render divergence at threads={threads} memo={memoize} record={record}"
-                );
-                // The recorder, when on, keeps one flight per sequence,
-                // in campaign order; when off there is no flight log.
-                match other.result.flight {
-                    Some(ref flight) => {
-                        assert!(record);
-                        assert_eq!(flight.tests.len(), other.result.records.len());
-                        assert!(flight.tests.iter().enumerate().all(|(i, t)| t.index == i));
-                        assert!(flight.tests.iter().any(|t| !t.events.is_empty()));
-                    }
-                    None => assert!(!record),
+        for record in [true, false] {
+            let other = seq_run(threads, record);
+            assert_eq!(
+                base_fp,
+                seq_fingerprint(&other.result),
+                "sequence divergence at threads={threads} record={record}"
+            );
+            assert_eq!(
+                base_render,
+                other.render(),
+                "render divergence at threads={threads} record={record}"
+            );
+            // The recorder, when on, keeps one flight per sequence, in
+            // campaign order; when off there is no flight log.
+            match other.result.flight {
+                Some(ref flight) => {
+                    assert!(record);
+                    assert_eq!(flight.tests.len(), other.result.records.len());
+                    assert!(flight.tests.iter().enumerate().all(|(i, t)| t.index == i));
+                    assert!(flight.tests.iter().any(|t| !t.events.is_empty()));
                 }
+                None => assert!(!record),
             }
         }
     }
 }
 
-/// Per-worker sequence memoization must be invisible to the result
-/// surface while actually serving duplicate step lists from cache.
+/// The sequence campaign's arena rewinds are checked against fresh
+/// boots: on a seeded batch, each record's authoritative verdict equals
+/// [`run_one_sequence`] on a freshly booted pair — the main evaluation,
+/// then the one-step-per-slot re-judgement for sequences that diverge —
+/// and each minimal reproducer's verdict replays from a fresh boot too.
 #[test]
-fn sequence_memo_hits_duplicate_sequences_transparently() {
-    // Tile 12 distinct sequences into 36 specs: 24 duplicates.
-    let distinct = xm_campaign::eagleeye_sequence_specs(3, 12, 5);
-    let specs: Vec<skrt::sequence::SequenceSpec> = (0..36)
-        .map(|i| {
-            let mut s = distinct[i % 12].clone();
-            s.index = i;
-            s
-        })
-        .collect();
-    let opts = |memoize| skrt::sequence::SequenceOptions {
-        build: KernelBuild::Legacy,
-        threads: 1,
-        memoize,
-        ..Default::default()
+fn sequence_snapshot_reuse_matches_fresh_boot() {
+    let specs = xm_campaign::eagleeye_sequence_specs(7, 60, 6);
+    let opts = seq_opts(4, false);
+    let result = skrt::sequence::run_sequence_campaign(&EagleEye, &specs, &opts);
+    assert!(!result.divergences().is_empty(), "batch must exercise the divergence path");
+    let ctx = EagleEye.oracle_context(KernelBuild::Legacy);
+    let fresh = |steps: &[xtratum::hypercall::RawHypercall], per_slot: usize| {
+        let (mut kernel, mut guests) = EagleEye.boot(KernelBuild::Legacy);
+        run_one_sequence(&EagleEye, &ctx, &mut kernel, &mut guests, steps, per_slot)
     };
-    let on = skrt::sequence::run_sequence_campaign(&EagleEye, &specs, &opts(true));
-    let off = skrt::sequence::run_sequence_campaign(&EagleEye, &specs, &opts(false));
-    // Spec index participates in the fingerprint, so compare with the
-    // index normalised out: the verdict surface must be identical.
-    let strip = |r: &skrt::sequence::SequenceCampaignResult| -> Vec<String> {
-        seq_fingerprint(r)
-            .into_iter()
-            .map(|line| line.split_once(' ').unwrap().1.to_string())
-            .collect()
-    };
-    assert_eq!(strip(&on), strip(&off));
-    assert_eq!(on.metrics.memo_hits, 24, "one worker sees every duplicate");
-    assert_eq!(off.metrics.memo_hits, 0);
-    assert_eq!(on.metrics.tests_executed, 36);
+    for (spec, rec) in specs.iter().zip(&result.records) {
+        let mut want = fresh(&spec.steps, opts.steps_per_slot);
+        if want.verdict.classification.class != CrashClass::Pass {
+            want = fresh(&spec.steps, 1);
+        }
+        assert_eq!(
+            format!("{:?}|{}|{:?}", rec.verdict, rec.steps_executed, rec.outcomes),
+            format!("{:?}|{}|{:?}", want.verdict, want.steps_executed, want.outcomes),
+            "sequence #{} differs from a fresh boot",
+            spec.index
+        );
+        if let Some(m) = &rec.minimal {
+            let replay = fresh(&m.steps, 1);
+            assert_eq!(
+                format!("{:?}", m.verdict),
+                format!("{:?}", replay.verdict),
+                "sequence #{}'s minimal reproducer differs from a fresh boot",
+                spec.index
+            );
+        }
+    }
 }
 
 /// The JSONL trace's per-test lines are deterministic across thread

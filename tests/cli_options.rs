@@ -1,0 +1,50 @@
+//! The CLI treats its own flags as hostile input: a numeric flag whose
+//! value is missing or does not parse is a usage error (exit 2, message
+//! on stderr), never a silent fallback to the default.
+
+use std::process::Command;
+
+fn skrt(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_skrt-repro")).args(args).output().expect("run skrt-repro")
+}
+
+#[test]
+fn malformed_numeric_flags_exit_2_before_running() {
+    for (args, flag) in [
+        (&["campaign", "--threads", "abc"][..], "--threads"),
+        (&["campaign", "sweep", "--build", "patched", "--threads", "-1"], "--threads"),
+        (&["campaign", "sequences", "--seed", "x"], "--seed"),
+        (&["campaign", "sequences", "--count", "1e3"], "--count"),
+        (&["campaign", "fuzz", "--execs", "y"], "--execs"),
+        (&["campaign", "fuzz", "--batch"], "--batch"),
+        (&["campaign", "check", "--horizon", "many"], "--horizon"),
+        (&["campaign", "report", "--steps", "eight"], "--steps"),
+        (&["triage", "XM_set_timer", "2", "--last", "all"], "--last"),
+    ] {
+        let out = skrt(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args:?}: stderr must name {flag}, got: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must fail before running anything");
+    }
+}
+
+#[test]
+fn live_stats_is_rejected_where_no_mode_streams_it() {
+    let out = skrt(&["campaign", "check", "--live-stats", "live.jsonl"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--live-stats"));
+}
+
+#[test]
+fn usage_lists_no_removed_engine_switches() {
+    let out = skrt(&["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let usage = String::from_utf8_lossy(&out.stdout);
+    assert!(usage.contains("campaign sweep"), "usage text printed");
+    for gone in ["memo", "--no-snapshot", "--chunk"] {
+        assert!(!usage.contains(gone), "usage still offers {gone}");
+    }
+    let out = skrt(&["no-such-command"]);
+    assert_eq!(out.status.code(), Some(2), "an unknown command is a usage error");
+}
