@@ -761,7 +761,9 @@ struct CaseRun {
 }
 
 /// One full evaluation on an already-booted pair: spatial witness,
-/// lockstep run over the horizon, drained stream, invariants.
+/// lockstep run over the horizon, drained stream, invariants. The caller
+/// drains the recorder *before* booting or rewinding the pair: a rewind
+/// replays the prefix's events, which belong to the checked stream.
 fn evaluate_once(
     tb: &CheckTestbed,
     ctx: &OracleContext,
@@ -771,7 +773,6 @@ fn evaluate_once(
     horizon: usize,
 ) -> CaseRun {
     let before = victim_memory(kernel, tb.config());
-    let _ = flightrec::drain();
     let eval = run_one_sequence_bounded(tb, ctx, kernel, guests, steps, 1, horizon);
     let drained = flightrec::drain();
     let after = victim_memory(kernel, tb.config());
@@ -793,6 +794,7 @@ fn run_case<'t>(
     let horizon = opts.scope.horizon as usize;
 
     // Main evaluation on the worker's arena.
+    let _ = flightrec::drain();
     let (kernel, guests) = booter.booted(&mut log.local);
     let main = evaluate_once(tb, ctx, kernel, guests, &probe.steps, horizon);
 
@@ -814,6 +816,7 @@ fn run_case<'t>(
 
     // Authoritative re-verdict on a fresh boot: rules out arena-rewind
     // artefacts before a counterexample is reported.
+    let _ = flightrec::drain();
     let (mut fk, mut fg) = tb.boot(opts.build);
     let fresh = evaluate_once(tb, ctx, &mut fk, &mut fg, &probe.steps, horizon);
     drop((fk, fg));
@@ -837,13 +840,12 @@ fn run_case<'t>(
                 if cand.is_empty() {
                     return false;
                 }
+                let _ = flightrec::drain();
                 let (kernel, guests) = booter.booted(&mut log.local);
                 match &sig {
                     FindingSig::Oracle(target) => {
-                        let _ = flightrec::drain();
                         let eval =
                             run_one_sequence_bounded(tb, ctx, kernel, guests, cand, 1, horizon);
-                        let _ = flightrec::drain();
                         eval.verdict.classification == *target
                     }
                     FindingSig::Invariant(_) => {
@@ -856,19 +858,14 @@ fn run_case<'t>(
         );
         // Re-run the minimal reproducer; with retention on, its flight is
         // the triage trace.
+        let _ = flightrec::drain();
         if opts.record {
-            let _ = flightrec::drain();
             flightrec::record(0, EventKind::TestBegin, NO_PARTITION, index as u32, 0, 0);
         }
         let (kernel, guests) = booter.booted(&mut log.local);
-        if !opts.record {
-            let _ = flightrec::drain();
-        }
         let meval = run_one_sequence_bounded(tb, ctx, kernel, guests, &out.steps, 1, horizon);
         if opts.record {
             log.end_flight(index, class);
-        } else {
-            let _ = flightrec::drain();
         }
         Some(MinimalRepro {
             steps: out.steps,
@@ -928,8 +925,6 @@ pub fn run_check(opts: &CheckOptions) -> CheckResult {
             let tb = CheckTestbed::new(configs[ci].clone());
             let ctx = tb.oracle_context(opts.build);
             let mut booter = Booter::new(&tb, opts.build, false, &mut log.local);
-            // The per-configuration boot belongs to no case.
-            let _ = flightrec::drain();
             probe_sets[ci]
                 .iter()
                 .enumerate()
@@ -1144,5 +1139,41 @@ mod tests {
             finding_sig(&div, &[viol(InvariantKind::SlotOverrun)]),
             Some(FindingSig::Oracle(div.classification))
         );
+    }
+
+    /// The invariants read the stream a run from boot records. On an
+    /// arena, the caller drains *before* the rewind and the rewind
+    /// replays the prefix (the victim slots ahead of the caller's first
+    /// one): every probe's stream must then equal a fresh boot's, apart
+    /// from the arena's `SnapshotClone` marker.
+    #[test]
+    fn arena_streams_equal_fresh_boot_streams() {
+        let build = KernelBuild::Legacy;
+        let scope = CheckScope::default();
+        let run = |kernel: &mut XmKernel,
+                   guests: &mut GuestSet,
+                   tb: &CheckTestbed,
+                   p: &CheckProbe| {
+            let ctx = tb.oracle_context(build);
+            run_one_sequence_bounded(tb, &ctx, kernel, guests, &p.steps, 1, scope.horizon as usize);
+            let events = flightrec::drain().events;
+            events.into_iter().filter(|e| e.kind != EventKind::SnapshotClone).collect::<Vec<_>>()
+        };
+        flightrec::enable(DEFAULT_RING_CAPACITY);
+        for cfg in enumerate_configs(&scope) {
+            let tb = CheckTestbed::new(cfg.clone());
+            let mut log = WorkerLog::new(1);
+            let mut booter = Booter::new(&tb, build, false, &mut log.local);
+            for probe in probes_for(&cfg) {
+                let _ = flightrec::drain();
+                let (kernel, guests) = booter.booted(&mut log.local);
+                let arena = run(kernel, guests, &tb, &probe);
+                let _ = flightrec::drain();
+                let (mut kernel, mut guests) = tb.boot(build);
+                let fresh = run(&mut kernel, &mut guests, &tb, &probe);
+                assert_eq!(arena, fresh, "{}: probe {}", cfg.describe(), probe.name);
+            }
+        }
+        flightrec::disable();
     }
 }

@@ -4,14 +4,16 @@
 //! For every test case the executor:
 //!
 //! 1. materialises a booted testbed — normally by **rewinding a
-//!    per-worker [`Workspace`]** to the boot snapshot taken once per
-//!    worker (see [`Booter`]): the snapshot's memory is flat, so the
-//!    rewind is one bounded dirty-page copy plus capacity-preserving
-//!    `clone_from`s, with no per-test allocation or refcount traffic.
-//!    Falls back to a fresh boot when the testbed's guests are not
-//!    cloneable. Tests never observe another test's state, so
-//!    independence (what lets the campaign run embarrassingly parallel)
-//!    is preserved;
+//!    per-worker [`Workspace`]** to a snapshot taken once per worker
+//!    just before the test partition's first slot (see [`Booter`]): the
+//!    other partitions' first-frame work is identical in every test, so
+//!    it is simulated once, not per test. The snapshot's memory is flat,
+//!    so the rewind is one bounded dirty-page copy plus
+//!    capacity-preserving `clone_from`s, with no per-test allocation or
+//!    refcount traffic. Falls back to a fresh boot when the testbed's
+//!    guests are not cloneable. Tests never observe another test's
+//!    state, so independence (what lets the campaign run embarrassingly
+//!    parallel) is preserved;
 //! 2. installs the mutant (fault placeholder) into the test partition;
 //! 3. runs the configured number of cyclic schedules ("the test call is
 //!    invoked at least once per major frame");
@@ -184,12 +186,13 @@ pub fn run_single_test<T: Testbed + ?Sized>(
     TestRecord { case: case.clone(), observation, expectation, classification, param_signature }
 }
 
-/// Runs one case on a worker's [`Booter`]: rewind to the boot snapshot
+/// Runs one case on a worker's [`Booter`]: rewind to the prefix snapshot
 /// (skipping the test partition's guest, replaced next), install the
 /// mutant, run, summarise by reference. Produces a record byte-identical
-/// to [`run_single_test`] — the restore rebuilds the exact boot state and
+/// to [`run_single_test`] — the restore rebuilds the exact state a run
+/// from boot reaches at the test partition's first slot, and
 /// [`XmKernel::summary`] equals [`XmKernel::into_summary`] — without the
-/// per-test boot.
+/// per-test boot or the re-run of the shared prefix.
 fn execute<T: Testbed + ?Sized>(
     testbed: &T,
     booter: &mut Booter<'_, T>,
@@ -218,18 +221,30 @@ fn execute<T: Testbed + ?Sized>(
     TestRecord { case: case.clone(), observation, expectation, classification, param_signature }
 }
 
-/// A worker's source of booted `(kernel, guests)` pairs. It boots once
-/// and keeps one persistent [`Workspace`] rewound before every evaluation
-/// (the flat-arena fast path: no per-evaluation deep copy). When the
-/// testbed cannot snapshot (its guests are not cloneable), it fresh-boots
-/// into a scratch slot per evaluation instead.
+/// A worker's source of booted `(kernel, guests)` pairs, each already run
+/// up to the test partition's first slot. It boots once, runs that shared
+/// prefix once, and keeps one persistent [`Workspace`] rewound to the
+/// prefix state before every evaluation (the flat-arena fast path: no
+/// per-evaluation deep copy, and no per-evaluation re-run of the other
+/// partitions' first-frame work). When the testbed cannot snapshot (its
+/// guests are not cloneable), it fresh-boots into a scratch slot per
+/// evaluation instead.
 pub(crate) struct Booter<'t, T: ?Sized> {
     testbed: &'t T,
     build: KernelBuild,
-    arena: Option<(BootSnapshot, Workspace)>,
+    arena: Option<Arena>,
     scratch: Option<(XmKernel, GuestSet)>,
     /// Time arena rewinds into the self-profile (observability runs only).
     profile: bool,
+}
+
+/// A prefix snapshot, the workspace rewound to it, and the flight events
+/// the prefix recorded, replayed after each rewind so a recording sees
+/// the same stream as a run from boot.
+struct Arena {
+    snapshot: BootSnapshot,
+    workspace: Workspace,
+    prefix: Vec<flightrec::Event>,
 }
 
 impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
@@ -240,20 +255,25 @@ impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
         local: &mut LocalMetrics,
     ) -> Self {
         local.note_fresh_boot();
-        let arena = testbed.snapshot(build).map(|s| {
-            let ws = s.workspace();
-            (s, ws)
+        let arena = testbed.snapshot(build).map(|mut snapshot| {
+            // A private recording window: the caller's ring is untouched.
+            let ((), prefix) =
+                flightrec::capture(|| snapshot.step_until_slot_of(testbed.test_partition()));
+            let workspace = snapshot.workspace();
+            Arena { snapshot, workspace, prefix: prefix.events }
         });
         Booter { testbed, build, arena, scratch: None, profile }
     }
 
-    /// A booted pair rewound to (or freshly booted at) the boot state.
-    /// The test partition's guest is skipped on restore — every caller
-    /// immediately replaces it.
+    /// A booted pair rewound to the prefix state (or freshly booted). The
+    /// test partition's guest is skipped on restore — every caller
+    /// immediately replaces it. When recording, the prefix's events are
+    /// replayed into the ring after the `SnapshotClone` marker, so callers
+    /// that drain must do so *before* this call.
     pub(crate) fn booted(&mut self, local: &mut LocalMetrics) -> (&mut XmKernel, &mut GuestSet) {
         let skip = self.testbed.test_partition();
         match &mut self.arena {
-            Some((snap, ws)) => {
+            Some(arena) => {
                 local.note_snapshot_clone();
                 flightrec::record_timeless(
                     flightrec::EventKind::SnapshotClone,
@@ -264,12 +284,13 @@ impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
                 );
                 if self.profile {
                     let t = Instant::now();
-                    ws.restore(snap, Some(skip));
+                    arena.workspace.restore(&arena.snapshot, Some(skip));
                     local.note_phase(Phase::Rewind, t.elapsed());
                 } else {
-                    ws.restore(snap, Some(skip));
+                    arena.workspace.restore(&arena.snapshot, Some(skip));
                 }
-                ws.parts()
+                flightrec::replay(&arena.prefix);
+                arena.workspace.parts()
             }
             None => {
                 local.note_fresh_boot();
@@ -624,10 +645,10 @@ pub fn run_campaign<T: Testbed + ?Sized>(
         &progress.steals,
         |w| {
             // One snapshot + workspace per worker: guest trait objects are
-            // Send but not Sync, so the booted prototype cannot be shared
-            // across threads — but one boot per worker (instead of one per
-            // test) already removes the dominant cost, and the workspace
-            // is rewound (never re-cloned) per test.
+            // Send but not Sync, so the prototype cannot be shared across
+            // threads — but one boot and one prefix per worker (instead of
+            // one per test) is all it costs, and the workspace is rewound
+            // (never re-cloned) per test.
             if opts.record {
                 flightrec::enable(DEFAULT_RING_CAPACITY);
             }

@@ -106,7 +106,7 @@ pub fn describe_event(e: &Event, names: &FlightNames) -> String {
             "test ends: {}",
             CrashClass::ALL.get(e.code as usize).map(|c| c.label()).unwrap_or("?")
         ),
-        EventKind::SnapshotClone => "boot snapshot cloned".into(),
+        EventKind::SnapshotClone => "snapshot arena rewound".into(),
         EventKind::VtimerExpiry => format!(
             "vtimer expiry delivered to {who} ({} clock, {} expirations)",
             if e.code == 0 { "HW" } else { "exec" },

@@ -832,8 +832,10 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
     let FuzzWorker { booter, log, trace } = worker;
     let local = &mut log.local;
     let t0 = Instant::now();
+    // Drain before the rewind, which replays the prefix's events: the
+    // candidate's stream is everything since boot.
+    let _ = flightrec::drain();
     let (kernel, guests) = booter.booted(local);
-    let _ = flightrec::drain(); // the arena rewind belongs to no candidate
     let t_main = opts.record.then(Instant::now);
     let eval = run_one_sequence(testbed, ctx, kernel, guests, steps, opts.steps_per_slot);
     if let Some(t) = t_main {

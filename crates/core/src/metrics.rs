@@ -179,7 +179,7 @@ pub struct MetricsReport {
     pub tests_executed: u64,
     /// Per-class tallies, indexed by [`CrashClass::index`].
     pub class_counts: [u64; 6],
-    /// Tests served from a cloned boot snapshot.
+    /// Tests served by rewinding a snapshot arena.
     pub snapshot_clones: u64,
     /// Tests that required a full fresh boot.
     pub fresh_boots: u64,
@@ -363,7 +363,7 @@ impl MetricsReport {
         }
         reg.push_counter(
             "skrt_snapshot_clones",
-            "Tests served from a cloned boot snapshot.",
+            "Tests served by rewinding a snapshot arena.",
             &[],
             self.snapshot_clones,
         );

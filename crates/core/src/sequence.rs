@@ -1068,7 +1068,7 @@ fn evaluate_spec<T: Testbed + ?Sized>(
 
 /// Executes a whole sequence campaign, in parallel, preserving campaign
 /// order in the result. Runs on [`par_indexed`] like
-/// [`crate::exec::run_campaign`]: one boot snapshot + persistent
+/// [`crate::exec::run_campaign`]: one prefix snapshot + persistent
 /// workspace per worker, per-worker metrics, lock-free hot path.
 pub fn run_sequence_campaign<T: Testbed + ?Sized>(
     testbed: &T,

@@ -12,11 +12,16 @@ use xtratum::guest::{GuestSet, PartitionApi};
 use xtratum::kernel::XmKernel;
 use xtratum::vuln::KernelBuild;
 
-/// A booted testbed captured once per `(Testbed, KernelBuild)` and cloned
-/// per test. Booting — config validation, memory-map construction, guest
-/// initialisation — is the dominant per-test cost in the fresh-boot
-/// executor; cloning the already-booted state is much cheaper and
-/// observationally identical because tests never share a clone.
+/// A booted testbed captured once per worker, the state every test of
+/// the worker rewinds its [`Workspace`] to. Booting — config validation,
+/// memory-map construction, guest initialisation — is done once, not per
+/// test; rewinding to the captured state is a bounded copy and is
+/// observationally identical because tests never share a workspace.
+///
+/// [`Testbed::snapshot`] captures the boot state. The campaign executor
+/// then runs it forward with [`BootSnapshot::step_until_slot_of`] to the
+/// test partition's first slot, so the first-frame work of the partitions
+/// scheduled before it is simulated once per worker, not once per test.
 pub struct BootSnapshot {
     kernel: XmKernel,
     guests: GuestSet,
@@ -37,8 +42,16 @@ impl BootSnapshot {
         (self.kernel.clone(), self.guests.try_clone().expect("checked in capture"))
     }
 
+    /// Runs the captured state forward to just before partition `pid`'s
+    /// first slot (see [`XmKernel::step_until_slot_of`]). `pid`'s guest
+    /// never runs, so the state is the same whatever guest a test later
+    /// installs there. Call it before materialising workspaces.
+    pub fn step_until_slot_of(&mut self, pid: u32) {
+        self.kernel.step_until_slot_of(&mut self.guests, pid);
+    }
+
     /// Materialises a worker's persistent [`Workspace`] — one deep copy
-    /// of the boot state that is *rewound* before every test instead of
+    /// of the snapshot's state that is *rewound* before every test instead of
     /// re-cloned per test.
     pub fn workspace(&self) -> Workspace {
         let (kernel, guests) = self.instantiate();
@@ -50,7 +63,7 @@ impl BootSnapshot {
 ///
 /// The snapshot's memory is held flat (see
 /// [`leon3_sim::addrspace::AddressSpace`]), so [`Workspace::restore`] is
-/// one bounded copy: dirty pages stream back from the boot image,
+/// one bounded copy: dirty pages stream back from the snapshot's image,
 /// kernel bookkeeping rewinds through capacity-preserving `clone_from`s,
 /// and guests reset by assignment. No refcount traffic, no allocation
 /// once the first test has warmed the buffers — this replaces the
@@ -62,7 +75,7 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Rewinds kernel and guests to `snapshot`'s boot state. `skip_guest`
+    /// Rewinds kernel and guests to `snapshot`'s state. `skip_guest`
     /// names a partition whose guest the caller will replace immediately
     /// (the executor's test partition, which receives a fresh mutant each
     /// test). `snapshot` must be the one this workspace was materialised

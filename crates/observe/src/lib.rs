@@ -213,6 +213,48 @@ pub fn drain() -> DrainedFlight {
     })
 }
 
+/// Runs `f` in a private recording window and returns what it recorded.
+/// The window is on whether or not this thread's recorder is, and it
+/// grows with what `f` records, so nothing is dropped. The calling
+/// thread's own window — its ring, buffered events, dropped count and
+/// active flag — is set aside for the call and put back afterwards, even
+/// when `f` panics.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, DrainedFlight) {
+    /// The caller's window, put back when dropped (on unwind too).
+    struct Saved(Option<Ring>, bool);
+    impl Drop for Saved {
+        fn drop(&mut self) {
+            let ring = self.0.take();
+            REC.with(|r| {
+                *r.ring.borrow_mut() = ring;
+                r.active.set(self.1);
+            });
+        }
+    }
+    let saved =
+        REC.with(|r| Saved(r.ring.replace(Some(Ring::unbounded())), r.active.replace(true)));
+    let out = f();
+    let drained = drain();
+    drop(saved);
+    (out, drained)
+}
+
+/// Pushes `events` into this thread's ring, in order, as if they had
+/// just been recorded — the inverse of [`capture`]. Timestamps are clamped
+/// against the window exactly as live records are, and the push never
+/// allocates. No-op when the recorder is disabled.
+pub fn replay(events: &[Event]) {
+    REC.with(|r| {
+        if r.active.get() {
+            if let Some(ring) = r.ring.borrow_mut().as_mut() {
+                for &e in events {
+                    ring.push(e);
+                }
+            }
+        }
+    });
+}
+
 /// Bit set in `HypercallExit.a` when the call did not return.
 pub const NO_RETURN_FLAG: u64 = 1 << 32;
 
@@ -294,6 +336,66 @@ mod tests {
         assert_eq!(f.events[1].t_us, 50);
         ring.push(ev(5)); // new window: low timestamps fine again
         assert_eq!(ring.drain().events[0].t_us, 5);
+    }
+
+    #[test]
+    fn capture_leaves_the_callers_window_untouched() {
+        // Caller's window: enabled, two buffered events, two drops.
+        enable(2);
+        for t in [1, 2, 3, 4] {
+            record(t, EventKind::Ops, 0, t as u32, 0, 0);
+        }
+        let ((), inner) = capture(|| {
+            assert!(active());
+            for t in 0..100u64 {
+                record(t, EventKind::SlotBegin, 1, 0, 0, 0);
+            }
+        });
+        assert_eq!(inner.events.len(), 100, "the private window never wraps");
+        assert_eq!(inner.dropped, 0);
+        assert!(active());
+        let outer = drain();
+        assert_eq!(outer.events.iter().map(|e| e.t_us).collect::<Vec<_>>(), vec![3, 4]);
+        assert_eq!(outer.dropped, 2);
+        disable();
+
+        // A disabled caller stays disabled, and keeps no ring.
+        let ((), inner) = capture(|| record(7, EventKind::Ops, 0, 0, 0, 0));
+        assert_eq!(inner.events.len(), 1);
+        assert!(!active());
+        assert_eq!(drain(), DrainedFlight::default());
+    }
+
+    #[test]
+    fn capture_restores_the_callers_window_on_panic() {
+        enable(4);
+        record(1, EventKind::Ops, 0, 0, 0, 0);
+        let panicked = std::panic::catch_unwind(|| capture(|| panic!("inside the window")));
+        assert!(panicked.is_err());
+        assert!(active());
+        assert_eq!(drain().events.len(), 1);
+        disable();
+    }
+
+    #[test]
+    fn replay_pushes_like_live_records() {
+        let ((), prefix) = capture(|| {
+            record(10, EventKind::SlotBegin, 1, 0, 0, 0);
+            record(5, EventKind::SlotEnd, 1, 0, 0, 0); // clamped to 10
+        });
+        // Disabled: a no-op.
+        replay(&prefix.events);
+        assert_eq!(drain(), DrainedFlight::default());
+        // Enabled: the events land after what the window already holds,
+        // clamped against it exactly like live records.
+        enable(8);
+        record(20, EventKind::TestBegin, NO_PARTITION, 0, 0, 0);
+        replay(&prefix.events);
+        let f = drain();
+        assert_eq!(f.events.len(), 3);
+        assert_eq!(f.events[1].kind, EventKind::SlotBegin);
+        assert_eq!(f.events.iter().map(|e| e.t_us).collect::<Vec<_>>(), vec![20, 20, 20]);
+        disable();
     }
 
     #[test]

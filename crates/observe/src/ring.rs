@@ -22,6 +22,13 @@ impl Ring {
         Ring { buf: Vec::with_capacity(cap), cap, start: 0, dropped: 0, last_t: 0 }
     }
 
+    /// A ring that never wraps: its buffer grows with what is pushed, so
+    /// it holds a bounded one-off window (see [`crate::capture`]) at
+    /// exactly its size.
+    pub(crate) fn unbounded() -> Self {
+        Ring { buf: Vec::new(), cap: usize::MAX, start: 0, dropped: 0, last_t: 0 }
+    }
+
     /// Timestamp of the most recently pushed event in this window.
     #[inline]
     pub fn last_timestamp(&self) -> u64 {

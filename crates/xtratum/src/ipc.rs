@@ -66,6 +66,22 @@ pub struct PortTable {
 /// slot without hoarding memory after a flood.
 const RECYCLE_LIMIT: usize = 8;
 
+/// Retires `buf` into the recycle pool (dropped once the pool is full).
+fn retire(recycled: &mut Vec<Vec<u8>>, mut buf: Vec<u8>) {
+    if recycled.len() < RECYCLE_LIMIT {
+        buf.clear();
+        recycled.push(buf);
+    }
+}
+
+/// A copy of `msg` in a recycled buffer (a fresh one when the pool is
+/// empty).
+fn reuse(recycled: &mut Vec<Vec<u8>>, msg: &[u8]) -> Vec<u8> {
+    let mut buf = recycled.pop().unwrap_or_default();
+    buf.extend_from_slice(msg);
+    buf
+}
+
 /// Errors surfaced to the hypercall layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IpcError {
@@ -111,45 +127,35 @@ impl PortTable {
 
     /// Restores to `src`'s state in place (part of the campaign
     /// executor's per-test state reset). Message buffers queued since the
-    /// snapshot are retired into the recycle pool instead of freed, so
-    /// steady-state restore traffic — like steady-state queuing traffic —
-    /// allocates nothing.
+    /// snapshot are retired into the recycle pool instead of freed, and
+    /// the snapshot's own traffic (a prefix snapshot holds the samples and
+    /// queued messages of the slots it ran) is copied into reused
+    /// buffers, so steady-state restore traffic — like steady-state
+    /// queuing traffic — allocates nothing.
     pub fn restore_from(&mut self, src: &PortTable) {
         debug_assert_eq!(self.channels.len(), src.channels.len(), "channel layout mismatch");
-        for i in 0..self.channels.len() {
-            let (sample, queue_len) = {
-                let ch = &mut self.channels[i];
-                (ch.sample.take(), ch.queue.len())
-            };
-            if let Some(buf) = sample {
-                self.retire(buf);
-            }
-            for _ in 0..queue_len {
-                let buf = self.channels[i].queue.pop_front().unwrap();
-                self.retire(buf);
-            }
-            let s = &src.channels[i];
-            let ch = &mut self.channels[i];
+        let PortTable { channels, ports, recycled } = self;
+        for (ch, s) in channels.iter_mut().zip(&src.channels) {
             ch.cfg.clone_from(&s.cfg);
             ch.sample_seq = s.sample_seq;
-            debug_assert!(s.sample.is_none() && s.queue.is_empty(), "snapshot has traffic");
-            if let Some(sb) = &s.sample {
-                ch.sample = Some(sb.clone());
+            match (&mut ch.sample, &s.sample) {
+                (Some(buf), Some(want)) => buf.clone_from(want),
+                (sample, want) => {
+                    if let Some(buf) = sample.take() {
+                        retire(recycled, buf);
+                    }
+                    *sample = want.as_deref().map(|w| reuse(recycled, w));
+                }
             }
-            ch.queue.extend(s.queue.iter().cloned());
+            while let Some(buf) = ch.queue.pop_front() {
+                retire(recycled, buf);
+            }
+            ch.queue.extend(s.queue.iter().map(|msg| reuse(recycled, msg)));
         }
         // Port descriptor spaces: Vec<Vec<Port>> clone_from is element-
         // wise and keeps every inner capacity, so the per-test prologue's
         // port creation reuses the previous test's slots.
-        self.ports.clone_from(&src.ports);
-    }
-
-    /// Retires a message buffer into the bounded recycle pool.
-    fn retire(&mut self, mut buf: Vec<u8>) {
-        if self.recycled.len() < RECYCLE_LIMIT {
-            buf.clear();
-            self.recycled.push(buf);
-        }
+        ports.clone_from(&src.ports);
     }
 
     /// Number of channels.
@@ -407,9 +413,7 @@ impl PortTable {
                 return Err(IpcError::QueueFull);
             }
         }
-        let mut buf = self.recycled.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(msg);
+        let buf = reuse(&mut self.recycled, msg);
         self.channels[p.channel].queue.push_back(buf);
         Ok(())
     }
@@ -446,11 +450,7 @@ impl PortTable {
         let msg = self.receive_queuing(partition, desc, buf_size)?;
         out.extend_from_slice(&msg);
         let n = msg.len();
-        if self.recycled.len() < RECYCLE_LIMIT {
-            let mut retired = msg;
-            retired.clear();
-            self.recycled.push(retired);
-        }
+        retire(&mut self.recycled, msg);
         Ok(n)
     }
 

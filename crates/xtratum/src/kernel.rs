@@ -1,7 +1,7 @@
 //! The separation kernel core: boot, scheduling loop, HM wiring, and the
 //! hypercall dispatcher. Individual services live in [`crate::services`].
 
-use crate::config::XmConfig;
+use crate::config::{PlanCfg, XmConfig};
 use crate::guest::{GuestSet, PartitionApi};
 use crate::hm::{HealthMonitor, HmAction, HmEventKind, HmLogEntry};
 use crate::hypercall::RawHypercall;
@@ -236,6 +236,19 @@ pub struct XmKernel {
     pub(crate) port_stage: Vec<SampleStage>,
     /// Channel indices with a pending staged write (drained on commit).
     pub(crate) stage_dirty: Vec<u32>,
+    /// Mid-frame resume point left by [`XmKernel::step_until_slot_of`];
+    /// `None` at a major-frame boundary.
+    frame_cursor: Option<FrameCursor>,
+}
+
+/// Where a partially run major frame resumes: the frame's start time, the
+/// plan it runs (a cold reset inside the frame switches the scheduler to
+/// plan 0 but never the frame in flight) and the next slot to run.
+#[derive(Debug, Clone, Copy)]
+struct FrameCursor {
+    frame_start: TimeUs,
+    plan: usize,
+    next_slot: usize,
 }
 
 impl XmKernel {
@@ -323,6 +336,7 @@ impl XmKernel {
             adv_processed: 0,
             port_stage: cfg.channels.iter().map(|_| SampleStage::default()).collect(),
             stage_dirty: Vec::new(),
+            frame_cursor: None,
             flags,
             build,
             cfg: Arc::new(cfg),
@@ -731,92 +745,23 @@ impl XmKernel {
     /// Runs `frames` major frames without building a summary. Callers that
     /// are done with the kernel afterwards pair this with
     /// [`XmKernel::into_summary`] to avoid copying the observation logs.
+    ///
+    /// A frame left partly run by [`XmKernel::step_until_slot_of`] is
+    /// finished first and counts as the first of the `frames`, so the
+    /// call always completes `frames` more frame boundaries.
     pub fn step_major_frames(&mut self, guests: &mut GuestSet, frames: u32) {
         for _ in 0..frames {
             if !self.alive() {
                 break;
             }
-            let (plan_table, plan_idx) = self.sched.current_plan_shared();
-            let plan = &plan_table[plan_idx];
-            let frame_start = self.machine.now();
-            for (slot_idx, slot) in plan.slots.iter().enumerate() {
-                if !self.alive() {
-                    break;
-                }
-                let slot_start = frame_start + slot.start_us;
-                let pid = slot.partition;
-                let idx = pid as usize;
-                // Idle-slot fast path: an unschedulable partition's slot
-                // with no observable event in its window collapses both
-                // advances into one horizon-checked clock jump. A
-                // quiescent advance cannot change schedulability (or
-                // anything else), so pre-checking the status is equivalent
-                // to the slow path's advance-then-check ordering; neither
-                // path emits SlotBegin/SlotEnd for unschedulable slots.
-                if !self.parts[idx].status.schedulable()
-                    && self.try_quiescent_advance(slot_start + slot.duration_us)
-                {
-                    self.hm_reset_flags[idx] = false;
-                    continue;
-                }
-                self.advance_and_process(slot_start.max(self.machine.now()));
-                if !self.alive() {
-                    break;
-                }
-                self.hm_reset_flags[idx] = false;
-                if !self.parts[idx].status.schedulable() {
-                    self.advance_and_process(
-                        (slot_start + slot.duration_us).max(self.machine.now()),
-                    );
-                    continue;
-                }
-                flightrec::record(
-                    self.machine.now(),
-                    flightrec::EventKind::SlotBegin,
-                    pid as u16,
-                    slot_idx as u32,
-                    slot.duration_us,
-                    0,
-                );
-                self.parts[idx].status = PartitionStatus::Running;
-                let consumed = {
-                    let mut api = PartitionApi::new(self, pid, slot.duration_us);
-                    guests.run_slot(pid, &mut api);
-                    api.consumed_us()
-                };
-                // Slot end: land the sampling writes the slot coalesced.
-                self.commit_port_stage();
-                if self.parts[idx].status == PartitionStatus::Running {
-                    self.parts[idx].status = PartitionStatus::Ready;
-                } else if self.parts[idx].status == PartitionStatus::Idle {
-                    // idle_self lasts until the next slot.
-                    self.parts[idx].status = PartitionStatus::Ready;
-                }
-                if !self.alive() {
-                    break;
-                }
-                if consumed > slot.duration_us {
-                    // Temporal isolation violation: the partition held the
-                    // CPU past its slot, delaying everything after it.
-                    let overrun = consumed - slot.duration_us;
-                    self.advance_and_process(slot_start + consumed);
-                    if !self.alive() {
-                        break;
-                    }
-                    self.sched.note_overrun();
-                    self.hm_event(HmEventKind::SchedOverrun { overrun_us: overrun }, Some(pid));
-                    self.record_slot_end(pid, slot_idx);
-                } else {
-                    self.advance_and_process(
-                        (slot_start + slot.duration_us).max(self.machine.now()),
-                    );
-                    self.record_slot_end(pid, slot_idx);
-                }
-            }
+            let (plan_table, current) = self.sched.current_plan_shared();
+            let cursor = self.frame_cursor.take().unwrap_or_else(|| self.fresh_frame(current));
+            let plan = &plan_table[cursor.plan];
+            self.run_slots(guests, plan, cursor.frame_start, cursor.next_slot..plan.slots.len());
             if !self.alive() {
                 break;
             }
-            let frame_end = frame_start + plan.major_frame_us;
+            let frame_end = cursor.frame_start + plan.major_frame_us;
             self.advance_and_process(frame_end.max(self.machine.now()));
             if !self.alive() {
                 break;
@@ -824,6 +769,119 @@ impl XmKernel {
             self.frames_run += 1;
             if let Some((from, to)) = self.sched.finish_frame() {
                 self.ops_push(OpsEvent::PlanSwitched { from, to });
+            }
+        }
+    }
+
+    /// Runs the current major frame up to, not including, partition
+    /// `pid`'s first slot in it, and leaves a resume point there that the
+    /// next [`XmKernel::step_major_frames`] continues from. The state it
+    /// stops in is the one every run of the frame shares up to `pid`'s
+    /// first dispatch, whatever `pid`'s guest will do: the prefix a
+    /// campaign arena is captured at. Runs nothing when `pid` owns no slot
+    /// in the active plan or its first slot is already behind the resume
+    /// point (including slot 0 of a fresh frame), and never completes a
+    /// frame.
+    pub fn step_until_slot_of(&mut self, guests: &mut GuestSet, pid: u32) {
+        if !self.alive() {
+            return;
+        }
+        let (plan_table, current) = self.sched.current_plan_shared();
+        let cursor = self.frame_cursor.unwrap_or_else(|| self.fresh_frame(current));
+        let plan = &plan_table[cursor.plan];
+        let Some(target) = plan.slots.iter().position(|s| s.partition == pid) else {
+            return;
+        };
+        if target <= cursor.next_slot {
+            return;
+        }
+        self.run_slots(guests, plan, cursor.frame_start, cursor.next_slot..target);
+        self.frame_cursor = Some(FrameCursor { next_slot: target, ..cursor });
+    }
+
+    /// The resume point of a frame of plan `plan` that starts now.
+    fn fresh_frame(&self, plan: usize) -> FrameCursor {
+        FrameCursor { frame_start: self.machine.now(), plan, next_slot: 0 }
+    }
+
+    /// Runs slots `slots` of `plan` in the frame that began at
+    /// `frame_start`. Stops early when the kernel dies.
+    fn run_slots(
+        &mut self,
+        guests: &mut GuestSet,
+        plan: &PlanCfg,
+        frame_start: TimeUs,
+        slots: std::ops::Range<usize>,
+    ) {
+        for slot_idx in slots {
+            if !self.alive() {
+                return;
+            }
+            let slot = &plan.slots[slot_idx];
+            let slot_start = frame_start + slot.start_us;
+            let pid = slot.partition;
+            let idx = pid as usize;
+            // Idle-slot fast path: an unschedulable partition's slot
+            // with no observable event in its window collapses both
+            // advances into one horizon-checked clock jump. A
+            // quiescent advance cannot change schedulability (or
+            // anything else), so pre-checking the status is equivalent
+            // to the slow path's advance-then-check ordering; neither
+            // path emits SlotBegin/SlotEnd for unschedulable slots.
+            if !self.parts[idx].status.schedulable()
+                && self.try_quiescent_advance(slot_start + slot.duration_us)
+            {
+                self.hm_reset_flags[idx] = false;
+                continue;
+            }
+            self.advance_and_process(slot_start.max(self.machine.now()));
+            if !self.alive() {
+                return;
+            }
+            self.hm_reset_flags[idx] = false;
+            if !self.parts[idx].status.schedulable() {
+                self.advance_and_process((slot_start + slot.duration_us).max(self.machine.now()));
+                continue;
+            }
+            flightrec::record(
+                self.machine.now(),
+                flightrec::EventKind::SlotBegin,
+                pid as u16,
+                slot_idx as u32,
+                slot.duration_us,
+                0,
+            );
+            self.parts[idx].status = PartitionStatus::Running;
+            let consumed = {
+                let mut api = PartitionApi::new(self, pid, slot.duration_us);
+                guests.run_slot(pid, &mut api);
+                api.consumed_us()
+            };
+            // Slot end: land the sampling writes the slot coalesced.
+            self.commit_port_stage();
+            if self.parts[idx].status == PartitionStatus::Running {
+                self.parts[idx].status = PartitionStatus::Ready;
+            } else if self.parts[idx].status == PartitionStatus::Idle {
+                // idle_self lasts until the next slot.
+                self.parts[idx].status = PartitionStatus::Ready;
+            }
+            if !self.alive() {
+                return;
+            }
+            if consumed > slot.duration_us {
+                // Temporal isolation violation: the partition held the
+                // CPU past its slot, delaying everything after it.
+                let overrun = consumed - slot.duration_us;
+                self.advance_and_process(slot_start + consumed);
+                if !self.alive() {
+                    return;
+                }
+                self.sched.note_overrun();
+                self.hm_event(HmEventKind::SchedOverrun { overrun_us: overrun }, Some(pid));
+                self.record_slot_end(pid, slot_idx);
+            } else {
+                self.advance_and_process((slot_start + slot.duration_us).max(self.machine.now()));
+                self.record_slot_end(pid, slot_idx);
             }
         }
     }
@@ -881,6 +939,7 @@ impl XmKernel {
             adv_processed,
             port_stage,
             stage_dirty,
+            frame_cursor,
         } = self;
         machine.restore_from(&src.machine);
         cfg.clone_from(&src.cfg);
@@ -919,6 +978,7 @@ impl XmKernel {
             st.buf.clear();
         }
         stage_dirty.clear();
+        *frame_cursor = src.frame_cursor;
     }
 
     /// Snapshot of everything the harness observes.
@@ -1206,6 +1266,103 @@ mod tests {
         let hc = RawHypercall::new(HypercallId::GetPlanStatus, vec![0]).unwrap();
         let r = k.hypercall(0, &hc);
         assert_eq!(r.cost_us, k.cfg.tuning.hypercall_cost_us);
+    }
+
+    /// Calls `XM_get_time` into its own memory once per slot, so every
+    /// slot leaves hypercalls, dirty pages and flight events behind.
+    struct Clock(u64);
+
+    impl crate::guest::GuestProgram for Clock {
+        fn run_slot(&mut self, api: &mut PartitionApi<'_>) {
+            let _ = api.hypercall(&RawHypercall::new_unchecked(HypercallId::GetTime, [0, self.0]));
+        }
+    }
+
+    fn clock_guests() -> GuestSet {
+        let mut guests = GuestSet::idle(2);
+        guests.set(0, Box::new(Clock(0x4010_0000)));
+        guests.set(1, Box::new(Clock(0x4020_0000)));
+        guests
+    }
+
+    /// What the harness observes of a kernel: the summary, the advance
+    /// stats and the clock.
+    fn observed(k: &XmKernel) -> String {
+        format!("{:?}|{:?}|{}", k.summary(), k.advance_stats(), k.machine.now())
+    }
+
+    /// Steps `n` frames one at a time, returning each frame's digest.
+    fn frame_digests(k: &mut XmKernel, guests: &mut GuestSet, n: u32) -> Vec<StateDigest> {
+        (0..n)
+            .map(|_| {
+                k.step_major_frames(guests, 1);
+                k.state_digest(1)
+            })
+            .collect()
+    }
+
+    /// A booted kernel run up to `pid`'s first slot.
+    fn prefixed(pid: u32) -> (XmKernel, GuestSet) {
+        let mut k = XmKernel::boot(test_config(), KernelBuild::Legacy).unwrap();
+        let mut guests = clock_guests();
+        k.step_until_slot_of(&mut guests, pid);
+        (k, guests)
+    }
+
+    #[test]
+    fn resuming_after_a_prefix_equals_stepping_from_boot() {
+        // pid 0 owns slot 0, pid 1 slot 1, pid 7 no slot.
+        for pid in [0, 1, 7] {
+            for n in 1..=4 {
+                let mut boot = XmKernel::boot(test_config(), KernelBuild::Legacy).unwrap();
+                let want_digests = frame_digests(&mut boot, &mut clock_guests(), n);
+                let want = observed(&boot);
+
+                let (mut k, mut guests) = prefixed(pid);
+                assert_eq!(frame_digests(&mut k, &mut guests, n), want_digests, "pid {pid}");
+                assert_eq!(observed(&k), want, "pid {pid}, {n} single frames");
+
+                let (mut k, mut guests) = prefixed(pid);
+                k.step_major_frames(&mut guests, n);
+                assert_eq!(observed(&k), want, "pid {pid}, {n} frames in one call");
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_stops_before_the_partitions_first_slot() {
+        let (mut k, mut guests) = prefixed(1);
+        assert_eq!(k.machine.now(), 50_000, "slot 0 ran to its end");
+        assert_eq!(k.summary().frames_completed, 0, "no frame boundary crossed");
+        // Stepping again for the same partition is a no-op.
+        let before = observed(&k);
+        k.step_until_slot_of(&mut guests, 1);
+        assert_eq!(observed(&k), before);
+    }
+
+    #[test]
+    fn empty_prefix_runs_nothing() {
+        for pid in [0, 7] {
+            let mut k = XmKernel::boot(test_config(), KernelBuild::Legacy).unwrap();
+            let mut guests = clock_guests();
+            let ((), flight) = flightrec::capture(|| k.step_until_slot_of(&mut guests, pid));
+            assert!(flight.events.is_empty(), "pid {pid} recorded {:?}", flight.events);
+            assert_eq!(k.machine.now(), 0);
+            assert_eq!(k.advance_stats(), (0, 0));
+            assert!(k.frame_cursor.is_none(), "pid {pid} left a resume point");
+        }
+    }
+
+    #[test]
+    fn restore_carries_the_resume_point() {
+        let (proto, _) = prefixed(1);
+        let mut want = proto.clone();
+        let want_digests = frame_digests(&mut want, &mut clock_guests(), 3);
+        let mut ws = proto.clone();
+        ws.step_major_frames(&mut clock_guests(), 2);
+        ws.restore_from(&proto);
+        assert_eq!(frame_digests(&mut ws, &mut clock_guests(), 3), want_digests);
+        assert_eq!(observed(&ws), observed(&want));
     }
 
     #[test]

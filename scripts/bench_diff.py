@@ -16,6 +16,12 @@ or dropped without refreshing the baseline, and every measurement it
 guarded goes dark. Remove it from the committed baseline deliberately
 (or set the escape hatch) to land such a change.
 
+The one exception is a quick report (`"quick": true`, e.g. CI's
+`BENCH_QUICK=1` run) diffed against a full-mode baseline (`"quick":
+false`): quick mode runs a subset of the sections (fewer thread counts),
+so the full-mode labels it lacks are listed as "not run in quick mode"
+notices, not errors. Two reports of the same mode keep the error.
+
 Escape hatch: set `BENCH_ALLOW_REGRESSION=1` to demote regressions and
 removed-section errors to warnings and exit 0 — for intentional
 trade-offs, landed together with a refreshed committed baseline.
@@ -41,9 +47,11 @@ def per_element(stat):
 
 
 def load(path):
+    """The report's results by label, and whether it is a quick run."""
     with open(path) as f:
         doc = json.load(f)
-    return {s["label"]: s for s in doc.get("results", []) if "label" in s}
+    labels = {s["label"]: s for s in doc.get("results", []) if "label" in s}
+    return labels, bool(doc.get("quick", False))
 
 
 def main(argv):
@@ -58,14 +66,14 @@ def main(argv):
     allow = os.environ.get("BENCH_ALLOW_REGRESSION", "") not in ("", "0")
 
     try:
-        base = load(args[0])
+        base, base_quick = load(args[0])
     except FileNotFoundError:
         print(
             f"bench_diff: no committed baseline at {args[0]}; "
             "nothing to compare against (first run?) — skipping"
         )
         return 0
-    cur = load(args[1])
+    cur, cur_quick = load(args[1])
     shared = [label for label in base if label in cur]
     if not shared:
         print(f"::warning::bench_diff: no shared labels between {args[0]} and {args[1]}")
@@ -104,6 +112,10 @@ def main(argv):
 
     added = [label for label in cur if label not in base]
     removed = [label for label in base if label not in cur]
+    if cur_quick and not base_quick:
+        for label in removed:
+            print(f"not run in quick mode: '{label}' (full-mode baseline section)")
+        removed = []
     if added:
         print(f"added (not in baseline, not compared): {', '.join(added)}")
     if removed:

@@ -135,6 +135,42 @@ fn workspace_restore_is_allocation_free_after_warmup() {
     );
 }
 
+/// The executor's arenas sit at the test partition's first slot, and with
+/// the recorder on every rewind is followed by a replay of the events the
+/// skipped prefix recorded. Rewind plus replay — the whole per-test
+/// arena reset of a recording worker — must stay allocation-free: the
+/// replay pushes `Copy` events into the ring preallocated by `enable`.
+#[test]
+fn prefix_rewind_and_event_replay_are_allocation_free() {
+    let _serial = serial();
+    let testbed = eagleeye::EagleEye;
+    let cases = xm_campaign::paper_campaign().all_cases();
+    let part = testbed.test_partition();
+    let mut snapshot = testbed.snapshot(KernelBuild::Legacy).expect("EagleEye snapshots");
+    let ((), prefix) = flightrec::capture(|| snapshot.step_until_slot_of(part));
+    assert!(!prefix.events.is_empty(), "the EagleEye prefix runs four partitions' slots");
+    let mut ws = snapshot.workspace();
+
+    flightrec::enable(skrt::flight::DEFAULT_RING_CAPACITY);
+    let mut allocs = 0u64;
+    for (i, case) in cases.iter().take(100).enumerate() {
+        let measured = i >= 50; // the first 50 warm every buffer
+        ALLOCS.store(0, Ordering::SeqCst);
+        set_counting(measured);
+        ws.restore(&snapshot, Some(part));
+        flightrec::replay(&prefix.events);
+        set_counting(false);
+        allocs += ALLOCS.load(Ordering::SeqCst);
+        let (kernel, guests) = ws.parts();
+        guests.set(part, Box::new(MutantGuest::new(case.raw(), testbed.prologue())));
+        kernel.step_major_frames(guests, testbed.frames_per_test());
+        let drained = flightrec::drain();
+        assert!(drained.events.len() > prefix.events.len());
+    }
+    flightrec::disable();
+    assert_eq!(allocs, 0, "prefix rewind + event replay allocated {allocs} times over 50 tests");
+}
+
 /// The telemetry hot path — the per-test bookkeeping each worker does in
 /// its `LocalMetrics` (plain counter bumps plus log2-histogram
 /// `observe` calls for phase timers and hypercall latency) — must be

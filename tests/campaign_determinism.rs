@@ -6,6 +6,8 @@
 use eagleeye::EagleEye;
 use skrt::classify::CrashClass;
 use skrt::exec::{run_campaign, run_single_test, CampaignOptions, CampaignResult};
+use skrt::flight::TestFlight;
+use skrt::fuzz::{run_fuzz, FuzzOptions};
 use skrt::oracle::OracleContext;
 use skrt::report::{campaign_table, distribution, render_distribution, render_table};
 use skrt::sequence::{run_one_sequence, SequenceOptions};
@@ -152,6 +154,57 @@ fn snapshot_reuse_is_observationally_transparent() {
         assert_eq!(fresh.metrics.snapshot_clones, 0);
         assert_eq!(fresh.metrics.fresh_boots, total + threads as u64);
     }
+}
+
+/// The arena is captured at the test partition's first slot, and the
+/// events the skipped prefix recorded are replayed into each test's
+/// window. With the recorder on, every test's event stream must equal the
+/// one a fresh boot records (the fallback), apart from the arena's
+/// `SnapshotClone` marker.
+#[test]
+fn prefix_arena_flights_match_fresh_boot() {
+    let spec = subset();
+    let strip = |t: &TestFlight| -> Vec<flightrec::Event> {
+        t.events.iter().filter(|e| e.kind != flightrec::EventKind::SnapshotClone).copied().collect()
+    };
+    for threads in [1usize, 4] {
+        let o = CampaignOptions { record: true, ..opts(threads) };
+        let snap = run_campaign(&EagleEye, &spec, &o).flight.expect("recording keeps flights");
+        let fresh = run_campaign(&NoSnapshot, &spec, &o).flight.expect("recording keeps flights");
+        assert_eq!(snap.tests.len(), fresh.tests.len());
+        for (s, f) in snap.tests.iter().zip(&fresh.tests) {
+            assert_eq!(s.index, f.index);
+            assert_eq!(strip(s), strip(f), "test {} stream differs at {threads} threads", s.index);
+            assert_eq!(s.dropped, f.dropped, "test {} drop count", s.index);
+        }
+    }
+}
+
+/// Fuzzing on the prefix arena equals fuzzing on fresh boots: coverage
+/// is folded from the replayed prefix events plus the candidate's own,
+/// so the corpus, the map and the findings must not change.
+#[test]
+fn fuzz_prefix_arena_matches_fresh_boot() {
+    let alphabet = xm_campaign::eagleeye_sequence_alphabet();
+    let opts =
+        FuzzOptions { seed: 3, threads: 2, max_execs: 96, batch: 16, ..FuzzOptions::default() };
+    let surface = |r: &skrt::fuzz::FuzzResult| {
+        let mut out = skrt::fuzz::render_corpus(&r.corpus);
+        out.push_str(&r.map.render());
+        for f in &r.findings {
+            out.push_str(&format!(
+                "{} {:?} {:?} {} {:?}\n",
+                f.exec_index, f.steps, f.verdict, f.steps_executed, f.minimal
+            ));
+        }
+        out
+    };
+    let snap = run_fuzz(&EagleEye, &alphabet, &opts);
+    let fresh = run_fuzz(&NoSnapshot, &alphabet, &opts);
+    assert_eq!(fresh.metrics.snapshot_clones, 0, "the fallback never rewinds");
+    assert!(snap.metrics.snapshot_clones >= snap.execs, "every exec rewinds the arena");
+    assert!(!snap.corpus.is_empty() && !snap.findings.is_empty());
+    assert_eq!(surface(&snap), surface(&fresh));
 }
 
 #[test]
