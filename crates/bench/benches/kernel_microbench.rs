@@ -2,20 +2,25 @@
 //! category, single-test execution cost (fresh boot vs snapshot clone),
 //! nominal EagleEye mission throughput (major frames per second of host
 //! time), and paired before/after cases for the hot-path APIs that went
-//! allocation-free (timer advancement, trace-event emission).
+//! allocation-free (timer advancement, trace-event emission) or whose
+//! cost stopped following an argument's magnitude (vtimer catch-up,
+//! `XM_multicall` validation).
 
 use eagleeye::map::*;
 use eagleeye::EagleEye;
 use leon3_sim::machine::{Machine, MachineConfig};
 use leon3_sim::timer::GpTimer;
 use leon3_sim::uart::Uart;
+use skrt::check::{part_base, ChannelTopology, CheckConfig, CheckTestbed, CALLER};
 use skrt::dictionary::TestValue;
 use skrt::exec::run_single_test;
 use skrt::suite::TestCase;
 use skrt::testbed::Testbed;
 use skrt_bench::Bench;
 use std::hint::black_box;
+use xtratum::config::KernelTuning;
 use xtratum::hypercall::{HypercallId, RawHypercall};
+use xtratum::vtimer::{process_hw_timer, process_hw_timer_reference, VTimer};
 use xtratum::vuln::KernelBuild;
 
 fn bench_hypercalls(b: &mut Bench) {
@@ -192,6 +197,52 @@ fn bench_expiry_batching(b: &mut Bench) {
     });
 }
 
+/// Before/after pair for the software vtimer catch-up: the per-expiry
+/// loop (kept as `process_hw_timer_reference`) vs the closed form. A
+/// period just above the handler cost, caught up over 4000 us — the
+/// small-interval `XM_set_timer` traffic the fuzzer and the sequence
+/// campaign generate (~300 expiries per pass).
+fn bench_vtimer_catchup(b: &mut Bench) {
+    let tuning = KernelTuning::default();
+    let cost = tuning.vtimer_handler_cost_us as i64;
+    let limit = tuning.kernel_stack_frames;
+    let armed = || {
+        let mut t = VTimer::default();
+        t.arm(1, cost + 1);
+        t
+    };
+    b.measure("vtimer_catchup/loop_reference", || {
+        let mut t = armed();
+        black_box(process_hw_timer_reference(&mut t, black_box(4_000), cost, limit))
+    });
+    b.measure("vtimer_catchup/closed_form", || {
+        let mut t = armed();
+        black_box(process_hw_timer(&mut t, black_box(4_000), cost, limit))
+    });
+}
+
+/// Before/after pair for `XM_multicall` batch validation: one kernel
+/// `read_u64` per entry (each a linear region scan) vs the region-run
+/// walk, over the check campaign's 2048-entry probe batch in the
+/// caller's memory of a three-partition check configuration.
+fn bench_multicall_validate(b: &mut Bench) {
+    let tb = CheckTestbed::new(CheckConfig {
+        index: 0,
+        n_partitions: 3,
+        slot_owners: vec![0, 1],
+        channels: ChannelTopology::Isolated,
+    });
+    let (kernel, _guests) = tb.boot(KernelBuild::Legacy);
+    let mem = &kernel.machine.mem;
+    let start = part_base(CALLER) + 0x2000;
+    b.measure("multicall_validate/per_entry_reference", || {
+        black_box(mem.load_run_per_entry(black_box(start), 2048, 8))
+    });
+    b.measure("multicall_validate/region_runs", || {
+        black_box(mem.load_run(black_box(start), 2048, 8))
+    });
+}
+
 /// Before/after pair for the quiescent time advance. The old kernel
 /// walked the per-partition virtual-timer table and asked the timer
 /// block to scan its units on *every* advance, due or not; the shipped
@@ -319,6 +370,8 @@ fn main() {
     bench_partition_runtimes(&mut b);
     bench_advance_paths(&mut b);
     bench_expiry_batching(&mut b);
+    bench_vtimer_catchup(&mut b);
+    bench_multicall_validate(&mut b);
     bench_quiescent_advance(&mut b);
     bench_trace_emission(&mut b);
     bench_flight_recorder(&mut b);

@@ -463,7 +463,8 @@ pub struct InvariantViolation {
 }
 
 /// Host-side spatial witness captured around one run: victim memory
-/// images (partitions 1..n, in order).
+/// images (partitions 1..n, in order). The authoritative witness for
+/// fresh boots, and the reference [`victim_changes_since`] must match.
 fn victim_memory(kernel: &XmKernel, cfg: &CheckConfig) -> Vec<Vec<u8>> {
     (1..cfg.n_partitions)
         .map(|p| {
@@ -474,6 +475,34 @@ fn victim_memory(kernel: &XmKernel, cfg: &CheckConfig) -> Vec<Vec<u8>> {
                 .expect("configured partition memory is kernel-readable")
         })
         .collect()
+}
+
+/// Where victim partition `partition`'s memory changed across a run:
+/// the lowest changed address and the number of changed bytes.
+struct MemoryChange {
+    partition: u32,
+    first: usize,
+    changed: usize,
+}
+
+/// The victim memory changes of a run on an arena pair rewound to
+/// `snapshot`: the run started from the snapshot's memory and every store
+/// marks its page dirty, so comparing the victim pages dirtied since the
+/// rewind against the snapshot finds exactly what the before/after
+/// [`victim_memory`] images would, without copying 64 KiB per victim.
+fn victim_changes_since<'a>(
+    kernel: &'a XmKernel,
+    snapshot: &'a XmKernel,
+    cfg: &CheckConfig,
+) -> impl Iterator<Item = MemoryChange> + 'a {
+    (1..cfg.n_partitions).filter_map(|p| {
+        let diff = kernel
+            .machine
+            .mem
+            .diff_dirty(&snapshot.machine.mem, part_base(p), PART_SIZE)
+            .expect("configured partition memory is kernel-readable")?;
+        Some(MemoryChange { partition: p, first: diff.first as usize, changed: diff.changed })
+    })
 }
 
 /// Victim port counts (partitions 1..n, in order).
@@ -490,6 +519,24 @@ pub fn check_invariants(
     events: &[Event],
     mem_before: &[Vec<u8>],
     mem_after: &[Vec<u8>],
+    ports_after: &[usize],
+) -> Vec<InvariantViolation> {
+    let changes = mem_before.iter().zip(mem_after).enumerate().filter(|(_, (b, a))| b != a).map(
+        |(i, (before, after))| MemoryChange {
+            partition: i as u32 + 1,
+            first: part_base(i as u32 + 1) as usize
+                + before.iter().zip(after).position(|(a, b)| a != b).unwrap_or(0),
+            changed: before.iter().zip(after).filter(|(a, b)| a != b).count(),
+        },
+    );
+    invariants(cfg, events, changes, ports_after)
+}
+
+/// [`check_invariants`] over victim memory changes however witnessed.
+fn invariants(
+    cfg: &CheckConfig,
+    events: &[Event],
+    mem_changes: impl IntoIterator<Item = MemoryChange>,
     ports_after: &[usize],
 ) -> Vec<InvariantViolation> {
     let mut out = Vec::new();
@@ -604,19 +651,16 @@ pub fn check_invariants(
         }
     }
 
-    for (i, (before, after)) in mem_before.iter().zip(mem_after).enumerate() {
-        if before != after {
-            let off = before.iter().zip(after).position(|(a, b)| a != b).unwrap_or(0);
-            out.push(InvariantViolation {
-                kind: InvariantKind::VictimMemoryMutated,
-                detail: format!(
-                    "partition {} memory changed at {:#x} (+{} more byte(s))",
-                    i + 1,
-                    part_base(i as u32 + 1) as usize + off,
-                    before.iter().zip(after).filter(|(a, b)| a != b).count().saturating_sub(1)
-                ),
-            });
-        }
+    for change in mem_changes {
+        out.push(InvariantViolation {
+            kind: InvariantKind::VictimMemoryMutated,
+            detail: format!(
+                "partition {} memory changed at {:#x} (+{} more byte(s))",
+                change.partition,
+                change.first,
+                change.changed.saturating_sub(1)
+            ),
+        });
     }
     for (i, &count) in ports_after.iter().enumerate() {
         if count != 0 {
@@ -764,20 +808,39 @@ struct CaseRun {
 /// lockstep run over the horizon, drained stream, invariants. The caller
 /// drains the recorder *before* booting or rewinding the pair: a rewind
 /// replays the prefix's events, which belong to the checked stream.
+///
+/// `snapshot` is the kernel an arena pair was just rewound to: the
+/// spatial witness then diffs the victim pages the run dirtied against
+/// it. A fresh boot (`None`) compares before/after byte images, the
+/// authoritative path; debug builds also run it on arena pairs and
+/// assert both witnesses agree.
 fn evaluate_once(
     tb: &CheckTestbed,
     ctx: &OracleContext,
     kernel: &mut XmKernel,
     guests: &mut GuestSet,
+    snapshot: Option<&XmKernel>,
     steps: &[RawHypercall],
     horizon: usize,
 ) -> CaseRun {
-    let before = victim_memory(kernel, tb.config());
+    let cfg = tb.config();
+    let before = (snapshot.is_none() || cfg!(debug_assertions)).then(|| victim_memory(kernel, cfg));
     let eval = run_one_sequence_bounded(tb, ctx, kernel, guests, steps, 1, horizon);
     let drained = flightrec::drain();
-    let after = victim_memory(kernel, tb.config());
-    let ports = victim_ports(kernel, tb.config());
-    let violations = check_invariants(tb.config(), &drained.events, &before, &after, &ports);
+    let ports = victim_ports(kernel, cfg);
+    let images = |kernel: &XmKernel| {
+        let before = before.as_deref().expect("captured for byte-image witnesses");
+        check_invariants(cfg, &drained.events, before, &victim_memory(kernel, cfg), &ports)
+    };
+    let violations = match snapshot {
+        Some(snapshot) => {
+            let changes = victim_changes_since(kernel, snapshot, cfg);
+            let violations = invariants(cfg, &drained.events, changes, &ports);
+            debug_assert_eq!(violations, images(kernel), "dirty-page witness diverged");
+            violations
+        }
+        None => images(kernel),
+    };
     CaseRun { verdict: eval.verdict, steps_executed: eval.steps_executed, violations }
 }
 
@@ -795,8 +858,8 @@ fn run_case<'t>(
 
     // Main evaluation on the worker's arena.
     let _ = flightrec::drain();
-    let (kernel, guests) = booter.booted(&mut log.local);
-    let main = evaluate_once(tb, ctx, kernel, guests, &probe.steps, horizon);
+    let (kernel, guests, snapshot) = booter.booted_from(&mut log.local);
+    let main = evaluate_once(tb, ctx, kernel, guests, snapshot, &probe.steps, horizon);
 
     let record = |run: CaseRun, minimal: Option<MinimalRepro>| CheckCaseRecord {
         index,
@@ -818,7 +881,7 @@ fn run_case<'t>(
     // artefacts before a counterexample is reported.
     let _ = flightrec::drain();
     let (mut fk, mut fg) = tb.boot(opts.build);
-    let fresh = evaluate_once(tb, ctx, &mut fk, &mut fg, &probe.steps, horizon);
+    let fresh = evaluate_once(tb, ctx, &mut fk, &mut fg, None, &probe.steps, horizon);
     drop((fk, fg));
     let Some(sig) = finding_sig(&fresh.verdict, &fresh.violations) else {
         // The arena run diverged but a fresh boot does not reproduce it:
@@ -841,7 +904,7 @@ fn run_case<'t>(
                     return false;
                 }
                 let _ = flightrec::drain();
-                let (kernel, guests) = booter.booted(&mut log.local);
+                let (kernel, guests, snapshot) = booter.booted_from(&mut log.local);
                 match &sig {
                     FindingSig::Oracle(target) => {
                         let eval =
@@ -849,7 +912,7 @@ fn run_case<'t>(
                         eval.verdict.classification == *target
                     }
                     FindingSig::Invariant(_) => {
-                        let run = evaluate_once(tb, ctx, kernel, guests, cand, horizon);
+                        let run = evaluate_once(tb, ctx, kernel, guests, snapshot, cand, horizon);
                         finding_sig(&run.verdict, &run.violations).as_ref() == Some(&sig)
                     }
                 }
@@ -1139,6 +1202,65 @@ mod tests {
             finding_sig(&div, &[viol(InvariantKind::SlotOverrun)]),
             Some(FindingSig::Oracle(div.classification))
         );
+    }
+
+    /// The dirty-page witness reports exactly the violations the byte
+    /// images report, on an arena pair mutated in kernel context the way
+    /// no default-scope probe does: a store that rewrites the original
+    /// bytes (dirty, unchanged), two pages dirtied in descending address
+    /// order (the lowest address is reported), a store straddling a page
+    /// boundary, stores in both victims, and stores in the caller only.
+    /// Each pattern runs on the same arena, rewound in between, so the
+    /// rewind's reset of the dirty set is covered too.
+    #[test]
+    fn dirty_page_witness_matches_byte_images() {
+        let cfg = CheckConfig {
+            index: 0,
+            n_partitions: 3,
+            slot_owners: vec![0, 1],
+            channels: ChannelTopology::Isolated,
+        };
+        let tb = CheckTestbed::new(cfg.clone());
+        let mut log = WorkerLog::new(1);
+        let mut booter = Booter::new(&tb, KernelBuild::Legacy, false, &mut log.local);
+        let (v1, v2) = (part_base(1), part_base(2));
+        // (name, kernel-context stores, expected first violation detail)
+        type Pattern = (&'static str, Vec<(u32, Vec<u8>)>, Option<&'static str>);
+        let patterns: [Pattern; 6] = [
+            ("untouched", vec![], None),
+            ("rewrite original bytes", vec![(v1 + 0x10, vec![0; 16])], None),
+            (
+                "descending pages",
+                vec![(v1 + 0x9008, vec![7]), (v1 + 0x3004, vec![5, 5])],
+                Some("partition 1 memory changed at 0x40113004 (+2 more byte(s))"),
+            ),
+            (
+                "page straddle",
+                vec![(v2 + 0x1FFC, vec![0xAA; 8])],
+                Some("partition 2 memory changed at 0x40121ffc (+7 more byte(s))"),
+            ),
+            (
+                "both victims",
+                vec![(v2 + 0xFFFF, vec![1]), (v1, vec![0, 9, 0, 9])],
+                Some("partition 1 memory changed at 0x40110001 (+1 more byte(s))"),
+            ),
+            ("caller only", vec![(part_base(CALLER), vec![3; 64])], None),
+        ];
+        for (name, stores, first_detail) in patterns {
+            let (kernel, _, snapshot) = booter.booted_from(&mut log.local);
+            let snapshot = snapshot.expect("check testbeds snapshot");
+            let before = victim_memory(kernel, &cfg);
+            for (addr, bytes) in &stores {
+                kernel.machine.mem.write_bytes(AccessCtx::Kernel, *addr, bytes).unwrap();
+            }
+            assert_eq!(kernel.machine.mem.dirty_pages() > 0, !stores.is_empty(), "{name}");
+            let after = victim_memory(kernel, &cfg);
+            let ports = victim_ports(kernel, &cfg);
+            let images = check_invariants(&cfg, &[], &before, &after, &ports);
+            let fast = invariants(&cfg, &[], victim_changes_since(kernel, snapshot, &cfg), &ports);
+            assert_eq!(fast, images, "{name}");
+            assert_eq!(fast.first().map(|v| v.detail.as_str()), first_detail, "{name}");
+        }
     }
 
     /// The invariants read the stream a run from boot records. On an

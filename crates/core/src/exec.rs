@@ -271,6 +271,18 @@ impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
     /// replayed into the ring after the `SnapshotClone` marker, so callers
     /// that drain must do so *before* this call.
     pub(crate) fn booted(&mut self, local: &mut LocalMetrics) -> (&mut XmKernel, &mut GuestSet) {
+        let (kernel, guests, _) = self.booted_from(local);
+        (kernel, guests)
+    }
+
+    /// [`booted`](Self::booted), plus the snapshot kernel an arena pair
+    /// was just rewound to (`None` for a fresh boot). Until the pair
+    /// runs, its memory equals the snapshot's and no page is dirty, so a
+    /// caller can diff the pages a run wrote against the snapshot.
+    pub(crate) fn booted_from(
+        &mut self,
+        local: &mut LocalMetrics,
+    ) -> (&mut XmKernel, &mut GuestSet, Option<&XmKernel>) {
         let skip = self.testbed.test_partition();
         match &mut self.arena {
             Some(arena) => {
@@ -290,12 +302,13 @@ impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
                     arena.workspace.restore(&arena.snapshot, Some(skip));
                 }
                 flightrec::replay(&arena.prefix);
-                arena.workspace.parts()
+                let (kernel, guests) = arena.workspace.parts();
+                (kernel, guests, Some(arena.snapshot.kernel()))
             }
             None => {
                 local.note_fresh_boot();
                 let pair = self.scratch.insert(self.testbed.boot(self.build));
-                (&mut pair.0, &mut pair.1)
+                (&mut pair.0, &mut pair.1, None)
             }
         }
     }

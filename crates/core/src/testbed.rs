@@ -50,6 +50,12 @@ impl BootSnapshot {
         self.kernel.step_until_slot_of(&mut self.guests, pid);
     }
 
+    /// The captured kernel: a restored workspace's memory equals its
+    /// memory until the workspace runs.
+    pub fn kernel(&self) -> &XmKernel {
+        &self.kernel
+    }
+
     /// Materialises a worker's persistent [`Workspace`] — one deep copy
     /// of the snapshot's state that is *rewound* before every test instead of
     /// re-cloned per test.

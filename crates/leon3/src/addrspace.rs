@@ -100,6 +100,16 @@ impl MemFault {
     }
 }
 
+/// How a range differs from the same range of another address space
+/// (see [`AddressSpace::diff_dirty`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RangeDiff {
+    /// Lowest differing address.
+    pub first: Addr,
+    /// Number of differing bytes.
+    pub changed: usize,
+}
+
 /// A contiguous, backed memory region.
 #[derive(Debug, Clone)]
 pub struct Region {
@@ -197,6 +207,29 @@ impl RegionMem {
         self.bytes[off..off + data.len()].copy_from_slice(data);
     }
 
+    /// Compares `[off, off + len)` against the same range of `src`,
+    /// visiting only the dirty pages: the lowest differing offset and
+    /// the number of differing bytes, or `None` when they are equal.
+    /// Exact under [`restore_from`](RegionMem::restore_from)'s contract
+    /// (clean pages equal `src`'s).
+    fn diff_dirty(&self, src: &RegionMem, off: usize, len: usize) -> Option<(usize, usize)> {
+        let mut first = usize::MAX;
+        let mut changed = 0usize;
+        for &p in &self.dirty {
+            let lo = ((p as usize) << PAGE_BITS).max(off);
+            let hi = (((p as usize) + 1) << PAGE_BITS).min(off + len);
+            if lo >= hi {
+                continue;
+            }
+            let (mine, theirs) = (&self.bytes[lo..hi], &src.bytes[lo..hi]);
+            if let Some(i) = mine.iter().zip(theirs).position(|(a, b)| a != b) {
+                first = first.min(lo + i);
+                changed += mine[i..].iter().zip(&theirs[i..]).filter(|(a, b)| a != b).count();
+            }
+        }
+        (changed > 0).then_some((first, changed))
+    }
+
     /// Copies back every dirty page from `src` and clears the dirty set.
     /// `src` must be the buffer this one was cloned from (or restored to
     /// last), unmodified since — clean pages are already identical.
@@ -287,6 +320,27 @@ impl AddressSpace {
         for (dst, s) in self.backing.iter_mut().zip(&src.backing) {
             dst.restore_from(s);
         }
+    }
+
+    /// Compares `[addr, addr + len)`, which must lie in one region,
+    /// with the same range of `src`: the lowest differing address and
+    /// the number of differing bytes, or `None` when the ranges are
+    /// equal. Only the pages written since this space was cloned from
+    /// `src` (or last restored to it) are visited, so the cost follows
+    /// the bytes written, not `len`, and nothing is copied or allocated.
+    /// Exact under [`restore_from`](Self::restore_from)'s contract: `src`
+    /// unmodified since, so every clean page already equals it.
+    pub fn diff_dirty(
+        &self,
+        src: &AddressSpace,
+        addr: Addr,
+        len: u32,
+    ) -> Result<Option<RangeDiff>, MemFault> {
+        let idx = self.locate(AccessCtx::Kernel, addr, len, 1, AccessKind::Read)?;
+        let off = self.offset(idx, addr);
+        Ok(self.backing[idx]
+            .diff_dirty(&src.backing[idx], off, len as usize)
+            .map(|(first, changed)| RangeDiff { first: addr + (first - off) as Addr, changed }))
     }
 
     /// Total pages currently marked dirty across all regions (diagnostics
@@ -468,6 +522,69 @@ impl AddressSpace {
         let mut buf = [0u8; 8];
         buf.copy_from_slice(self.backing[idx].slice(off, 8));
         Ok(u64::from_be_bytes(buf))
+    }
+
+    /// Validates a run of `count` consecutive aligned `width`-byte
+    /// kernel-context loads starting at `addr`, region by region: O(regions
+    /// touched), not O(`count`). Returns how many leading loads succeed
+    /// and, when one fails, the exact [`MemFault`] the first failing load
+    /// returns — a misaligned start, an unmapped gap, a load straddling
+    /// two regions, or a load past the end of the 32-bit space (reported
+    /// `Unmapped` at its wrapped address). Equal to
+    /// [`load_run_per_entry`](Self::load_run_per_entry), its reference.
+    /// `width` is the load size and alignment and must be non-zero.
+    pub fn load_run(&self, addr: Addr, count: u32, width: u32) -> (u32, Option<MemFault>) {
+        debug_assert!(width > 0, "zero-width load run");
+        let fault = |addr, fault| Some(MemFault { addr, kind: AccessKind::Read, fault });
+        if count == 0 {
+            return (0, None);
+        }
+        if width > 1 && !addr.is_multiple_of(width) {
+            return (0, fault(addr, MemFaultKind::Misaligned));
+        }
+        let (width64, end) = (width as u64, addr as u64 + count as u64 * width as u64);
+        let (mut at, mut done) = (addr as u64, 0u32);
+        while at < end {
+            let load = at as Addr;
+            let Some(idx) =
+                (at <= Addr::MAX as u64).then(|| self.region_index(load, width)).flatten()
+            else {
+                return (done, fault(load, MemFaultKind::Unmapped));
+            };
+            // The kernel may read all mapped memory, so every load that
+            // fits in this region succeeds.
+            let region = &self.regions[idx];
+            let region_end = region.base as u64 + region.size as u64;
+            let n = (region_end.min(end) - at) / width64;
+            done += n as u32;
+            at += n * width64;
+        }
+        (done, None)
+    }
+
+    /// One kernel-context load per entry: the reference
+    /// [`load_run`](Self::load_run) must match (debug-build shadow check,
+    /// property tests, microbenchmark). Stops at the first failing load,
+    /// like `XM_multicall`'s per-entry dereference did.
+    pub fn load_run_per_entry(
+        &self,
+        addr: Addr,
+        count: u32,
+        width: u32,
+    ) -> (u32, Option<MemFault>) {
+        for i in 0..count {
+            let at = addr as u64 + i as u64 * width as u64;
+            let load = at as Addr;
+            let result = if at > Addr::MAX as u64 {
+                Err(MemFault { addr: load, kind: AccessKind::Read, fault: MemFaultKind::Unmapped })
+            } else {
+                self.locate(AccessCtx::Kernel, load, width, width, AccessKind::Read)
+            };
+            if let Err(fault) = result {
+                return (i, Some(fault));
+            }
+        }
+        (count, None)
     }
 
     /// Aligned 64-bit store.

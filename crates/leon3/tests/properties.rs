@@ -1,12 +1,14 @@
 //! Property tests for the machine substrate: the memory-protection model
 //! and the timer block behave like their abstract specifications for all
-//! inputs. Randomised via the deterministic `testkit` harness.
+//! inputs, and the region-run load walk equals its per-entry reference.
+//! Randomised via the deterministic `testkit` harness.
 
 use leon3_sim::addrspace::{
-    AccessCtx, AccessKind, AddressSpace, MemFaultKind, Owner, Perms, Region,
+    AccessCtx, AccessKind, AddressSpace, MemFault, MemFaultKind, Owner, Perms, Region,
 };
 use leon3_sim::machine::{Machine, MachineConfig};
 use leon3_sim::timer::GpTimer;
+use testkit::Rng;
 
 fn space() -> AddressSpace {
     let mut a = AddressSpace::new();
@@ -207,5 +209,72 @@ fn next_expiry_is_minimum() {
             t.arm(i, e, None);
         }
         assert_eq!(t.next_expiry(), exp.iter().copied().min());
+    });
+}
+
+/// A random layout of small regions, so that runs cross many region
+/// boundaries: adjacent regions, gaps and odd sizes. One layout in four
+/// ends exactly at the top of the 32-bit space. Returns the space and
+/// the `[lo, hi)` span it covers.
+fn random_layout(rng: &mut Rng) -> (AddressSpace, u64, u64) {
+    let shapes: Vec<(u64, u64)> = rng.vec_of(1, 8, |r| {
+        let gap = if r.chance(1, 2) { 0 } else { r.range_u64(1, 24) };
+        let size = if r.chance(1, 2) { 8 * r.range_u64(1, 6) } else { r.range_u64(1, 48) };
+        (gap, size)
+    });
+    let span: u64 = shapes.iter().map(|(g, s)| g + s).sum();
+    let lo =
+        if rng.chance(1, 4) { (1u64 << 32) - span } else { 0x4000_0000 + rng.range_u64(0, 64) };
+    let mut a = AddressSpace::new();
+    let mut at = lo;
+    for (i, (gap, size)) in shapes.into_iter().enumerate() {
+        at += gap;
+        a.add_region(Region {
+            name: format!("r{i}"),
+            base: at as u32,
+            size: size as u32,
+            owner: Owner::Partition(i as u32 % 2),
+            perms: Perms::RO,
+        })
+        .unwrap();
+        at += size;
+    }
+    (a, lo, at)
+}
+
+/// The region-run walk returns exactly what one kernel load per entry
+/// returns: the same count of successful loads and the same first fault,
+/// across adjacent regions, gaps, misaligned starts, entries straddling
+/// two regions, empty runs and runs that pass the end of the 32-bit
+/// space.
+#[test]
+fn load_run_matches_per_entry_loads() {
+    const WIDTHS: [u32; 4] = [1, 2, 4, 8];
+    testkit::check("load_run_matches_per_entry_loads", 2048, |rng| {
+        let (a, lo, hi) = random_layout(rng);
+        let width = *rng.pick(&WIDTHS);
+        let addr = match rng.range(0, 4) {
+            0 => 0xFFFF_FFF8 + rng.range_u64(0, 8) as u32,
+            1 => (lo + rng.range_u64(0, hi - lo)) as u32,
+            _ => ((lo + rng.range_u64(0, hi - lo)) as u32) & !(width - 1),
+        };
+        let count = if rng.chance(1, 8) { 0 } else { rng.range_u64(1, 40) as u32 };
+        let want = a.load_run_per_entry(addr, count, width);
+        assert_eq!(a.load_run(addr, count, width), want, "{addr:#x} x{count} w{width}");
+        // The reference is one `read_u64` per entry, as `XM_multicall`
+        // issued them.
+        if width == 8 {
+            let read = |at: u64| match u32::try_from(at) {
+                Ok(at) => a.read_u64(AccessCtx::Kernel, at).map(|_| ()),
+                Err(_) => Err(MemFault {
+                    addr: at as u32,
+                    kind: AccessKind::Read,
+                    fault: MemFaultKind::Unmapped,
+                }),
+            };
+            let first_fault = (0..count)
+                .find_map(|i| read(addr as u64 + 8 * i as u64).err().map(|f| (i, Some(f))));
+            assert_eq!(want, first_fault.unwrap_or((count, None)));
+        }
     });
 }

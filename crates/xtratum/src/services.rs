@@ -1007,45 +1007,44 @@ impl XmKernel {
         {
             return (ret(XmRet::InvalidParam), 0);
         }
-        let cost_per = self.cfg.tuning.multicall_entry_cost_us;
-        let mut extra = 0u64;
-        for i in 0..entries {
-            let addr = start + i * 8;
-            // The defective kernel dereferences in supervisor context
-            // without validating the caller's rights.
-            match self.machine.mem.read_u64(AccessCtx::Kernel, addr) {
-                Ok(_word) => {
-                    // Batch entries are charged their service cost; their
-                    // payload semantics are modelled as no-ops (the
-                    // temporal effect is what the experiment measures).
-                    extra += cost_per;
-                }
-                Err(fault) => {
-                    let trap = fault.trap();
-                    self.machine.record_trap(trap);
-                    self.machine.uart.put_fmt(format_args!(
-                        "XM: unhandled {trap} while servicing XM_multicall\n"
-                    ));
-                    self.hm_event(
-                        HmEventKind::PartitionTrap {
-                            tt: trap.tt(),
-                            addr: match trap {
-                                leon3_sim::Trap::DataAccessException { addr } => Some(addr),
-                                _ => None,
-                            },
-                        },
-                        Some(caller),
-                    );
-                    let result = if self.partition_status(caller) == Some(PartitionStatus::Halted) {
-                        HcResult::NoReturn(NoReturnKind::CallerHalted)
-                    } else if self.partition_was_reset_by_hm(caller) {
-                        HcResult::NoReturn(NoReturnKind::CallerReset)
-                    } else {
-                        ret(XmRet::InvalidParam)
-                    };
-                    return (result, extra);
-                }
-            }
+        // The defective kernel dereferences every entry in supervisor
+        // context without validating the caller's rights; kernel loads
+        // have no side effect, so one region-run walk finds how many
+        // succeed and the fault the first failing one raises. Batch
+        // entries are charged their service cost; their payload
+        // semantics are modelled as no-ops (the temporal effect is what
+        // the experiment measures).
+        let (valid, fault) = self.machine.mem.load_run(start, entries, 8);
+        debug_assert_eq!(
+            (valid, fault),
+            self.machine.mem.load_run_per_entry(start, entries, 8),
+            "region-run multicall validation diverged from the per-entry loads"
+        );
+        let extra = self.cfg.tuning.multicall_entry_cost_us * valid as u64;
+        if let Some(fault) = fault {
+            let trap = fault.trap();
+            self.machine.record_trap(trap);
+            self.machine
+                .uart
+                .put_fmt(format_args!("XM: unhandled {trap} while servicing XM_multicall\n"));
+            self.hm_event(
+                HmEventKind::PartitionTrap {
+                    tt: trap.tt(),
+                    addr: match trap {
+                        leon3_sim::Trap::DataAccessException { addr } => Some(addr),
+                        _ => None,
+                    },
+                },
+                Some(caller),
+            );
+            let result = if self.partition_status(caller) == Some(PartitionStatus::Halted) {
+                HcResult::NoReturn(NoReturnKind::CallerHalted)
+            } else if self.partition_was_reset_by_hm(caller) {
+                HcResult::NoReturn(NoReturnKind::CallerReset)
+            } else {
+                ret(XmRet::InvalidParam)
+            };
+            return (result, extra);
         }
         if entries > 0 {
             self.ops_push(OpsEvent::MulticallExecuted { by: caller, entries });

@@ -19,8 +19,9 @@
 //! and kernel stack depth grows. Once depth exceeds the kernel stack
 //! capacity the function reports a stack overflow, which the kernel turns
 //! into a fatal HM event (XM halt). Intervals larger than the handler
-//! cost are processed iteratively (catch-up) with constant stack depth —
-//! which is why the issue only bites for tiny intervals.
+//! cost catch up at constant stack depth — which is why the issue only
+//! bites for tiny intervals. That catch-up is computed in closed form:
+//! its cost does not grow with the number of missed expiries.
 
 /// One partition virtual timer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -83,7 +84,55 @@ pub enum ProcessOutcome {
 ///
 /// `handler_cost_us` is the simulated execution time of one handler
 /// invocation; `stack_limit` is the kernel stack capacity in frames.
+///
+/// The result and the timer state equal [`process_hw_timer_reference`]'s,
+/// the per-expiry loop that specifies them. When the timer is periodic
+/// with `interval > handler_cost_us`, every handler returns before the
+/// next expiry, so the stack depth stays 1 and the missed expiries
+/// `next_expiry, next_expiry + interval, ... <= now` are skipped in O(1);
+/// only the last one runs through the loop, which also handles its
+/// re-arm saturating at `i64::MAX`. One-shot timers deliver at most once,
+/// and `interval <= handler_cost_us` recurses one frame deeper per expiry,
+/// so the loop ends within `stack_limit` iterations in both cases.
 pub fn process_hw_timer(
+    t: &mut VTimer,
+    now: i64,
+    handler_cost_us: i64,
+    stack_limit: u32,
+) -> ProcessOutcome {
+    #[cfg(debug_assertions)]
+    let shadow = {
+        let mut r = *t;
+        (process_hw_timer_reference(&mut r, now, handler_cost_us, stack_limit), r)
+    };
+    let mut skipped = 0u32;
+    if t.armed && t.next_expiry <= now && t.interval > handler_cost_us.max(0) {
+        // Expiries before the last due one; each lies at or before `now`,
+        // so none of their re-arms saturates.
+        let missed = (now as i128 - t.next_expiry as i128) / t.interval as i128;
+        t.next_expiry = (t.next_expiry as i128 + missed * t.interval as i128) as i64;
+        t.delivered = t.delivered.wrapping_add(missed as u64);
+        skipped = missed as u32;
+    }
+    let out = match process_hw_timer_reference(t, now, handler_cost_us, stack_limit) {
+        ProcessOutcome::Done { delivered } => {
+            ProcessOutcome::Done { delivered: delivered.wrapping_add(skipped) }
+        }
+        ProcessOutcome::StackOverflow { depth, delivered } => {
+            ProcessOutcome::StackOverflow { depth, delivered: delivered.wrapping_add(skipped) }
+        }
+    };
+    #[cfg(debug_assertions)]
+    debug_assert_eq!((out, *t), shadow, "closed-form vtimer catch-up diverged from the loop");
+    out
+}
+
+/// The per-expiry processing loop, the specification [`process_hw_timer`]
+/// must match: one iteration per expiry due by `now`. Kept as the
+/// reference for the debug-build shadow check, the property tests and
+/// the microbenchmark; [`process_hw_timer`] runs it only for the
+/// iterations it cannot skip.
+pub fn process_hw_timer_reference(
     t: &mut VTimer,
     now: i64,
     handler_cost_us: i64,

@@ -1,7 +1,8 @@
 //! Model-based property tests for kernel subsystems: the queuing channel
-//! behaves like a bounded FIFO, the sampling channel like a register, and
-//! the HM/trace cursors like checked indices — for arbitrary operation
-//! sequences drawn from the deterministic `testkit` harness.
+//! behaves like a bounded FIFO, the sampling channel like a register,
+//! the HM/trace cursors like checked indices, and the closed-form vtimer
+//! catch-up like its per-expiry loop — for arbitrary operation sequences
+//! drawn from the deterministic `testkit` harness.
 
 use std::collections::VecDeque;
 use testkit::Rng;
@@ -9,6 +10,7 @@ use xtratum::config::{ChannelCfg, PortDirection, PortKind};
 use xtratum::hm::{HealthMonitor, HmAction, HmEventKind, HmLogEntry};
 use xtratum::ipc::{IpcError, PortTable};
 use xtratum::trace::{TraceBuffer, TraceRecord};
+use xtratum::vtimer::{process_hw_timer, process_hw_timer_reference, VTimer};
 
 fn channels() -> Vec<ChannelCfg> {
     vec![
@@ -177,5 +179,48 @@ fn trace_buffer_retention() {
             seen += 1;
         }
         assert_eq!(seen, n.min(cap));
+    });
+}
+
+/// The closed-form `process_hw_timer` leaves the same outcome and timer
+/// state as the per-expiry loop, over chains of processing passes with
+/// random `(next_expiry, interval, now, cost, stack_limit)`: intervals
+/// equal to the handler cost and one above it, recursing intervals,
+/// one-shot and negative intervals, expiries still in the future, and
+/// clocks near `i64::MAX` where re-arming saturates.
+#[test]
+fn closed_form_vtimer_catch_up_matches_the_loop() {
+    testkit::check("closed_form_vtimer_catch_up_matches_the_loop", 1024, |rng| {
+        // Handler costs are non-negative (`vtimer_handler_cost_us` is a
+        // `u64`); with a negative one the loop itself never ends once the
+        // re-arm saturates at `i64::MAX`.
+        let cost = rng.range_i64(0, 40);
+        let interval = match rng.range(0, 8) {
+            0 => cost,
+            1 => cost + 1,
+            2 => rng.range_i64(1, cost.max(1) + 1),
+            3 => 0,
+            4 => rng.range_i64(i64::MIN, 0),
+            5 => i64::MAX - rng.range_i64(0, 4),
+            _ => rng.range_i64(cost + 1, 5_000),
+        };
+        // At most ~2k due expiries per pass, to keep the reference fast.
+        let reach = interval.clamp(1, 5_000) * 2_000;
+        let near_max = rng.chance(1, 4);
+        let mut now =
+            if near_max { i64::MAX - rng.range_i64(0, reach) } else { rng.range_i64(0, reach) };
+        let mut t = VTimer::default();
+        t.arm(now.saturating_sub(rng.range_i64(-100, reach)), interval);
+        if rng.chance(1, 16) {
+            t.disarm();
+        }
+        let stack_limit = rng.range_u64(0, 80) as u32;
+        let mut reference = t;
+        for pass in 0..rng.range(1, 5) {
+            let want = process_hw_timer_reference(&mut reference, now, cost, stack_limit);
+            let got = process_hw_timer(&mut t, now, cost, stack_limit);
+            assert_eq!((got, t), (want, reference), "pass {pass}: now {now} cost {cost}");
+            now = now.saturating_add(rng.range_i64(0, reach));
+        }
     });
 }

@@ -5,11 +5,26 @@
 //! prefix arena the executor uses (captured just before the test
 //! partition's first slot). The difference is the first-frame work of the
 //! partitions scheduled before FDIR, now paid once per worker.
+//!
+//! Then splits a small-scope `check` case: the spatial witness both ways
+//! (before/after byte images vs the pages dirtied since the rewind), the
+//! lockstep run, the isolation invariants, and for findings the
+//! fresh-boot re-verdict and the shrink. The benchmark's traced `check`
+//! driver times its own byte-image witness, so only this split shows the
+//! dirty-page witness.
 
 use eagleeye::EagleEye;
+use skrt::check::{
+    check_invariants, enumerate_configs, part_base, probes_for, CheckScope, CheckTestbed,
+    InvariantViolation, CALLER, PART_SIZE,
+};
+use skrt::flight::DEFAULT_RING_CAPACITY;
+use skrt::sequence::run_one_sequence_bounded;
 use skrt::testbed::{BootSnapshot, Testbed, Workspace};
+use skrt::{shrink_sequence, Classification, CrashClass};
 use std::hint::black_box;
 use std::time::Instant;
+use xtratum::kernel::XmKernel;
 use xtratum::vuln::KernelBuild;
 
 const BUILD: KernelBuild = KernelBuild::Legacy;
@@ -63,6 +78,120 @@ fn main() {
         println!("{label}:");
         split(snapshot, &mut snapshot.workspace(), &ctx, &cases, n);
     }
+
+    check_split();
+}
+
+/// Victim memory images (partitions 1..n), as the byte-image witness
+/// copies them.
+fn victim_images(kernel: &XmKernel, n_partitions: u32) -> Vec<Vec<u8>> {
+    let mem = &kernel.machine.mem;
+    let ctx = leon3_sim::addrspace::AccessCtx::Kernel;
+    (1..n_partitions).map(|p| mem.read_bytes(ctx, part_base(p), PART_SIZE).unwrap()).collect()
+}
+
+/// Runs every case of the default `check` scope once on a prefix arena
+/// per configuration, mirroring `skrt::check`'s case lifecycle, and
+/// prints the per-case split.
+fn check_split() {
+    let scope = CheckScope::default();
+    let horizon = scope.horizon as usize;
+    let (mut cases, mut findings, mut shrinks, mut evals) = (0usize, 0usize, 0usize, 0usize);
+    let [mut t_images, mut t_dirty, mut t_run, mut t_inv, mut t_fresh, mut t_shrink] = [0u128; 6];
+    flightrec::enable(DEFAULT_RING_CAPACITY);
+    for cfg in enumerate_configs(&scope) {
+        let n = cfg.n_partitions;
+        let tb = CheckTestbed::new(cfg.clone());
+        let ctx = tb.oracle_context(BUILD);
+        let mut snapshot = tb.snapshot(BUILD).unwrap();
+        let ((), prefix) = flightrec::capture(|| snapshot.step_until_slot_of(CALLER));
+        let mut ws = snapshot.workspace();
+        let rewound = |ws: &mut Workspace| {
+            let _ = flightrec::drain();
+            ws.restore(&snapshot, Some(CALLER));
+            flightrec::replay(&prefix.events);
+        };
+        for probe in probes_for(&cfg) {
+            cases += 1;
+            rewound(&mut ws);
+            let (kernel, guests) = ws.parts();
+            let t0 = Instant::now();
+            let before = victim_images(kernel, n);
+            let t1 = Instant::now();
+            let eval =
+                run_one_sequence_bounded(&tb, &ctx, kernel, guests, &probe.steps, 1, horizon);
+            let events = flightrec::drain().events;
+            let t2 = Instant::now();
+            let ports: Vec<usize> = (1..n).map(|p| kernel.port_count(p)).collect();
+            let temporal = check_invariants(&cfg, &events, &[], &[], &ports);
+            let t3 = Instant::now();
+            let after = victim_images(kernel, n);
+            let by_images = check_invariants(&cfg, &[], &before, &after, &[]).len();
+            let t4 = Instant::now();
+            let by_dirty = (1..n)
+                .filter_map(|p| {
+                    let src = &snapshot.kernel().machine.mem;
+                    kernel.machine.mem.diff_dirty(src, part_base(p), PART_SIZE).unwrap()
+                })
+                .count();
+            let t5 = Instant::now();
+            assert_eq!(by_dirty, by_images, "witnesses disagree on {}", cfg.describe());
+            t_images += (t1 - t0 + (t4 - t3)).as_nanos();
+            t_run += (t2 - t1).as_nanos();
+            t_inv += (t3 - t2).as_nanos();
+            t_dirty += (t5 - t4).as_nanos();
+            // The finding signature the shrinker preserves: the oracle's
+            // classification, else the violated invariant kinds.
+            let signature = |class: Classification, violations: &[InvariantViolation]| {
+                let mut kinds: Vec<_> = violations.iter().map(|v| v.kind).collect();
+                kinds.sort_unstable();
+                kinds.dedup();
+                (class, if class.class == CrashClass::Pass { kinds } else { vec![] })
+            };
+            let target = signature(eval.verdict.classification, &temporal);
+            if target.0.class == CrashClass::Pass && temporal.is_empty() && by_images == 0 {
+                continue;
+            }
+            findings += 1;
+            let t = Instant::now();
+            let _ = flightrec::drain();
+            let (mut fk, mut fg) = tb.boot(BUILD);
+            let before = victim_images(&fk, n);
+            run_one_sequence_bounded(&tb, &ctx, &mut fk, &mut fg, &probe.steps, 1, horizon);
+            let events = flightrec::drain().events;
+            let after = victim_images(&fk, n);
+            black_box(check_invariants(&cfg, &events, &before, &after, &ports));
+            t_fresh += t.elapsed().as_nanos();
+            if probe.steps.len() > 1 {
+                let t = Instant::now();
+                let out = shrink_sequence(
+                    &probe.steps,
+                    |cand| {
+                        rewound(&mut ws);
+                        let (kernel, guests) = ws.parts();
+                        let e =
+                            run_one_sequence_bounded(&tb, &ctx, kernel, guests, cand, 1, horizon);
+                        let events = flightrec::drain().events;
+                        let ports: Vec<usize> = (1..n).map(|p| kernel.port_count(p)).collect();
+                        let violations = check_invariants(&cfg, &events, &[], &[], &ports);
+                        signature(e.verdict.classification, &violations) == target
+                    },
+                    96,
+                );
+                t_shrink += t.elapsed().as_nanos();
+                shrinks += 1;
+                evals += out.evals;
+            }
+        }
+    }
+    flightrec::disable();
+    println!("check ({cases} cases, {findings} findings, {shrinks} shrunk in {evals} evals):");
+    println!("  witness, byte images: {:.2} us per case", us(t_images, cases));
+    println!("  witness, dirty pages: {:.2} us per case", us(t_dirty, cases));
+    println!("  lockstep run:         {:.2} us per case", us(t_run, cases));
+    println!("  invariants:           {:.2} us per case", us(t_inv, cases));
+    println!("  fresh re-verdict:     {:.2} us per finding", us(t_fresh, findings));
+    println!("  shrink:               {:.2} us per shrunk finding", us(t_shrink, shrinks));
 }
 
 /// Runs `n` campaign tests on `ws`, rewound to `snapshot` before each,
