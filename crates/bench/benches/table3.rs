@@ -9,7 +9,7 @@ use xtratum::vuln::KernelBuild;
 fn main() {
     let report = run_paper_campaign(KernelBuild::Legacy, 0);
     println!("\n===== TABLE III (regenerated) =====\n{}", report.render());
-    println!("{}", report.render_metrics());
+    println!("{}", report.metrics().render());
 
     let mut b = Bench::new("table3");
     b.measure("full_legacy_campaign", || {

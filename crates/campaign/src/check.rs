@@ -8,7 +8,7 @@
 //! and a final-state replay, plus a Perfetto trace when the run
 //! recorded — all indexed from a rendered summary.
 
-use crate::forensics::{put, render_steps_file, BundleSummary};
+use crate::forensics::{put, render_metrics_markdown, render_steps_file, BundleSummary};
 use skrt::check::{legacy_rediscovery_targets, CheckCaseRecord, CheckResult, CheckTestbed};
 use skrt::flight::{export_chrome_trace, FlightLog, FlightNames};
 use skrt::sequence::run_one_sequence;
@@ -172,24 +172,7 @@ pub fn render_check_report(res: &CheckResult) -> String {
         }
     }
 
-    if !res.metrics.hc_latency.is_empty() {
-        out.push_str("\n## Hypercall latency (µs)\n\n");
-        out.push_str("| hypercall | count | mean | max |\n|---|---|---|---|\n");
-        for row in &res.metrics.hc_latency {
-            let _ = writeln!(
-                out,
-                "| {} | {} | {:.1} | {} |",
-                row.name,
-                row.count,
-                row.mean_us(),
-                row.max_us
-            );
-        }
-    }
-
-    out.push_str("\n## Run metrics\n\n```\n");
-    out.push_str(&res.metrics.render());
-    out.push_str("```\n");
+    render_metrics_markdown(&mut out, &res.metrics);
     out
 }
 

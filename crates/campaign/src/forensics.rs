@@ -12,6 +12,7 @@ use crate::runner::eagleeye_flight_names;
 use crate::sequences::{signature_of, SequenceReport};
 use eagleeye::EagleEye;
 use skrt::flight::{export_chrome_trace, FlightLog};
+use skrt::metrics::MetricsReport;
 use skrt::sequence::{run_one_sequence, SequenceRecord};
 use skrt::testbed::Testbed;
 use std::fmt::Write as _;
@@ -151,6 +152,23 @@ fn render_finding_markdown(n: usize, rec: &SequenceRecord, report: &SequenceRepo
     out
 }
 
+/// The `## Hypercall latency` table (when the run recorded) and the
+/// `## Run metrics` block of a bundle summary.
+pub(crate) fn render_metrics_markdown(out: &mut String, metrics: &MetricsReport) {
+    if !metrics.hc_latency.is_empty() {
+        out.push_str("\n## Hypercall latency (µs)\n\n");
+        out.push_str("| hypercall | count | mean | max |\n|---|---|---|---|\n");
+        for row in &metrics.hc_latency {
+            let h = &row.hist;
+            let _ =
+                writeln!(out, "| {} | {} | {:.1} | {} |", row.name, h.count, h.mean_us(), h.max_us);
+        }
+    }
+    out.push_str("\n## Run metrics\n\n```\n");
+    out.push_str(&metrics.render());
+    out.push_str("```\n");
+}
+
 fn render_summary_markdown(
     job: &str,
     report: &SequenceReport,
@@ -192,24 +210,7 @@ fn render_summary_markdown(
         }
     }
 
-    if !r.metrics.hc_latency.is_empty() {
-        out.push_str("\n## Hypercall latency (µs)\n\n");
-        out.push_str("| hypercall | count | mean | max |\n|---|---|---|---|\n");
-        for row in &r.metrics.hc_latency {
-            let _ = writeln!(
-                out,
-                "| {} | {} | {:.1} | {} |",
-                row.name,
-                row.count,
-                row.mean_us(),
-                row.max_us
-            );
-        }
-    }
-
-    out.push_str("\n## Run metrics\n\n```\n");
-    out.push_str(&r.metrics.render());
-    out.push_str("```\n");
+    render_metrics_markdown(&mut out, &r.metrics);
 
     out.push_str("\n## Bundle contents\n\n");
     for f in files {

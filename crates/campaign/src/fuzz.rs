@@ -189,11 +189,6 @@ impl FuzzReport {
         out
     }
 
-    /// Renders the run-specific metrics (throughput, boots, cache hits).
-    pub fn render_metrics(&self) -> String {
-        self.result.metrics.render()
-    }
-
     /// Coverage introspection: the occupancy curve, corpus composition
     /// (origin, size, novelty, age) and the hottest map cells.
     /// Deterministic — derived only from rounds, corpus and map.

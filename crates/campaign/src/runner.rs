@@ -32,7 +32,7 @@ impl CampaignReport {
     /// Renders the full text report (Table III + Fig. 8 + issues).
     /// Deterministic: byte-identical for the same spec and build,
     /// whatever the thread count (run metrics are rendered separately by
-    /// [`CampaignReport::render_metrics`]).
+    /// [`MetricsReport::render`](skrt::metrics::MetricsReport::render)).
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -57,11 +57,6 @@ impl CampaignReport {
     /// not be written.
     pub fn trace_error(&self) -> Option<&str> {
         self.result.trace_error.as_deref()
-    }
-
-    /// Renders the run-specific metrics summary.
-    pub fn render_metrics(&self) -> String {
-        self.result.metrics.render()
     }
 }
 

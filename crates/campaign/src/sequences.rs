@@ -282,11 +282,6 @@ impl SequenceReport {
         }
         out
     }
-
-    /// Renders the run-specific metrics (throughput, boots, cache hits).
-    pub fn render_metrics(&self) -> String {
-        self.result.metrics.render()
-    }
 }
 
 fn render_divergence(rec: &SequenceRecord) -> String {

@@ -853,7 +853,6 @@ fn run_case<'t>(
     index: usize,
     probe: &CheckProbe,
 ) -> CheckCaseRecord {
-    let t0 = Instant::now();
     let horizon = opts.scope.horizon as usize;
 
     // Main evaluation on the worker's arena.
@@ -873,7 +872,7 @@ fn run_case<'t>(
     };
 
     if finding_sig(&main.verdict, &main.violations).is_none() {
-        log.local.note_outcome(CrashClass::Pass, t0.elapsed());
+        log.local.note_outcome(CrashClass::Pass);
         return record(main, None);
     }
 
@@ -886,7 +885,7 @@ fn run_case<'t>(
     let Some(sig) = finding_sig(&fresh.verdict, &fresh.violations) else {
         // The arena run diverged but a fresh boot does not reproduce it:
         // the clean fresh outcome is authoritative.
-        log.local.note_outcome(CrashClass::Pass, t0.elapsed());
+        log.local.note_outcome(CrashClass::Pass);
         return record(fresh, None);
     };
 
@@ -949,7 +948,7 @@ fn run_case<'t>(
         None
     };
 
-    log.local.note_outcome(class, t0.elapsed());
+    log.local.note_outcome(class);
     record(fresh, minimal)
 }
 
@@ -975,7 +974,7 @@ pub fn run_check(opts: &CheckOptions) -> CheckResult {
     }
 
     let mut logs: Vec<WorkerLog> =
-        (0..resolve_threads(opts.threads, configs.len())).map(|_| WorkerLog::new(1)).collect();
+        (0..resolve_threads(opts.threads, configs.len())).map(|_| WorkerLog::new(false)).collect();
     let steals = AtomicU64::new(0);
     let per_config = par_indexed(
         configs.len(),
@@ -987,7 +986,7 @@ pub fn run_check(opts: &CheckOptions) -> CheckResult {
         |log, _, ci| {
             let tb = CheckTestbed::new(configs[ci].clone());
             let ctx = tb.oracle_context(opts.build);
-            let mut booter = Booter::new(&tb, opts.build, false, &mut log.local);
+            let mut booter = Booter::new(&tb, opts.build, &mut log.local);
             probe_sets[ci]
                 .iter()
                 .enumerate()
@@ -1000,7 +999,7 @@ pub fn run_check(opts: &CheckOptions) -> CheckResult {
     let cases: Vec<CheckCaseRecord> = per_config.into_iter().flatten().collect();
     debug_assert_eq!(cases.len(), total_cases);
 
-    let (report, flight) = fold_logs(1, logs, steals.into_inner(), opts.record, started);
+    let (report, flight) = fold_logs(logs, steals.into_inner(), opts.record, started);
     CheckResult {
         build: opts.build,
         scope: opts.scope,
@@ -1221,8 +1220,8 @@ mod tests {
             channels: ChannelTopology::Isolated,
         };
         let tb = CheckTestbed::new(cfg.clone());
-        let mut log = WorkerLog::new(1);
-        let mut booter = Booter::new(&tb, KernelBuild::Legacy, false, &mut log.local);
+        let mut log = WorkerLog::new(false);
+        let mut booter = Booter::new(&tb, KernelBuild::Legacy, &mut log.local);
         let (v1, v2) = (part_base(1), part_base(2));
         // (name, kernel-context stores, expected first violation detail)
         type Pattern = (&'static str, Vec<(u32, Vec<u8>)>, Option<&'static str>);
@@ -1284,8 +1283,8 @@ mod tests {
         flightrec::enable(DEFAULT_RING_CAPACITY);
         for cfg in enumerate_configs(&scope) {
             let tb = CheckTestbed::new(cfg.clone());
-            let mut log = WorkerLog::new(1);
-            let mut booter = Booter::new(&tb, build, false, &mut log.local);
+            let mut log = WorkerLog::new(false);
+            let mut booter = Booter::new(&tb, build, &mut log.local);
             for probe in probes_for(&cfg) {
                 let _ = flightrec::drain();
                 let (kernel, guests) = booter.booted(&mut log.local);

@@ -33,18 +33,18 @@
 //! exactly once, runs carry their start index, and the result reassembles
 //! by sorting runs — results are byte-identical whatever the thread count
 //! or steal schedule. Metrics tally into per-worker [`WorkerLog`]s
-//! (plain integers) folded once after the run, keeping shared atomics off
-//! the hot path entirely; the folded counters stream into a
-//! [`MetricsReport`] and an optional JSONL trace sink (see
-//! [`crate::metrics`]).
+//! (plain integers and inline histograms); [`fold_logs`] adds them into
+//! one [`MetricsReport`] on the thread that joined the workers, so no
+//! counter is shared while they run (see [`crate::metrics`]). The one
+//! exception is `--live-stats`: a campaign's heartbeat thread samples
+//! [`LiveProgress`], the only state workers publish mid-run, and writes
+//! it through the same [`LiveSink`] the fuzzer uses.
 
 use crate::classify::CrashClass;
 use crate::classify::{classify, Classification};
 use crate::flight::{FlightLog, TestFlight, DEFAULT_RING_CAPACITY};
 use crate::issues::{deduplicate, Issue};
-use crate::metrics::{
-    latency_rows, write_trace, CampaignMetrics, LocalMetrics, MetricsReport, Phase,
-};
+use crate::metrics::{write_trace, LocalMetrics, MetricsReport, Phase};
 use crate::mutant::MutantGuest;
 use crate::observe::TestObservation;
 use crate::oracle::{Expectation, OracleCache, OracleContext, ParamClass};
@@ -115,6 +115,66 @@ pub struct LiveStats {
 impl LiveStats {
     pub fn new(path: PathBuf, interval: Duration) -> Self {
         LiveStats { path, interval }
+    }
+}
+
+/// An open heartbeat stream: the JSONL file, the emission cadence and the
+/// first error. Errors are captured, never propagated — a broken
+/// heartbeat sink must never fail or perturb a run — and each one names
+/// the sink's path. After an error the sink is closed and writes are
+/// no-ops.
+pub(crate) struct LiveSink {
+    cfg: LiveStats,
+    out: Option<std::io::BufWriter<std::fs::File>>,
+    last_emit: Instant,
+    error: Option<String>,
+}
+
+impl LiveSink {
+    /// Creates (truncates) `cfg.path`; an open failure is captured like a
+    /// write failure.
+    pub(crate) fn open(cfg: &LiveStats) -> Self {
+        let mut sink =
+            LiveSink { cfg: cfg.clone(), out: None, last_emit: Instant::now(), error: None };
+        match std::fs::File::create(&cfg.path) {
+            Ok(f) => sink.out = Some(std::io::BufWriter::new(f)),
+            Err(e) => sink.fail(e),
+        }
+        sink
+    }
+
+    /// The configured emission interval.
+    pub(crate) fn interval(&self) -> Duration {
+        self.cfg.interval
+    }
+
+    /// True when a heartbeat is owed: the sink is open and the interval
+    /// has elapsed since the last line.
+    pub(crate) fn due(&self) -> bool {
+        self.out.is_some() && self.last_emit.elapsed() >= self.cfg.interval
+    }
+
+    /// Writes and flushes one line. Returns whether the sink is still
+    /// open.
+    pub(crate) fn write(&mut self, line: &str) -> bool {
+        let Some(w) = self.out.as_mut() else { return false };
+        self.last_emit = Instant::now();
+        if let Err(e) = writeln!(w, "{line}").and_then(|()| w.flush()) {
+            self.fail(e);
+        }
+        self.out.is_some()
+    }
+
+    /// The first error the sink hit, if any.
+    pub(crate) fn into_error(self) -> Option<String> {
+        self.error
+    }
+
+    fn fail(&mut self, e: std::io::Error) {
+        self.out = None;
+        self.error.get_or_insert_with(|| {
+            format!("failed to write live stats {}: {e}", self.cfg.path.display())
+        });
     }
 }
 
@@ -202,18 +262,11 @@ fn execute<T: Testbed + ?Sized>(
     case: &TestCase,
 ) -> TestRecord {
     let part = testbed.test_partition();
-    let profile = booter.profile;
     let (kernel, guests) = booter.booted(local);
     guests.set(part, Box::new(MutantGuest::new(case.raw(), testbed.prologue())));
-    // Phase timers only run on observability (recorder-on) campaigns:
-    // the plain path stays clock-free beyond the existing per-test stamp.
-    if profile {
-        let t = Instant::now();
-        kernel.step_major_frames(guests, testbed.frames_per_test());
-        local.note_phase(Phase::Frames, t.elapsed());
-    } else {
-        kernel.step_major_frames(guests, testbed.frames_per_test());
-    }
+    let span = local.start_span();
+    kernel.step_major_frames(guests, testbed.frames_per_test());
+    local.end_span(Phase::Frames, span);
     let invocations = crate::mutant::take_invocations(guests, part);
     let observation = TestObservation { invocations, summary: kernel.summary() };
     let classification = classify(&observation, &expectation, part);
@@ -234,8 +287,6 @@ pub(crate) struct Booter<'t, T: ?Sized> {
     build: KernelBuild,
     arena: Option<Arena>,
     scratch: Option<(XmKernel, GuestSet)>,
-    /// Time arena rewinds into the self-profile (observability runs only).
-    profile: bool,
 }
 
 /// A prefix snapshot, the workspace rewound to it, and the flight events
@@ -248,12 +299,7 @@ struct Arena {
 }
 
 impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
-    pub(crate) fn new(
-        testbed: &'t T,
-        build: KernelBuild,
-        profile: bool,
-        local: &mut LocalMetrics,
-    ) -> Self {
+    pub(crate) fn new(testbed: &'t T, build: KernelBuild, local: &mut LocalMetrics) -> Self {
         local.note_fresh_boot();
         let arena = testbed.snapshot(build).map(|mut snapshot| {
             // A private recording window: the caller's ring is untouched.
@@ -262,7 +308,7 @@ impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
             let workspace = snapshot.workspace();
             Arena { snapshot, workspace, prefix: prefix.events }
         });
-        Booter { testbed, build, arena, scratch: None, profile }
+        Booter { testbed, build, arena, scratch: None }
     }
 
     /// A booted pair rewound to the prefix state (or freshly booted). The
@@ -294,13 +340,9 @@ impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
                     0,
                     0,
                 );
-                if self.profile {
-                    let t = Instant::now();
-                    arena.workspace.restore(&arena.snapshot, Some(skip));
-                    local.note_phase(Phase::Rewind, t.elapsed());
-                } else {
-                    arena.workspace.restore(&arena.snapshot, Some(skip));
-                }
+                let span = local.start_span();
+                arena.workspace.restore(&arena.snapshot, Some(skip));
+                local.end_span(Phase::Rewind, span);
                 flightrec::replay(&arena.prefix);
                 let (kernel, guests) = arena.workspace.parts();
                 (kernel, guests, Some(arena.snapshot.kernel()))
@@ -325,9 +367,10 @@ pub(crate) struct WorkerLog {
 }
 
 impl WorkerLog {
-    pub(crate) fn new(n_suites: usize) -> Self {
+    /// An empty log; `profile` switches the worker's phase timers on.
+    pub(crate) fn new(profile: bool) -> Self {
         WorkerLog {
-            local: LocalMetrics::new(n_suites),
+            local: LocalMetrics::new(profile),
             flights: Vec::new(),
             hist: flightrec::HistogramSet::new(64),
         }
@@ -357,29 +400,25 @@ impl WorkerLog {
 /// Folds the workers' logs and the run's steal count into its metrics
 /// report and, when recording, its flight log in campaign order (flights
 /// are filed under their campaign index, so sorting undoes the steal
-/// schedule).
+/// schedule). Runs once, on the thread that joined the workers, so the
+/// fold is plain addition.
 pub(crate) fn fold_logs(
-    n_suites: usize,
     logs: impl IntoIterator<Item = WorkerLog>,
     steals: u64,
     record: bool,
     started: Instant,
 ) -> (MetricsReport, Option<FlightLog>) {
-    let metrics = CampaignMetrics::new(n_suites);
-    let mut flights = Vec::new();
+    let mut total = LocalMetrics::new(false);
     let mut hist = flightrec::HistogramSet::new(64);
+    let mut flights = Vec::new();
     let mut threads = 0;
     for log in logs {
         threads += 1;
-        metrics.merge_local(&log.local);
-        flights.extend(log.flights);
+        total.merge(&log.local);
         hist.merge(&log.hist);
+        flights.extend(log.flights);
     }
-    let mut report = metrics.finish(started.elapsed(), threads);
-    report.steals = steals;
-    if record {
-        report.hc_latency = latency_rows(&hist);
-    }
+    let report = MetricsReport { wall: started.elapsed(), threads, steals, ..total.report(&hist) };
     let flight = record.then(|| {
         flights.sort_by_key(|f| f.index);
         FlightLog { tests: flights }
@@ -535,7 +574,9 @@ where
 
 /// Shared in-flight progress counters behind `--live-stats`. With live
 /// stats on, workers fold every finished test into these; the emitter
-/// thread samples them on its interval. Nothing on the result path ever
+/// thread samples them on its interval. They are the only counters the
+/// emitter can read while the workers run — the per-worker logs are
+/// folded only after they join — and nothing on the result path ever
 /// reads them.
 #[derive(Debug, Default)]
 struct LiveProgress {
@@ -586,32 +627,27 @@ fn live_line(
     line
 }
 
-/// Starts the heartbeat emitter: it writes one line per `cfg.interval`
-/// until `progress.stop` is set, then a final line. It never touches
-/// worker state, so results are byte-identical with or without it. The
-/// handle yields the sink error, if writing failed.
+/// Starts the heartbeat emitter: it writes one line per interval until
+/// `progress.stop` is set, then a final line. It never touches worker
+/// state, so results are byte-identical with or without it. The handle
+/// yields the sink error, if writing failed.
 fn spawn_emitter(
     cfg: &LiveStats,
     progress: Arc<LiveProgress>,
     total: usize,
     started: Instant,
 ) -> std::thread::JoinHandle<Option<String>> {
-    let cfg = cfg.clone();
+    let mut sink = LiveSink::open(cfg);
     std::thread::spawn(move || {
-        let emit = || -> std::io::Result<()> {
-            let mut w = std::io::BufWriter::new(std::fs::File::create(&cfg.path)?);
-            for seq in 0.. {
-                let stopping = progress.stop.load(Ordering::Acquire);
-                writeln!(w, "{}", live_line(seq, started.elapsed(), &progress, total, stopping))?;
-                w.flush()?;
-                if stopping {
-                    break;
-                }
-                std::thread::park_timeout(cfg.interval);
+        for seq in 0.. {
+            let stopping = progress.stop.load(Ordering::Acquire);
+            let line = live_line(seq, started.elapsed(), &progress, total, stopping);
+            if !sink.write(&line) || stopping {
+                break;
             }
-            Ok(())
-        };
-        emit().err().map(|e| format!("failed to write live stats {}: {e}", cfg.path.display()))
+            std::thread::park_timeout(sink.interval());
+        }
+        sink.into_error()
     })
 }
 
@@ -642,7 +678,6 @@ pub fn run_campaign<T: Testbed + ?Sized>(
         }
     }
     let ctx = testbed.oracle_context(opts.build);
-    let n_suites = spec.suites.len();
     let progress = Arc::new(LiveProgress::default());
     let emitter = opts
         .live_stats
@@ -650,7 +685,7 @@ pub fn run_campaign<T: Testbed + ?Sized>(
         .map(|cfg| spawn_emitter(cfg, Arc::clone(&progress), cases.len(), started));
 
     let mut workers: Vec<ExecWorker> = (0..resolve_threads(opts.threads, cases.len()))
-        .map(|_| ExecWorker { log: WorkerLog::new(n_suites), cache: OracleCache::new(&ctx) })
+        .map(|_| ExecWorker { log: WorkerLog::new(opts.record), cache: OracleCache::new(&ctx) })
         .collect();
     let records = par_indexed(
         cases.len(),
@@ -665,7 +700,7 @@ pub fn run_campaign<T: Testbed + ?Sized>(
             if opts.record {
                 flightrec::enable(DEFAULT_RING_CAPACITY);
             }
-            let booter = Booter::new(testbed, opts.build, opts.record, &mut w.log.local);
+            let booter = Booter::new(testbed, opts.build, &mut w.log.local);
             if opts.record {
                 // The per-worker snapshot boot belongs to no test.
                 let _ = flightrec::drain();
@@ -674,7 +709,6 @@ pub fn run_campaign<T: Testbed + ?Sized>(
         },
         |w, booter, i| {
             let case = &cases[i];
-            let t0 = Instant::now();
             let local = &mut w.log.local;
             if opts.record {
                 flightrec::record(
@@ -686,16 +720,11 @@ pub fn run_campaign<T: Testbed + ?Sized>(
                     0,
                 );
             }
-            let expectation = if opts.record {
-                let t = Instant::now();
-                let e = w.cache.expect(&case.raw());
-                local.note_phase(Phase::Oracle, t.elapsed());
-                e
-            } else {
-                w.cache.expect(&case.raw())
-            };
+            let span = local.start_span();
+            let expectation = w.cache.expect(&case.raw());
+            local.end_span(Phase::Oracle, span);
             let rec = execute(testbed, booter, local, &ctx, expectation, case);
-            local.note_record(&rec, t0.elapsed());
+            local.note_outcome(rec.classification.class);
             if opts.record {
                 w.log.end_flight(i, rec.classification.class);
             }
@@ -716,7 +745,7 @@ pub fn run_campaign<T: Testbed + ?Sized>(
         workers.iter().map(|w| w.cache.stats()).fold((0, 0), |(h, m), s| (h + s.0, m + s.1));
     let steals = progress.steals.load(Ordering::Relaxed);
     let logs = workers.into_iter().map(|w| w.log);
-    let (mut report, flight) = fold_logs(n_suites, logs, steals, opts.record, started);
+    let (mut report, flight) = fold_logs(logs, steals, opts.record, started);
     report.oracle_hits = oracle_hits;
     report.oracle_misses = oracle_misses;
     let mut result = CampaignResult {
@@ -771,6 +800,26 @@ mod tests {
         assert!(line.ends_with("\"final\":false}"));
         let done = live_line(8, Duration::from_secs(2), &p, 100, true);
         assert!(done.ends_with("\"final\":true}"));
+    }
+
+    /// Open and write failures are both captured, close the sink, and
+    /// name its path.
+    #[test]
+    fn live_sink_errors_name_the_path() {
+        let missing = std::env::temp_dir().join("skrt_no_such_dir").join("live.jsonl");
+        let mut sink = LiveSink::open(&LiveStats::new(missing, Duration::ZERO));
+        assert!(!sink.due() && !sink.write("{}"));
+        let err = sink.into_error().expect("open failure captured");
+        assert!(err.contains("skrt_no_such_dir"), "{err}");
+        // Every write to /dev/full fails (ENOSPC) once flushed.
+        let full = std::path::Path::new("/dev/full");
+        if full.exists() {
+            let mut sink = LiveSink::open(&LiveStats::new(full.into(), Duration::ZERO));
+            assert!(sink.due());
+            assert!(!sink.write("{}"), "a failed write closes the sink");
+            let err = sink.into_error().expect("write failure captured");
+            assert!(err.contains("/dev/full"), "{err}");
+        }
     }
 
     #[test]

@@ -36,7 +36,9 @@
 //!   `k` never changes steps before `k`.
 
 use crate::classify::CrashClass;
-use crate::exec::{fold_logs, par_indexed, resolve_threads, Booter, LiveStats, WorkerLog};
+use crate::exec::{
+    fold_logs, par_indexed, resolve_threads, Booter, LiveSink, LiveStats, WorkerLog,
+};
 use crate::flight::{FlightLog, TestFlight, DEFAULT_RING_CAPACITY};
 use crate::metrics::{MetricsReport, Phase};
 use crate::sequence::{
@@ -46,7 +48,6 @@ use crate::sequence::{
 use crate::shrink::shrink_sequence;
 use crate::testbed::Testbed;
 use flightrec::coverage::{CoverageMap, EdgeTrace, ExecCoverage};
-use std::io::Write as _;
 use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 use xtratum::hypercall::{HypercallId, RawHypercall};
@@ -594,45 +595,6 @@ pub fn replay_coverage<T: Testbed + ?Sized>(
 // Campaign driver
 // ---------------------------------------------------------------------------
 
-/// Driver-side heartbeat sink: a buffered writer plus the emission
-/// cadence. All I/O errors are captured, not propagated — a broken
-/// heartbeat pipe must never kill a long fuzzing run.
-struct Live {
-    sink: Option<(std::io::BufWriter<std::fs::File>, Duration)>,
-    last_emit: Instant,
-    error: Option<String>,
-}
-
-impl Live {
-    fn open(cfg: Option<&LiveStats>) -> Live {
-        let mut error = None;
-        let sink = cfg.and_then(|c| match std::fs::File::create(&c.path) {
-            Ok(f) => Some((std::io::BufWriter::new(f), c.interval)),
-            Err(e) => {
-                error = Some(format!("open {}: {e}", c.path.display()));
-                None
-            }
-        });
-        Live { sink, last_emit: Instant::now(), error }
-    }
-
-    /// True when a heartbeat is owed (sink open and interval elapsed).
-    fn due(&self) -> bool {
-        self.sink.as_ref().is_some_and(|(_, iv)| self.last_emit.elapsed() >= *iv)
-    }
-
-    fn write(&mut self, line: &str) {
-        let Some((w, _)) = self.sink.as_mut() else { return };
-        self.last_emit = Instant::now();
-        if let Err(e) = writeln!(w, "{line}").and_then(|()| w.flush()) {
-            if self.error.is_none() {
-                self.error = Some(e.to_string());
-            }
-            self.sink = None;
-        }
-    }
-}
-
 /// One heartbeat JSONL line from already-folded round state.
 fn fuzz_live_line(elapsed: Duration, max_execs: u64, last: &RoundStat, fin: bool) -> String {
     let secs = elapsed.as_secs_f64();
@@ -699,8 +661,8 @@ pub fn run_fuzz<T: Testbed + ?Sized>(
 
     let mut workers: Vec<FuzzWorker<'_, T>> = (0..resolve_threads(opts.threads, opts.batch.max(1)))
         .map(|_| {
-            let mut log = WorkerLog::new(1);
-            let booter = Booter::new(testbed, opts.build, opts.record, &mut log.local);
+            let mut log = WorkerLog::new(opts.record);
+            let booter = Booter::new(testbed, opts.build, &mut log.local);
             FuzzWorker { booter, log, trace: EdgeTrace::new() }
         })
         .collect();
@@ -716,7 +678,7 @@ pub fn run_fuzz<T: Testbed + ?Sized>(
 
     // Live heartbeats are driver-side: emitted between rounds, so they
     // observe only already-folded state and can never race the fold.
-    let mut live = Live::open(opts.live_stats.as_ref());
+    let mut live = opts.live_stats.as_ref().map(LiveSink::open);
 
     while execs < opts.max_execs {
         if let Some(t) = opts.max_time {
@@ -786,7 +748,7 @@ pub fn run_fuzz<T: Testbed + ?Sized>(
             wall: round_started.elapsed(),
         });
         round += 1;
-        if live.due() {
+        if let Some(live) = live.as_mut().filter(|l| l.due()) {
             let line = fuzz_live_line(
                 started.elapsed(),
                 opts.max_execs,
@@ -797,12 +759,12 @@ pub fn run_fuzz<T: Testbed + ?Sized>(
         }
     }
 
-    if let Some(last) = rounds.last() {
+    if let (Some(live), Some(last)) = (live.as_mut(), rounds.last()) {
         live.write(&fuzz_live_line(started.elapsed(), opts.max_execs, last, true));
     }
 
     let logs = workers.into_iter().map(|w| w.log);
-    let (report, flight) = fold_logs(1, logs, steals.into_inner(), opts.record, started);
+    let (report, flight) = fold_logs(logs, steals.into_inner(), opts.record, started);
     FuzzResult {
         build: opts.build,
         seed: opts.seed,
@@ -813,7 +775,7 @@ pub fn run_fuzz<T: Testbed + ?Sized>(
         rounds,
         metrics: report,
         flight,
-        live_stats_error: live.error,
+        live_stats_error: live.and_then(LiveSink::into_error),
     }
 }
 
@@ -831,16 +793,13 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
 ) -> CandidateOutcome {
     let FuzzWorker { booter, log, trace } = worker;
     let local = &mut log.local;
-    let t0 = Instant::now();
     // Drain before the rewind, which replays the prefix's events: the
     // candidate's stream is everything since boot.
     let _ = flightrec::drain();
     let (kernel, guests) = booter.booted(local);
-    let t_main = opts.record.then(Instant::now);
+    let span = local.start_span();
     let eval = run_one_sequence(testbed, ctx, kernel, guests, steps, opts.steps_per_slot);
-    if let Some(t) = t_main {
-        local.note_phase(Phase::Frames, t.elapsed());
-    }
+    local.end_span(Phase::Frames, span);
     let drained = flightrec::drain();
     if opts.record {
         for e in &drained.events {
@@ -864,7 +823,7 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
         if class != CrashClass::Pass {
             let minimal = opts.shrink.then(|| {
                 let target = refined.verdict.classification;
-                let t_shrink = opts.record.then(Instant::now);
+                let span = local.start_span();
                 let out = shrink_sequence(
                     steps,
                     |cand| {
@@ -877,9 +836,7 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
                     },
                     opts.shrink_budget,
                 );
-                if let Some(t) = t_shrink {
-                    local.note_phase(Phase::Shrink, t.elapsed());
-                }
+                local.end_span(Phase::Shrink, span);
                 let _ = flightrec::drain(); // shrink evaluations are scaffolding
                 if opts.record {
                     flightrec::record(
@@ -916,7 +873,7 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
             });
         }
     }
-    local.note_outcome(class, t0.elapsed());
+    local.note_outcome(class);
     CandidateOutcome { coverage, finding }
 }
 

@@ -1,5 +1,12 @@
-//! Campaign observability: per-worker plain counters aggregated into a
+//! Campaign observability: per-worker plain counters folded into a
 //! [`MetricsReport`], plus an optional JSONL per-test trace sink.
+//!
+//! Every worker tallies into its own [`LocalMetrics`] (plain `u64`s and
+//! inline log2 histograms, no sharing). After the parallel driver joins
+//! its workers, one thread adds the workers' sets together
+//! ([`LocalMetrics::merge`]) and builds the report
+//! ([`LocalMetrics::report`]); nothing here is shared while the workers
+//! run, so there are no atomics and no locks.
 //!
 //! The counters live outside the determinism surface on purpose: two
 //! campaigns that execute the same spec produce identical records and
@@ -9,16 +16,14 @@
 
 use crate::classify::CrashClass;
 use crate::exec::{CampaignResult, TestRecord};
-use flightrec::{LatencyHistogram, TelemetryRegistry};
+use flightrec::{HistogramSet, LatencyHistogram, TelemetryRegistry};
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Executor phases timed by the self-profiler. Timers run only when the
-/// flight recorder is on (an observability run); the plain campaign hot
-/// path never reads a clock for them.
+/// worker self-profiles (an observability run with the flight recorder
+/// on); the plain campaign hot path never reads a clock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Phase {
     /// Arena rewind: restoring the persistent workspace to the boot image.
@@ -49,11 +54,10 @@ impl Phase {
 
 /// Per-worker plain counters — the hot path's contention-free metrics.
 ///
-/// Workers tally into these unsynchronised fields per test; each
-/// worker's set is folded into [`CampaignMetrics`] exactly once, after
-/// the workers join (see [`CampaignMetrics::merge_local`]). No shared
-/// atomics are touched per test, so metrics bookkeeping costs the same
-/// at 1 thread and at 16.
+/// Workers tally into these unsynchronised fields per test; the sets are
+/// added together once, after the workers join. Nothing shared is
+/// touched per test, so metrics bookkeeping costs the same at 1 thread
+/// and at 16.
 #[derive(Debug, Default)]
 pub(crate) struct LocalMetrics {
     tests_executed: u64,
@@ -61,19 +65,38 @@ pub(crate) struct LocalMetrics {
     snapshot_clones: u64,
     fresh_boots: u64,
     phase: [LatencyHistogram; N_PHASES],
-    suite_nanos: Vec<u64>,
+    /// Whether this worker times its phases (fixed at construction).
+    profile: bool,
 }
 
 impl LocalMetrics {
-    pub(crate) fn new(n_suites: usize) -> Self {
-        LocalMetrics { suite_nanos: vec![0; n_suites], ..Default::default() }
+    /// Counters at zero; `profile` switches the phase timers on.
+    pub(crate) fn new(profile: bool) -> Self {
+        LocalMetrics { profile, ..Default::default() }
     }
 
-    /// Telemetry hot path for the self-profiler: one log2-histogram
-    /// observation on plain per-worker state. Never allocates.
+    /// Opens a phase span: the current instant when self-profiling,
+    /// `None` (and no clock read) otherwise. Close it with
+    /// [`end_span`](Self::end_span).
     #[inline]
-    pub(crate) fn note_phase(&mut self, phase: Phase, took: Duration) {
-        self.phase[phase as usize].observe(took.as_micros() as u64);
+    pub(crate) fn start_span(&self) -> Option<Instant> {
+        self.profile.then(Instant::now)
+    }
+
+    /// Closes a span opened by [`start_span`](Self::start_span), timing
+    /// it into `phase`. A `None` span is a no-op.
+    #[inline]
+    pub(crate) fn end_span(&mut self, phase: Phase, span: Option<Instant>) {
+        if let Some(t) = span {
+            self.note_phase(phase, t.elapsed());
+        }
+    }
+
+    /// One log2-histogram observation on plain per-worker state, rounded
+    /// to the nearest µs. Never allocates.
+    #[inline]
+    fn note_phase(&mut self, phase: Phase, took: Duration) {
+        self.phase[phase as usize].observe(((took.as_nanos() + 500) / 1000) as u64);
     }
 
     pub(crate) fn note_snapshot_clone(&mut self) {
@@ -84,89 +107,54 @@ impl LocalMetrics {
         self.fresh_boots += 1;
     }
 
-    pub(crate) fn note_record(&mut self, record: &TestRecord, took: Duration) {
-        self.tests_executed += 1;
-        self.class_counts[record.classification.class.index()] += 1;
-        if let Some(s) = self.suite_nanos.get_mut(record.case.suite_index) {
-            *s += took.as_nanos() as u64;
-        }
-    }
-
-    /// Case-less variant for the sequence campaign (suite index 0 holds
-    /// every sequence).
-    pub(crate) fn note_outcome(&mut self, class: CrashClass, took: Duration) {
+    /// One finished test (case, sequence, candidate or check case).
+    pub(crate) fn note_outcome(&mut self, class: CrashClass) {
         self.tests_executed += 1;
         self.class_counts[class.index()] += 1;
-        if let Some(s) = self.suite_nanos.first_mut() {
-            *s += took.as_nanos() as u64;
-        }
     }
-}
 
-/// Run totals, folded from every worker's [`LocalMetrics`].
-#[derive(Debug)]
-pub(crate) struct CampaignMetrics {
-    tests_executed: AtomicU64,
-    class_counts: [AtomicU64; 6],
-    snapshot_clones: AtomicU64,
-    fresh_boots: AtomicU64,
-    /// Per-phase self-profile histograms. A mutex, not atomics: it is
-    /// taken once per worker (in [`CampaignMetrics::merge_local`]), never
-    /// on the per-test path.
-    phase: Mutex<[LatencyHistogram; N_PHASES]>,
-    /// Execution nanoseconds accumulated per suite (campaign-order index).
-    suite_nanos: Vec<AtomicU64>,
-}
-
-impl CampaignMetrics {
-    pub(crate) fn new(n_suites: usize) -> Self {
-        CampaignMetrics {
-            tests_executed: AtomicU64::new(0),
-            class_counts: Default::default(),
-            snapshot_clones: AtomicU64::new(0),
-            fresh_boots: AtomicU64::new(0),
-            phase: Mutex::new([LatencyHistogram::default(); N_PHASES]),
-            suite_nanos: (0..n_suites).map(|_| AtomicU64::new(0)).collect(),
+    /// Adds another worker's counters into these: plain adds, run on the
+    /// one thread that joined the workers.
+    pub(crate) fn merge(&mut self, other: &LocalMetrics) {
+        self.tests_executed += other.tests_executed;
+        for (c, o) in self.class_counts.iter_mut().zip(other.class_counts) {
+            *c += o;
+        }
+        self.snapshot_clones += other.snapshot_clones;
+        self.fresh_boots += other.fresh_boots;
+        for (h, o) in self.phase.iter_mut().zip(&other.phase) {
+            h.merge(o);
         }
     }
 
-    /// Folds a worker's [`LocalMetrics`] into the totals — called once per
-    /// worker after the run, keeping shared state off the per-test path.
-    pub(crate) fn merge_local(&self, local: &LocalMetrics) {
-        self.tests_executed.fetch_add(local.tests_executed, Ordering::Relaxed);
-        for (shared, v) in self.class_counts.iter().zip(local.class_counts) {
-            shared.fetch_add(v, Ordering::Relaxed);
-        }
-        self.snapshot_clones.fetch_add(local.snapshot_clones, Ordering::Relaxed);
-        self.fresh_boots.fetch_add(local.fresh_boots, Ordering::Relaxed);
-        if local.phase.iter().any(|h| h.count > 0) {
-            let mut shared = self.phase.lock().expect("phase profile mutex poisoned");
-            for (s, l) in shared.iter_mut().zip(&local.phase) {
-                s.merge(l);
-            }
-        }
-        for (shared, v) in self.suite_nanos.iter().zip(&local.suite_nanos) {
-            shared.fetch_add(*v, Ordering::Relaxed);
-        }
-    }
-
-    /// Folds the live counters into a plain snapshot.
-    pub(crate) fn finish(&self, wall: Duration, threads: usize) -> MetricsReport {
-        let phase = self.phase.lock().expect("phase profile mutex poisoned");
+    /// The report for these (merged) counters plus the merged
+    /// per-hypercall latency histograms: one row per timed phase and per
+    /// hypercall that dispatched at least once, in phase and
+    /// hypercall-number order. Wall-clock, threads and steals are left
+    /// for the caller.
+    pub(crate) fn report(&self, latency: &HistogramSet) -> MetricsReport {
         let phases = Phase::ALL
             .iter()
-            .filter(|&&p| phase[p as usize].count > 0)
-            .map(|&p| PhaseRow { name: p.label().to_string(), hist: phase[p as usize] })
+            .map(|&p| PhaseRow { name: p.label().to_string(), hist: self.phase[p as usize] })
+            .filter(|row| row.hist.count > 0)
+            .collect();
+        let hc_latency = latency
+            .nonzero()
+            .map(|(nr, &hist)| HcLatencyRow {
+                nr,
+                name: xtratum::hypercall::HypercallId::from_u32(nr)
+                    .map(|id| id.name().to_string())
+                    .unwrap_or_else(|| format!("hypercall#{nr}")),
+                hist,
+            })
             .collect();
         MetricsReport {
-            tests_executed: self.tests_executed.load(Ordering::Relaxed),
-            class_counts: std::array::from_fn(|i| self.class_counts[i].load(Ordering::Relaxed)),
-            snapshot_clones: self.snapshot_clones.load(Ordering::Relaxed),
-            fresh_boots: self.fresh_boots.load(Ordering::Relaxed),
+            tests_executed: self.tests_executed,
+            class_counts: self.class_counts,
+            snapshot_clones: self.snapshot_clones,
+            fresh_boots: self.fresh_boots,
             phases,
-            suite_nanos: self.suite_nanos.iter().map(|s| s.load(Ordering::Relaxed)).collect(),
-            wall,
-            threads,
+            hc_latency,
             ..Default::default()
         }
     }
@@ -198,10 +186,6 @@ pub struct MetricsReport {
     /// Executor self-profile: per-phase log2 timing histograms. Empty
     /// unless the campaign ran with recording enabled.
     pub phases: Vec<PhaseRow>,
-    /// Execution nanoseconds accumulated per suite, in campaign order
-    /// (sums of per-test times, so the total exceeds wall-clock when
-    /// running parallel).
-    pub suite_nanos: Vec<u64>,
     /// End-to-end campaign wall-clock.
     pub wall: Duration,
     /// Worker threads used.
@@ -224,48 +208,14 @@ pub struct PhaseRow {
 
 /// Merged latency distribution of one hypercall across all workers,
 /// in simulated (modelled-cost) microseconds.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HcLatencyRow {
     /// Hypercall number.
     pub nr: u32,
     /// `XM_*` service name.
     pub name: String,
-    /// Dispatches observed.
-    pub count: u64,
-    /// Sum of per-dispatch costs (µs).
-    pub total_us: u64,
-    /// Worst single dispatch (µs).
-    pub max_us: u64,
-    /// Log2 cost buckets (see [`flightrec::histogram`]).
-    pub buckets: [u64; flightrec::HIST_BUCKETS],
-}
-
-impl HcLatencyRow {
-    /// Mean dispatch cost in µs.
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_us as f64 / self.count as f64
-        }
-    }
-}
-
-/// Folds a merged [`flightrec::HistogramSet`] into report rows, one per
-/// hypercall that dispatched at least once, in hypercall-number order.
-pub fn latency_rows(set: &flightrec::HistogramSet) -> Vec<HcLatencyRow> {
-    set.nonzero()
-        .map(|(nr, h)| HcLatencyRow {
-            nr,
-            name: xtratum::hypercall::HypercallId::from_u32(nr)
-                .map(|id| id.name().to_string())
-                .unwrap_or_else(|| format!("hypercall#{nr}")),
-            count: h.count,
-            total_us: h.total_us,
-            max_us: h.max_us,
-            buckets: h.buckets,
-        })
-        .collect()
+    /// Log2 dispatch-cost histogram in µs.
+    pub hist: LatencyHistogram,
 }
 
 impl MetricsReport {
@@ -321,9 +271,9 @@ impl MetricsReport {
                 out.push_str(&format!(
                     "    {:<28} {:>8} calls  mean {:>7.1}  max {:>7}\n",
                     row.name,
-                    row.count,
-                    row.mean_us(),
-                    row.max_us
+                    row.hist.count,
+                    row.hist.mean_us(),
+                    row.hist.max_us
                 ));
             }
         }
@@ -390,17 +340,11 @@ impl MetricsReport {
             self.tests_per_sec(),
         );
         for row in &self.hc_latency {
-            let hist = LatencyHistogram {
-                buckets: row.buckets,
-                count: row.count,
-                total_us: row.total_us,
-                max_us: row.max_us,
-            };
             reg.push_histogram(
                 "skrt_hypercall_latency_us",
                 "Per-hypercall dispatch cost (simulated µs).",
                 &[("hypercall", &row.name)],
-                &hist,
+                &row.hist,
             );
         }
         for row in &self.phases {
@@ -548,6 +492,54 @@ mod tests {
         let jsonl = r.telemetry("unit-test").render_jsonl();
         assert!(jsonl.lines().count() >= 14);
         assert!(jsonl.lines().all(|l| l.starts_with("{\"type\":\"telemetry\"")));
+    }
+
+    /// Phase spans round to the nearest µs: a sub-µs span is not a 0 µs
+    /// one, and many short spans total what they took.
+    #[test]
+    fn phase_timer_rounds_to_nearest_us() {
+        let mut m = LocalMetrics::new(true);
+        m.note_phase(Phase::Rewind, Duration::from_nanos(600));
+        m.note_phase(Phase::Oracle, Duration::from_nanos(400));
+        for _ in 0..1000 {
+            m.note_phase(Phase::Frames, Duration::from_nanos(900));
+        }
+        let r = m.report(&HistogramSet::new(0));
+        let row = |name: &str| r.phases.iter().find(|p| p.name == name).unwrap().hist;
+        assert_eq!((row("arena_rewind").count, row("arena_rewind").total_us), (1, 1));
+        assert_eq!((row("oracle").count, row("oracle").total_us), (1, 0));
+        assert_eq!(row("step_major_frames").total_us, 1000);
+    }
+
+    /// Merging is plain addition, and the report keeps only the phases
+    /// and hypercalls that were observed, in phase / hypercall order.
+    #[test]
+    fn merge_adds_and_report_keeps_observed_rows() {
+        let mut a = LocalMetrics::new(false);
+        assert_eq!(a.start_span(), None, "a non-profiling worker never reads the clock");
+        a.note_outcome(CrashClass::Pass);
+        a.note_snapshot_clone();
+        a.note_fresh_boot();
+        let mut b = LocalMetrics::new(true);
+        b.note_outcome(CrashClass::Silent);
+        b.note_outcome(CrashClass::Pass);
+        b.note_snapshot_clone();
+        b.note_phase(Phase::Shrink, Duration::from_micros(3));
+        b.note_phase(Phase::Rewind, Duration::from_micros(2));
+        let mut total = LocalMetrics::new(false);
+        total.merge(&a);
+        total.merge(&b);
+        let mut latency = HistogramSet::new(64);
+        latency.observe(xtratum::hypercall::HypercallId::GetTime as u32, 7);
+        let r = total.report(&latency);
+        assert_eq!(r.tests_executed, 3);
+        assert_eq!((r.count(CrashClass::Pass), r.count(CrashClass::Silent)), (2, 1));
+        assert_eq!((r.snapshot_clones, r.fresh_boots), (2, 1));
+        let names: Vec<&str> = r.phases.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["arena_rewind", "shrink"]);
+        assert_eq!(r.hc_latency.len(), 1);
+        assert_eq!(r.hc_latency[0].name, "XM_get_time");
+        assert_eq!((r.hc_latency[0].hist.count, r.hc_latency[0].hist.max_us), (1, 7));
     }
 
     #[test]

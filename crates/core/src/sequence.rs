@@ -981,11 +981,9 @@ fn evaluate_spec<T: Testbed + ?Sized>(
         begin_seq_flight(spec.index);
     }
     let (kernel, guests) = booter.booted(local);
-    let t_main = opts.record.then(Instant::now);
+    let span = local.start_span();
     let main = run_one_sequence(testbed, ctx, kernel, guests, &spec.steps, opts.steps_per_slot);
-    if let Some(t) = t_main {
-        local.note_phase(Phase::Frames, t.elapsed());
-    }
+    local.end_span(Phase::Frames, span);
     let record = |eval: SequenceEval, minimal| SequenceRecord {
         spec: spec.clone(),
         verdict: eval.verdict,
@@ -1008,11 +1006,9 @@ fn evaluate_spec<T: Testbed + ?Sized>(
     // several calls legitimately sharing one slot budget. This refined
     // verdict is authoritative, even when it downgrades to Pass.
     let (kernel, guests) = booter.booted(local);
-    let t_refine = opts.record.then(Instant::now);
+    let span = local.start_span();
     let refined = run_one_sequence(testbed, ctx, kernel, guests, &spec.steps, 1);
-    if let Some(t) = t_refine {
-        local.note_phase(Phase::Frames, t.elapsed());
-    }
+    local.end_span(Phase::Frames, span);
     let class = refined.verdict.classification.class;
     if class == CrashClass::Pass || !opts.shrink {
         if opts.record {
@@ -1028,7 +1024,7 @@ fn evaluate_spec<T: Testbed + ?Sized>(
     // Minimize: a candidate reproduces iff it yields the same
     // classification under the same one-step-per-slot evaluation.
     let target = refined.verdict.classification;
-    let t_shrink = opts.record.then(Instant::now);
+    let span = local.start_span();
     let out = shrink_sequence(
         &spec.steps,
         |cand| {
@@ -1040,9 +1036,7 @@ fn evaluate_spec<T: Testbed + ?Sized>(
         },
         opts.shrink_budget,
     );
-    if let Some(t) = t_shrink {
-        local.note_phase(Phase::Shrink, t.elapsed());
-    }
+    local.end_span(Phase::Shrink, span);
     if opts.record {
         // Shrink evaluations are scaffolding; only the minimal
         // reproducer's run below is kept as the triage flight.
@@ -1077,8 +1071,9 @@ pub fn run_sequence_campaign<T: Testbed + ?Sized>(
 ) -> SequenceCampaignResult {
     let started = Instant::now();
     let ctx = testbed.oracle_context(opts.build);
-    let mut logs: Vec<WorkerLog> =
-        (0..resolve_threads(opts.threads, specs.len())).map(|_| WorkerLog::new(1)).collect();
+    let mut logs: Vec<WorkerLog> = (0..resolve_threads(opts.threads, specs.len()))
+        .map(|_| WorkerLog::new(opts.record))
+        .collect();
     let steals = AtomicU64::new(0);
     let records = par_indexed(
         specs.len(),
@@ -1088,7 +1083,7 @@ pub fn run_sequence_campaign<T: Testbed + ?Sized>(
             if opts.record {
                 flightrec::enable(DEFAULT_RING_CAPACITY);
             }
-            let booter = Booter::new(testbed, opts.build, opts.record, &mut log.local);
+            let booter = Booter::new(testbed, opts.build, &mut log.local);
             if opts.record {
                 // The per-worker snapshot boot belongs to no sequence.
                 let _ = flightrec::drain();
@@ -1096,14 +1091,13 @@ pub fn run_sequence_campaign<T: Testbed + ?Sized>(
             booter
         },
         |log, booter, i| {
-            let t0 = Instant::now();
             let rec = evaluate_spec(testbed, &ctx, opts, booter, log, &specs[i]);
-            log.local.note_outcome(rec.verdict.classification.class, t0.elapsed());
+            log.local.note_outcome(rec.verdict.classification.class);
             rec
         },
     );
 
-    let (report, flight) = fold_logs(1, logs, steals.into_inner(), opts.record, started);
+    let (report, flight) = fold_logs(logs, steals.into_inner(), opts.record, started);
     SequenceCampaignResult {
         build: opts.build,
         steps_per_sequence: specs.first().map(|s| s.steps.len()).unwrap_or(0),

@@ -171,16 +171,22 @@ fn num_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Re
     value.parse().map_err(|_| format!("{flag}: '{value}' is not a valid number"))
 }
 
+/// A duration flag's value: a positive number of seconds that fits a
+/// `Duration` (`inf`, `nan` and `1e300` do not).
+fn positive_secs(value: &str) -> Option<std::time::Duration> {
+    let secs = value.parse::<f64>().ok().filter(|&v| v > 0.0)?;
+    std::time::Duration::try_from_secs_f64(secs).ok()
+}
+
 /// `--live-stats FILE [--live-interval SECS]` (default 1 s).
 fn parse_live_stats(args: &[String]) -> Result<Option<LiveStats>, String> {
     let Some(path) = flag_value(args, "--live-stats") else {
         return Ok(None);
     };
     let interval = match flag_value(args, "--live-interval") {
-        Some(s) => match s.parse::<f64>() {
-            Ok(v) if v > 0.0 => std::time::Duration::from_secs_f64(v),
-            _ => return Err("--live-interval must be a positive number of seconds".into()),
-        },
+        Some(s) => {
+            positive_secs(&s).ok_or("--live-interval must be a positive number of seconds")?
+        }
         None => std::time::Duration::from_secs(1),
     };
     Ok(Some(LiveStats::new(path.into(), interval)))
@@ -228,7 +234,6 @@ impl RunFlags {
         &self,
         job: &str,
         metrics: &MetricsReport,
-        render_metrics: impl FnOnce() -> String,
         perfetto: impl FnOnce() -> Option<String>,
         live_stats_error: Option<&str>,
     ) -> Result<(), String> {
@@ -257,7 +262,7 @@ impl RunFlags {
         }
         if self.metrics {
             println!();
-            print!("{}", render_metrics());
+            print!("{}", metrics.render());
         }
         println!("\ncompleted in {:.2?}", metrics.wall);
         Ok(())
@@ -329,7 +334,6 @@ fn cmd_campaign(args: &[String]) -> Result<i32, String> {
     flags.finish(
         if sweep { "sweep" } else { "campaign" },
         report.metrics(),
-        || report.render_metrics(),
         || {
             let flight = report.result.flight.as_ref()?;
             let names = xm_campaign::eagleeye_flight_names();
@@ -360,7 +364,6 @@ fn cmd_sequences(args: &[String]) -> Result<i32, String> {
     flags.finish(
         "sequences",
         &report.result.metrics,
-        || report.render_metrics(),
         || {
             let flight = report.result.flight.as_ref()?;
             let names = xm_campaign::eagleeye_flight_names();
@@ -415,7 +418,6 @@ fn cmd_check(args: &[String]) -> Result<i32, String> {
     flags.finish(
         "check",
         &res.metrics,
-        || res.metrics.render(),
         || {
             let flight = res.flight.as_ref()?;
             let names = xm_campaign::check_flight_names(res.scope.partitions);
@@ -502,10 +504,10 @@ fn cmd_fuzz(args: &[String]) -> Result<i32, String> {
     }
 
     let max_time = match flag_value(args, "--time") {
-        Some(t) => match t.parse::<f64>() {
-            Ok(secs) if secs > 0.0 => Some(std::time::Duration::from_secs_f64(secs)),
-            _ => return Err("campaign fuzz: --time must be a positive number of seconds".into()),
-        },
+        Some(t) => Some(
+            positive_secs(&t)
+                .ok_or("campaign fuzz: --time must be a positive number of seconds")?,
+        ),
         None => None,
     };
     let defaults = skrt::FuzzOptions::default();
@@ -548,7 +550,6 @@ fn cmd_fuzz(args: &[String]) -> Result<i32, String> {
     flags.finish(
         "fuzz",
         &report.result.metrics,
-        || report.render_metrics(),
         || {
             // Counter tracks ride along: coverage growth and per-round
             // throughput under the minimal-reproducer flights.

@@ -48,3 +48,29 @@ fn usage_lists_no_removed_engine_switches() {
     let out = skrt(&["no-such-command"]);
     assert_eq!(out.status.code(), Some(2), "an unknown command is a usage error");
 }
+
+/// A duration that parses as a float but does not fit a `Duration`
+/// (`inf`, `1e300`) or is no number at all (`nan`) is a usage error, not
+/// a panic (exit 101).
+#[test]
+fn unrepresentable_durations_exit_2_not_panic() {
+    let sink = std::env::temp_dir().join(format!("skrt_cli_live_{}.jsonl", std::process::id()));
+    let sink = sink.to_str().expect("utf-8 temp path");
+    for value in ["inf", "1e300", "nan"] {
+        for (args, flag) in [
+            (vec!["campaign", "--live-stats", sink, "--live-interval", value], "--live-interval"),
+            (
+                vec!["campaign", "fuzz", "--live-stats", sink, "--live-interval", value],
+                "--live-interval",
+            ),
+            (vec!["campaign", "fuzz", "--time", value], "--time"),
+        ] {
+            let out = skrt(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(flag), "{args:?}: stderr must name {flag}, got: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?} must fail before running anything");
+        }
+    }
+    assert!(!std::path::Path::new(sink).exists(), "no run may start");
+}

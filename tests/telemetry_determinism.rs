@@ -8,8 +8,11 @@
 use eagleeye::EagleEye;
 use skrt::exec::{run_campaign, CampaignOptions, CampaignResult, LiveStats};
 use skrt::fuzz::FuzzOptions;
+use skrt::metrics::MetricsReport;
 use skrt::report::{campaign_table, distribution, render_distribution, render_table};
+use skrt::sequence::SequenceOptions;
 use skrt::suite::CampaignSpec;
+use skrt::{run_check, CheckOptions, CheckScope};
 use std::path::PathBuf;
 use std::time::Duration;
 use xm_campaign::fuzz::{run_eagleeye_fuzz, FuzzReport};
@@ -205,4 +208,108 @@ fn live_stats_sink_errors_are_captured_not_fatal() {
     let err = broken.live_stats_error.as_deref().expect("sink failure must be reported");
     assert!(err.contains("skrt_no_such_dir"), "error should name the path: {err}");
     assert_eq!(surface(&spec, &plain), surface(&spec, &broken));
+
+    // The fuzzer writes through the same sink.
+    let bad_path = std::env::temp_dir().join("skrt_no_such_dir").join("y").join("fuzz.jsonl");
+    let broken = fuzz_run(2, false, Some(LiveStats::new(bad_path, Duration::ZERO)));
+    let err = broken.result.live_stats_error.as_deref().expect("sink failure must be reported");
+    assert!(err.contains("skrt_no_such_dir"), "error should name the path: {err}");
+    assert_eq!(fuzz_surface(&fuzz_run(2, false, None)), fuzz_surface(&broken));
+}
+
+/// The thread-independent part of a folded report: tests executed,
+/// per-class tallies, snapshot clones, and each phase's span count (not
+/// its time).
+type FoldFacts = (u64, [u64; 6], u64, Vec<(String, u64)>);
+
+fn fold_facts(m: &MetricsReport) -> FoldFacts {
+    let spans = m.phases.iter().map(|p| (p.name.clone(), p.hist.count)).collect();
+    (m.tests_executed, m.class_counts, m.snapshot_clones, spans)
+}
+
+/// Folding the workers' counters is exact: across threads 1/4/16 every
+/// mode reports the same tests, verdict tallies, snapshot clones and
+/// (with the recorder on) phase span counts, and one fresh boot per
+/// worker — per configuration for `check`, which boots each
+/// configuration's arena once.
+#[test]
+fn metrics_fold_is_exact_across_thread_counts() {
+    let spec = subset();
+    let mut seen: [Option<FoldFacts>; 4] = Default::default();
+    for threads in [1usize, 4, 16] {
+        let campaign = run_campaign(
+            &EagleEye,
+            &spec,
+            &CampaignOptions { threads, record: true, ..Default::default() },
+        )
+        .metrics;
+        let sequences = xm_campaign::run_eagleeye_sequences(
+            3,
+            40,
+            6,
+            &SequenceOptions { threads, record: true, ..Default::default() },
+        )
+        .result
+        .metrics;
+        let fuzz = fuzz_run(threads, true, None).result.metrics;
+        let check = run_check(&CheckOptions {
+            scope: CheckScope { partitions: 2, slots: 2, horizon: 4 },
+            threads,
+            record: true,
+            ..Default::default()
+        });
+        assert_eq!(check.metrics.fresh_boots, check.configs as u64, "check at {threads} threads");
+        for (mode, m) in [("campaign", &campaign), ("sequences", &sequences), ("fuzz", &fuzz)] {
+            assert_eq!(m.fresh_boots, m.threads as u64, "{mode}: one boot per worker");
+            assert!(m.threads > 1 || threads == 1, "{mode} ran on {} threads", m.threads);
+            assert!(!m.phases.is_empty(), "{mode}: recording runs self-profile");
+        }
+        assert_eq!(campaign.tests_executed, spec.total_tests());
+        assert_eq!(campaign.snapshot_clones, campaign.tests_executed);
+        for (slot, m) in seen.iter_mut().zip([&campaign, &sequences, &fuzz, &check.metrics]) {
+            let facts = fold_facts(m);
+            match slot {
+                None => *slot = Some(facts),
+                Some(first) => assert_eq!(*first, facts, "fold differs at {threads} threads"),
+            }
+        }
+    }
+}
+
+/// The value of `"key":N` in a heartbeat line.
+fn live_field(line: &str, key: &str) -> u64 {
+    let tag = format!("\"{key}\":");
+    let at = line.find(&tag).unwrap_or_else(|| panic!("{key} missing from {line}")) + tag.len();
+    let digits: String = line[at..].chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap_or_else(|_| panic!("{key} is not a count in {line}"))
+}
+
+/// The campaign's final heartbeat agrees with the folded report: the
+/// emitter samples its own progress counters, so this pins that they
+/// and the fold count the same tests, verdicts and snapshot clones.
+#[test]
+fn final_heartbeat_matches_folded_metrics() {
+    let spec = subset();
+    for threads in [1usize, 4] {
+        let path = sink(&format!("fold_{threads}"));
+        let result = run_campaign(
+            &EagleEye,
+            &spec,
+            &CampaignOptions {
+                threads,
+                live_stats: Some(LiveStats::new(path.clone(), Duration::from_millis(1))),
+                ..Default::default()
+            },
+        );
+        let stream = std::fs::read_to_string(&path).expect("heartbeat sink written");
+        let _ = std::fs::remove_file(&path);
+        let last = stream.lines().last().expect("final heartbeat");
+        let m = &result.metrics;
+        assert_eq!(live_field(last, "tests_done"), m.tests_executed, "{last}");
+        assert_eq!(live_field(last, "snapshot_clones"), m.snapshot_clones, "{last}");
+        for class in skrt::CrashClass::ALL {
+            let key = class.label().to_ascii_lowercase();
+            assert_eq!(live_field(last, &key), m.count(class), "{key} in {last}");
+        }
+    }
 }
