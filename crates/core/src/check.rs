@@ -32,7 +32,9 @@ use crate::exec::{fold_logs, par_indexed, resolve_threads, Booter, WorkerLog};
 use crate::flight::{FlightLog, DEFAULT_RING_CAPACITY};
 use crate::metrics::MetricsReport;
 use crate::oracle::{ChannelView, OracleContext};
-use crate::sequence::{run_one_sequence_bounded, MinimalRepro, SequenceVerdict};
+use crate::sequence::{
+    lockstep, run_one_sequence_bounded, Evidence, MinimalRepro, SequenceVerdict,
+};
 use crate::shrink::shrink_sequence;
 use crate::testbed::Testbed;
 use flightrec::{Event, EventKind, NO_PARTITION};
@@ -825,7 +827,10 @@ fn evaluate_once(
 ) -> CaseRun {
     let cfg = tb.config();
     let before = (snapshot.is_none() || cfg!(debug_assertions)).then(|| victim_memory(kernel, cfg));
-    let eval = run_one_sequence_bounded(tb, ctx, kernel, guests, steps, 1, horizon);
+    // An arena run's verdict is kept only when clean (a finding is
+    // re-verdicted on a fresh boot), so only a fresh boot renders evidence.
+    let evidence = if snapshot.is_some() { Evidence::Skip } else { Evidence::Render };
+    let eval = lockstep(tb, ctx, kernel, guests, steps, 1, horizon, evidence);
     let drained = flightrec::drain();
     let ports = victim_ports(kernel, cfg);
     let images = |kernel: &XmKernel| {
@@ -880,6 +885,7 @@ fn run_case<'t>(
     // artefacts before a counterexample is reported.
     let _ = flightrec::drain();
     let (mut fk, mut fg) = tb.boot(opts.build);
+    log.local.note_fresh_boot();
     let fresh = evaluate_once(tb, ctx, &mut fk, &mut fg, None, &probe.steps, horizon);
     drop((fk, fg));
     let Some(sig) = finding_sig(&fresh.verdict, &fresh.violations) else {
@@ -907,7 +913,7 @@ fn run_case<'t>(
                 match &sig {
                     FindingSig::Oracle(target) => {
                         let eval =
-                            run_one_sequence_bounded(tb, ctx, kernel, guests, cand, 1, horizon);
+                            lockstep(tb, ctx, kernel, guests, cand, 1, horizon, Evidence::Skip);
                         eval.verdict.classification == *target
                     }
                     FindingSig::Invariant(_) => {
@@ -942,7 +948,7 @@ fn run_case<'t>(
             let _ = flightrec::drain();
             flightrec::record(0, EventKind::TestBegin, NO_PARTITION, index as u32, 0, 0);
             let (kernel, guests) = booter.booted(&mut log.local);
-            let _ = run_one_sequence_bounded(tb, ctx, kernel, guests, &probe.steps, 1, horizon);
+            let _ = lockstep(tb, ctx, kernel, guests, &probe.steps, 1, horizon, Evidence::Skip);
             log.end_flight(index, class);
         }
         None

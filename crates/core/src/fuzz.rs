@@ -42,15 +42,15 @@ use crate::exec::{
 use crate::flight::{FlightLog, TestFlight, DEFAULT_RING_CAPACITY};
 use crate::metrics::{MetricsReport, Phase};
 use crate::sequence::{
-    draw_weighted, run_one_sequence, AlphabetEntry, MinimalRepro, SeqRng, SequenceEval,
-    SequenceVerdict,
+    draw_weighted, lockstep, run_one_sequence, AlphabetEntry, Evidence, MinimalRepro, SeqRng,
+    SequenceEval, SequenceVerdict,
 };
 use crate::shrink::shrink_sequence;
 use crate::testbed::Testbed;
 use flightrec::coverage::{CoverageMap, EdgeTrace, ExecCoverage};
 use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
-use xtratum::hypercall::{HypercallId, RawHypercall};
+use xtratum::hypercall::{HypercallId, RawHypercall, MAX_RAW_ARGS};
 use xtratum::vuln::KernelBuild;
 
 // ---------------------------------------------------------------------------
@@ -403,6 +403,10 @@ pub fn parse_steps(text: &str) -> Result<Vec<RawHypercall>, String> {
                     .map_err(|e| format!("line {}: bad argument {p:?}: {e}", n + 1))
             })
             .collect::<Result<_, _>>()?;
+        if args.len() > MAX_RAW_ARGS {
+            let got = args.len();
+            return Err(format!("line {}: at most {MAX_RAW_ARGS} arguments, got {got}", n + 1));
+        }
         steps.push(RawHypercall::new_unchecked(id, args));
     }
     if steps.is_empty() {
@@ -798,7 +802,10 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
     let _ = flightrec::drain();
     let (kernel, guests) = booter.booted(local);
     let span = local.start_span();
-    let eval = run_one_sequence(testbed, ctx, kernel, guests, steps, opts.steps_per_slot);
+    // Judged by classification only; a finding's kept verdict is the
+    // refined run's below.
+    let eval =
+        lockstep(testbed, ctx, kernel, guests, steps, opts.steps_per_slot, 0, Evidence::Skip);
     local.end_span(Phase::Frames, span);
     let drained = flightrec::drain();
     if opts.record {
@@ -831,7 +838,7 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
                             return false;
                         }
                         let (kernel, guests) = booter.booted(local);
-                        let v = run_one_sequence(testbed, ctx, kernel, guests, cand, 1);
+                        let v = lockstep(testbed, ctx, kernel, guests, cand, 1, 0, Evidence::Skip);
                         v.verdict.classification == target
                     },
                     opts.shrink_budget,
@@ -987,6 +994,10 @@ mod tests {
         assert!(parse_steps("# only comments\n").is_err());
         assert!(parse_steps("XM_not_a_call 0x1\n").is_err());
         assert!(parse_steps("XM_get_time zzz\n").is_err());
+        // More words than the register file holds: an error, not a panic.
+        let err = parse_steps("XM_get_time 0\nXM_get_time 1 2 3 4 5 6 7 8\n").unwrap_err();
+        assert_eq!(err, "line 2: at most 6 arguments, got 8");
+        assert_eq!(parse_steps("XM_get_time 1 2 3 4 5 6\n").unwrap()[0].args().len(), 6);
         // Decimal arguments are accepted too.
         let steps = parse_steps("XM_get_time 0 1073741824\n").unwrap();
         assert_eq!(steps[0].args(), &[0, 0x4000_0000]);

@@ -35,7 +35,7 @@ use std::time::Instant;
 use xtratum::guest::{GuestProgram, GuestSet, PartitionApi};
 use xtratum::hm::HmEventKind;
 use xtratum::hypercall::{HypercallId, RawHypercall};
-use xtratum::kernel::{NoReturnKind, StateDigest, XmKernel};
+use xtratum::kernel::{KernelState, NoReturnKind, StateDigest, XmKernel};
 use xtratum::observe::ResetKind;
 use xtratum::partition::PartitionStatus;
 use xtratum::retcode::XmRet;
@@ -147,19 +147,45 @@ struct SequenceGuest {
 }
 
 impl SequenceGuest {
-    fn new(
-        steps: Vec<RawHypercall>,
+    /// Installs a guest replaying `steps` in `caller`'s slot. A
+    /// `SequenceGuest` already there (an arena rewind skips the test
+    /// partition's guest) is reset in place, reusing its buffers.
+    fn install(
+        guests: &mut GuestSet,
+        caller: u32,
+        steps: &[RawHypercall],
         prologue: fn(&mut PartitionApi<'_>),
         steps_per_slot: usize,
-    ) -> Self {
-        SequenceGuest {
-            steps,
+    ) {
+        if let Some(g) = installed_guest(guests, caller) {
+            g.reset(steps, prologue, steps_per_slot);
+            return;
+        }
+        let mut g = SequenceGuest {
+            steps: Vec::new(),
             prologue,
-            steps_per_slot: steps_per_slot.max(1),
+            steps_per_slot,
             results: Vec::new(),
             next: 0,
             last_boot_count: None,
-        }
+        };
+        g.reset(steps, prologue, steps_per_slot);
+        guests.set(caller, Box::new(g));
+    }
+
+    fn reset(
+        &mut self,
+        steps: &[RawHypercall],
+        prologue: fn(&mut PartitionApi<'_>),
+        steps_per_slot: usize,
+    ) {
+        self.steps.clear();
+        self.steps.extend_from_slice(steps);
+        self.prologue = prologue;
+        self.steps_per_slot = steps_per_slot.max(1);
+        self.results.clear();
+        self.next = 0;
+        self.last_boot_count = None;
     }
 }
 
@@ -196,12 +222,8 @@ impl GuestProgram for SequenceGuest {
     }
 }
 
-fn sequence_guest(guests: &mut GuestSet, caller: u32) -> &mut SequenceGuest {
-    guests
-        .get_mut(caller)
-        .and_then(|g| g.as_any_mut())
-        .and_then(|a| a.downcast_mut::<SequenceGuest>())
-        .expect("sequence guest installed in the test partition")
+fn installed_guest(guests: &mut GuestSet, caller: u32) -> Option<&mut SequenceGuest> {
+    guests.get_mut(caller).and_then(|g| g.as_any_mut()).and_then(|a| a.downcast_mut())
 }
 
 // ---------------------------------------------------------------------------
@@ -215,20 +237,11 @@ fn sequence_guest(guests: &mut GuestSet, caller: u32) -> &mut SequenceGuest {
 /// port table. Everything else still delegates to [`OracleContext::expect`].
 pub struct StateModel<'a> {
     ctx: &'a OracleContext,
-    statuses: Vec<PartitionStatus>,
-    reset_counts: Vec<u32>,
-    current_plan: u32,
-    pending_plan: Option<u32>,
-    hw_armed: Vec<bool>,
-    exec_owner: Option<u32>,
-    cold_resets: u32,
-    warm_resets: u32,
-    /// HM log length. Sequences raise at most a few entries, far below
-    /// the kernel's ring capacity, so no clamp is modelled.
-    hm_len: u32,
-    hm_cursor: u32,
-    caller_ports: u32,
-    alive: bool,
+    /// The predicted [`XmKernel::state_digest`], kept in digest form so
+    /// the per-frame comparison borrows it instead of collecting it. The
+    /// HM log length (`hm_entries`) is not clamped: sequences raise at
+    /// most a few entries, far below the kernel's ring capacity.
+    state: StateDigest,
     /// The caller was reset (partition or system reset): its next slot
     /// re-runs the prologue (one HM raise, ports re-created).
     caller_reset_pending: bool,
@@ -240,18 +253,21 @@ impl<'a> StateModel<'a> {
         let n = ctx.partition_count as usize;
         StateModel {
             ctx,
-            statuses: vec![PartitionStatus::Ready; n],
-            reset_counts: vec![0; n],
-            current_plan: ctx.plan_ids.first().copied().unwrap_or(0),
-            pending_plan: None,
-            hw_armed: vec![false; n],
-            exec_owner: None,
-            cold_resets: 0,
-            warm_resets: 0,
-            hm_len: ctx.hm_entries_at_first,
-            hm_cursor: 0,
-            caller_ports: ctx.ports.len() as u32,
-            alive: true,
+            state: StateDigest {
+                alive: true,
+                sim_running: true,
+                partition_status: vec![PartitionStatus::Ready; n],
+                reset_counts: vec![0; n],
+                current_plan: ctx.plan_ids.first().copied().unwrap_or(0),
+                pending_plan: None,
+                hw_timer_armed: vec![false; n],
+                exec_timer_owner: None,
+                cold_resets: 0,
+                warm_resets: 0,
+                hm_entries: ctx.hm_entries_at_first,
+                hm_cursor: 0,
+                caller_ports: ctx.ports.len() as u32,
+            },
             caller_reset_pending: false,
         }
     }
@@ -267,10 +283,10 @@ impl<'a> StateModel<'a> {
         if whence > 2 {
             return None;
         }
-        let len = self.hm_len as i64;
+        let len = self.state.hm_entries as i64;
         let base = match whence {
             0 => 0,
-            1 => self.hm_cursor as i64,
+            1 => self.state.hm_cursor as i64,
             _ => len,
         };
         base.checked_add(offset).filter(|t| (0..=len).contains(t))
@@ -291,7 +307,7 @@ impl<'a> StateModel<'a> {
                 let id = hc.arg_s32(0);
                 if !self.valid_partition(id) {
                     Expectation::err(XmRet::InvalidParam, 0)
-                } else if self.statuses[id as usize] == PartitionStatus::Halted {
+                } else if self.state.partition_status[id as usize] == PartitionStatus::Halted {
                     Expectation::err_stateful(XmRet::NoAction)
                 } else if id as u32 == caller {
                     Expectation::no_return(NoReturnExpect::CallerHalted)
@@ -304,7 +320,7 @@ impl<'a> StateModel<'a> {
                 if !self.valid_partition(id) {
                     Expectation::err(XmRet::InvalidParam, 0)
                 } else {
-                    match self.statuses[id as usize] {
+                    match self.state.partition_status[id as usize] {
                         PartitionStatus::Halted | PartitionStatus::Shutdown => {
                             Expectation::err_stateful(XmRet::InvalidMode)
                         }
@@ -321,7 +337,7 @@ impl<'a> StateModel<'a> {
                 if !self.valid_partition(id) {
                     Expectation::err(XmRet::InvalidParam, 0)
                 } else {
-                    match self.statuses[id as usize] {
+                    match self.state.partition_status[id as usize] {
                         PartitionStatus::Halted | PartitionStatus::Shutdown => {
                             Expectation::err_stateful(XmRet::InvalidMode)
                         }
@@ -334,7 +350,7 @@ impl<'a> StateModel<'a> {
                 let id = hc.arg_s32(0);
                 if !self.valid_partition(id) {
                     Expectation::err(XmRet::InvalidParam, 0)
-                } else if self.statuses[id as usize] == PartitionStatus::Halted {
+                } else if self.state.partition_status[id as usize] == PartitionStatus::Halted {
                     Expectation::err_stateful(XmRet::InvalidMode)
                 } else if id as u32 == caller {
                     Expectation::no_return(NoReturnExpect::CallerShutdown)
@@ -343,7 +359,7 @@ impl<'a> StateModel<'a> {
                 }
             }
             H::HmRead => {
-                let avail = self.hm_len.saturating_sub(self.hm_cursor);
+                let avail = self.state.hm_entries.saturating_sub(self.state.hm_cursor);
                 let n = (hc.arg32(1) as u64).min(avail as u64) as u32;
                 if n == 0 {
                     Expectation::value(0)
@@ -373,27 +389,33 @@ impl<'a> StateModel<'a> {
         let caller = self.ctx.caller as usize;
         match exp.outcome {
             ExpectedOutcome::NoReturn(nr) => match nr {
-                NoReturnExpect::CallerHalted => self.statuses[caller] = PartitionStatus::Halted,
-                NoReturnExpect::CallerSuspended => {
-                    self.statuses[caller] = PartitionStatus::Suspended
+                NoReturnExpect::CallerHalted => {
+                    self.state.partition_status[caller] = PartitionStatus::Halted
                 }
-                NoReturnExpect::CallerShutdown => self.statuses[caller] = PartitionStatus::Shutdown,
+                NoReturnExpect::CallerSuspended => {
+                    self.state.partition_status[caller] = PartitionStatus::Suspended
+                }
+                NoReturnExpect::CallerShutdown => {
+                    self.state.partition_status[caller] = PartitionStatus::Shutdown
+                }
                 NoReturnExpect::CallerReset => self.reset_partition(caller),
                 NoReturnExpect::CallerIdled => {} // back to Ready at slot end
                 NoReturnExpect::SystemColdReset => self.apply_system_reset(true),
                 NoReturnExpect::SystemWarmReset => self.apply_system_reset(false),
-                NoReturnExpect::SystemHalt => self.alive = false,
+                NoReturnExpect::SystemHalt => self.state.alive = false,
             },
             ExpectedOutcome::Ret(XmRet::Ok) => match hc.id {
-                H::HaltPartition => self.statuses[hc.arg_s32(0) as usize] = PartitionStatus::Halted,
+                H::HaltPartition => {
+                    self.state.partition_status[hc.arg_s32(0) as usize] = PartitionStatus::Halted
+                }
                 H::SuspendPartition => {
-                    self.statuses[hc.arg_s32(0) as usize] = PartitionStatus::Suspended
+                    self.state.partition_status[hc.arg_s32(0) as usize] = PartitionStatus::Suspended
                 }
                 H::ResumePartition => {
-                    self.statuses[hc.arg_s32(0) as usize] = PartitionStatus::Ready
+                    self.state.partition_status[hc.arg_s32(0) as usize] = PartitionStatus::Ready
                 }
                 H::ShutdownPartition => {
-                    self.statuses[hc.arg_s32(0) as usize] = PartitionStatus::Shutdown
+                    self.state.partition_status[hc.arg_s32(0) as usize] = PartitionStatus::Shutdown
                 }
                 H::ResetPartition => self.reset_partition(hc.arg_s32(0) as usize),
                 H::SetTimer => {
@@ -402,62 +424,62 @@ impl<'a> StateModel<'a> {
                         // deadlines, so a one-shot (interval ≤ 0) fires
                         // and disarms within the arming frame; a periodic
                         // timer stays armed.
-                        self.hw_armed[caller] = hc.arg_s64(2) > 0;
+                        self.state.hw_timer_armed[caller] = hc.arg_s64(2) > 0;
                     } else {
-                        self.exec_owner = Some(self.ctx.caller);
+                        self.state.exec_timer_owner = Some(self.ctx.caller);
                     }
                 }
-                H::SwitchSchedPlan => self.pending_plan = Some(hc.arg32(0)),
+                H::SwitchSchedPlan => self.state.pending_plan = Some(hc.arg32(0)),
                 H::HmSeek => {
                     if let Some(t) = self.hm_seek_target(hc) {
-                        self.hm_cursor = t as u32;
+                        self.state.hm_cursor = t as u32;
                     }
                 }
-                H::HmRaiseEvent => self.hm_len += 1,
+                H::HmRaiseEvent => self.state.hm_entries += 1,
                 _ => {}
             },
             ExpectedOutcome::RetValue(n) if hc.id == H::HmRead => {
-                self.hm_cursor = (self.hm_cursor + n as u32).min(self.hm_len);
+                self.state.hm_cursor = (self.state.hm_cursor + n as u32).min(self.state.hm_entries);
             }
             ExpectedOutcome::RetNonNegative
                 if matches!(hc.id, H::CreateSamplingPort | H::CreateQueuingPort) =>
             {
-                self.caller_ports += 1;
+                self.state.caller_ports += 1;
             }
             _ => {}
         }
     }
 
     fn reset_partition(&mut self, idx: usize) {
-        self.statuses[idx] = PartitionStatus::Ready;
-        self.reset_counts[idx] += 1;
-        self.hw_armed[idx] = false;
+        self.state.partition_status[idx] = PartitionStatus::Ready;
+        self.state.reset_counts[idx] += 1;
+        self.state.hw_timer_armed[idx] = false;
         if idx == self.ctx.caller as usize {
             self.caller_reset_pending = true;
         }
     }
 
     fn apply_system_reset(&mut self, cold: bool) {
-        for s in &mut self.statuses {
+        for s in &mut self.state.partition_status {
             *s = PartitionStatus::Ready;
         }
-        for c in &mut self.reset_counts {
+        for c in &mut self.state.reset_counts {
             *c += 1;
         }
-        for a in &mut self.hw_armed {
+        for a in &mut self.state.hw_timer_armed {
             *a = false;
         }
-        self.exec_owner = None;
+        self.state.exec_timer_owner = None;
         self.caller_reset_pending = true;
         if cold {
-            self.cold_resets += 1;
-            self.current_plan = self.ctx.plan_ids.first().copied().unwrap_or(0);
-            self.pending_plan = None;
+            self.state.cold_resets += 1;
+            self.state.current_plan = self.ctx.plan_ids.first().copied().unwrap_or(0);
+            self.state.pending_plan = None;
             // A cold reset destroys all ports; the prologue re-creates
             // the caller's at its next slot (see `begin_caller_slot`).
-            self.caller_ports = 0;
+            self.state.caller_ports = 0;
         } else {
-            self.warm_resets += 1;
+            self.state.warm_resets += 1;
         }
     }
 
@@ -467,40 +489,26 @@ impl<'a> StateModel<'a> {
     pub fn begin_caller_slot(&mut self) {
         if self.caller_reset_pending {
             self.caller_reset_pending = false;
-            self.hm_len += 1;
-            self.caller_ports = self.ctx.ports.len() as u32;
+            self.state.hm_entries += 1;
+            self.state.caller_ports = self.ctx.ports.len() as u32;
         }
     }
 
     /// Major-frame boundary: a pending plan switch takes effect.
     pub fn end_frame(&mut self) {
-        if let Some(p) = self.pending_plan.take() {
-            self.current_plan = p;
+        if let Some(p) = self.state.pending_plan.take() {
+            self.state.current_plan = p;
         }
     }
 
     /// Whether the model expects the caller to get CPU time at all.
     pub fn caller_schedulable(&self) -> bool {
-        self.alive && self.statuses[self.ctx.caller as usize].schedulable()
+        self.state.alive && self.state.partition_status[self.ctx.caller as usize].schedulable()
     }
 
     /// The model's prediction of [`XmKernel::state_digest`].
-    pub fn digest(&self) -> StateDigest {
-        StateDigest {
-            alive: self.alive,
-            sim_running: true,
-            partition_status: self.statuses.clone(),
-            reset_counts: self.reset_counts.clone(),
-            current_plan: self.current_plan,
-            pending_plan: self.pending_plan,
-            hw_timer_armed: self.hw_armed.clone(),
-            exec_timer_owner: self.exec_owner,
-            cold_resets: self.cold_resets,
-            warm_resets: self.warm_resets,
-            hm_entries: self.hm_len,
-            hm_cursor: self.hm_cursor,
-            caller_ports: self.caller_ports,
-        }
+    pub fn digest(&self) -> &StateDigest {
+        &self.state
     }
 }
 
@@ -655,39 +663,77 @@ pub fn run_one_sequence_bounded<T: Testbed + ?Sized>(
     steps_per_slot: usize,
     min_frames: usize,
 ) -> SequenceEval {
+    lockstep(testbed, ctx, kernel, guests, steps, steps_per_slot, min_frames, Evidence::Render)
+}
+
+/// Whether a lockstep run renders [`SequenceVerdict::state_diff`].
+/// Public only so the profiling example can split the two; campaigns
+/// choose it internally.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Evidence {
+    /// The headline and [`StateDigest::diff`] lines, for verdicts a
+    /// record keeps.
+    Render,
+    /// None: for runs judged only by their classification, or kept only
+    /// when they pass (a passing verdict has no evidence). Everything
+    /// else in the [`SequenceEval`] equals a rendering run's.
+    Skip,
+}
+
+/// The lockstep core behind [`run_one_sequence_bounded`]. Per frame it
+/// hashes and compares the kernel's state in place and borrows the
+/// frame's invocations, so frames allocate nothing; only a verdict's
+/// evidence, when rendered, is formatted.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn lockstep<T: Testbed + ?Sized>(
+    testbed: &T,
+    ctx: &OracleContext,
+    kernel: &mut XmKernel,
+    guests: &mut GuestSet,
+    steps: &[RawHypercall],
+    steps_per_slot: usize,
+    min_frames: usize,
+    evidence: Evidence,
+) -> SequenceEval {
+    let render = evidence == Evidence::Render;
     let caller = testbed.test_partition();
-    guests.set(
-        caller,
-        Box::new(SequenceGuest::new(steps.to_vec(), testbed.prologue(), steps_per_slot)),
-    );
+    SequenceGuest::install(guests, caller, steps, testbed.prologue(), steps_per_slot);
     let mut model = StateModel::new(ctx);
     let mut outcomes: Vec<StepOutcome> = Vec::with_capacity(steps.len());
-    let mut frame_digests: Vec<u64> = Vec::new();
+    // Worst case one step per frame, plus slack for prologue re-runs.
+    let frame_cap = (steps.len() + 4).max(min_frames);
+    let mut frame_digests: Vec<u64> = Vec::with_capacity(frame_cap);
     let mut executed = 0usize;
     let mut verdict: Option<SequenceVerdict> = None;
-    // Worst case one step per frame, plus slack for prologue re-runs.
-    let frame_cap = (steps.len() + 4).max(min_frames) as u32;
     // Set when the run may stop with the remaining steps vacuously passed:
     // all steps done, a predicted system halt, or a caller both sides
     // agree is no longer schedulable.
     let mut agreed_end = false;
+    // The model's prediction against the kernel's state, for evidence.
+    let state_diff = |model: &StateModel<'_>, kernel: &XmKernel| {
+        model.digest().diff(&kernel.state_digest(caller))
+    };
 
     for _ in 0..frame_cap {
         let schedulable_before = model.caller_schedulable();
         kernel.step_major_frames(guests, 1);
-        let new: Vec<Invocation> = sequence_guest(guests, caller).results[executed..].to_vec();
+        let new = &installed_guest(guests, caller).expect("installed above").results[executed..];
         let frame_exec = new.len();
 
         // Per-step comparison: first mismatch in this frame.
-        let mut pairwise: Option<(usize, Classification, String)> = None;
+        let mut pairwise: Option<(usize, Classification, Option<String>)> = None;
         if frame_exec > 0 && !schedulable_before {
             pairwise = Some((
                 executed,
                 Classification { class: CrashClass::Silent, cause: Cause::WrongSuccess },
-                format!(
-                    "step {executed} executed although the reference model holds the caller \
-                     unschedulable"
-                ),
+                render.then(|| {
+                    format!(
+                        "step {executed} executed although the reference model holds the \
+                         caller unschedulable"
+                    )
+                }),
             ));
         } else if frame_exec > 0 {
             model.begin_caller_slot();
@@ -701,13 +747,15 @@ pub fn run_one_sequence_bounded<T: Testbed + ?Sized>(
                         pairwise = Some((
                             executed + i,
                             c,
-                            format!(
-                                "step {}: {} — expected {:?}, observed {:?}",
-                                executed + i,
-                                hc,
-                                exp.outcome,
-                                obs
-                            ),
+                            render.then(|| {
+                                format!(
+                                    "step {}: {} — expected {:?}, observed {:?}",
+                                    executed + i,
+                                    hc,
+                                    exp.outcome,
+                                    obs
+                                )
+                            }),
                         ));
                     }
                 }
@@ -717,42 +765,40 @@ pub fn run_one_sequence_bounded<T: Testbed + ?Sized>(
 
         // Terminal signs take precedence over pairwise mismatches,
         // mirroring classify's rule order.
-        let digest = kernel.state_digest(caller);
-        frame_digests.push(digest.stable_hash());
+        frame_digests.push(kernel.state_hash(caller));
         let last_step =
             if frame_exec > 0 { Some(executed + frame_exec - 1) } else { executed.checked_sub(1) };
+        let predicted = model.digest();
+        let (cold_resets, warm_resets) = kernel.system_resets();
         let mut halt_predicted = false;
-        let mut terminal: Option<(Classification, String)> = None;
-        if !digest.sim_running {
+        let mut terminal: Option<(Classification, Option<String>)> = None;
+        if !kernel.sim_running() {
             terminal = Some((
                 Classification { class: CrashClass::Catastrophic, cause: Cause::SimulatorCrash },
-                "simulator crashed".to_string(),
+                render.then(|| "simulator crashed".to_string()),
             ));
-        } else if let Some(reason) = kernel.halt_reason() {
-            if model.alive {
+        } else if let KernelState::Halted { reason, .. } = kernel.state() {
+            if predicted.alive {
                 terminal = Some((
                     Classification { class: CrashClass::Catastrophic, cause: Cause::KernelHalt },
-                    format!("kernel halted: {reason}"),
+                    render.then(|| format!("kernel halted: {reason}")),
                 ));
             } else {
                 halt_predicted = true;
             }
-        } else if digest.cold_resets > model.cold_resets || digest.warm_resets > model.warm_resets {
-            let kind = if digest.cold_resets > model.cold_resets {
-                ResetKind::Cold
-            } else {
-                ResetKind::Warm
-            };
+        } else if cold_resets > predicted.cold_resets || warm_resets > predicted.warm_resets {
+            let kind =
+                if cold_resets > predicted.cold_resets { ResetKind::Cold } else { ResetKind::Warm };
             terminal = Some((
                 Classification {
                     class: CrashClass::Catastrophic,
                     cause: Cause::UnexpectedSystemReset(kind),
                 },
-                format!("undocumented system {kind:?} reset performed"),
+                render.then(|| format!("undocumented system {kind:?} reset performed")),
             ));
         } else {
             let hm = kernel.hm_log();
-            let lo = (model.hm_len as usize).min(hm.len());
+            let lo = (predicted.hm_entries as usize).min(hm.len());
             for e in &hm[lo..] {
                 if e.partition != Some(caller) {
                     continue;
@@ -764,7 +810,7 @@ pub fn run_one_sequence_bounded<T: Testbed + ?Sized>(
                                 class: CrashClass::Abort,
                                 cause: Cause::UnhandledServiceException,
                             },
-                            format!("unpredicted HM containment: {:?}", e.kind),
+                            render.then(|| format!("unpredicted HM containment: {:?}", e.kind)),
                         ));
                         break;
                     }
@@ -774,7 +820,7 @@ pub fn run_one_sequence_bounded<T: Testbed + ?Sized>(
                                 class: CrashClass::Restart,
                                 cause: Cause::TemporalOverrun,
                             },
-                            format!("unpredicted temporal violation: {:?}", e.kind),
+                            render.then(|| format!("unpredicted temporal violation: {:?}", e.kind)),
                         ));
                         break;
                     }
@@ -784,28 +830,27 @@ pub fn run_one_sequence_bounded<T: Testbed + ?Sized>(
         }
 
         if let Some((classification, headline)) = terminal {
-            let mut diff = model.digest().diff(&digest);
-            diff.insert(0, headline);
-            verdict =
-                Some(SequenceVerdict { classification, failing_step: last_step, state_diff: diff });
+            let state_diff = headline.map_or_else(Vec::new, |headline| {
+                let mut diff = state_diff(&model, kernel);
+                diff.insert(0, headline);
+                diff
+            });
+            verdict = Some(SequenceVerdict { classification, failing_step: last_step, state_diff });
         } else if let Some((idx, classification, msg)) = pairwise {
             verdict = Some(SequenceVerdict {
                 classification,
                 failing_step: Some(idx),
-                state_diff: vec![msg],
+                state_diff: msg.into_iter().collect(),
             });
-        } else if !halt_predicted {
-            let diff = model.digest().diff(&digest);
-            if !diff.is_empty() {
-                verdict = Some(SequenceVerdict {
-                    classification: Classification {
-                        class: CrashClass::Silent,
-                        cause: Cause::WrongSuccess,
-                    },
-                    failing_step: last_step,
-                    state_diff: diff,
-                });
-            }
+        } else if !halt_predicted && !kernel.state_matches(caller, predicted) {
+            verdict = Some(SequenceVerdict {
+                classification: Classification {
+                    class: CrashClass::Silent,
+                    cause: Cause::WrongSuccess,
+                },
+                failing_step: last_step,
+                state_diff: if render { state_diff(&model, kernel) } else { Vec::new() },
+            });
         }
 
         executed += frame_exec;
@@ -844,9 +889,15 @@ pub fn run_one_sequence_bounded<T: Testbed + ?Sized>(
                     cause: Cause::PartitionHang,
                 },
                 failing_step: Some(executed),
-                state_diff: vec![format!(
-                    "sequence stalled after {executed} steps: the caller stopped issuing calls"
-                )],
+                state_diff: render
+                    .then(|| {
+                        format!(
+                            "sequence stalled after {executed} steps: the caller stopped \
+                             issuing calls"
+                        )
+                    })
+                    .into_iter()
+                    .collect(),
             }
         }
     });
@@ -982,7 +1033,9 @@ fn evaluate_spec<T: Testbed + ?Sized>(
     }
     let (kernel, guests) = booter.booted(local);
     let span = local.start_span();
-    let main = run_one_sequence(testbed, ctx, kernel, guests, &spec.steps, opts.steps_per_slot);
+    // Only a passing main verdict is kept: no evidence to render.
+    let main =
+        lockstep(testbed, ctx, kernel, guests, &spec.steps, opts.steps_per_slot, 0, Evidence::Skip);
     local.end_span(Phase::Frames, span);
     let record = |eval: SequenceEval, minimal| SequenceRecord {
         spec: spec.clone(),
@@ -1015,7 +1068,7 @@ fn evaluate_spec<T: Testbed + ?Sized>(
             let _ = flightrec::drain();
             begin_seq_flight(spec.index);
             let (kernel, guests) = booter.booted(local);
-            let _ = run_one_sequence(testbed, ctx, kernel, guests, &spec.steps, 1);
+            let _ = lockstep(testbed, ctx, kernel, guests, &spec.steps, 1, 0, Evidence::Skip);
             log.end_flight(spec.index, class);
         }
         return record(refined, None);
@@ -1032,7 +1085,8 @@ fn evaluate_spec<T: Testbed + ?Sized>(
                 return false;
             }
             let (kernel, guests) = booter.booted(local);
-            run_one_sequence(testbed, ctx, kernel, guests, cand, 1).verdict.classification == target
+            let eval = lockstep(testbed, ctx, kernel, guests, cand, 1, 0, Evidence::Skip);
+            eval.verdict.classification == target
         },
         opts.shrink_budget,
     );
@@ -1289,6 +1343,75 @@ mod tests {
         assert!(d.reset_counts.iter().all(|&c| c == 1));
         m.begin_caller_slot();
         assert_eq!(m.digest().hm_entries, 3, "prologue re-run raises one HM event");
+    }
+
+    /// A classify-only lockstep run judges exactly like a rendering one —
+    /// same classification, attribution, outcomes and frame digests — on
+    /// both builds and both slot packings, diverging sequences included;
+    /// it only leaves the evidence out. Seeded sequences over every
+    /// small-scope configuration's probe steps plus a few calls that reach
+    /// the remaining verdict kinds (simulator crash, HM containment,
+    /// caller suspension and resets).
+    #[test]
+    fn classify_only_runs_judge_like_rendering_runs() {
+        use crate::check::{enumerate_configs, probes_for, CheckScope, CheckTestbed};
+        let mut diverged = 0usize;
+        let mut runs = 0usize;
+        for build in [KernelBuild::Legacy, KernelBuild::Patched] {
+            for (i, cfg) in enumerate_configs(&CheckScope::default()).into_iter().enumerate() {
+                let tb = CheckTestbed::new(cfg.clone());
+                let ctx = tb.oracle_context(build);
+                let alphabet: Vec<AlphabetEntry> = probes_for(&cfg)
+                    .iter()
+                    .flat_map(|p| &p.steps)
+                    .copied()
+                    .chain([
+                        call(HypercallId::SetTimer, &[1, 1, 1]),
+                        call(HypercallId::Multicall, &[0x2000_0000, 0x2000_0040]),
+                        call(HypercallId::SuspendPartition, &[0]),
+                        call(HypercallId::HaltPartition, &[1]),
+                        call(HypercallId::ResetPartition, &[0, 0, 0]),
+                        call(HypercallId::ResetSystem, &[0]),
+                    ])
+                    .map(|call| AlphabetEntry { call, weight: 1 })
+                    .collect();
+                for spec in generate_sequences(&alphabet, 0x5EED + i as u64, 3, 6) {
+                    for steps_per_slot in [1, 4] {
+                        let run = |evidence| {
+                            let (mut k, mut g) = tb.boot(build);
+                            lockstep(
+                                &tb,
+                                &ctx,
+                                &mut k,
+                                &mut g,
+                                &spec.steps,
+                                steps_per_slot,
+                                0,
+                                evidence,
+                            )
+                        };
+                        let (full, bare) = (run(Evidence::Render), run(Evidence::Skip));
+                        let label =
+                            format!("{} seq {} x{steps_per_slot}", cfg.describe(), spec.index);
+                        assert_eq!(
+                            bare.verdict.classification, full.verdict.classification,
+                            "{label}"
+                        );
+                        assert_eq!(bare.verdict.failing_step, full.verdict.failing_step, "{label}");
+                        assert_eq!(bare.steps_executed, full.steps_executed, "{label}");
+                        assert_eq!(bare.outcomes, full.outcomes, "{label}");
+                        assert_eq!(bare.frame_digests, full.frame_digests, "{label}");
+                        // Evidence exactly when a rendering run diverges.
+                        let diverges = full.verdict.classification.class != CrashClass::Pass;
+                        assert_eq!(full.verdict.state_diff.is_empty(), !diverges, "{label}");
+                        assert!(bare.verdict.state_diff.is_empty(), "{label}: rendered evidence");
+                        diverged += diverges as usize;
+                        runs += 1;
+                    }
+                }
+            }
+        }
+        assert!(diverged > 20 && diverged < runs, "{diverged} of {runs} runs diverged");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! stream and the checker diffs per frame. Three properties:
 //! field-permutation sensitivity (every field participates), stability
 //! across runs and threads, and injectivity over the digests the
-//! enumerated small-scope configuration set actually produces.
+//! enumerated small-scope configuration set actually produces. Over that
+//! same set, the kernel's in-place `state_hash`/`state_matches` must
+//! agree with the collected digest, field by field.
 
 use skrt::check::{enumerate_configs, probes_for, CheckScope, CheckTestbed, CALLER};
 use skrt::{run_one_sequence_bounded, Testbed};
@@ -32,24 +34,44 @@ fn base_digest() -> StateDigest {
 
 type FieldMutation = (&'static str, Box<dyn Fn(&mut StateDigest)>);
 
+/// One mutation per digest field, each guaranteed to change the field's
+/// value whatever it was (the digest needs at least one partition).
+fn field_mutations() -> Vec<FieldMutation> {
+    let flip = |s: PartitionStatus| {
+        if s == PartitionStatus::Halted {
+            PartitionStatus::Ready
+        } else {
+            PartitionStatus::Halted
+        }
+    };
+    vec![
+        ("alive", Box::new(|d| d.alive = !d.alive)),
+        ("sim_running", Box::new(|d| d.sim_running = !d.sim_running)),
+        (
+            "partition_status",
+            Box::new(move |d| d.partition_status[0] = flip(d.partition_status[0])),
+        ),
+        ("reset_counts", Box::new(|d| *d.reset_counts.last_mut().unwrap() += 1)),
+        ("current_plan", Box::new(|d| d.current_plan += 1)),
+        ("pending_plan", Box::new(|d| d.pending_plan = Some(d.pending_plan.map_or(1, |p| p + 1)))),
+        ("hw_timer_armed", Box::new(|d| d.hw_timer_armed[0] = !d.hw_timer_armed[0])),
+        (
+            "exec_timer_owner",
+            Box::new(|d| d.exec_timer_owner = Some(d.exec_timer_owner.map_or(0, |o| o + 1))),
+        ),
+        ("cold_resets", Box::new(|d| d.cold_resets += 1)),
+        ("warm_resets", Box::new(|d| d.warm_resets += 1)),
+        ("hm_entries", Box::new(|d| d.hm_entries += 1)),
+        ("hm_cursor", Box::new(|d| d.hm_cursor += 1)),
+        ("caller_ports", Box::new(|d| d.caller_ports += 1)),
+    ]
+}
+
 #[test]
 fn every_field_perturbs_the_hash() {
     let base = base_digest().stable_hash();
-    let mutations: Vec<FieldMutation> = vec![
-        ("alive", Box::new(|d| d.alive = false)),
-        ("sim_running", Box::new(|d| d.sim_running = false)),
-        ("partition_status", Box::new(|d| d.partition_status[1] = PartitionStatus::Halted)),
-        ("reset_counts", Box::new(|d| d.reset_counts[2] = 1)),
-        ("current_plan", Box::new(|d| d.current_plan = 1)),
-        ("pending_plan", Box::new(|d| d.pending_plan = Some(1))),
-        ("hw_timer_armed", Box::new(|d| d.hw_timer_armed[0] = true)),
-        ("exec_timer_owner", Box::new(|d| d.exec_timer_owner = Some(0))),
-        ("cold_resets", Box::new(|d| d.cold_resets = 1)),
-        ("warm_resets", Box::new(|d| d.warm_resets = 1)),
-        ("hm_entries", Box::new(|d| d.hm_entries = 1)),
-        ("hm_cursor", Box::new(|d| d.hm_cursor = 1)),
-        ("caller_ports", Box::new(|d| d.caller_ports = 1)),
-    ];
+    let mutations = field_mutations();
+    assert_eq!(mutations.len(), 13, "one mutation per digest field");
     for (field, mutate) in mutations {
         let mut d = base_digest();
         mutate(&mut d);
@@ -115,6 +137,19 @@ fn no_collisions_over_the_enumerated_small_scope_set() {
                 );
                 let digest = kernel.state_digest(CALLER);
                 runs += 1;
+                // The in-place fast paths agree with the collected digest,
+                // and the comparison notices a change in any one field.
+                assert_eq!(kernel.state_hash(CALLER), digest.stable_hash(), "{}", cfg.describe());
+                assert!(kernel.state_matches(CALLER, &digest), "{}", cfg.describe());
+                for (field, mutate) in field_mutations() {
+                    let mut other = digest.clone();
+                    mutate(&mut other);
+                    assert!(
+                        !kernel.state_matches(CALLER, &other),
+                        "{}: state_matches ignored a change to `{field}`",
+                        cfg.describe()
+                    );
+                }
                 match seen.get(&digest.stable_hash()) {
                     None => {
                         seen.insert(digest.stable_hash(), digest);

@@ -369,6 +369,17 @@ impl XmKernel {
         matches!(self.state, KernelState::Normal) && self.machine.is_running()
     }
 
+    /// True while the simulator is operational (false after a
+    /// TSIM-style crash).
+    pub fn sim_running(&self) -> bool {
+        self.machine.is_running()
+    }
+
+    /// System cold and warm resets performed since boot.
+    pub fn system_resets(&self) -> (u32, u32) {
+        (self.cold_resets, self.warm_resets)
+    }
+
     /// Halt reason rendered for reporting, if halted.
     pub fn halt_reason(&self) -> Option<String> {
         match &self.state {
@@ -1066,15 +1077,55 @@ impl XmKernel {
     /// differential oracle diffs this against its reference state machine
     /// after every frame; every field here must be *exactly* predictable
     /// from documented hypercall semantics alone.
+    ///
+    /// This collects the digest; the lockstep hot path compares and hashes
+    /// the same fields in place ([`state_matches`](Self::state_matches),
+    /// [`state_hash`](Self::state_hash)) and keeps this as the renderer and
+    /// the reference debug builds check those against.
     pub fn state_digest(&self, caller: u32) -> StateDigest {
-        StateDigest {
+        let mut digest = StateDigest::default();
+        self.write_state_digest(caller, &mut digest);
+        digest
+    }
+
+    /// Overwrites `out` with [`state_digest`](Self::state_digest), reusing
+    /// its vectors' capacity.
+    fn write_state_digest(&self, caller: u32, out: &mut StateDigest) {
+        out.alive = self.alive();
+        out.sim_running = self.machine.is_running();
+        out.partition_status.clear();
+        out.partition_status.extend(self.parts.iter().map(|p| p.status));
+        out.reset_counts.clear();
+        out.reset_counts.extend(self.parts.iter().map(|p| p.reset_count));
+        out.current_plan = self.sched.current_plan_id();
+        out.pending_plan = self.sched.pending_plan_id();
+        out.hw_timer_armed.clear();
+        out.hw_timer_armed.extend(self.hw_vtimers.iter().map(|t| t.armed));
+        out.exec_timer_owner = self.exec_timer_owner;
+        out.cold_resets = self.cold_resets;
+        out.warm_resets = self.warm_resets;
+        out.hm_entries = self.hm.len() as u32;
+        out.hm_cursor = self.hm.cursor as u32;
+        out.caller_ports = self.port_count(caller) as u32;
+    }
+
+    /// The digest's fields read in place, without collecting them.
+    fn digest_fields(
+        &self,
+        caller: u32,
+    ) -> DigestFields<
+        impl ExactSizeIterator<Item = PartitionStatus> + '_,
+        impl Iterator<Item = u32> + '_,
+        impl Iterator<Item = bool> + '_,
+    > {
+        DigestFields {
             alive: self.alive(),
             sim_running: self.machine.is_running(),
-            partition_status: self.parts.iter().map(|p| p.status).collect(),
-            reset_counts: self.parts.iter().map(|p| p.reset_count).collect(),
+            partition_status: self.parts.iter().map(|p| p.status),
+            reset_counts: self.parts.iter().map(|p| p.reset_count),
             current_plan: self.sched.current_plan_id(),
             pending_plan: self.sched.pending_plan_id(),
-            hw_timer_armed: self.hw_vtimers.iter().map(|t| t.armed).collect(),
+            hw_timer_armed: self.hw_vtimers.iter().map(|t| t.armed),
             exec_timer_owner: self.exec_timer_owner,
             cold_resets: self.cold_resets,
             warm_resets: self.warm_resets,
@@ -1083,11 +1134,117 @@ impl XmKernel {
             caller_ports: self.port_count(caller) as u32,
         }
     }
+
+    /// `self.state_digest(caller) == *want`, compared in place: no
+    /// allocation, and it stops at the first differing field.
+    pub fn state_matches(&self, caller: u32, want: &StateDigest) -> bool {
+        let matches = self.digest_fields(caller).matches(want);
+        #[cfg(debug_assertions)]
+        SHADOW_DIGEST.with_borrow_mut(|d| {
+            self.write_state_digest(caller, d);
+            debug_assert_eq!(matches, *d == *want, "state_matches diverged from state_digest");
+        });
+        matches
+    }
+
+    /// `self.state_digest(caller).stable_hash()`, folded in place without
+    /// collecting the digest.
+    pub fn state_hash(&self, caller: u32) -> u64 {
+        let hash = self.digest_fields(caller).stable_hash();
+        #[cfg(debug_assertions)]
+        SHADOW_DIGEST.with_borrow_mut(|d| {
+            self.write_state_digest(caller, d);
+            debug_assert_eq!(hash, d.stable_hash(), "state_hash diverged from state_digest");
+        });
+        hash
+    }
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// The reference digest debug builds collect to shadow-check
+    /// [`XmKernel::state_matches`] and [`XmKernel::state_hash`]. Reused,
+    /// so the shadow allocates only while its vectors first grow.
+    static SHADOW_DIGEST: std::cell::RefCell<StateDigest> =
+        std::cell::RefCell::new(StateDigest::default());
+}
+
+/// The [`StateDigest`] fields in declaration order, with the
+/// per-partition vectors as iterators: what a collected digest and the
+/// kernel itself both present, so one fold hashes either and one
+/// comparison matches the kernel against a prediction in place.
+struct DigestFields<S, R, A> {
+    alive: bool,
+    sim_running: bool,
+    partition_status: S,
+    reset_counts: R,
+    current_plan: u32,
+    pending_plan: Option<u32>,
+    hw_timer_armed: A,
+    exec_timer_owner: Option<u32>,
+    cold_resets: u32,
+    warm_resets: u32,
+    hm_entries: u32,
+    hm_cursor: u32,
+    caller_ports: u32,
+}
+
+impl<S, R, A> DigestFields<S, R, A>
+where
+    S: ExactSizeIterator<Item = PartitionStatus>,
+    R: Iterator<Item = u32>,
+    A: Iterator<Item = bool>,
+{
+    /// See [`StateDigest::stable_hash`].
+    fn stable_hash(self) -> u64 {
+        const PRIME: u64 = 0x0000_0100_0000_01B3;
+        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+        let mut fold = |w: u64| h = (h ^ w).wrapping_mul(PRIME);
+        fold(self.alive as u64);
+        fold(self.sim_running as u64);
+        fold(self.partition_status.len() as u64);
+        for s in self.partition_status {
+            fold(s as u64);
+        }
+        for c in self.reset_counts {
+            fold(c as u64);
+        }
+        fold(self.current_plan as u64);
+        fold(self.pending_plan.map_or(u64::MAX, u64::from));
+        for armed in self.hw_timer_armed {
+            fold(armed as u64);
+        }
+        fold(self.exec_timer_owner.map_or(u64::MAX, u64::from));
+        fold(self.cold_resets as u64);
+        fold(self.warm_resets as u64);
+        fold(self.hm_entries as u64);
+        fold(self.hm_cursor as u64);
+        fold(self.caller_ports as u64);
+        h
+    }
+
+    /// Field-wise equality with `want`: scalars first, then the vectors
+    /// element by element (lengths included).
+    fn matches(self, want: &StateDigest) -> bool {
+        self.alive == want.alive
+            && self.sim_running == want.sim_running
+            && self.current_plan == want.current_plan
+            && self.pending_plan == want.pending_plan
+            && self.exec_timer_owner == want.exec_timer_owner
+            && self.cold_resets == want.cold_resets
+            && self.warm_resets == want.warm_resets
+            && self.hm_entries == want.hm_entries
+            && self.hm_cursor == want.hm_cursor
+            && self.caller_ports == want.caller_ports
+            && self.partition_status.eq(want.partition_status.iter().copied())
+            && self.reset_counts.eq(want.reset_counts.iter().copied())
+            && self.hw_timer_armed.eq(want.hw_timer_armed.iter().copied())
+    }
 }
 
 /// Snapshot of the architectural state compared by the stepwise
 /// differential oracle (see [`XmKernel::state_digest`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StateDigest {
     /// Kernel in `Normal` state and simulator running.
     pub alive: bool,
@@ -1152,30 +1309,22 @@ impl StateDigest {
     /// only on field contents (never addresses or iteration order), so
     /// it is reproducible across runs, threads and platforms.
     pub fn stable_hash(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut fold = |w: u64| h = (h ^ w).wrapping_mul(PRIME);
-        fold(self.alive as u64);
-        fold(self.sim_running as u64);
-        fold(self.partition_status.len() as u64);
-        for s in &self.partition_status {
-            fold(*s as u64);
+        DigestFields {
+            alive: self.alive,
+            sim_running: self.sim_running,
+            partition_status: self.partition_status.iter().copied(),
+            reset_counts: self.reset_counts.iter().copied(),
+            current_plan: self.current_plan,
+            pending_plan: self.pending_plan,
+            hw_timer_armed: self.hw_timer_armed.iter().copied(),
+            exec_timer_owner: self.exec_timer_owner,
+            cold_resets: self.cold_resets,
+            warm_resets: self.warm_resets,
+            hm_entries: self.hm_entries,
+            hm_cursor: self.hm_cursor,
+            caller_ports: self.caller_ports,
         }
-        for c in &self.reset_counts {
-            fold(*c as u64);
-        }
-        fold(self.current_plan as u64);
-        fold(self.pending_plan.map_or(u64::MAX, u64::from));
-        for armed in &self.hw_timer_armed {
-            fold(*armed as u64);
-        }
-        fold(self.exec_timer_owner.map_or(u64::MAX, u64::from));
-        fold(self.cold_resets as u64);
-        fold(self.warm_resets as u64);
-        fold(self.hm_entries as u64);
-        fold(self.hm_cursor as u64);
-        fold(self.caller_ports as u64);
-        h
+        .stable_hash()
     }
 }
 

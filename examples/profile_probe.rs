@@ -12,6 +12,12 @@
 //! fresh-boot re-verdict and the shrink. The benchmark's traced `check`
 //! driver times its own byte-image witness, so only this split shows the
 //! dirty-page witness.
+//!
+//! Last, splits the lockstep judge: the benchmark's 500 seeded `sequences`
+//! inputs on the prefix arena, each run once rendering its verdict
+//! evidence (the public `run_one_sequence`, which the benchmark's traced
+//! driver times) and once classify-only (what the campaigns' main
+//! evaluations and shrink predicates run), in µs and allocations per run.
 
 use eagleeye::EagleEye;
 use skrt::check::{
@@ -19,15 +25,42 @@ use skrt::check::{
     InvariantViolation, CALLER, PART_SIZE,
 };
 use skrt::flight::DEFAULT_RING_CAPACITY;
-use skrt::sequence::run_one_sequence_bounded;
+use skrt::sequence::{lockstep, run_one_sequence_bounded, Evidence};
 use skrt::testbed::{BootSnapshot, Testbed, Workspace};
 use skrt::{shrink_sequence, Classification, CrashClass};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use xtratum::kernel::XmKernel;
 use xtratum::vuln::KernelBuild;
 
 const BUILD: KernelBuild = KernelBuild::Legacy;
+
+/// Counts the process's allocations (and reallocations) for the lockstep
+/// split.
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn us(ns: u128, n: usize) -> f64 {
     ns as f64 / n as f64 / 1e3
@@ -80,6 +113,51 @@ fn main() {
     }
 
     check_split();
+    lockstep_split(&prefix, &ctx);
+}
+
+/// Runs the benchmark's `sequences` inputs (seed 1, 500 × 8 steps) on the
+/// prefix arena, rendering and classify-only, at the main evaluation's
+/// four steps per slot and the refine/shrink runs' one, and prints µs and
+/// allocations per run.
+fn lockstep_split(prefix: &BootSnapshot, ctx: &skrt::oracle::OracleContext) {
+    let part = EagleEye.test_partition();
+    let specs = xm_campaign::eagleeye_sequence_specs(1, 500, 8);
+    let mut ws = prefix.workspace();
+    println!("lockstep ({} sequences, prefix arena):", specs.len());
+    for steps_per_slot in [4, 1] {
+        for (label, evidence) in
+            [("rendering", Evidence::Render), ("classify-only", Evidence::Skip)]
+        {
+            let (mut t, mut allocs, mut diverged) = (0u128, 0u64, 0usize);
+            for spec in &specs {
+                ws.restore(prefix, Some(part));
+                let (kernel, guests) = ws.parts();
+                let a = ALLOCS.load(Ordering::Relaxed);
+                let t0 = Instant::now();
+                let eval = lockstep(
+                    &EagleEye,
+                    ctx,
+                    kernel,
+                    guests,
+                    &spec.steps,
+                    steps_per_slot,
+                    0,
+                    evidence,
+                );
+                t += t0.elapsed().as_nanos();
+                allocs += ALLOCS.load(Ordering::Relaxed) - a;
+                diverged += (eval.verdict.classification.class != CrashClass::Pass) as usize;
+                black_box(eval);
+            }
+            println!(
+                "  {steps_per_slot} step(s)/slot, {label:<13} {:.2} us, {:.1} allocs per run \
+                 ({diverged} diverge)",
+                us(t, specs.len()),
+                allocs as f64 / specs.len() as f64
+            );
+        }
+    }
 }
 
 /// Victim memory images (partitions 1..n), as the byte-image witness

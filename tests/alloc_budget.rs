@@ -20,13 +20,16 @@
 //! catches reintroduced per-slot/per-expiry allocation (dozens to
 //! hundreds per test) without flaking on allocator-library noise.
 
+use skrt::classify::CrashClass;
 use skrt::mutant::{take_invocations, MutantGuest};
 use skrt::observe::TestObservation;
+use skrt::sequence::run_one_sequence;
 use skrt::testbed::Testbed;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use xtratum::hypercall::{HypercallId, RawHypercall};
 use xtratum::vuln::KernelBuild;
 
 /// The allocation counter is process-global, so tests that open a
@@ -84,6 +87,14 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// allocation moves the count by dozens to hundreds and trips this
 /// immediately.
 const BUDGET: u64 = 110;
+
+/// Per-run allocation ceiling for a passing lockstep run on a warm
+/// prefix arena. Measured at this pin: 9 per run, flat in the step count
+/// (the reference model's three vectors, the outcome and frame-digest
+/// vectors, and the four port names the prologue reads). The ~50%
+/// headroom absorbs allocator noise; a per-frame allocation adds one per
+/// frame and also breaks the 8-vs-16-step equality below.
+const LOCKSTEP_RUN_BUDGET: u64 = 14;
 
 /// The flat-snapshot rewind — `Workspace::restore`, the operation the
 /// campaign engine runs between every two tests on the same worker —
@@ -283,5 +294,51 @@ fn snapshot_path_steady_state_allocations_stay_in_budget() {
         per_test_enabled <= BUDGET,
         "recorder-enabled test allocates {per_test_enabled} times per test (budget {BUDGET}); \
          the record path must write into the preallocated ring without allocating"
+    );
+}
+
+/// The lockstep judge compares and hashes the kernel's state in place and
+/// borrows each frame's invocations, so a frame allocates nothing: a
+/// passing sequence through the public `run_one_sequence` at one step
+/// per slot allocates as often over 16 steps as over 8, and stays within
+/// a small per-run budget.
+#[test]
+fn lockstep_frames_are_allocation_free() {
+    let _serial = serial();
+    let testbed = eagleeye::EagleEye;
+    let build = KernelBuild::Legacy;
+    let ctx = testbed.oracle_context(build);
+    let part = testbed.test_partition();
+    let mut snapshot = testbed.snapshot(build).expect("EagleEye snapshots");
+    snapshot.step_until_slot_of(part);
+    let mut ws = snapshot.workspace();
+    let get_time = RawHypercall::new_unchecked(HypercallId::GetTime, [0, eagleeye::SCRATCH as u64]);
+    let steps = [get_time; 16];
+
+    let mut run = |n: usize| {
+        ws.restore(&snapshot, Some(part));
+        let (kernel, guests) = ws.parts();
+        ALLOCS.store(0, Ordering::SeqCst);
+        set_counting(true);
+        let eval = run_one_sequence(&testbed, &ctx, kernel, guests, &steps[..n], 1);
+        set_counting(false);
+        assert_eq!(eval.verdict.classification.class, CrashClass::Pass, "{n} steps");
+        assert_eq!(eval.steps_executed, n);
+        assert!(eval.frame_digests.len() >= n, "one step per slot: a frame per step");
+        ALLOCS.load(Ordering::SeqCst)
+    };
+    // Warm-up: the arena's guest and scratch buffers reach the capacity
+    // the longest run needs.
+    // Warm-up: the arena's guest buffers and the kernel's recycled
+    // queuing-port message buffers reach the capacity the longest run
+    // needs (the pool settles after a few runs).
+    for _ in 0..8 {
+        run(16);
+    }
+    let (short, long) = (run(8), run(16));
+    assert_eq!(short, long, "8 more frames allocated {} more times", long as i64 - short as i64);
+    assert!(
+        long <= LOCKSTEP_RUN_BUDGET,
+        "a passing lockstep run allocates {long} times (budget {LOCKSTEP_RUN_BUDGET})"
     );
 }

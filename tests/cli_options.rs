@@ -49,6 +49,21 @@ fn usage_lists_no_removed_engine_switches() {
     assert_eq!(out.status.code(), Some(2), "an unknown command is a usage error");
 }
 
+/// A replay file is hostile input too: a step with more argument words
+/// than the register file holds is a line-numbered error (exit 2), not
+/// a panic (exit 101).
+#[test]
+fn oversized_replay_step_exits_2_not_panic() {
+    let path = std::env::temp_dir().join(format!("skrt_cli_replay_{}.seq", std::process::id()));
+    std::fs::write(&path, "# replay\nXM_get_time 1 2 3 4 5 6 7 8\n").expect("write replay file");
+    let out = skrt(&["campaign", "fuzz", "--replay", path.to_str().expect("utf-8 temp path")]);
+    std::fs::remove_file(&path).expect("remove replay file");
+    assert_eq!(out.status.code(), Some(2), "an oversized step must be a usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 2: at most 6 arguments, got 8"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run");
+}
+
 /// A duration that parses as a float but does not fit a `Duration`
 /// (`inf`, `1e300`) or is no number at all (`nan`) is a usage error, not
 /// a panic (exit 101).

@@ -231,7 +231,7 @@ fn fold_facts(m: &MetricsReport) -> FoldFacts {
 /// mode reports the same tests, verdict tallies, snapshot clones and
 /// (with the recorder on) phase span counts, and one fresh boot per
 /// worker — per configuration for `check`, which boots each
-/// configuration's arena once.
+/// configuration's arena once and fresh-boots each finding's re-verdict.
 #[test]
 fn metrics_fold_is_exact_across_thread_counts() {
     let spec = subset();
@@ -258,7 +258,16 @@ fn metrics_fold_is_exact_across_thread_counts() {
             record: true,
             ..Default::default()
         });
-        assert_eq!(check.metrics.fresh_boots, check.configs as u64, "check at {threads} threads");
+        // One arena boot per configuration, plus one fresh-boot
+        // re-verdict per case whose arena run found something (arena and
+        // fresh runs agree, so those are exactly the reported findings).
+        let findings = check.findings().len() as u64;
+        assert!(findings > 0, "the legacy build has counterexamples at this scope");
+        assert_eq!(
+            check.metrics.fresh_boots,
+            check.configs as u64 + findings,
+            "check at {threads} threads"
+        );
         for (mode, m) in [("campaign", &campaign), ("sequences", &sequences), ("fuzz", &fuzz)] {
             assert_eq!(m.fresh_boots, m.threads as u64, "{mode}: one boot per worker");
             assert!(m.threads > 1 || threads == 1, "{mode} ran on {} threads", m.threads);
