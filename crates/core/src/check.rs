@@ -489,8 +489,8 @@ struct MemoryChange {
 
 /// The victim memory changes of a run on an arena pair rewound to
 /// `snapshot`: the run started from the snapshot's memory and every store
-/// marks its page dirty, so comparing the victim pages dirtied since the
-/// rewind against the snapshot finds exactly what the before/after
+/// marks its 256-byte blocks dirty, so comparing the victim blocks dirtied
+/// since the rewind against the snapshot finds exactly what the before/after
 /// [`victim_memory`] images would, without copying 64 KiB per victim.
 fn victim_changes_since<'a>(
     kernel: &'a XmKernel,

@@ -8,7 +8,8 @@
 //!    just before the test partition's first slot (see [`Booter`]): the
 //!    other partitions' first-frame work is identical in every test, so
 //!    it is simulated once, not per test. The snapshot's memory is flat,
-//!    so the rewind is one bounded dirty-page copy plus
+//!    so the rewind is one bounded copy of the 256-byte blocks the
+//!    last test wrote, plus
 //!    capacity-preserving `clone_from`s, with no per-test allocation or
 //!    refcount traffic. Falls back to a fresh boot when the testbed's
 //!    guests are not cloneable. Tests never observe another test's
@@ -323,8 +324,8 @@ impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
 
     /// [`booted`](Self::booted), plus the snapshot kernel an arena pair
     /// was just rewound to (`None` for a fresh boot). Until the pair
-    /// runs, its memory equals the snapshot's and no page is dirty, so a
-    /// caller can diff the pages a run wrote against the snapshot.
+    /// runs, its memory equals the snapshot's and no block is dirty, so a
+    /// caller can diff the blocks a run wrote against the snapshot.
     pub(crate) fn booted_from(
         &mut self,
         local: &mut LocalMetrics,

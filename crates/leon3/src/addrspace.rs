@@ -138,35 +138,58 @@ impl Region {
 
 const PAGE_BITS: usize = 12;
 const PAGE: usize = 1 << PAGE_BITS;
+/// Dirty-tracking granularity: a store marks the 256-byte blocks it
+/// covers, so a rewind copies back what a test wrote, not whole pages.
+const BLOCK_BITS: usize = 8;
+const BLOCK: usize = 1 << BLOCK_BITS;
+const BLOCKS_PER_PAGE: usize = PAGE / BLOCK;
+const _: () = assert!(BLOCKS_PER_PAGE == u16::BITS as usize, "one u16 mask bit per block");
 
-/// Flat backing store of one region with page-granular dirty tracking.
+/// The runs of consecutive set bits of a page's block mask, as byte
+/// ranges `[lo, hi)` of the region: one copy or compare per run.
+fn block_runs(page: u32, mut mask: u16) -> impl Iterator<Item = (usize, usize)> {
+    let base = (page as usize) << PAGE_BITS;
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let (b, run) = (mask.trailing_zeros(), (mask >> mask.trailing_zeros()).trailing_ones());
+        mask &= !((((1u32 << run) - 1) << b) as u16);
+        let lo = base + ((b as usize) << BLOCK_BITS);
+        Some((lo, lo + ((run as usize) << BLOCK_BITS)))
+    })
+}
+
+/// Flat backing store of one region with block-granular dirty tracking.
 ///
 /// The region's contents live in one contiguous, page-rounded buffer, so
 /// loads and stores are direct slice copies — no refcounting, no page
 /// chasing, no copy-on-write bookkeeping on the access path. Every store
-/// marks the 4 KiB pages it touches; [`RegionMem::restore_from`] copies
-/// back only the marked pages, which is what makes per-test state reset
-/// in the campaign executor a bounded memcpy proportional to the bytes a
-/// test actually dirtied, not to the configured memory size.
+/// marks the 256-byte blocks it covers in its 4 KiB page's block mask;
+/// [`RegionMem::restore_from`] copies back only the marked blocks, which
+/// is what makes per-test state reset in the campaign executor a bounded
+/// memcpy proportional to the bytes a test actually wrote, not to the
+/// configured memory size or to the pages those bytes sit in.
 #[derive(Debug)]
 struct RegionMem {
     bytes: Box<[u8]>,
     /// Pages written since creation, the last clone, or the last restore.
     dirty: Vec<u32>,
-    /// Per-page dirty bits mirroring `dirty` (constant-time dedup).
-    dirty_map: Box<[bool]>,
+    /// Per-page dirty-block masks: bit `b` marks block `b` of the page,
+    /// and a page is in `dirty` iff its mask is non-zero.
+    dirty_blocks: Box<[u16]>,
 }
 
 impl Clone for RegionMem {
     /// A clone starts with an empty dirty set: it is byte-identical to
     /// its source at clone time, so a later
     /// [`restore_from`](RegionMem::restore_from) against that (since
-    /// unmodified) source only needs the pages written *after* the clone.
+    /// unmodified) source only needs the blocks written *after* the clone.
     fn clone(&self) -> Self {
         RegionMem {
             bytes: self.bytes.clone(),
             dirty: Vec::new(),
-            dirty_map: vec![false; self.dirty_map.len()].into_boxed_slice(),
+            dirty_blocks: vec![0; self.dirty_blocks.len()].into_boxed_slice(),
         }
     }
 }
@@ -177,7 +200,7 @@ impl RegionMem {
         RegionMem {
             bytes: vec![0u8; n_pages * PAGE].into_boxed_slice(),
             dirty: Vec::new(),
-            dirty_map: vec![false; n_pages].into_boxed_slice(),
+            dirty_blocks: vec![0; n_pages].into_boxed_slice(),
         }
     }
 
@@ -197,50 +220,66 @@ impl RegionMem {
         if data.is_empty() {
             return;
         }
-        let (first, last) = (off >> PAGE_BITS, (off + data.len() - 1) >> PAGE_BITS);
-        for p in first..=last {
-            if !self.dirty_map[p] {
-                self.dirty_map[p] = true;
+        // Blocks [first, last] of the region, page by page.
+        let (first, last) = (off >> BLOCK_BITS, (off + data.len() - 1) >> BLOCK_BITS);
+        for p in first / BLOCKS_PER_PAGE..=last / BLOCKS_PER_PAGE {
+            let lo = first.max(p * BLOCKS_PER_PAGE) % BLOCKS_PER_PAGE;
+            let hi = last.min(p * BLOCKS_PER_PAGE + BLOCKS_PER_PAGE - 1) % BLOCKS_PER_PAGE;
+            let bits = (((2u32 << (hi - lo)) - 1) << lo) as u16;
+            let mask = &mut self.dirty_blocks[p];
+            if *mask == 0 {
                 self.dirty.push(p as u32);
             }
+            *mask |= bits;
         }
         self.bytes[off..off + data.len()].copy_from_slice(data);
     }
 
     /// Compares `[off, off + len)` against the same range of `src`,
-    /// visiting only the dirty pages: the lowest differing offset and
+    /// visiting only the dirty blocks: the lowest differing offset and
     /// the number of differing bytes, or `None` when they are equal.
     /// Exact under [`restore_from`](RegionMem::restore_from)'s contract
-    /// (clean pages equal `src`'s).
+    /// (clean blocks equal `src`'s).
     fn diff_dirty(&self, src: &RegionMem, off: usize, len: usize) -> Option<(usize, usize)> {
         let mut first = usize::MAX;
         let mut changed = 0usize;
         for &p in &self.dirty {
-            let lo = ((p as usize) << PAGE_BITS).max(off);
-            let hi = (((p as usize) + 1) << PAGE_BITS).min(off + len);
-            if lo >= hi {
-                continue;
-            }
-            let (mine, theirs) = (&self.bytes[lo..hi], &src.bytes[lo..hi]);
-            if let Some(i) = mine.iter().zip(theirs).position(|(a, b)| a != b) {
-                first = first.min(lo + i);
-                changed += mine[i..].iter().zip(&theirs[i..]).filter(|(a, b)| a != b).count();
+            for (lo, hi) in block_runs(p, self.dirty_blocks[p as usize]) {
+                let (lo, hi) = (lo.max(off), hi.min(off + len));
+                if lo >= hi {
+                    continue;
+                }
+                let (mine, theirs) = (&self.bytes[lo..hi], &src.bytes[lo..hi]);
+                if let Some(i) = mine.iter().zip(theirs).position(|(a, b)| a != b) {
+                    first = first.min(lo + i);
+                    changed += mine[i..].iter().zip(&theirs[i..]).filter(|(a, b)| a != b).count();
+                }
             }
         }
         (changed > 0).then_some((first, changed))
     }
 
-    /// Copies back every dirty page from `src` and clears the dirty set.
+    /// Bytes the next [`restore_from`](RegionMem::restore_from) copies:
+    /// set blocks × 256.
+    fn dirty_bytes(&self) -> usize {
+        let blocks: u32 =
+            self.dirty.iter().map(|&p| self.dirty_blocks[p as usize].count_ones()).sum();
+        blocks as usize * BLOCK
+    }
+
+    /// Copies back every dirty block from `src` and clears the dirty set.
     /// `src` must be the buffer this one was cloned from (or restored to
-    /// last), unmodified since — clean pages are already identical.
+    /// last), unmodified since — clean blocks are already identical.
     fn restore_from(&mut self, src: &RegionMem) {
         debug_assert_eq!(self.bytes.len(), src.bytes.len());
         for &p in &self.dirty {
-            let lo = (p as usize) << PAGE_BITS;
-            self.bytes[lo..lo + PAGE].copy_from_slice(&src.bytes[lo..lo + PAGE]);
-            self.dirty_map[p as usize] = false;
+            let mask = std::mem::take(&mut self.dirty_blocks[p as usize]);
+            for (lo, hi) in block_runs(p, mask) {
+                self.bytes[lo..hi].copy_from_slice(&src.bytes[lo..hi]);
+            }
         }
         self.dirty.clear();
+        debug_assert!(self.bytes == src.bytes, "restored memory differs from the snapshot's");
     }
 }
 
@@ -308,15 +347,16 @@ impl AddressSpace {
     }
 
     /// Restores every region to `src`'s contents by copying back only the
-    /// pages written since this space was cloned from `src` (or last
-    /// restored to it). `src` is the flat boot image: it must be
+    /// 256-byte blocks written since this space was cloned from `src` (or
+    /// last restored to it). `src` is the flat boot image: it must be
     /// unmodified since the clone, which holds for boot snapshots — they
     /// are captured once and never executed. Allocation-free and bounded
-    /// by the number of dirty pages, this is the campaign executor's
-    /// per-test state reset.
+    /// by [`dirty_bytes`](Self::dirty_bytes), this is the campaign
+    /// executor's per-test state reset.
     pub fn restore_from(&mut self, src: &AddressSpace) {
-        debug_assert_eq!(self.backing.len(), src.backing.len(), "region layout mismatch");
-        self.regions.clone_from(&src.regions);
+        // The region table is shared with `src` since the clone and only
+        // `add_region` changes it, so there is nothing to copy back.
+        debug_assert!(Arc::ptr_eq(&self.regions, &src.regions), "region layout mismatch");
         for (dst, s) in self.backing.iter_mut().zip(&src.backing) {
             dst.restore_from(s);
         }
@@ -325,11 +365,12 @@ impl AddressSpace {
     /// Compares `[addr, addr + len)`, which must lie in one region,
     /// with the same range of `src`: the lowest differing address and
     /// the number of differing bytes, or `None` when the ranges are
-    /// equal. Only the pages written since this space was cloned from
-    /// `src` (or last restored to it) are visited, so the cost follows
-    /// the bytes written, not `len`, and nothing is copied or allocated.
-    /// Exact under [`restore_from`](Self::restore_from)'s contract: `src`
-    /// unmodified since, so every clean page already equals it.
+    /// equal. Only the 256-byte blocks written since this space was cloned
+    /// from `src` (or last restored to it) are visited, so the cost
+    /// follows the bytes written, not `len`, and nothing is copied or
+    /// allocated. Exact under [`restore_from`](Self::restore_from)'s
+    /// contract: `src` unmodified since, so every clean block already
+    /// equals it.
     pub fn diff_dirty(
         &self,
         src: &AddressSpace,
@@ -343,10 +384,17 @@ impl AddressSpace {
             .map(|(first, changed)| RangeDiff { first: addr + (first - off) as Addr, changed }))
     }
 
-    /// Total pages currently marked dirty across all regions (diagnostics
-    /// for the restore path; a restore copies exactly this many pages).
+    /// Distinct 4 KiB pages holding at least one dirty block, across all
+    /// regions (diagnostics for the restore path: the pages a restore
+    /// touches, not the bytes it copies).
     pub fn dirty_pages(&self) -> usize {
         self.backing.iter().map(|b| b.dirty.len()).sum()
+    }
+
+    /// Bytes the next [`restore_from`](Self::restore_from) copies back:
+    /// dirty 256-byte blocks × 256, across all regions.
+    pub fn dirty_bytes(&self) -> usize {
+        self.backing.iter().map(RegionMem::dirty_bytes).sum()
     }
 
     /// Finds the region covering `addr`, if any.
@@ -495,7 +543,7 @@ impl AddressSpace {
     }
 
     /// Consecutive aligned 32-bit stores with a single whole-range check —
-    /// byte-identical (values, byte order, dirty pages) to one
+    /// byte-identical (values, byte order, dirty blocks) to one
     /// [`write_u32`](Self::write_u32) per word, and since the range check
     /// proves every word lies in one region, the per-word stores are
     /// infallible: partial writes never happen, matching the per-word

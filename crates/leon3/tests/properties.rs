@@ -1,13 +1,16 @@
 //! Property tests for the machine substrate: the memory-protection model
 //! and the timer block behave like their abstract specifications for all
-//! inputs, and the region-run load walk equals its per-entry reference.
+//! inputs, the region-run load walk equals its per-entry reference, and
+//! the block-granular dirty tracking behind the arena rewind equals a
+//! byte-wise reference.
 //! Randomised via the deterministic `testkit` harness.
 
 use leon3_sim::addrspace::{
-    AccessCtx, AccessKind, AddressSpace, MemFault, MemFaultKind, Owner, Perms, Region,
+    AccessCtx, AccessKind, AddressSpace, MemFault, MemFaultKind, Owner, Perms, RangeDiff, Region,
 };
 use leon3_sim::machine::{Machine, MachineConfig};
 use leon3_sim::timer::GpTimer;
+use std::collections::BTreeSet;
 use testkit::Rng;
 
 fn space() -> AddressSpace {
@@ -216,11 +219,11 @@ fn next_expiry_is_minimum() {
 /// boundaries: adjacent regions, gaps and odd sizes. One layout in four
 /// ends exactly at the top of the 32-bit space. Returns the space and
 /// the `[lo, hi)` span it covers.
-fn random_layout(rng: &mut Rng) -> (AddressSpace, u64, u64) {
+fn random_layout(rng: &mut Rng, scale: u64) -> (AddressSpace, u64, u64) {
     let shapes: Vec<(u64, u64)> = rng.vec_of(1, 8, |r| {
         let gap = if r.chance(1, 2) { 0 } else { r.range_u64(1, 24) };
         let size = if r.chance(1, 2) { 8 * r.range_u64(1, 6) } else { r.range_u64(1, 48) };
-        (gap, size)
+        (gap * scale, size * scale)
     });
     let span: u64 = shapes.iter().map(|(g, s)| g + s).sum();
     let lo =
@@ -251,7 +254,7 @@ fn random_layout(rng: &mut Rng) -> (AddressSpace, u64, u64) {
 fn load_run_matches_per_entry_loads() {
     const WIDTHS: [u32; 4] = [1, 2, 4, 8];
     testkit::check("load_run_matches_per_entry_loads", 2048, |rng| {
-        let (a, lo, hi) = random_layout(rng);
+        let (a, lo, hi) = random_layout(rng, 1);
         let width = *rng.pick(&WIDTHS);
         let addr = match rng.range(0, 4) {
             0 => 0xFFFF_FFF8 + rng.range_u64(0, 8) as u32,
@@ -275,6 +278,126 @@ fn load_run_matches_per_entry_loads() {
             let first_fault = (0..count)
                 .find_map(|i| read(addr as u64 + 8 * i as u64).err().map(|f| (i, Some(f))));
             assert_eq!(want, first_fault.unwrap_or((count, None)));
+        }
+    });
+}
+
+/// Picks a store of `len` bytes (a multiple of `align`) that fits in
+/// region `r` of `a`, starting near a 256-byte or 4 KiB boundary half of
+/// the time so it straddles it: the region-relative offset, or `None`
+/// when the region is too small.
+fn store_at(rng: &mut Rng, a: &AddressSpace, r: usize, len: u64, align: u64) -> Option<u64> {
+    let Region { base, size, .. } = a.regions()[r];
+    let (base, size) = (base as u64, size as u64);
+    // Aligned offsets `off` (absolute address aligned) with `off + len <= size`.
+    let first = (base.next_multiple_of(align) - base) as i64;
+    let last = ((base + size).checked_sub(len)? & !(align - 1)) as i64 - base as i64;
+    if last < first {
+        return None;
+    }
+    let want = if rng.chance(1, 2) {
+        let unit = *rng.pick(&[256u64, 4096]);
+        let boundary = unit * rng.range_u64(0, size / unit + 1);
+        boundary as i64 - rng.range_u64(0, len + 1) as i64
+    } else {
+        rng.range_u64(0, size) as i64
+    };
+    let off = want.clamp(first, last);
+    Some(off as u64 - (off as u64 + base) % align)
+}
+
+/// The rewind's block-granular dirty tracking is exact. After seeded
+/// random stores on a clone — 32/64-bit stores, byte runs of 1..=600,
+/// word runs and copies, placed to straddle 256-byte and 4 KiB
+/// boundaries — the dirty-range witness equals a naive byte compare on
+/// random ranges, the dirty counters equal the distinct 4 KiB pages and
+/// 256-byte blocks the stores covered, and a restore brings every region
+/// back to the source's bytes with nothing left dirty. Two rounds per
+/// case, so a restore's reset of the masks is covered too.
+#[test]
+fn dirty_blocks_match_a_bytewise_reference() {
+    testkit::check("dirty_blocks_match_a_bytewise_reference", 512, |rng| {
+        let scale = rng.range_u64(1, 600);
+        let (mut src, _, _) = random_layout(rng, scale);
+        let n_regions = src.regions().len();
+        let region_bytes = |a: &AddressSpace, r: usize| {
+            let Region { base, size, .. } = a.regions()[r];
+            a.read_bytes(AccessCtx::Kernel, base, size).unwrap()
+        };
+        // Non-zero source content, so a restore has something to bring back.
+        for r in 0..n_regions {
+            let Region { base, size, .. } = src.regions()[r];
+            let fill: Vec<u8> = (0..size).map(|i| (i * 7 + r as u32) as u8).collect();
+            src.write_bytes(AccessCtx::Kernel, base, &fill).unwrap();
+        }
+        let mut a = src.clone();
+        for round in 0..2 {
+            // (region, page) and (region, block) pairs the stores covered.
+            let mut pages = BTreeSet::new();
+            let mut blocks = BTreeSet::new();
+            for _ in 0..rng.range(1, 24) {
+                let r = rng.range(0, n_regions);
+                let base = a.regions()[r].base;
+                let (len, align) = match rng.range(0, 4) {
+                    0 => (4, 4),
+                    1 => (8, 8),
+                    2 => (4 * rng.range_u64(1, 150), 4),
+                    _ => (rng.range_u64(1, 601), 1),
+                };
+                let Some(off) = store_at(rng, &a, r, len, align) else { continue };
+                let addr = base + off as u32;
+                let ctx = AccessCtx::Kernel;
+                match (len, align) {
+                    (4, 4) => a.write_u32(ctx, addr, rng.next_u32()).unwrap(),
+                    (8, 8) => a.write_u64(ctx, addr, rng.next_u64()).unwrap(),
+                    (_, 4) => {
+                        let words: Vec<u32> = (0..len / 4).map(|_| rng.next_u32()).collect();
+                        a.write_u32s(ctx, addr, &words).unwrap();
+                    }
+                    _ if rng.chance(1, 2) => {
+                        let data = rng.bytes(len as usize, len as usize + 1);
+                        a.write_bytes(ctx, addr, &data).unwrap();
+                    }
+                    _ => {
+                        let from = rng.range(0, n_regions);
+                        let Some(from_off) = store_at(rng, &a, from, len, 1) else { continue };
+                        let from_addr = a.regions()[from].base + from_off as u32;
+                        a.copy(ctx, addr, from_addr, len as u32).unwrap();
+                    }
+                }
+                pages.extend((off >> 12..=(off + len - 1) >> 12).map(|p| (r, p)));
+                blocks.extend((off >> 8..=(off + len - 1) >> 8).map(|b| (r, b)));
+            }
+            assert_eq!(a.dirty_pages(), pages.len(), "round {round}: distinct pages");
+            assert_eq!(a.dirty_bytes(), 256 * blocks.len(), "round {round}: dirty blocks");
+            for _ in 0..16 {
+                let r = rng.range(0, n_regions);
+                let Region { base, size, .. } = a.regions()[r];
+                let (lo, hi) = match rng.range(0, 4) {
+                    0 => (0, size),
+                    _ => {
+                        let lo = rng.range_u64(0, size as u64) as u32;
+                        (lo, rng.range_u64(lo as u64 + 1, size as u64 + 1) as u32)
+                    }
+                };
+                let mine = a.read_bytes(AccessCtx::Kernel, base + lo, hi - lo).unwrap();
+                let theirs = src.read_bytes(AccessCtx::Kernel, base + lo, hi - lo).unwrap();
+                let differing: Vec<usize> =
+                    (0..mine.len()).filter(|&i| mine[i] != theirs[i]).collect();
+                let want = differing
+                    .first()
+                    .map(|&i| RangeDiff { first: base + lo + i as u32, changed: differing.len() });
+                assert_eq!(
+                    a.diff_dirty(&src, base + lo, hi - lo),
+                    Ok(want),
+                    "round {round}: region {r} [{lo:#x}, {hi:#x})"
+                );
+            }
+            a.restore_from(&src);
+            for r in 0..n_regions {
+                assert!(region_bytes(&a, r) == region_bytes(&src, r), "round {round}: region {r}");
+            }
+            assert_eq!((a.dirty_pages(), a.dirty_bytes()), (0, 0), "round {round}");
         }
     });
 }

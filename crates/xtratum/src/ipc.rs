@@ -136,7 +136,7 @@ impl PortTable {
         debug_assert_eq!(self.channels.len(), src.channels.len(), "channel layout mismatch");
         let PortTable { channels, ports, recycled } = self;
         for (ch, s) in channels.iter_mut().zip(&src.channels) {
-            ch.cfg.clone_from(&s.cfg);
+            debug_assert!(Arc::ptr_eq(&ch.cfg, &s.cfg), "channel config mismatch");
             ch.sample_seq = s.sample_seq;
             match (&mut ch.sample, &s.sample) {
                 (Some(buf), Some(want)) => buf.clone_from(want),

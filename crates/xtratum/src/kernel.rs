@@ -912,7 +912,7 @@ impl XmKernel {
     /// Restores the whole kernel to `src`'s state in place. `src` must be
     /// the booted prototype this kernel was cloned from (or last restored
     /// to), unmodified since: partition memory comes back through the
-    /// dirty-page restore (see
+    /// dirty-block restore (see
     /// [`AddressSpace::restore_from`](leon3_sim::addrspace::AddressSpace::restore_from)),
     /// everything else through capacity-preserving `clone_from`s. This is
     /// the flat-snapshot reset the campaign executor runs between tests —
@@ -953,7 +953,9 @@ impl XmKernel {
             frame_cursor,
         } = self;
         machine.restore_from(&src.machine);
-        cfg.clone_from(&src.cfg);
+        // The configuration is shared with `src` since the clone and never
+        // changes after boot.
+        debug_assert!(Arc::ptr_eq(cfg, &src.cfg), "kernel config mismatch");
         *build = src.build;
         *flags = src.flags;
         state.clone_from(&src.state);

@@ -273,7 +273,7 @@ fn check_split() {
 }
 
 /// Runs `n` campaign tests on `ws`, rewound to `snapshot` before each,
-/// and prints the phase split: dirty pages rewound, restore, the first
+/// and prints the phase split: dirty pages and bytes rewound, restore, the first
 /// (possibly partial) frame, the steady frames, summary and classify,
 /// plus the event-horizon split — how many kernel time advances
 /// collapsed to the quiescent fast path vs walked the full
@@ -287,7 +287,7 @@ fn split(
     n: usize,
 ) {
     let part = EagleEye.test_partition();
-    let mut dirty_pages = 0usize;
+    let (mut dirty_pages, mut dirty_bytes) = (0usize, 0usize);
     let mut t_restore = 0u128;
     let mut t_first = 0u128;
     let mut t_steady = 0u128;
@@ -301,7 +301,9 @@ fn split(
     let (base_q, base_p) = ws.parts().0.advance_stats();
     for case in cases.iter().take(n) {
         let expectation = ctx.expect(&case.raw());
-        dirty_pages += ws.parts().0.machine.mem.dirty_pages();
+        let mem = &ws.parts().0.machine.mem;
+        dirty_pages += mem.dirty_pages();
+        dirty_bytes += mem.dirty_bytes();
         let t0 = Instant::now();
         ws.restore(snapshot, Some(part));
         let t1 = Instant::now();
@@ -332,7 +334,11 @@ fn split(
         t_cls += (t5 - t4).as_nanos();
         black_box((observation, classification));
     }
-    println!("  dirty pages: {:.2} per test", dirty_pages as f64 / n as f64);
+    println!(
+        "  dirty pages: {:.2} per test ({:.0} bytes rewound)",
+        dirty_pages as f64 / n as f64,
+        dirty_bytes as f64 / n as f64
+    );
     println!("  restore:     {:.2} us", us(t_restore, n));
     println!("  first frame: {:.2} us", us(t_first, n));
     println!(

@@ -99,9 +99,9 @@ const LOCKSTEP_RUN_BUDGET: u64 = 14;
 /// The flat-snapshot rewind — `Workspace::restore`, the operation the
 /// campaign engine runs between every two tests on the same worker —
 /// must be exactly allocation-free once the workspace is warm. It is a
-/// bounded memcpy of dirty pages plus field-by-field scalar restores;
-/// any allocation here is per-test overhead multiplied by the whole
-/// campaign, so the pin is zero, not a budget.
+/// bounded memcpy of the dirty 256-byte blocks plus field-by-field scalar
+/// restores; any allocation here is per-test overhead multiplied by the
+/// whole campaign, so the pin is zero, not a budget.
 #[test]
 fn workspace_restore_is_allocation_free_after_warmup() {
     let _serial = serial();
@@ -122,7 +122,7 @@ fn workspace_restore_is_allocation_free_after_warmup() {
     // Warm-up: the same cases the measured loop will run, so every
     // lazily grown scratch buffer (message scratch, recycled port
     // queues, dirty-page list) reaches the high-water capacity those
-    // cases need, and each measured restore has genuinely dirty pages
+    // cases need, and each measured restore has genuinely dirty blocks
     // to rewind.
     for case in cases.iter().take(50) {
         ws.restore(&snapshot, Some(part));
