@@ -8,44 +8,19 @@
 //! and a final-state replay, plus a Perfetto trace when the run
 //! recorded — all indexed from a rendered summary.
 
-use crate::forensics::{put, render_metrics_markdown, render_steps_file, BundleSummary};
+use crate::forensics::{render_metrics_markdown, render_repro_sections, Bundle, BundleSummary};
 use skrt::check::{legacy_rediscovery_targets, CheckCaseRecord, CheckResult, CheckTestbed};
-use skrt::flight::{export_chrome_trace, FlightLog, FlightNames};
-use skrt::sequence::run_one_sequence;
-use skrt::testbed::Testbed;
+use skrt::flight::FlightNames;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
-use xtratum::hypercall::RawHypercall;
+use std::path::Path;
 use xtratum::vuln::KernelBuild;
 
 /// Partition names for flight rendering: the checker's partitions are
 /// anonymous (`part0` is the caller), sized to the scope's maximum.
 pub fn check_flight_names(max_partitions: u32) -> FlightNames {
     FlightNames { partitions: (0..max_partitions).map(|p| format!("part{p}")).collect() }
-}
-
-/// The reproducer a finding ships: the shrunk steps when shrinking
-/// succeeded, the probe's generated steps otherwise.
-fn repro_steps(case: &CheckCaseRecord) -> &[RawHypercall] {
-    case.minimal.as_ref().map(|m| m.steps.as_slice()).unwrap_or(&case.steps)
-}
-
-/// Replays the reproducer on a fresh boot of the finding's exact
-/// configuration and renders the final architectural state digest.
-fn render_final_state(case: &CheckCaseRecord, build: KernelBuild) -> String {
-    let testbed = CheckTestbed::new(case.config.clone());
-    let ctx = testbed.oracle_context(build);
-    let (mut kernel, mut guests) = testbed.boot(build);
-    let eval = run_one_sequence(&testbed, &ctx, &mut kernel, &mut guests, repro_steps(case), 1);
-    let digest = kernel.state_digest(testbed.test_partition());
-    format!(
-        "steps executed: {} of {}\n\n{digest:#?}\n",
-        eval.steps_executed,
-        repro_steps(case).len()
-    )
 }
 
 fn render_finding_markdown(n: usize, case: &CheckCaseRecord, build: KernelBuild) -> String {
@@ -71,51 +46,14 @@ fn render_finding_markdown(n: usize, case: &CheckCaseRecord, build: KernelBuild)
             let _ = writeln!(out, "- **{}** — {}", v.kind.label(), v.detail);
         }
     }
-
-    match &case.minimal {
-        Some(m) => {
-            let _ = writeln!(
-                out,
-                "\n## Minimal reproducer ({} of {} steps, {} args canonicalized, {} evals)\n",
-                m.steps.len(),
-                case.steps.len(),
-                m.shrunk_args,
-                m.evals
-            );
-            out.push_str("```\n");
-            for (i, step) in m.steps.iter().enumerate() {
-                let marker = if m.verdict.failing_step == Some(i) { ">" } else { " " };
-                let _ = writeln!(out, "{marker} {i}: {step}");
-            }
-            out.push_str("```\n");
-        }
-        None => {
-            let _ = writeln!(out, "\n## Probe steps (unshrunk)\n");
-            out.push_str("```\n");
-            for (i, step) in case.steps.iter().enumerate() {
-                let marker = if case.verdict.failing_step == Some(i) { ">" } else { " " };
-                let _ = writeln!(out, "{marker} {i}: {step}");
-            }
-            out.push_str("```\n");
-        }
-    }
-
-    out.push_str("\n## StateDigest diff at first bad step\n\n```\n");
-    if case.verdict.state_diff.is_empty() {
-        out.push_str("(terminal verdict or invariant-only finding — no oracle diff)\n");
-    } else {
-        for line in &case.verdict.state_diff {
-            let _ = writeln!(out, "{line}");
-        }
-    }
-    out.push_str("```\n");
-
-    out.push_str("\n## Final kernel state (reproducer replay)\n\n```\n");
-    out.push_str(&render_final_state(case, build));
-    out.push_str("```\n");
-
-    out.push_str("\nFiles: `repro.seq` (replayable steps)");
-    out.push_str(", `trace.json` (Perfetto, when the run recorded)\n");
+    render_repro_sections(
+        &mut out,
+        case,
+        ("Probe steps (unshrunk)", case.steps.len()),
+        "(terminal verdict or invariant-only finding — no oracle diff)",
+        &CheckTestbed::new(case.config.clone()),
+        build,
+    );
     out
 }
 
@@ -182,13 +120,7 @@ pub fn render_check_report(res: &CheckResult) -> String {
 /// (`report.md`, `repro.seq`, `trace.json` when a flight exists), and
 /// an indexing `summary.md` embedding the console report.
 pub fn write_check_bundle(dir: &Path, job: &str, res: &CheckResult) -> io::Result<BundleSummary> {
-    fs::create_dir_all(dir)?;
-    let mut files: Vec<PathBuf> = Vec::new();
-
-    let registry = res.metrics.telemetry(job);
-    put(dir, &mut files, "metrics.prom", &registry.render_openmetrics())?;
-    put(dir, &mut files, "telemetry.jsonl", &registry.render_jsonl())?;
-
+    let mut bundle = Bundle::create(dir, job, &res.metrics)?;
     let names = check_flight_names(res.scope.partitions);
     let findings = res.findings();
     for (n, case) in findings.iter().enumerate() {
@@ -199,43 +131,23 @@ pub fn write_check_bundle(dir: &Path, job: &str, res: &CheckResult) -> io::Resul
             case.probe,
             case.crash_class().label()
         );
-        put(
-            dir,
-            &mut files,
-            &format!("finding-{n:03}/repro.seq"),
-            &render_steps_file(&header, repro_steps(case)),
-        )?;
-        put(
-            dir,
-            &mut files,
-            &format!("finding-{n:03}/report.md"),
-            &render_finding_markdown(n, case, res.build),
-        )?;
-        if let Some(log) = &res.flight {
-            if let Some(flight) = log.tests.iter().find(|f| f.index == case.index) {
-                let single = FlightLog { tests: vec![flight.clone()] };
-                let json = export_chrome_trace(&single, &[], &names);
-                put(dir, &mut files, &format!("finding-{n:03}/trace.json"), &json)?;
-            }
-        }
+        let md = render_finding_markdown(n, case, res.build);
+        bundle.put_finding(n, case, &header, &md, res.flight.as_ref(), &names)?;
     }
-
-    let mut summary = render_check_report(res);
-    summary.push_str("\n## Bundle contents\n\n");
-    for f in &files {
-        let _ = writeln!(summary, "- `{}`", f.display());
-    }
-    summary.push_str("- `summary.md`\n");
-    put(dir, &mut files, "summary.md", &summary)?;
-    Ok(BundleSummary { root: dir.to_path_buf(), findings: findings.len(), files })
+    bundle.finish(render_check_report(res), findings.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forensics::repro_steps;
     use skrt::check::{run_check, CheckOptions};
     use skrt::fuzz::parse_steps;
+    use skrt::sequence::run_one_sequence;
+    use skrt::testbed::Testbed;
     use skrt::CrashClass;
+    use std::fs;
+    use std::path::PathBuf;
 
     fn bundle_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("skrt-check-{tag}-{}", std::process::id()));

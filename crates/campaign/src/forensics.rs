@@ -11,15 +11,17 @@
 use crate::runner::eagleeye_flight_names;
 use crate::sequences::{signature_of, SequenceReport};
 use eagleeye::EagleEye;
-use skrt::flight::{export_chrome_trace, FlightLog};
+use skrt::check::CheckCaseRecord;
+use skrt::flight::{export_chrome_trace, FlightLog, FlightNames};
 use skrt::metrics::MetricsReport;
-use skrt::sequence::{run_one_sequence, SequenceRecord};
+use skrt::sequence::{run_one_sequence, MinimalRepro, SequenceRecord, SequenceVerdict};
 use skrt::testbed::Testbed;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use xtratum::hypercall::RawHypercall;
+use xtratum::vuln::KernelBuild;
 
 /// What [`write_forensics_bundle`] produced, for the CLI to report.
 #[derive(Debug, Clone)]
@@ -32,24 +34,82 @@ pub struct BundleSummary {
     pub files: Vec<PathBuf>,
 }
 
-pub(crate) fn put(
-    root: &Path,
-    files: &mut Vec<PathBuf>,
-    rel: &str,
-    contents: &str,
-) -> io::Result<()> {
-    let path = root.join(rel);
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
+/// A bundle directory being written, and the bundle-relative paths
+/// written so far (for `summary.md` to index).
+pub(crate) struct Bundle {
+    root: PathBuf,
+    files: Vec<PathBuf>,
+}
+
+impl Bundle {
+    /// Creates `dir` and writes the run's `metrics.prom` and
+    /// `telemetry.jsonl` snapshots.
+    pub(crate) fn create(dir: &Path, job: &str, metrics: &MetricsReport) -> io::Result<Self> {
+        fs::create_dir_all(dir)?;
+        let mut bundle = Bundle { root: dir.to_path_buf(), files: Vec::new() };
+        let registry = metrics.telemetry(job);
+        bundle.put("metrics.prom", &registry.render_openmetrics())?;
+        bundle.put("telemetry.jsonl", &registry.render_jsonl())?;
+        Ok(bundle)
     }
-    fs::write(&path, contents)?;
-    files.push(PathBuf::from(rel));
-    Ok(())
+
+    fn put(&mut self, rel: &str, contents: &str) -> io::Result<()> {
+        let path = self.root.join(rel);
+        if let Some(parent) = path.parent() {
+            fs::create_dir_all(parent)?;
+        }
+        fs::write(&path, contents)?;
+        self.files.push(PathBuf::from(rel));
+        Ok(())
+    }
+
+    /// Writes finding `n`'s directory: its reproducer as `repro.seq`
+    /// under `header`, `report` as `report.md`, and the finding's flight,
+    /// when `flights` kept one, as `trace.json`.
+    pub(crate) fn put_finding(
+        &mut self,
+        n: usize,
+        finding: &impl Finding,
+        header: &str,
+        report: &str,
+        flights: Option<&FlightLog>,
+        names: &FlightNames,
+    ) -> io::Result<()> {
+        self.put(
+            &format!("finding-{n:03}/repro.seq"),
+            &render_steps_file(header, repro_steps(finding)),
+        )?;
+        self.put(&format!("finding-{n:03}/report.md"), report)?;
+        let index = finding.parts().0;
+        let flight = flights.and_then(|log| log.tests.iter().find(|f| f.index == index));
+        if let Some(flight) = flight {
+            let single = FlightLog { tests: vec![flight.clone()] };
+            let json = export_chrome_trace(&single, &[], names);
+            self.put(&format!("finding-{n:03}/trace.json"), &json)?;
+        }
+        Ok(())
+    }
+
+    /// Appends the bundle's contents to `summary`, writes it as
+    /// `summary.md` and reports what was written.
+    pub(crate) fn finish(
+        mut self,
+        mut summary: String,
+        findings: usize,
+    ) -> io::Result<BundleSummary> {
+        summary.push_str("\n## Bundle contents\n\n");
+        for f in &self.files {
+            let _ = writeln!(summary, "- `{}`", f.display());
+        }
+        summary.push_str("- `summary.md`\n");
+        self.put("summary.md", &summary)?;
+        Ok(BundleSummary { root: self.root, findings, files: self.files })
+    }
 }
 
 /// Steps in the corpus-file format [`skrt::fuzz::parse_steps`] reads
 /// back: one `XM_name hexarg …` line per step.
-pub(crate) fn render_steps_file(header: &str, steps: &[RawHypercall]) -> String {
+fn render_steps_file(header: &str, steps: &[RawHypercall]) -> String {
     let mut out = format!("# {header}\n");
     for step in steps {
         out.push_str(step.id.name());
@@ -61,28 +121,106 @@ pub(crate) fn render_steps_file(header: &str, steps: &[RawHypercall]) -> String 
     out
 }
 
-/// The reproducer the bundle ships: the minimal steps when shrinking
-/// ran, the generated steps otherwise.
-fn repro_steps(rec: &SequenceRecord) -> &[RawHypercall] {
-    rec.minimal.as_ref().map(|m| m.steps.as_slice()).unwrap_or(&rec.spec.steps)
+/// A finding a bundle documents — a diverging sequence or a `check`
+/// counterexample — as the shared bundle code reads it.
+pub(crate) trait Finding {
+    /// Its campaign index (the flight's), generated steps, minimal
+    /// reproducer when shrinking ran, and authoritative verdict.
+    fn parts(&self) -> (usize, &[RawHypercall], Option<&MinimalRepro>, &SequenceVerdict);
 }
 
-/// Replays the reproducer on a fresh EagleEye boot and renders the
-/// kernel's final architectural state digest.
-fn render_final_state(rec: &SequenceRecord, report: &SequenceReport) -> String {
-    let testbed = &EagleEye;
-    let ctx = testbed.oracle_context(report.result.build);
-    let (mut kernel, mut guests) = testbed.boot(report.result.build);
-    let eval = run_one_sequence(testbed, &ctx, &mut kernel, &mut guests, repro_steps(rec), 1);
+impl Finding for SequenceRecord {
+    fn parts(&self) -> (usize, &[RawHypercall], Option<&MinimalRepro>, &SequenceVerdict) {
+        (self.spec.index, &self.spec.steps, self.minimal.as_ref(), &self.verdict)
+    }
+}
+
+impl Finding for CheckCaseRecord {
+    fn parts(&self) -> (usize, &[RawHypercall], Option<&MinimalRepro>, &SequenceVerdict) {
+        (self.index, &self.steps, self.minimal.as_ref(), &self.verdict)
+    }
+}
+
+impl<F: Finding + ?Sized> Finding for &F {
+    fn parts(&self) -> (usize, &[RawHypercall], Option<&MinimalRepro>, &SequenceVerdict) {
+        (**self).parts()
+    }
+}
+
+/// The reproducer a bundle ships: the minimal steps when shrinking ran,
+/// the generated steps otherwise.
+pub(crate) fn repro_steps<F: Finding + ?Sized>(finding: &F) -> &[RawHypercall] {
+    let (_, steps, minimal, _) = finding.parts();
+    minimal.map_or(steps, |m| &m.steps)
+}
+
+/// Appends the sections every finding report shares: the reproducer
+/// (minimal, or the first `shown` generated steps under `unshrunk`), the
+/// StateDigest diff at the first bad step (`no_diff` when the verdict
+/// has none) and the reproducer's final kernel state, replayed on a
+/// fresh boot of `testbed`.
+pub(crate) fn render_repro_sections<T: Testbed + ?Sized>(
+    out: &mut String,
+    finding: &impl Finding,
+    (unshrunk, shown): (&str, usize),
+    no_diff: &str,
+    testbed: &T,
+    build: KernelBuild,
+) {
+    let (_, steps, minimal, verdict) = finding.parts();
+    match minimal {
+        Some(m) => {
+            let _ = writeln!(
+                out,
+                "\n## Minimal reproducer ({} of {} steps, {} args canonicalized, {} evals)\n",
+                m.steps.len(),
+                steps.len(),
+                m.shrunk_args,
+                m.evals
+            );
+            render_step_list(out, &m.steps, m.verdict.failing_step);
+        }
+        None => {
+            let _ = writeln!(out, "\n## {unshrunk}\n");
+            render_step_list(out, &steps[..shown.min(steps.len())], verdict.failing_step);
+        }
+    }
+
+    out.push_str("\n## StateDigest diff at first bad step\n\n```\n");
+    if verdict.state_diff.is_empty() {
+        let _ = writeln!(out, "{no_diff}");
+    } else {
+        for line in &verdict.state_diff {
+            let _ = writeln!(out, "{line}");
+        }
+    }
+    out.push_str("```\n");
+
+    let repro = repro_steps(finding);
+    let ctx = testbed.oracle_context(build);
+    let (mut kernel, mut guests) = testbed.boot(build);
+    let eval = run_one_sequence(testbed, &ctx, &mut kernel, &mut guests, repro, 1);
     let digest = kernel.state_digest(testbed.test_partition());
-    format!(
-        "steps executed: {} of {}\n\n{digest:#?}\n",
-        eval.steps_executed,
-        repro_steps(rec).len()
-    )
+    out.push_str("\n## Final kernel state (reproducer replay)\n\n```\n");
+    let _ =
+        writeln!(out, "steps executed: {} of {}\n\n{digest:#?}", eval.steps_executed, repro.len());
+    out.push_str("```\n");
+
+    out.push_str("\nFiles: `repro.seq` (replayable steps)");
+    out.push_str(", `trace.json` (Perfetto, when the run recorded)\n");
 }
 
-fn render_finding_markdown(n: usize, rec: &SequenceRecord, report: &SequenceReport) -> String {
+/// A fenced step list, the failing step marked `>`.
+fn render_step_list(out: &mut String, steps: &[RawHypercall], failing: Option<usize>) {
+    out.push_str("```\n");
+    for (i, step) in steps.iter().enumerate() {
+        let marker = if failing == Some(i) { ">" } else { " " };
+        let _ = writeln!(out, "{marker} {i}: {step}");
+    }
+    out.push_str("```\n");
+}
+
+fn render_finding_markdown(n: usize, rec: &SequenceRecord, build: KernelBuild) -> String {
     let mut out = String::new();
     let sig = signature_of(rec);
     let _ = writeln!(
@@ -104,51 +242,14 @@ fn render_finding_markdown(n: usize, rec: &SequenceRecord, report: &SequenceRepo
         rec.verdict.failing_step.map(|s| s.to_string()).unwrap_or_else(|| "?".into())
     );
     let _ = writeln!(out, "- steps executed: {}", rec.steps_executed);
-
-    match &rec.minimal {
-        Some(m) => {
-            let _ = writeln!(
-                out,
-                "\n## Minimal reproducer ({} of {} steps, {} args canonicalized, {} evals)\n",
-                m.steps.len(),
-                rec.spec.steps.len(),
-                m.shrunk_args,
-                m.evals
-            );
-            out.push_str("```\n");
-            for (i, step) in m.steps.iter().enumerate() {
-                let marker = if m.verdict.failing_step == Some(i) { ">" } else { " " };
-                let _ = writeln!(out, "{marker} {i}: {step}");
-            }
-            out.push_str("```\n");
-        }
-        None => {
-            let _ = writeln!(out, "\n## Sequence (unshrunk)\n");
-            out.push_str("```\n");
-            for (i, step) in rec.spec.steps.iter().enumerate().take(rec.steps_executed + 1) {
-                let marker = if rec.verdict.failing_step == Some(i) { ">" } else { " " };
-                let _ = writeln!(out, "{marker} {i}: {step}");
-            }
-            out.push_str("```\n");
-        }
-    }
-
-    out.push_str("\n## StateDigest diff at first bad step\n\n```\n");
-    if rec.verdict.state_diff.is_empty() {
-        out.push_str("(terminal verdict — no surviving state to diff)\n");
-    } else {
-        for line in &rec.verdict.state_diff {
-            let _ = writeln!(out, "{line}");
-        }
-    }
-    out.push_str("```\n");
-
-    out.push_str("\n## Final kernel state (reproducer replay)\n\n```\n");
-    out.push_str(&render_final_state(rec, report));
-    out.push_str("```\n");
-
-    out.push_str("\nFiles: `repro.seq` (replayable steps)");
-    out.push_str(", `trace.json` (Perfetto, when the run recorded)\n");
+    render_repro_sections(
+        &mut out,
+        rec,
+        ("Sequence (unshrunk)", rec.steps_executed + 1),
+        "(terminal verdict — no surviving state to diff)",
+        &EagleEye,
+        build,
+    );
     out
 }
 
@@ -169,12 +270,7 @@ pub(crate) fn render_metrics_markdown(out: &mut String, metrics: &MetricsReport)
     out.push_str("```\n");
 }
 
-fn render_summary_markdown(
-    job: &str,
-    report: &SequenceReport,
-    findings: usize,
-    files: &[PathBuf],
-) -> String {
+fn render_summary_markdown(job: &str, report: &SequenceReport, findings: usize) -> String {
     let r = &report.result;
     let mut out = String::new();
     let _ = writeln!(out, "# Campaign forensics bundle — {job}\n");
@@ -211,12 +307,6 @@ fn render_summary_markdown(
     }
 
     render_metrics_markdown(&mut out, &r.metrics);
-
-    out.push_str("\n## Bundle contents\n\n");
-    for f in files {
-        let _ = writeln!(out, "- `{}`", f.display());
-    }
-    let _ = writeln!(out, "- `summary.md`");
     out
 }
 
@@ -230,14 +320,9 @@ pub fn write_forensics_bundle(
     job: &str,
     report: &SequenceReport,
 ) -> io::Result<BundleSummary> {
-    fs::create_dir_all(dir)?;
-    let mut files: Vec<PathBuf> = Vec::new();
-
-    let registry = report.result.metrics.telemetry(job);
-    put(dir, &mut files, "metrics.prom", &registry.render_openmetrics())?;
-    put(dir, &mut files, "telemetry.jsonl", &registry.render_jsonl())?;
-
-    let divergences = report.result.divergences();
+    let r = &report.result;
+    let mut bundle = Bundle::create(dir, job, &r.metrics)?;
+    let divergences = r.divergences();
     for (n, rec) in divergences.iter().enumerate() {
         let header = format!(
             "sequence {} seed {:#018x} class {}",
@@ -245,30 +330,11 @@ pub fn write_forensics_bundle(
             rec.spec.seed,
             rec.verdict.classification.class.label()
         );
-        put(
-            dir,
-            &mut files,
-            &format!("finding-{n:03}/repro.seq"),
-            &render_steps_file(&header, repro_steps(rec)),
-        )?;
-        put(
-            dir,
-            &mut files,
-            &format!("finding-{n:03}/report.md"),
-            &render_finding_markdown(n, rec, report),
-        )?;
-        if let Some(log) = &report.result.flight {
-            if let Some(flight) = log.tests.iter().find(|f| f.index == rec.spec.index) {
-                let single = FlightLog { tests: vec![flight.clone()] };
-                let json = export_chrome_trace(&single, &[], &eagleeye_flight_names());
-                put(dir, &mut files, &format!("finding-{n:03}/trace.json"), &json)?;
-            }
-        }
+        let md = render_finding_markdown(n, rec, r.build);
+        bundle.put_finding(n, rec, &header, &md, r.flight.as_ref(), &eagleeye_flight_names())?;
     }
-
-    let summary = render_summary_markdown(job, report, divergences.len(), &files);
-    put(dir, &mut files, "summary.md", &summary)?;
-    Ok(BundleSummary { root: dir.to_path_buf(), findings: divergences.len(), files })
+    let summary = render_summary_markdown(job, report, divergences.len());
+    bundle.finish(summary, divergences.len())
 }
 
 #[cfg(test)]

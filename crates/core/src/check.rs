@@ -24,18 +24,16 @@
 //!
 //! Any oracle divergence or invariant violation becomes a first-class
 //! finding: re-verdicted on a fresh boot (ruling out arena-rewind
-//! artefacts), ddmin-shrunk to a minimal reproducer, and surfaced through
-//! the same forensics path as fuzzer findings.
+//! artefacts), then triaged by the stage the sequence and fuzz campaigns
+//! share ([`crate::sequence`]): ddmin-shrunk to a minimal reproducer and
+//! surfaced through the same forensics path as fuzzer findings.
 
 use crate::classify::{Cause, Classification, CrashClass};
 use crate::exec::{fold_logs, par_indexed, resolve_threads, Booter, WorkerLog};
 use crate::flight::{FlightLog, DEFAULT_RING_CAPACITY};
-use crate::metrics::MetricsReport;
+use crate::metrics::{MetricsReport, Phase};
 use crate::oracle::{ChannelView, OracleContext};
-use crate::sequence::{
-    lockstep, run_one_sequence_bounded, Evidence, MinimalRepro, SequenceVerdict,
-};
-use crate::shrink::shrink_sequence;
+use crate::sequence::{lockstep, triage, Evidence, MinimalRepro, SequenceVerdict, Triage};
 use crate::testbed::Testbed;
 use flightrec::{Event, EventKind, NO_PARTITION};
 use leon3_sim::addrspace::{AccessCtx, Perms};
@@ -750,10 +748,11 @@ pub struct CheckOptions {
     pub scope: CheckScope,
     /// Worker threads (0 = one per available core).
     pub threads: usize,
-    /// Keep minimal-reproducer flights for the forensics bundle. The
-    /// recorder itself always runs (the invariants need the stream);
-    /// this only controls retention, so the deterministic result
-    /// surface is identical either way.
+    /// Keep minimal-reproducer flights for the forensics bundle and time
+    /// the executor phases. The recorder itself always runs (the
+    /// invariants need the stream); this only controls retention and
+    /// profiling, so the deterministic result surface is identical
+    /// either way.
     pub record: bool,
     /// Predicate-evaluation budget per shrink.
     pub shrink_budget: usize,
@@ -863,7 +862,9 @@ fn run_case<'t>(
     // Main evaluation on the worker's arena.
     let _ = flightrec::drain();
     let (kernel, guests, snapshot) = booter.booted_from(&mut log.local);
+    let span = log.local.start_span();
     let main = evaluate_once(tb, ctx, kernel, guests, snapshot, &probe.steps, horizon);
+    log.local.end_span(Phase::Frames, span);
 
     let record = |run: CaseRun, minimal: Option<MinimalRepro>| CheckCaseRecord {
         index,
@@ -886,7 +887,9 @@ fn run_case<'t>(
     let _ = flightrec::drain();
     let (mut fk, mut fg) = tb.boot(opts.build);
     log.local.note_fresh_boot();
+    let span = log.local.start_span();
     let fresh = evaluate_once(tb, ctx, &mut fk, &mut fg, None, &probe.steps, horizon);
+    log.local.end_span(Phase::Frames, span);
     drop((fk, fg));
     let Some(sig) = finding_sig(&fresh.verdict, &fresh.violations) else {
         // The arena run diverged but a fresh boot does not reproduce it:
@@ -900,59 +903,28 @@ fn run_case<'t>(
         FindingSig::Invariant(_) => CrashClass::Catastrophic,
     };
 
-    // Minimize, preserving the finding signature.
-    let minimal = if probe.steps.len() > 1 {
-        let out = shrink_sequence(
-            &probe.steps,
-            |cand| {
-                if cand.is_empty() {
-                    return false;
-                }
-                let _ = flightrec::drain();
-                let (kernel, guests, snapshot) = booter.booted_from(&mut log.local);
-                match &sig {
-                    FindingSig::Oracle(target) => {
-                        let eval =
-                            lockstep(tb, ctx, kernel, guests, cand, 1, horizon, Evidence::Skip);
-                        eval.verdict.classification == *target
-                    }
-                    FindingSig::Invariant(_) => {
-                        let run = evaluate_once(tb, ctx, kernel, guests, snapshot, cand, horizon);
-                        finding_sig(&run.verdict, &run.violations).as_ref() == Some(&sig)
-                    }
-                }
-            },
-            opts.shrink_budget,
-        );
-        // Re-run the minimal reproducer; with retention on, its flight is
-        // the triage trace.
-        let _ = flightrec::drain();
-        if opts.record {
-            flightrec::record(0, EventKind::TestBegin, NO_PARTITION, index as u32, 0, 0);
-        }
-        let (kernel, guests) = booter.booted(&mut log.local);
-        let meval = run_one_sequence_bounded(tb, ctx, kernel, guests, &out.steps, 1, horizon);
-        if opts.record {
-            log.end_flight(index, class);
-        }
-        Some(MinimalRepro {
-            steps: out.steps,
-            verdict: meval.verdict,
-            evals: out.evals,
-            removed_steps: out.removed_steps,
-            shrunk_args: out.shrunk_args,
-        })
-    } else {
-        // Nothing to shrink; keep the (≤1-step) probe's own flight.
-        if opts.record {
-            let _ = flightrec::drain();
-            flightrec::record(0, EventKind::TestBegin, NO_PARTITION, index as u32, 0, 0);
-            let (kernel, guests) = booter.booted(&mut log.local);
-            let _ = lockstep(tb, ctx, kernel, guests, &probe.steps, 1, horizon, Evidence::Skip);
-            log.end_flight(index, class);
-        }
-        None
+    // Shrink while the finding signature holds; a (≤1-step) probe has
+    // nothing to shrink.
+    let how = Triage {
+        min_frames: horizon,
+        shrink: probe.steps.len() > 1,
+        budget: opts.shrink_budget,
+        flight: opts.record.then_some(index),
     };
+    let minimal = triage(tb, ctx, booter, log, &probe.steps, class, how, |booter, local, cand| {
+        let _ = flightrec::drain();
+        let (kernel, guests, snapshot) = booter.booted_from(local);
+        match &sig {
+            FindingSig::Oracle(target) => {
+                let eval = lockstep(tb, ctx, kernel, guests, cand, 1, horizon, Evidence::Skip);
+                eval.verdict.classification == *target
+            }
+            FindingSig::Invariant(_) => {
+                let run = evaluate_once(tb, ctx, kernel, guests, snapshot, cand, horizon);
+                finding_sig(&run.verdict, &run.violations).as_ref() == Some(&sig)
+            }
+        }
+    });
 
     log.local.note_outcome(class);
     record(fresh, minimal)
@@ -979,8 +951,9 @@ pub fn run_check(opts: &CheckOptions) -> CheckResult {
         total_cases += set.len();
     }
 
-    let mut logs: Vec<WorkerLog> =
-        (0..resolve_threads(opts.threads, configs.len())).map(|_| WorkerLog::new(false)).collect();
+    let mut logs: Vec<WorkerLog> = (0..resolve_threads(opts.threads, configs.len()))
+        .map(|_| WorkerLog::new(opts.record))
+        .collect();
     let steals = AtomicU64::new(0);
     let per_config = par_indexed(
         configs.len(),
@@ -1046,6 +1019,7 @@ pub fn legacy_rediscovery_targets() -> Vec<RediscoveryTarget> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequence::run_one_sequence_bounded;
 
     #[test]
     fn enumeration_is_deterministic_and_counts_match() {

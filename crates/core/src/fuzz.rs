@@ -39,13 +39,12 @@ use crate::classify::CrashClass;
 use crate::exec::{
     fold_logs, par_indexed, resolve_threads, Booter, LiveSink, LiveStats, WorkerLog,
 };
-use crate::flight::{FlightLog, TestFlight, DEFAULT_RING_CAPACITY};
+use crate::flight::{FlightLog, DEFAULT_RING_CAPACITY};
 use crate::metrics::{MetricsReport, Phase};
 use crate::sequence::{
-    draw_weighted, lockstep, run_one_sequence, AlphabetEntry, Evidence, MinimalRepro, SeqRng,
-    SequenceEval, SequenceVerdict,
+    draw_weighted, lockstep, refine, run_one_sequence, same_class, triage, AlphabetEntry, Evidence,
+    MinimalRepro, SeqRng, SequenceEval, SequenceVerdict, Triage,
 };
-use crate::shrink::shrink_sequence;
 use crate::testbed::Testbed;
 use flightrec::coverage::{CoverageMap, EdgeTrace, ExecCoverage};
 use std::sync::atomic::AtomicU64;
@@ -84,8 +83,9 @@ pub struct FuzzOptions {
     /// Steps the guest issues per slot in the main (coverage-producing)
     /// evaluation; findings are re-judged at one step per slot.
     pub steps_per_slot: usize,
-    /// Retain the minimal reproducer's flight per finding for triage
-    /// export. Never affects corpus/map/findings contents.
+    /// Retain one flight per finding for triage export: the minimal
+    /// reproducer's run (the unshrunk steps' without shrinking). Never
+    /// affects corpus/map/findings contents.
     pub record: bool,
     /// Minimize findings with the ddmin shrinker (default on).
     pub shrink: bool,
@@ -784,9 +784,8 @@ pub fn run_fuzz<T: Testbed + ?Sized>(
 }
 
 /// Executes one candidate on a worker: coverage-producing main run, then
-/// (on divergence) the one-step-per-slot authoritative re-judgement,
-/// ddmin shrink, and a recorded minimal-reproducer run when retaining
-/// triage flights.
+/// (on divergence) the one-step-per-slot authoritative re-judgement and
+/// [`triage`].
 fn evaluate_candidate<T: Testbed + ?Sized>(
     testbed: &T,
     ctx: &crate::oracle::OracleContext,
@@ -796,17 +795,16 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
     steps: &[RawHypercall],
 ) -> CandidateOutcome {
     let FuzzWorker { booter, log, trace } = worker;
-    let local = &mut log.local;
     // Drain before the rewind, which replays the prefix's events: the
     // candidate's stream is everything since boot.
     let _ = flightrec::drain();
-    let (kernel, guests) = booter.booted(local);
-    let span = local.start_span();
+    let (kernel, guests) = booter.booted(&mut log.local);
+    let span = log.local.start_span();
     // Judged by classification only; a finding's kept verdict is the
     // refined run's below.
     let eval =
         lockstep(testbed, ctx, kernel, guests, steps, opts.steps_per_slot, 0, Evidence::Skip);
-    local.end_span(Phase::Frames, span);
+    log.local.end_span(Phase::Frames, span);
     let drained = flightrec::drain();
     if opts.record {
         for e in &drained.events {
@@ -820,59 +818,27 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
     let mut finding = None;
     let mut class = eval.verdict.classification.class;
     if class != CrashClass::Pass {
-        // Authoritative re-judgement at one step per slot, mirroring the
-        // sequence campaign: exact attribution, and immune to several
-        // calls legitimately sharing one slot budget.
-        let (kernel, guests) = booter.booted(local);
-        let refined = run_one_sequence(testbed, ctx, kernel, guests, steps, 1);
+        let refined = refine(testbed, ctx, booter, &mut log.local, steps);
         let _ = flightrec::drain();
         class = refined.verdict.classification.class;
         if class != CrashClass::Pass {
-            let minimal = opts.shrink.then(|| {
-                let target = refined.verdict.classification;
-                let span = local.start_span();
-                let out = shrink_sequence(
-                    steps,
-                    |cand| {
-                        if cand.is_empty() {
-                            return false;
-                        }
-                        let (kernel, guests) = booter.booted(local);
-                        let v = lockstep(testbed, ctx, kernel, guests, cand, 1, 0, Evidence::Skip);
-                        v.verdict.classification == target
-                    },
-                    opts.shrink_budget,
-                );
-                local.end_span(Phase::Shrink, span);
-                let _ = flightrec::drain(); // shrink evaluations are scaffolding
-                if opts.record {
-                    flightrec::record(
-                        0,
-                        flightrec::EventKind::TestBegin,
-                        flightrec::NO_PARTITION,
-                        exec_index as u32,
-                        0,
-                        0,
-                    );
-                }
-                let (kernel, guests) = booter.booted(local);
-                let minimal_eval = run_one_sequence(testbed, ctx, kernel, guests, &out.steps, 1);
-                let min_flight = flightrec::drain();
-                if opts.record {
-                    log.flights.push(TestFlight {
-                        index: exec_index as usize,
-                        events: min_flight.events,
-                        dropped: min_flight.dropped,
-                    });
-                }
-                MinimalRepro {
-                    steps: out.steps,
-                    verdict: minimal_eval.verdict,
-                    evals: out.evals,
-                    removed_steps: out.removed_steps,
-                    shrunk_args: out.shrunk_args,
-                }
-            });
+            let how = Triage {
+                min_frames: 0,
+                shrink: opts.shrink,
+                budget: opts.shrink_budget,
+                flight: opts.record.then_some(exec_index as usize),
+            };
+            let target = refined.verdict.classification;
+            let minimal = triage(
+                testbed,
+                ctx,
+                booter,
+                log,
+                steps,
+                class,
+                how,
+                same_class(testbed, ctx, target),
+            );
             finding = Some(PendingFinding {
                 verdict: refined.verdict,
                 steps_executed: refined.steps_executed,
@@ -880,7 +846,7 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
             });
         }
     }
-    local.note_outcome(class);
+    log.local.note_outcome(class);
     CandidateOutcome { coverage, finding }
 }
 

@@ -20,12 +20,13 @@
 //! On any non-Pass verdict the sequence is re-evaluated one step per slot
 //! (exact step attribution), minimised by [`crate::shrink`], and the
 //! minimal reproducer is re-run — under the flight recorder when
-//! [`SequenceOptions::record`] is set — to yield a triage bundle.
+//! [`SequenceOptions::record`] is set — to yield a triage bundle. That
+//! triage stage is shared with the fuzz and `check` campaigns.
 
 use crate::classify::{Cause, Classification, CrashClass};
 use crate::exec::{fold_logs, par_indexed, resolve_threads, Booter, WorkerLog};
 use crate::flight::{FlightLog, DEFAULT_RING_CAPACITY};
-use crate::metrics::{MetricsReport, Phase};
+use crate::metrics::{LocalMetrics, MetricsReport, Phase};
 use crate::observe::Invocation;
 use crate::oracle::{Expectation, ExpectedOutcome, NoReturnExpect, OracleContext};
 use crate::shrink::shrink_sequence;
@@ -956,6 +957,103 @@ pub struct MinimalRepro {
     pub shrunk_args: usize,
 }
 
+/// Where the campaign modes' triage of a finding differs; [`triage`]
+/// is otherwise the same for sequences, fuzz and `check`.
+pub(crate) struct Triage {
+    /// Frame floor of every triage run: `check`'s horizon, 0 otherwise.
+    pub(crate) min_frames: usize,
+    /// Whether to shrink. Without it no reproducer is built, and a kept
+    /// flight is a re-run of the unshrunk steps.
+    pub(crate) shrink: bool,
+    /// Predicate evaluations per shrink.
+    pub(crate) budget: usize,
+    /// Campaign index the finding's flight is filed under (`None`: keep
+    /// no flight).
+    pub(crate) flight: Option<usize>,
+}
+
+/// Triages one finding after its authoritative verdict: ddmin-shrinks
+/// `steps` while `reproduces` holds on the worker's arena, re-runs the
+/// minimal reproducer at one step per slot, and files that run as the
+/// finding's flight, closed with the authoritative `class`. Returns the
+/// reproducer when shrinking ran.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn triage<'t, T: Testbed + ?Sized>(
+    testbed: &T,
+    ctx: &OracleContext,
+    booter: &mut Booter<'t, T>,
+    log: &mut WorkerLog,
+    steps: &[RawHypercall],
+    class: CrashClass,
+    how: Triage,
+    mut reproduces: impl FnMut(&mut Booter<'t, T>, &mut LocalMetrics, &[RawHypercall]) -> bool,
+) -> Option<MinimalRepro> {
+    let Triage { min_frames, shrink, budget, flight } = how;
+    if !shrink && flight.is_none() {
+        return None;
+    }
+    let local = &mut log.local;
+    let shrunk = shrink.then(|| {
+        let span = local.start_span();
+        let out = shrink_sequence(steps, |cand| reproduces(booter, local, cand), budget);
+        local.end_span(Phase::Shrink, span);
+        out
+    });
+    // Shrink evaluations are scaffolding: only the run below is kept.
+    let _ = flightrec::drain();
+    if let Some(index) = flight {
+        begin_flight(index);
+    }
+    let (kernel, guests) = booter.booted(local);
+    let (repro, evidence) = match &shrunk {
+        Some(out) => (out.steps.as_slice(), Evidence::Render),
+        None => (steps, Evidence::Skip),
+    };
+    let eval = lockstep(testbed, ctx, kernel, guests, repro, 1, min_frames, evidence);
+    if let Some(index) = flight {
+        log.end_flight(index, class);
+    }
+    shrunk.map(|out| MinimalRepro {
+        steps: out.steps,
+        verdict: eval.verdict,
+        evals: out.evals,
+        removed_steps: out.removed_steps,
+        shrunk_args: out.shrunk_args,
+    })
+}
+
+/// The sequence and fuzz campaigns' authoritative re-verdict: the steps
+/// re-run on the arena at one step per slot — exact step attribution,
+/// and immune to several calls legitimately sharing one slot budget.
+pub(crate) fn refine<T: Testbed + ?Sized>(
+    testbed: &T,
+    ctx: &OracleContext,
+    booter: &mut Booter<'_, T>,
+    local: &mut LocalMetrics,
+    steps: &[RawHypercall],
+) -> SequenceEval {
+    let (kernel, guests) = booter.booted(local);
+    let span = local.start_span();
+    let eval = run_one_sequence(testbed, ctx, kernel, guests, steps, 1);
+    local.end_span(Phase::Frames, span);
+    eval
+}
+
+/// The sequence and fuzz campaigns' shrink predicate: a candidate
+/// reproduces iff an arena run at one step per slot gives it the
+/// `target` classification.
+pub(crate) fn same_class<'a, 't, T: Testbed + ?Sized>(
+    testbed: &'a T,
+    ctx: &'a OracleContext,
+    target: Classification,
+) -> impl FnMut(&mut Booter<'t, T>, &mut LocalMetrics, &[RawHypercall]) -> bool + 'a {
+    move |booter, local, cand| {
+        let (kernel, guests) = booter.booted(local);
+        let eval = lockstep(testbed, ctx, kernel, guests, cand, 1, 0, Evidence::Skip);
+        eval.verdict.classification == target
+    }
+}
+
 /// One generated, executed and judged sequence.
 #[derive(Debug, Clone)]
 pub struct SequenceRecord {
@@ -1002,8 +1100,9 @@ impl SequenceCampaignResult {
     }
 }
 
-/// Records the `TestBegin` event that opens spec `index`'s flight window.
-fn begin_seq_flight(index: usize) {
+/// Records the `TestBegin` event that opens the flight filed under
+/// campaign index `index`.
+fn begin_flight(index: usize) {
     flightrec::record(
         0,
         flightrec::EventKind::TestBegin,
@@ -1015,10 +1114,10 @@ fn begin_seq_flight(index: usize) {
 }
 
 /// Evaluates one spec end-to-end on a worker: main evaluation, one-step
-/// refinement on divergence, shrink, and minimal-reproducer verification.
-/// Recording state (when enabled) is managed so only the per-spec triage
-/// window survives: the whole main evaluation for passing sequences, the
-/// minimal reproducer's run for diverging ones.
+/// refinement on divergence, then [`triage`]. Recording state (when
+/// enabled) is managed so only the per-spec window survives: the whole
+/// main evaluation for passing sequences, the refined run for sequences
+/// it clears, the triage run for diverging ones.
 fn evaluate_spec<T: Testbed + ?Sized>(
     testbed: &T,
     ctx: &OracleContext,
@@ -1029,7 +1128,7 @@ fn evaluate_spec<T: Testbed + ?Sized>(
 ) -> SequenceRecord {
     let local = &mut log.local;
     if opts.record {
-        begin_seq_flight(spec.index);
+        begin_flight(spec.index);
     }
     let (kernel, guests) = booter.booted(local);
     let span = local.start_span();
@@ -1053,65 +1152,36 @@ fn evaluate_spec<T: Testbed + ?Sized>(
     if opts.record {
         // The coarse first pass is not the triage artefact; discard it.
         let _ = flightrec::drain();
+        begin_flight(spec.index);
     }
 
-    // Refine at one step per slot: exact step attribution, and immune to
-    // several calls legitimately sharing one slot budget. This refined
-    // verdict is authoritative, even when it downgrades to Pass.
-    let (kernel, guests) = booter.booted(local);
-    let span = local.start_span();
-    let refined = run_one_sequence(testbed, ctx, kernel, guests, &spec.steps, 1);
-    local.end_span(Phase::Frames, span);
+    // The refined verdict is authoritative, even when it downgrades to Pass.
+    let refined = refine(testbed, ctx, booter, local, &spec.steps);
     let class = refined.verdict.classification.class;
-    if class == CrashClass::Pass || !opts.shrink {
+    if class == CrashClass::Pass {
         if opts.record {
-            let _ = flightrec::drain();
-            begin_seq_flight(spec.index);
-            let (kernel, guests) = booter.booted(local);
-            let _ = lockstep(testbed, ctx, kernel, guests, &spec.steps, 1, 0, Evidence::Skip);
             log.end_flight(spec.index, class);
         }
         return record(refined, None);
     }
-
-    // Minimize: a candidate reproduces iff it yields the same
-    // classification under the same one-step-per-slot evaluation.
+    let how = Triage {
+        min_frames: 0,
+        shrink: opts.shrink,
+        budget: opts.shrink_budget,
+        flight: opts.record.then_some(spec.index),
+    };
     let target = refined.verdict.classification;
-    let span = local.start_span();
-    let out = shrink_sequence(
+    let minimal = triage(
+        testbed,
+        ctx,
+        booter,
+        log,
         &spec.steps,
-        |cand| {
-            if cand.is_empty() {
-                return false;
-            }
-            let (kernel, guests) = booter.booted(local);
-            let eval = lockstep(testbed, ctx, kernel, guests, cand, 1, 0, Evidence::Skip);
-            eval.verdict.classification == target
-        },
-        opts.shrink_budget,
+        class,
+        how,
+        same_class(testbed, ctx, target),
     );
-    local.end_span(Phase::Shrink, span);
-    if opts.record {
-        // Shrink evaluations are scaffolding; only the minimal
-        // reproducer's run below is kept as the triage flight.
-        let _ = flightrec::drain();
-        begin_seq_flight(spec.index);
-    }
-    let (kernel, guests) = booter.booted(local);
-    let minimal_eval = run_one_sequence(testbed, ctx, kernel, guests, &out.steps, 1);
-    if opts.record {
-        log.end_flight(spec.index, class);
-    }
-    record(
-        refined,
-        Some(MinimalRepro {
-            steps: out.steps,
-            verdict: minimal_eval.verdict,
-            evals: out.evals,
-            removed_steps: out.removed_steps,
-            shrunk_args: out.shrunk_args,
-        }),
-    )
+    record(refined, minimal)
 }
 
 /// Executes a whole sequence campaign, in parallel, preserving campaign

@@ -58,3 +58,26 @@ fn recording_keeps_one_flight_per_finding() {
         assert_eq!(f.dropped, 0, "triage flights must be loss-free");
     }
 }
+
+/// A recorded check self-profiles like the other campaign modes: its
+/// evaluations and shrinks land in the phase timers. An unrecorded one
+/// reads no clock, so it reports no phases.
+#[test]
+fn recording_profiles_evaluations_and_shrinks() {
+    let run = |record| {
+        run_check(&CheckOptions {
+            build: KernelBuild::Legacy,
+            threads: 2,
+            record,
+            ..Default::default()
+        })
+    };
+    let recorded = run(true);
+    let spans = |name: &str| {
+        let row = recorded.metrics.phases.iter().find(|p| p.name == name);
+        row.map_or(0, |p| p.hist.count)
+    };
+    assert!(spans("step_major_frames") > 0, "{:?}", recorded.metrics.phases);
+    assert!(spans("shrink") > 0, "{:?}", recorded.metrics.phases);
+    assert!(run(false).metrics.phases.is_empty());
+}

@@ -83,3 +83,22 @@ fn signatures_and_first_hits_are_thread_invariant() {
     let sigs_b: Vec<_> = b.result.findings.iter().map(finding_signature).collect();
     assert_eq!(sigs_a, sigs_b);
 }
+
+/// A recorded run keeps one closed flight per finding: filed under the
+/// finding's `exec_index`, loss-free, and ending in the `TestEnd` event
+/// that carries the finding's class.
+#[test]
+fn recorded_run_keeps_one_closed_flight_per_finding() {
+    let report = run(7, 4, true);
+    let findings = &report.result.findings;
+    assert!(!findings.is_empty(), "legacy fuzzing must find divergences");
+    let flight = report.result.flight.as_ref().expect("recording retains flights");
+    assert_eq!(flight.tests.len(), findings.len());
+    for (f, finding) in flight.tests.iter().zip(findings) {
+        assert_eq!(f.index as u64, finding.exec_index);
+        assert_eq!(f.dropped, 0, "exec {}: triage flights must be loss-free", f.index);
+        let last = f.events.last().expect("a flight has events");
+        assert_eq!(last.kind, flightrec::EventKind::TestEnd, "exec {} never closed", f.index);
+        assert_eq!(last.code as usize, finding.verdict.classification.class.index());
+    }
+}
