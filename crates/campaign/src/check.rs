@@ -140,7 +140,7 @@ pub fn write_check_bundle(dir: &Path, job: &str, res: &CheckResult) -> io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forensics::repro_steps;
+    use crate::sequences::repro_steps;
     use skrt::check::{run_check, CheckOptions};
     use skrt::fuzz::parse_steps;
     use skrt::sequence::run_one_sequence;

@@ -9,12 +9,12 @@
 //! rendered markdown summary.
 
 use crate::runner::eagleeye_flight_names;
-use crate::sequences::{signature_of, SequenceReport};
+use crate::sequences::{repro_steps, signature_of, Finding, SequenceReport};
 use eagleeye::EagleEye;
-use skrt::check::CheckCaseRecord;
 use skrt::flight::{export_chrome_trace, FlightLog, FlightNames};
+use skrt::fuzz::render_steps;
 use skrt::metrics::MetricsReport;
-use skrt::sequence::{run_one_sequence, MinimalRepro, SequenceRecord, SequenceVerdict};
+use skrt::sequence::{run_one_sequence, SequenceRecord};
 use skrt::testbed::Testbed;
 use std::fmt::Write as _;
 use std::fs;
@@ -75,10 +75,9 @@ impl Bundle {
         flights: Option<&FlightLog>,
         names: &FlightNames,
     ) -> io::Result<()> {
-        self.put(
-            &format!("finding-{n:03}/repro.seq"),
-            &render_steps_file(header, repro_steps(finding)),
-        )?;
+        let mut seq = format!("# {header}\n");
+        render_steps(&mut seq, repro_steps(finding));
+        self.put(&format!("finding-{n:03}/repro.seq"), &seq)?;
         self.put(&format!("finding-{n:03}/report.md"), report)?;
         let index = finding.parts().0;
         let flight = flights.and_then(|log| log.tests.iter().find(|f| f.index == index));
@@ -105,53 +104,6 @@ impl Bundle {
         self.put("summary.md", &summary)?;
         Ok(BundleSummary { root: self.root, findings, files: self.files })
     }
-}
-
-/// Steps in the corpus-file format [`skrt::fuzz::parse_steps`] reads
-/// back: one `XM_name hexarg …` line per step.
-fn render_steps_file(header: &str, steps: &[RawHypercall]) -> String {
-    let mut out = format!("# {header}\n");
-    for step in steps {
-        out.push_str(step.id.name());
-        for a in step.args() {
-            let _ = write!(out, " {a:#x}");
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// A finding a bundle documents — a diverging sequence or a `check`
-/// counterexample — as the shared bundle code reads it.
-pub(crate) trait Finding {
-    /// Its campaign index (the flight's), generated steps, minimal
-    /// reproducer when shrinking ran, and authoritative verdict.
-    fn parts(&self) -> (usize, &[RawHypercall], Option<&MinimalRepro>, &SequenceVerdict);
-}
-
-impl Finding for SequenceRecord {
-    fn parts(&self) -> (usize, &[RawHypercall], Option<&MinimalRepro>, &SequenceVerdict) {
-        (self.spec.index, &self.spec.steps, self.minimal.as_ref(), &self.verdict)
-    }
-}
-
-impl Finding for CheckCaseRecord {
-    fn parts(&self) -> (usize, &[RawHypercall], Option<&MinimalRepro>, &SequenceVerdict) {
-        (self.index, &self.steps, self.minimal.as_ref(), &self.verdict)
-    }
-}
-
-impl<F: Finding + ?Sized> Finding for &F {
-    fn parts(&self) -> (usize, &[RawHypercall], Option<&MinimalRepro>, &SequenceVerdict) {
-        (**self).parts()
-    }
-}
-
-/// The reproducer a bundle ships: the minimal steps when shrinking ran,
-/// the generated steps otherwise.
-pub(crate) fn repro_steps<F: Finding + ?Sized>(finding: &F) -> &[RawHypercall] {
-    let (_, steps, minimal, _) = finding.parts();
-    minimal.map_or(steps, |m| &m.steps)
 }
 
 /// Appends the sections every finding report shares: the reproducer

@@ -13,11 +13,17 @@
 //! [`random_rediscovery`]) used by the `fuzz_rediscovery` benchmark and
 //! EXPERIMENTS §A10.
 
-use crate::sequences::{eagleeye_sequence_alphabet, signature_of, DefectSignature, RediscoveryRow};
+/// The signature of one fuzz finding: [`signature_of`] under the name
+/// fuzz callers know it by.
+pub use crate::sequences::signature_of as finding_signature;
+use crate::sequences::{
+    eagleeye_sequence_alphabet, rediscovery_rows, render_findings, signature_of, DefectSignature,
+    Finding, RediscoveryRow,
+};
 use eagleeye::map::{BATCH_END, BATCH_START};
 use eagleeye::EagleEye;
 use skrt::classify::{Cause, Classification, CrashClass};
-use skrt::fuzz::{run_fuzz, FuzzFinding, FuzzOptions, FuzzResult};
+use skrt::fuzz::{run_fuzz, FuzzOptions, FuzzResult};
 use skrt::sequence::{generate_sequences, run_sequence_campaign, AlphabetEntry, SequenceOptions};
 use xtratum::hypercall::{HypercallId, RawHypercall};
 use xtratum::observe::ResetKind;
@@ -51,19 +57,17 @@ pub fn stateful_defect_signatures() -> Vec<DefectSignature> {
     ]
 }
 
-/// The signature of one fuzz finding — same attribution rule as
-/// [`signature_of`]: the minimal reproducer (when shrinking ran) names
-/// the failing call, the original verdict names the classification.
-pub fn finding_signature(f: &FuzzFinding) -> DefectSignature {
-    let (steps, verdict) = match &f.minimal {
-        Some(m) => (&m.steps, &m.verdict),
-        None => (&f.steps, &f.verdict),
-    };
-    let hypercall = verdict
-        .failing_step
-        .and_then(|i| steps.get(i.min(steps.len().saturating_sub(1))))
-        .map(|hc| hc.id);
-    DefectSignature { classification: f.verdict.classification, hypercall }
+/// First hit of each canonical stateful signature among `findings`, in
+/// [`stateful_defect_signatures`] order: the finding's index plus
+/// `base`, `None` for a signature never reached.
+fn first_hits<F: Finding>(findings: &[F], base: u64) -> Vec<(DefectSignature, Option<u64>)> {
+    stateful_defect_signatures()
+        .into_iter()
+        .map(|sig| {
+            let first = findings.iter().find(|f| signature_of(*f) == sig);
+            (sig, first.map(|f| f.parts().0 as u64 + base))
+        })
+        .collect()
 }
 
 /// Hottest-edge cells shown in the introspection section and streamed
@@ -78,49 +82,16 @@ pub struct FuzzReport {
 }
 
 impl FuzzReport {
-    /// The rediscovery table over the findings, same shape and sort as
-    /// the sequence campaign's.
+    /// The rediscovery table over the findings.
     pub fn rediscovery_rows(&self) -> Vec<RediscoveryRow> {
-        let mut rows: Vec<RediscoveryRow> = Vec::new();
-        for f in &self.result.findings {
-            let sig = finding_signature(f);
-            let steps = f.minimal.as_ref().map(|m| &m.steps).unwrap_or(&f.steps);
-            match rows.iter_mut().find(|r| r.signature == sig) {
-                Some(row) => {
-                    row.sequences += 1;
-                    if steps.len() < row.example.len() {
-                        row.example = steps.clone();
-                    }
-                }
-                None => rows.push(RediscoveryRow {
-                    signature: sig,
-                    sequences: 1,
-                    example: steps.clone(),
-                }),
-            }
-        }
-        rows.sort_by_key(|r| {
-            (r.signature.classification.class.index(), format!("{:?}", r.signature))
-        });
-        rows
+        rediscovery_rows(&self.result.findings)
     }
 
     /// First candidate-execution index (1-based) that hit each canonical
     /// stateful signature, in [`stateful_defect_signatures`] order.
     /// `None` marks a signature the run never reached.
     pub fn first_hits(&self) -> Vec<(DefectSignature, Option<u64>)> {
-        stateful_defect_signatures()
-            .into_iter()
-            .map(|sig| {
-                let first = self
-                    .result
-                    .findings
-                    .iter()
-                    .find(|f| finding_signature(f) == sig)
-                    .map(|f| f.exec_index);
-                (sig, first)
-            })
-            .collect()
+        first_hits(&self.result.findings, 0)
     }
 
     /// Renders the campaign report. Deterministic: derived only from the
@@ -146,45 +117,10 @@ impl FuzzReport {
         out.push_str(&self.render_introspection());
 
         out.push_str(&format!("\nfindings: {}\n", r.findings.len()));
-        if r.findings.is_empty() {
-            return out;
-        }
-
-        let shrunk: Vec<_> = r.findings.iter().filter_map(|f| f.minimal.as_ref()).collect();
-        if !shrunk.is_empty() {
-            let orig: usize =
-                r.findings.iter().filter(|f| f.minimal.is_some()).map(|f| f.steps.len()).sum();
-            let min_total: usize = shrunk.iter().map(|m| m.steps.len()).sum();
-            let evals: usize = shrunk.iter().map(|m| m.evals).sum();
-            out.push_str(&format!(
-                "shrinking: {} findings, {} -> {} steps total, {} re-executions\n",
-                shrunk.len(),
-                orig,
-                min_total,
-                evals
-            ));
-        }
-
-        out.push_str("\nrediscovered defect signatures:\n");
-        for row in self.rediscovery_rows() {
-            let call = row
-                .signature
-                .hypercall
-                .map(|h| h.name().to_string())
-                .unwrap_or_else(|| "<none>".into());
-            out.push_str(&format!(
-                "  {:<14} {:<24} @ {:<28} x{:<5} min {} step(s)\n",
-                row.signature.classification.class.label(),
-                format!("{:?}", row.signature.classification.cause),
-                call,
-                row.sequences,
-                row.example.len()
-            ));
-        }
-
-        out.push_str("\ntriage bundles:\n");
-        for f in &r.findings {
-            out.push_str(&render_finding(f));
+        if !r.findings.is_empty() {
+            render_findings(&mut out, "findings", &r.findings, |f| {
+                format!("#exec {} (round {})", f.exec_index, f.round)
+            });
         }
         out
     }
@@ -319,46 +255,6 @@ impl FuzzReport {
     }
 }
 
-fn render_finding(f: &FuzzFinding) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "\n#exec {} (round {}): {} ({:?}) at step {}\n",
-        f.exec_index,
-        f.round,
-        f.verdict.classification.class.label(),
-        f.verdict.classification.cause,
-        f.verdict.failing_step.map(|s| s.to_string()).unwrap_or_else(|| "?".into()),
-    ));
-    match &f.minimal {
-        Some(m) => {
-            out.push_str(&format!(
-                "  minimal reproducer ({} of {} steps, {} args canonicalized, {} evals):\n",
-                m.steps.len(),
-                f.steps.len(),
-                m.shrunk_args,
-                m.evals
-            ));
-            for (i, step) in m.steps.iter().enumerate() {
-                let marker = if m.verdict.failing_step == Some(i) { ">" } else { " " };
-                out.push_str(&format!("  {marker} {i}: {step}\n"));
-            }
-            for line in &m.verdict.state_diff {
-                out.push_str(&format!("    {line}\n"));
-            }
-        }
-        None => {
-            for (i, step) in f.steps.iter().enumerate().take(f.steps_executed + 1) {
-                let marker = if f.verdict.failing_step == Some(i) { ">" } else { " " };
-                out.push_str(&format!("  {marker} {i}: {step}\n"));
-            }
-            for line in &f.verdict.state_diff {
-                out.push_str(&format!("    {line}\n"));
-            }
-        }
-    }
-    out
-}
-
 /// Runs the coverage-guided fuzzer on the EagleEye testbed with the
 /// curated sequence alphabet.
 pub fn run_eagleeye_fuzz(opts: &FuzzOptions) -> FuzzReport {
@@ -459,20 +355,8 @@ pub fn random_rediscovery(seed: u64, budget: u64, threads: usize) -> Rediscovery
         ..SequenceOptions::default()
     };
     let result = run_sequence_campaign(&EagleEye, &specs, &opts);
-    let first_hits = stateful_defect_signatures()
-        .into_iter()
-        .map(|sig| {
-            let first = result
-                .records
-                .iter()
-                .filter(|rec| {
-                    rec.verdict.classification.class != CrashClass::Pass && signature_of(rec) == sig
-                })
-                .map(|rec| rec.spec.index as u64 + 1)
-                .next();
-            (sig, first)
-        })
-        .collect();
+    // Sequence indexes are 0-based; the probe counts executions from 1.
+    let first_hits = first_hits(&result.divergences(), 1);
     RediscoveryProbe { first_hits, execs: specs.len() as u64 }
 }
 

@@ -13,17 +13,25 @@
 //! pointers, degenerate timer programs). Sequences over it exercise
 //! call *interactions* — the paper's Table III defects all resurface as
 //! minimal sequences, and the patched build must stay divergence-free.
+//!
+//! It also holds the findings layer the sequence, fuzz and `check`
+//! reports share: the [`Finding`] view of a judged finding, its
+//! [`DefectSignature`] ([`signature_of`]), the rediscovery table and the
+//! console report's findings tail.
 
 use eagleeye::map::{
     AOCS, BATCH_END, BATCH_START, HK, KERNEL_PTR, PAYLOAD, PTR_NAME_GYRO, PTR_NAME_TM, SCRATCH,
     SCRATCH_HI,
 };
 use eagleeye::EagleEye;
+use skrt::check::CheckCaseRecord;
 use skrt::classify::{Classification, CrashClass};
+use skrt::fuzz::FuzzFinding;
 use skrt::sequence::{
-    generate_sequences, run_sequence_campaign, AlphabetEntry, SequenceCampaignResult,
-    SequenceOptions, SequenceRecord, SequenceSpec,
+    generate_sequences, run_sequence_campaign, AlphabetEntry, MinimalRepro, SequenceCampaignResult,
+    SequenceOptions, SequenceRecord, SequenceSpec, SequenceVerdict,
 };
+use std::fmt::Write as _;
 use xtratum::hypercall::{HypercallId, RawHypercall};
 
 fn entry(id: HypercallId, args: &[u64], weight: u32) -> AlphabetEntry {
@@ -138,17 +146,72 @@ pub struct DefectSignature {
     pub hypercall: Option<HypercallId>,
 }
 
-/// The signature of one diverging record.
-pub fn signature_of(rec: &SequenceRecord) -> DefectSignature {
-    let (steps, verdict) = match &rec.minimal {
-        Some(m) => (&m.steps, &m.verdict),
-        None => (&rec.spec.steps, &rec.verdict),
-    };
-    let hypercall = verdict
+/// A judged finding — a diverging sequence, a fuzz finding or a `check`
+/// counterexample — as the signature, report and bundle code reads it.
+pub trait Finding {
+    /// Its campaign index (the one its flight is filed under), generated
+    /// steps, minimal reproducer when shrinking ran, and authoritative
+    /// verdict.
+    fn parts(&self) -> (usize, &[RawHypercall], Option<&MinimalRepro>, &SequenceVerdict);
+    /// Steps executed in the authoritative evaluation.
+    fn steps_executed(&self) -> usize;
+}
+
+impl Finding for SequenceRecord {
+    fn parts(&self) -> (usize, &[RawHypercall], Option<&MinimalRepro>, &SequenceVerdict) {
+        (self.spec.index, &self.spec.steps, self.minimal.as_ref(), &self.verdict)
+    }
+    fn steps_executed(&self) -> usize {
+        self.steps_executed
+    }
+}
+
+impl Finding for FuzzFinding {
+    fn parts(&self) -> (usize, &[RawHypercall], Option<&MinimalRepro>, &SequenceVerdict) {
+        (self.exec_index as usize, &self.steps, self.minimal.as_ref(), &self.verdict)
+    }
+    fn steps_executed(&self) -> usize {
+        self.steps_executed
+    }
+}
+
+impl Finding for CheckCaseRecord {
+    fn parts(&self) -> (usize, &[RawHypercall], Option<&MinimalRepro>, &SequenceVerdict) {
+        (self.index, &self.steps, self.minimal.as_ref(), &self.verdict)
+    }
+    fn steps_executed(&self) -> usize {
+        self.steps_executed
+    }
+}
+
+impl<F: Finding + ?Sized> Finding for &F {
+    fn parts(&self) -> (usize, &[RawHypercall], Option<&MinimalRepro>, &SequenceVerdict) {
+        (**self).parts()
+    }
+    fn steps_executed(&self) -> usize {
+        (**self).steps_executed()
+    }
+}
+
+/// The reproducer a finding ships: the minimal steps when shrinking ran,
+/// the generated steps otherwise.
+pub(crate) fn repro_steps<F: Finding + ?Sized>(finding: &F) -> &[RawHypercall] {
+    let (_, steps, minimal, _) = finding.parts();
+    minimal.map_or(steps, |m| &m.steps)
+}
+
+/// The signature of one finding: its authoritative classification, and
+/// the call its reproducer fails at (the minimal reproducer's failing
+/// step when shrinking ran, the generated steps' otherwise).
+pub fn signature_of<F: Finding + ?Sized>(finding: &F) -> DefectSignature {
+    let (_, _, minimal, verdict) = finding.parts();
+    let steps = repro_steps(finding);
+    let hypercall = minimal
+        .map_or(verdict, |m| &m.verdict)
         .failing_step
         .and_then(|i| steps.get(i.min(steps.len().saturating_sub(1))))
         .map(|hc| hc.id);
-    DefectSignature { classification: rec.verdict.classification, hypercall }
+    DefectSignature { classification: verdict.classification, hypercall }
 }
 
 /// One row of the rediscovery table: a defect signature, how many
@@ -173,31 +236,9 @@ pub struct SequenceReport {
 }
 
 impl SequenceReport {
-    /// The rediscovery table: defect signatures among the divergences,
-    /// sorted by severity (class ordinal, then cause/hypercall order).
+    /// The rediscovery table over the divergences.
     pub fn rediscovery_rows(&self) -> Vec<RediscoveryRow> {
-        let mut rows: Vec<RediscoveryRow> = Vec::new();
-        for rec in self.result.divergences() {
-            let sig = signature_of(rec);
-            let steps = rec.minimal.as_ref().map(|m| &m.steps).unwrap_or(&rec.spec.steps);
-            match rows.iter_mut().find(|r| r.signature == sig) {
-                Some(row) => {
-                    row.sequences += 1;
-                    if steps.len() < row.example.len() {
-                        row.example = steps.clone();
-                    }
-                }
-                None => rows.push(RediscoveryRow {
-                    signature: sig,
-                    sequences: 1,
-                    example: steps.clone(),
-                }),
-            }
-        }
-        rows.sort_by_key(|r| {
-            (r.signature.classification.class.index(), format!("{:?}", r.signature))
-        });
-        rows
+        rediscovery_rows(self.result.divergences())
     }
 
     /// Renders the campaign report. Deterministic: derived only from the
@@ -216,112 +257,129 @@ impl SequenceReport {
         ));
 
         // CRASH distribution over sequences.
-        let mut counts = [0usize; 6];
+        let mut counts = [0usize; CrashClass::ALL.len()];
         for rec in &r.records {
             counts[rec.verdict.classification.class.index()] += 1;
         }
         out.push_str("verdicts:\n");
-        for class in [
-            CrashClass::Pass,
-            CrashClass::Catastrophic,
-            CrashClass::Restart,
-            CrashClass::Abort,
-            CrashClass::Silent,
-            CrashClass::Hindering,
-        ] {
+        for class in CrashClass::ALL {
             out.push_str(&format!("  {:<14} {}\n", class.label(), counts[class.index()]));
         }
 
         let divergences = r.divergences();
         out.push_str(&format!("\ndivergences: {}\n", divergences.len()));
-        if divergences.is_empty() {
-            return out;
-        }
-
-        // Shrink statistics.
-        let shrunk: Vec<_> = divergences.iter().filter_map(|d| d.minimal.as_ref()).collect();
-        if !shrunk.is_empty() {
-            let orig: usize = divergences
-                .iter()
-                .filter(|d| d.minimal.is_some())
-                .map(|d| d.spec.steps.len())
-                .sum();
-            let min_total: usize = shrunk.iter().map(|m| m.steps.len()).sum();
-            let evals: usize = shrunk.iter().map(|m| m.evals).sum();
-            out.push_str(&format!(
-                "shrinking: {} sequences, {} -> {} steps total, {} re-executions\n",
-                shrunk.len(),
-                orig,
-                min_total,
-                evals
-            ));
-        }
-
-        // Rediscovery table.
-        out.push_str("\nrediscovered defect signatures:\n");
-        for row in self.rediscovery_rows() {
-            let call = row
-                .signature
-                .hypercall
-                .map(|h| h.name().to_string())
-                .unwrap_or_else(|| "<none>".into());
-            out.push_str(&format!(
-                "  {:<14} {:<24} @ {:<28} x{:<5} min {} step(s)\n",
-                row.signature.classification.class.label(),
-                format!("{:?}", row.signature.classification.cause),
-                call,
-                row.sequences,
-                row.example.len()
-            ));
-        }
-
-        // Per-divergence triage bundles.
-        out.push_str("\ntriage bundles:\n");
-        for rec in &divergences {
-            out.push_str(&render_divergence(rec));
+        if !divergences.is_empty() {
+            render_findings(&mut out, "sequences", &divergences, |rec| {
+                format!("#{} (seed {:#018x})", rec.spec.index, rec.spec.seed)
+            });
         }
         out
     }
 }
 
-fn render_divergence(rec: &SequenceRecord) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "\n#{} (seed {:#018x}): {} ({:?}) at step {}\n",
-        rec.spec.index,
-        rec.spec.seed,
-        rec.verdict.classification.class.label(),
-        rec.verdict.classification.cause,
-        rec.verdict.failing_step.map(|s| s.to_string()).unwrap_or_else(|| "?".into()),
-    ));
-    match &rec.minimal {
-        Some(m) => {
-            out.push_str(&format!(
-                "  minimal reproducer ({} of {} steps, {} args canonicalized, {} evals):\n",
-                m.steps.len(),
-                rec.spec.steps.len(),
-                m.shrunk_args,
-                m.evals
-            ));
-            for (i, step) in m.steps.iter().enumerate() {
-                let marker = if m.verdict.failing_step == Some(i) { ">" } else { " " };
-                out.push_str(&format!("  {marker} {i}: {step}\n"));
+/// The rediscovery table over `findings`: one row per signature, sorted
+/// by severity (class ordinal, then cause/hypercall order).
+pub(crate) fn rediscovery_rows<F: Finding>(
+    findings: impl IntoIterator<Item = F>,
+) -> Vec<RediscoveryRow> {
+    let mut rows: Vec<RediscoveryRow> = Vec::new();
+    for f in findings {
+        let sig = signature_of(&f);
+        let steps = repro_steps(&f);
+        match rows.iter_mut().find(|r| r.signature == sig) {
+            Some(row) => {
+                row.sequences += 1;
+                if steps.len() < row.example.len() {
+                    row.example = steps.to_vec();
+                }
             }
-            for line in &m.verdict.state_diff {
-                out.push_str(&format!("    {line}\n"));
-            }
-        }
-        None => {
-            for (i, step) in rec.spec.steps.iter().enumerate().take(rec.steps_executed + 1) {
-                let marker = if rec.verdict.failing_step == Some(i) { ">" } else { " " };
-                out.push_str(&format!("  {marker} {i}: {step}\n"));
-            }
-            for line in &rec.verdict.state_diff {
-                out.push_str(&format!("    {line}\n"));
+            None => {
+                rows.push(RediscoveryRow { signature: sig, sequences: 1, example: steps.to_vec() })
             }
         }
     }
-    out
+    rows.sort_by_key(|r| (r.signature.classification.class.index(), format!("{:?}", r.signature)));
+    rows
+}
+
+/// The findings tail of the sequence and fuzz console reports: the
+/// shrink statistics (counting `noun`), the rediscovered-signature table
+/// and one triage bundle per finding, each headed by `header(finding)`.
+pub(crate) fn render_findings<F: Finding>(
+    out: &mut String,
+    noun: &str,
+    findings: &[F],
+    header: impl Fn(&F) -> String,
+) {
+    let (mut shrunk, mut orig, mut min_total, mut evals) = (0, 0, 0, 0);
+    for (_, steps, minimal, _) in findings.iter().map(Finding::parts) {
+        if let Some(m) = minimal {
+            shrunk += 1;
+            orig += steps.len();
+            min_total += m.steps.len();
+            evals += m.evals;
+        }
+    }
+    if shrunk > 0 {
+        let _ = writeln!(
+            out,
+            "shrinking: {shrunk} {noun}, {orig} -> {min_total} steps total, {evals} re-executions"
+        );
+    }
+
+    out.push_str("\nrediscovered defect signatures:\n");
+    for row in rediscovery_rows(findings) {
+        let call = row.signature.hypercall.map_or("<none>", |h| h.name());
+        let _ = writeln!(
+            out,
+            "  {:<14} {:<24} @ {:<28} x{:<5} min {} step(s)",
+            row.signature.classification.class.label(),
+            format!("{:?}", row.signature.classification.cause),
+            call,
+            row.sequences,
+            row.example.len()
+        );
+    }
+
+    out.push_str("\ntriage bundles:\n");
+    for f in findings {
+        render_triage_bundle(out, &header(f), f);
+    }
+}
+
+/// One finding's triage bundle: `header`, the verdict and failing step,
+/// then the minimal reproducer (or the unshrunk steps up to the failing
+/// one) with the failing step marked `>`, and its state diff.
+fn render_triage_bundle(out: &mut String, header: &str, finding: &impl Finding) {
+    let (_, steps, minimal, verdict) = finding.parts();
+    let _ = writeln!(
+        out,
+        "\n{header}: {} ({:?}) at step {}",
+        verdict.classification.class.label(),
+        verdict.classification.cause,
+        verdict.failing_step.map(|s| s.to_string()).unwrap_or_else(|| "?".into()),
+    );
+    let (shown, verdict) = match minimal {
+        Some(m) => {
+            let _ = writeln!(
+                out,
+                "  minimal reproducer ({} of {} steps, {} args canonicalized, {} evals):",
+                m.steps.len(),
+                steps.len(),
+                m.shrunk_args,
+                m.evals
+            );
+            (m.steps.as_slice(), &m.verdict)
+        }
+        None => (&steps[..steps.len().min(finding.steps_executed() + 1)], verdict),
+    };
+    for (i, step) in shown.iter().enumerate() {
+        let marker = if verdict.failing_step == Some(i) { ">" } else { " " };
+        let _ = writeln!(out, "  {marker} {i}: {step}");
+    }
+    for line in &verdict.state_diff {
+        let _ = writeln!(out, "    {line}");
+    }
 }
 
 /// Generates and executes a sequence campaign on the EagleEye testbed.

@@ -42,11 +42,12 @@ use crate::exec::{
 use crate::flight::{FlightLog, DEFAULT_RING_CAPACITY};
 use crate::metrics::{MetricsReport, Phase};
 use crate::sequence::{
-    draw_weighted, lockstep, refine, run_one_sequence, same_class, triage, AlphabetEntry, Evidence,
-    MinimalRepro, SeqRng, SequenceEval, SequenceVerdict, Triage,
+    confirm, draw_weighted, lockstep, run_one_sequence, AlphabetEntry, Evidence, MinimalRepro,
+    SeqRng, SequenceEval, SequenceVerdict, Triage,
 };
 use crate::testbed::Testbed;
 use flightrec::coverage::{CoverageMap, EdgeTrace, ExecCoverage};
+use std::fmt::Write as _;
 use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 use xtratum::hypercall::{HypercallId, RawHypercall, MAX_RAW_ARGS};
@@ -361,10 +362,7 @@ impl CorpusEntry {
                 out.push_str(&format!("# origin parent {} op {} at {}\n", parent, op.name(), at));
             }
         }
-        for step in &self.steps {
-            out.push_str(&render_step(step));
-            out.push('\n');
-        }
+        render_steps(&mut out, &self.steps);
         out
     }
 
@@ -374,12 +372,16 @@ impl CorpusEntry {
     }
 }
 
-fn render_step(step: &RawHypercall) -> String {
-    let mut line = step.id.name().to_string();
-    for a in step.args() {
-        line.push_str(&format!(" {a:#x}"));
+/// Appends `steps` in the step-file format [`parse_steps`] reads back:
+/// one `XM_name 0xarg …` line per step.
+pub fn render_steps(out: &mut String, steps: &[RawHypercall]) {
+    for step in steps {
+        out.push_str(step.id.name());
+        for a in step.args() {
+            let _ = write!(out, " {a:#x}");
+        }
+        out.push('\n');
     }
-    line
 }
 
 /// Parses the step lines of a corpus entry (metadata lines starting with
@@ -784,8 +786,8 @@ pub fn run_fuzz<T: Testbed + ?Sized>(
 }
 
 /// Executes one candidate on a worker: coverage-producing main run, then
-/// (on divergence) the one-step-per-slot authoritative re-judgement and
-/// [`triage`].
+/// (on divergence) [`confirm`]: the one-step-per-slot authoritative
+/// re-judgement and triage.
 fn evaluate_candidate<T: Testbed + ?Sized>(
     testbed: &T,
     ctx: &crate::oracle::OracleContext,
@@ -818,27 +820,15 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
     let mut finding = None;
     let mut class = eval.verdict.classification.class;
     if class != CrashClass::Pass {
-        let refined = refine(testbed, ctx, booter, &mut log.local, steps);
-        let _ = flightrec::drain();
+        let how = Triage {
+            min_frames: 0,
+            shrink: opts.shrink,
+            budget: opts.shrink_budget,
+            flight: opts.record.then_some(exec_index as usize),
+        };
+        let (refined, minimal) = confirm(testbed, ctx, booter, log, steps, how);
         class = refined.verdict.classification.class;
         if class != CrashClass::Pass {
-            let how = Triage {
-                min_frames: 0,
-                shrink: opts.shrink,
-                budget: opts.shrink_budget,
-                flight: opts.record.then_some(exec_index as usize),
-            };
-            let target = refined.verdict.classification;
-            let minimal = triage(
-                testbed,
-                ctx,
-                booter,
-                log,
-                steps,
-                class,
-                how,
-                same_class(testbed, ctx, target),
-            );
             finding = Some(PendingFinding {
                 verdict: refined.verdict,
                 steps_executed: refined.steps_executed,

@@ -16,7 +16,7 @@
 
 use crate::classify::CrashClass;
 use crate::exec::{CampaignResult, TestRecord};
-use flightrec::{HistogramSet, LatencyHistogram, TelemetryRegistry};
+use flightrec::{json_escape, HistogramSet, LatencyHistogram, TelemetryRegistry};
 use std::io::Write;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -357,23 +357,6 @@ impl MetricsReport {
         }
         reg
     }
-}
-
-/// Minimal JSON string escaping for the trace sink.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One trace line per record, in campaign order — deterministic given the

@@ -1054,6 +1054,28 @@ pub(crate) fn same_class<'a, 't, T: Testbed + ?Sized>(
     }
 }
 
+/// Confirms a first-pass divergence for the sequence and fuzz campaigns:
+/// the authoritative [`refine`] run, then — when the divergence holds —
+/// [`triage`] against its classification. Returns the refined run (even
+/// when it downgrades to Pass) and the minimal reproducer.
+pub(crate) fn confirm<'t, T: Testbed + ?Sized>(
+    testbed: &T,
+    ctx: &OracleContext,
+    booter: &mut Booter<'t, T>,
+    log: &mut WorkerLog,
+    steps: &[RawHypercall],
+    how: Triage,
+) -> (SequenceEval, Option<MinimalRepro>) {
+    let refined = refine(testbed, ctx, booter, &mut log.local, steps);
+    let target = refined.verdict.classification;
+    if target.class == CrashClass::Pass {
+        return (refined, None);
+    }
+    let reproduces = same_class(testbed, ctx, target);
+    let minimal = triage(testbed, ctx, booter, log, steps, target.class, how, reproduces);
+    (refined, minimal)
+}
+
 /// One generated, executed and judged sequence.
 #[derive(Debug, Clone)]
 pub struct SequenceRecord {
@@ -1113,11 +1135,11 @@ fn begin_flight(index: usize) {
     );
 }
 
-/// Evaluates one spec end-to-end on a worker: main evaluation, one-step
-/// refinement on divergence, then [`triage`]. Recording state (when
-/// enabled) is managed so only the per-spec window survives: the whole
-/// main evaluation for passing sequences, the refined run for sequences
-/// it clears, the triage run for diverging ones.
+/// Evaluates one spec end-to-end on a worker: main evaluation, then
+/// [`confirm`] on divergence. Recording state (when enabled) is managed
+/// so only the per-spec window survives: the whole main evaluation for
+/// passing sequences, the refined run for sequences it clears, the
+/// triage run for diverging ones.
 fn evaluate_spec<T: Testbed + ?Sized>(
     testbed: &T,
     ctx: &OracleContext,
@@ -1155,32 +1177,17 @@ fn evaluate_spec<T: Testbed + ?Sized>(
         begin_flight(spec.index);
     }
 
-    // The refined verdict is authoritative, even when it downgrades to Pass.
-    let refined = refine(testbed, ctx, booter, local, &spec.steps);
-    let class = refined.verdict.classification.class;
-    if class == CrashClass::Pass {
-        if opts.record {
-            log.end_flight(spec.index, class);
-        }
-        return record(refined, None);
-    }
     let how = Triage {
         min_frames: 0,
         shrink: opts.shrink,
         budget: opts.shrink_budget,
         flight: opts.record.then_some(spec.index),
     };
-    let target = refined.verdict.classification;
-    let minimal = triage(
-        testbed,
-        ctx,
-        booter,
-        log,
-        &spec.steps,
-        class,
-        how,
-        same_class(testbed, ctx, target),
-    );
+    let (refined, minimal) = confirm(testbed, ctx, booter, log, &spec.steps, how);
+    if opts.record && refined.verdict.classification.class == CrashClass::Pass {
+        // Cleared by the refined run: that run is the sequence's flight.
+        log.end_flight(spec.index, CrashClass::Pass);
+    }
     record(refined, minimal)
 }
 

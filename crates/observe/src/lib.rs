@@ -19,7 +19,7 @@ pub mod telemetry;
 
 pub use coverage::{CoverageMap, EdgeTrace, ExecCoverage, MAP_SIZE};
 pub use histogram::{HistogramSet, LatencyHistogram, HIST_BUCKETS};
-pub use perfetto::ChromeTraceWriter;
+pub use perfetto::{json_escape, ChromeTraceWriter};
 pub use ring::Ring;
 pub use telemetry::TelemetryRegistry;
 

@@ -4,7 +4,10 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-fn escape(s: &str) -> String {
+/// Escapes `s` for a JSON string literal: quotes, backslashes and
+/// control characters. The one escaper behind every JSON the stack
+/// writes (trace events, telemetry, the campaign trace sink).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -25,8 +28,8 @@ fn escape(s: &str) -> String {
 /// Streaming builder for a `traceEvents` JSON document.
 ///
 /// Tracks per-`(pid, tid)` open `B` spans so that orphan `E` events are
-/// dropped and dangling `B` spans are auto-closed by [`finish`]
-/// (`ChromeTraceWriter::finish`) — the output always has matched,
+/// dropped and dangling `B` spans are auto-closed by
+/// [`finish`](ChromeTraceWriter::finish) — the output always has matched,
 /// properly nested span pairs.
 pub struct ChromeTraceWriter {
     out: String,
@@ -63,7 +66,7 @@ impl ChromeTraceWriter {
     pub fn process_name(&mut self, pid: u64, name: &str) {
         let body = format!(
             "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"{}\"}}}}",
-            escape(name)
+            json_escape(name)
         );
         self.emit(&body);
     }
@@ -72,7 +75,7 @@ impl ChromeTraceWriter {
     pub fn thread_name(&mut self, pid: u64, tid: u64, name: &str) {
         let body = format!(
             "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
-            escape(name)
+            json_escape(name)
         );
         self.emit(&body);
     }
@@ -80,7 +83,7 @@ impl ChromeTraceWriter {
     /// Open a duration span (`ph: B`).
     pub fn begin(&mut self, pid: u64, tid: u64, ts: u64, name: &str, args: Option<&str>) {
         let ts = self.clamp(ts);
-        let name = escape(name);
+        let name = json_escape(name);
         let args = args.map(|a| format!(",\"args\":{a}")).unwrap_or_default();
         let body = format!(
             "{{\"ph\":\"B\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"name\":\"{name}\"{args}}}"
@@ -115,7 +118,7 @@ impl ChromeTraceWriter {
         let args = args.map(|a| format!(",\"args\":{a}")).unwrap_or_default();
         let body = format!(
             "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"name\":\"{}\"{args}}}",
-            escape(name)
+            json_escape(name)
         );
         self.emit(&body);
     }
@@ -126,7 +129,7 @@ impl ChromeTraceWriter {
         let args = args.map(|a| format!(",\"args\":{a}")).unwrap_or_default();
         let body = format!(
             "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\"name\":\"{}\"{args}}}",
-            escape(name)
+            json_escape(name)
         );
         self.emit(&body);
     }
@@ -137,7 +140,7 @@ impl ChromeTraceWriter {
         let ts = self.clamp(ts);
         let body = format!(
             "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"name\":\"{}\",\"args\":{{\"value\":{value}}}}}",
-            escape(name)
+            json_escape(name)
         );
         self.emit(&body);
     }

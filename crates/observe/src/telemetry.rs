@@ -14,6 +14,7 @@
 //! construction.
 
 use crate::histogram::{LatencyHistogram, HIST_BUCKETS};
+use crate::perfetto::json_escape;
 use std::fmt::Write as _;
 
 /// The three OpenMetrics family types the campaign stack exports.
@@ -310,24 +311,6 @@ fn escape_help(s: &str) -> String {
 
 fn escape_label(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -161,6 +161,10 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
+/// The most cases one campaign runs (`--tests`, `--count`): the parallel
+/// executor indexes them with `u32`.
+const MAX_CASES: usize = u32::MAX as usize;
+
 /// `flag N`: `default` when the flag is absent, an error when its value
 /// is missing or does not parse.
 fn num_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
@@ -285,8 +289,12 @@ fn cmd_campaign(args: &[String]) -> Result<i32, String> {
             return Err("--tests is only available in `campaign sweep` mode".into())
         }
         Some(t) => match t.parse::<usize>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => return Err("campaign sweep: --tests must be a positive integer".into()),
+            Ok(n) if (1..=MAX_CASES).contains(&n) => Some(n),
+            _ => {
+                return Err(format!(
+                    "campaign sweep: --tests must be a positive integer of at most {MAX_CASES}"
+                ))
+            }
         },
         None => None,
     };
@@ -351,6 +359,9 @@ fn cmd_sequences(args: &[String]) -> Result<i32, String> {
     let steps = num_flag(args, "--steps", 8)?;
     if steps == 0 || count == 0 {
         return Err("campaign sequences: --count and --steps must be positive".into());
+    }
+    if count > MAX_CASES {
+        return Err(format!("campaign sequences: --count must be at most {MAX_CASES}"));
     }
     let opts = skrt::sequence::SequenceOptions {
         build: flags.build,
@@ -445,6 +456,9 @@ fn cmd_report(args: &[String]) -> Result<i32, String> {
     let steps = num_flag(args, "--steps", 8)?;
     if steps == 0 || count == 0 {
         return Err("campaign report: --count and --steps must be positive".into());
+    }
+    if count > MAX_CASES {
+        return Err(format!("campaign report: --count must be at most {MAX_CASES}"));
     }
     let opts = skrt::sequence::SequenceOptions {
         build: flags.build,

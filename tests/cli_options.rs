@@ -29,6 +29,25 @@ fn malformed_numeric_flags_exit_2_before_running() {
     }
 }
 
+/// A case count the parallel executor cannot index (more than
+/// `u32::MAX`) is rejected while parsing, before any case or spec is
+/// built, not by an executor assert (exit 101) after building them all.
+#[test]
+fn case_counts_beyond_u32_exit_2_before_running() {
+    let too_many = (u64::from(u32::MAX) + 1).to_string();
+    for (args, flag) in [
+        (&["campaign", "sweep", "--tests", too_many.as_str()][..], "--tests"),
+        (&["campaign", "sequences", "--count", too_many.as_str()], "--count"),
+        (&["campaign", "report", "--count", too_many.as_str()], "--count"),
+    ] {
+        let out = skrt(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args:?}: stderr must name {flag}, got: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must fail before running anything");
+    }
+}
+
 #[test]
 fn live_stats_is_rejected_where_no_mode_streams_it() {
     let out = skrt(&["campaign", "check", "--live-stats", "live.jsonl"]);

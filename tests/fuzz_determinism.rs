@@ -102,3 +102,30 @@ fn recorded_run_keeps_one_closed_flight_per_finding() {
         assert_eq!(last.code as usize, finding.verdict.classification.class.index());
     }
 }
+
+/// FNV-1a over a rendered surface: a hash that stays stable across Rust
+/// releases (unlike `DefaultHasher`), so the pins below can be literals.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Golden pins of the legacy console report, with and without
+/// shrinking, so both per-finding body shapes (minimal reproducer and
+/// unshrunk steps) are held byte-for-byte, not only across thread
+/// counts.
+#[test]
+fn legacy_fuzz_render_is_pinned() {
+    for (shrink, pin) in [(true, 0x2108_9f4d_5ef1_d0b8), (false, 0x4a10_cf5e_3119_c1d0)] {
+        let report = run_eagleeye_fuzz(&FuzzOptions {
+            seed: 7,
+            max_execs: 150,
+            batch: 32,
+            shrink,
+            ..FuzzOptions::default()
+        });
+        let rendered = report.render();
+        assert_eq!(fnv1a(rendered.as_bytes()), pin, "shrink={shrink} render drifted:\n{rendered}");
+    }
+}

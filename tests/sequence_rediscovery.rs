@@ -8,6 +8,7 @@ use skrt::fuzz::FuzzOptions;
 use skrt::sequence::SequenceOptions;
 use xm_campaign::fuzz::{finding_signature, run_eagleeye_fuzz, stateful_defect_signatures};
 use xm_campaign::sequences::{run_eagleeye_sequences, signature_of, SequenceReport};
+use xm_campaign::write_forensics_bundle;
 use xtratum::hypercall::HypercallId;
 use xtratum::observe::ResetKind;
 use xtratum::vuln::KernelBuild;
@@ -186,4 +187,54 @@ fn patched_build_stays_silent() {
         .records
         .iter()
         .all(|r| r.verdict.classification.class == CrashClass::Pass));
+}
+
+/// FNV-1a over a rendered surface: a hash that stays stable across Rust
+/// releases (unlike `DefaultHasher`), so the pins below can be literals.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Golden pins of the legacy console report, with and without
+/// shrinking, so both per-finding body shapes (minimal reproducer and
+/// unshrunk steps) are held byte-for-byte, not only across thread
+/// counts.
+#[test]
+fn legacy_sequence_render_is_pinned() {
+    let no_shrink = run_eagleeye_sequences(
+        1,
+        150,
+        8,
+        &SequenceOptions { build: KernelBuild::Legacy, shrink: false, ..Default::default() },
+    );
+    for (report, pin) in
+        [(legacy_report(), 0xe2b6_a07b_5a42_7529), (no_shrink, 0x329e_4d29_5af2_4dab)]
+    {
+        let rendered = report.render();
+        assert_eq!(fnv1a(rendered.as_bytes()), pin, "render drifted:\n{rendered}");
+    }
+}
+
+/// Golden pin of a legacy `campaign report` bundle's per-finding files
+/// (every `finding-NNN/report.md` and `repro.seq`, in order), at the
+/// CLI's defaults: seed 1, 120 sequences x 8 steps, recording on.
+#[test]
+fn legacy_forensics_bundle_findings_are_pinned() {
+    let opts = SequenceOptions { build: KernelBuild::Legacy, record: true, ..Default::default() };
+    let report = run_eagleeye_sequences(1, 120, 8, &opts);
+    let dir = std::env::temp_dir().join(format!("skrt-bundle-pin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let summary = write_forensics_bundle(&dir, "sequences-legacy", &report).expect("bundle writes");
+    let mut surface = Vec::new();
+    for n in 0..summary.findings {
+        for file in ["report.md", "repro.seq"] {
+            let path = dir.join(format!("finding-{n:03}/{file}"));
+            surface.extend(std::fs::read(&path).unwrap_or_else(|e| panic!("{path:?}: {e}")));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(summary.findings, 43);
+    assert_eq!(fnv1a(&surface), 0x6789_9a81_054c_908c);
 }
