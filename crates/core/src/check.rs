@@ -33,7 +33,9 @@ use crate::exec::{fold_logs, par_indexed, resolve_threads, Booter, WorkerLog};
 use crate::flight::{FlightLog, DEFAULT_RING_CAPACITY};
 use crate::metrics::{MetricsReport, Phase};
 use crate::oracle::{ChannelView, OracleContext};
-use crate::sequence::{lockstep, triage, Evidence, MinimalRepro, SequenceVerdict, Triage};
+use crate::sequence::{
+    lockstep, same_class, triage, Evidence, MinimalRepro, SequenceVerdict, Triage,
+};
 use crate::testbed::Testbed;
 use flightrec::{Event, EventKind, NO_PARTITION};
 use leon3_sim::addrspace::{AccessCtx, Perms};
@@ -805,10 +807,9 @@ struct CaseRun {
     violations: Vec<InvariantViolation>,
 }
 
-/// One full evaluation on an already-booted pair: spatial witness,
-/// lockstep run over the horizon, drained stream, invariants. The caller
-/// drains the recorder *before* booting or rewinding the pair: a rewind
-/// replays the prefix's events, which belong to the checked stream.
+/// One full evaluation on a pair just booted by the worker's [`Booter`]:
+/// spatial witness, lockstep run over the horizon, the run window's
+/// drained stream, invariants.
 ///
 /// `snapshot` is the kernel an arena pair was just rewound to: the
 /// spatial witness then diffs the victim pages the run dirtied against
@@ -860,8 +861,7 @@ fn run_case<'t>(
     let horizon = opts.scope.horizon as usize;
 
     // Main evaluation on the worker's arena.
-    let _ = flightrec::drain();
-    let (kernel, guests, snapshot) = booter.booted_from(&mut log.local);
+    let (kernel, guests, snapshot) = booter.booted_from(&mut log.local, None);
     let span = log.local.start_span();
     let main = evaluate_once(tb, ctx, kernel, guests, snapshot, &probe.steps, horizon);
     log.local.end_span(Phase::Frames, span);
@@ -884,9 +884,7 @@ fn run_case<'t>(
 
     // Authoritative re-verdict on a fresh boot: rules out arena-rewind
     // artefacts before a counterexample is reported.
-    let _ = flightrec::drain();
-    let (mut fk, mut fg) = tb.boot(opts.build);
-    log.local.note_fresh_boot();
+    let (mut fk, mut fg) = booter.fresh(&mut log.local, None);
     let span = log.local.start_span();
     let fresh = evaluate_once(tb, ctx, &mut fk, &mut fg, None, &probe.steps, horizon);
     log.local.end_span(Phase::Frames, span);
@@ -912,18 +910,12 @@ fn run_case<'t>(
         flight: opts.record.then_some(index),
     };
     let minimal = triage(tb, ctx, booter, log, &probe.steps, class, how, |booter, local, cand| {
-        let _ = flightrec::drain();
-        let (kernel, guests, snapshot) = booter.booted_from(local);
-        match &sig {
-            FindingSig::Oracle(target) => {
-                let eval = lockstep(tb, ctx, kernel, guests, cand, 1, horizon, Evidence::Skip);
-                eval.verdict.classification == *target
-            }
-            FindingSig::Invariant(_) => {
-                let run = evaluate_once(tb, ctx, kernel, guests, snapshot, cand, horizon);
-                finding_sig(&run.verdict, &run.violations).as_ref() == Some(&sig)
-            }
+        if let FindingSig::Oracle(target) = sig {
+            return same_class(tb, ctx, target, horizon)(booter, local, cand);
         }
+        let (kernel, guests, snapshot) = booter.booted_from(local, None);
+        let run = evaluate_once(tb, ctx, kernel, guests, snapshot, cand, horizon);
+        finding_sig(&run.verdict, &run.violations).as_ref() == Some(&sig)
     });
 
     log.local.note_outcome(class);
@@ -1226,7 +1218,7 @@ mod tests {
             ("caller only", vec![(part_base(CALLER), vec![3; 64])], None),
         ];
         for (name, stores, first_detail) in patterns {
-            let (kernel, _, snapshot) = booter.booted_from(&mut log.local);
+            let (kernel, _, snapshot) = booter.booted_from(&mut log.local, None);
             let snapshot = snapshot.expect("check testbeds snapshot");
             let before = victim_memory(kernel, &cfg);
             for (addr, bytes) in &stores {
@@ -1267,7 +1259,7 @@ mod tests {
             let mut booter = Booter::new(&tb, build, &mut log.local);
             for probe in probes_for(&cfg) {
                 let _ = flightrec::drain();
-                let (kernel, guests) = booter.booted(&mut log.local);
+                let (kernel, guests) = booter.booted(&mut log.local, None);
                 let arena = run(kernel, guests, &tb, &probe);
                 let _ = flightrec::drain();
                 let (mut kernel, mut guests) = tb.boot(build);

@@ -22,6 +22,15 @@
 //! 5. classifies the outcome against the oracle (cached per worker —
 //!    datasets repeat magic values across suites).
 //!
+//! **The run-window rule.** A test's log (§III.C) is the flight-recorder
+//! window its worker's `Booter` opens: every rewind or fresh boot it
+//! hands out first resets the thread's recorder, then records
+//! `TestBegin(index)` when the run is a kept flight, then boots or
+//! rewinds. Every campaign mode runs on the `Booter`, so no caller
+//! drains to discard another run's events; a caller drains only to
+//! consume its own window (a kept flight, fuzz coverage, `check`'s
+//! invariants).
+//!
 //! [`par_indexed`] is the parallel driver behind [`run_campaign`], the
 //! sequence campaign, the fuzzer's rounds and the isolation checker. It
 //! runs one `std::thread::scope` worker per entry of a caller-owned
@@ -51,6 +60,7 @@ use crate::observe::TestObservation;
 use crate::oracle::{Expectation, OracleCache, OracleContext, ParamClass};
 use crate::suite::{CampaignSpec, TestCase};
 use crate::testbed::{BootSnapshot, Testbed, Workspace};
+use flightrec::{Event, EventKind, NO_PARTITION};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -247,13 +257,14 @@ pub fn run_single_test<T: Testbed + ?Sized>(
     TestRecord { case: case.clone(), observation, expectation, classification, param_signature }
 }
 
-/// Runs one case on a worker's [`Booter`]: rewind to the prefix snapshot
-/// (skipping the test partition's guest, replaced next), install the
-/// mutant, run, summarise by reference. Produces a record byte-identical
-/// to [`run_single_test`] — the restore rebuilds the exact state a run
-/// from boot reaches at the test partition's first slot, and
-/// [`XmKernel::summary`] equals [`XmKernel::into_summary`] — without the
-/// per-test boot or the re-run of the shared prefix.
+/// Runs one case on a worker's [`Booter`]: open the case's run window
+/// (filed under `flight` when recording) and rewind to the prefix
+/// snapshot (skipping the test partition's guest, replaced next),
+/// install the mutant, run, summarise by reference. Produces a record
+/// byte-identical to [`run_single_test`] — the restore rebuilds the
+/// exact state a run from boot reaches at the test partition's first
+/// slot, and [`XmKernel::summary`] equals [`XmKernel::into_summary`] —
+/// without the per-test boot or the re-run of the shared prefix.
 fn execute<T: Testbed + ?Sized>(
     testbed: &T,
     booter: &mut Booter<'_, T>,
@@ -261,9 +272,10 @@ fn execute<T: Testbed + ?Sized>(
     ctx: &OracleContext,
     expectation: Expectation,
     case: &TestCase,
+    flight: Option<usize>,
 ) -> TestRecord {
     let part = testbed.test_partition();
-    let (kernel, guests) = booter.booted(local);
+    let (kernel, guests) = booter.booted(local, flight);
     guests.set(part, Box::new(MutantGuest::new(case.raw(), testbed.prologue())));
     let span = local.start_span();
     kernel.step_major_frames(guests, testbed.frames_per_test());
@@ -296,7 +308,7 @@ pub(crate) struct Booter<'t, T: ?Sized> {
 struct Arena {
     snapshot: BootSnapshot,
     workspace: Workspace,
-    prefix: Vec<flightrec::Event>,
+    prefix: Vec<Event>,
 }
 
 impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
@@ -312,13 +324,20 @@ impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
         Booter { testbed, build, arena, scratch: None }
     }
 
-    /// A booted pair rewound to the prefix state (or freshly booted). The
+    /// Opens a run window and hands back a booted pair rewound to the
+    /// prefix state (or freshly booted, see [`fresh`](Self::fresh)). The
     /// test partition's guest is skipped on restore — every caller
-    /// immediately replaces it. When recording, the prefix's events are
-    /// replayed into the ring after the `SnapshotClone` marker, so callers
-    /// that drain must do so *before* this call.
-    pub(crate) fn booted(&mut self, local: &mut LocalMetrics) -> (&mut XmKernel, &mut GuestSet) {
-        let (kernel, guests, _) = self.booted_from(local);
+    /// immediately replaces it. The window opens before the rewind: this
+    /// thread's recorder is reset, `TestBegin(index)` is recorded when a
+    /// flight index is given, then the `SnapshotClone` marker and the
+    /// prefix's replayed events follow, so a recording sees the same
+    /// stream as a run from boot.
+    pub(crate) fn booted(
+        &mut self,
+        local: &mut LocalMetrics,
+        flight: Option<usize>,
+    ) -> (&mut XmKernel, &mut GuestSet) {
+        let (kernel, guests, _) = self.booted_from(local, flight);
         (kernel, guests)
     }
 
@@ -329,31 +348,46 @@ impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
     pub(crate) fn booted_from(
         &mut self,
         local: &mut LocalMetrics,
+        flight: Option<usize>,
     ) -> (&mut XmKernel, &mut GuestSet, Option<&XmKernel>) {
-        let skip = self.testbed.test_partition();
-        match &mut self.arena {
-            Some(arena) => {
-                local.note_snapshot_clone();
-                flightrec::record_timeless(
-                    flightrec::EventKind::SnapshotClone,
-                    flightrec::NO_PARTITION,
-                    0,
-                    0,
-                    0,
-                );
-                let span = local.start_span();
-                arena.workspace.restore(&arena.snapshot, Some(skip));
-                local.end_span(Phase::Rewind, span);
-                flightrec::replay(&arena.prefix);
-                let (kernel, guests) = arena.workspace.parts();
-                (kernel, guests, Some(arena.snapshot.kernel()))
-            }
-            None => {
-                local.note_fresh_boot();
-                let pair = self.scratch.insert(self.testbed.boot(self.build));
-                (&mut pair.0, &mut pair.1, None)
-            }
+        if self.arena.is_none() {
+            let pair = self.fresh(local, flight);
+            let pair = self.scratch.insert(pair);
+            return (&mut pair.0, &mut pair.1, None);
         }
+        let arena = self.arena.as_mut().expect("checked above");
+        open_window(flight);
+        local.note_snapshot_clone();
+        flightrec::record_timeless(EventKind::SnapshotClone, NO_PARTITION, 0, 0, 0);
+        let span = local.start_span();
+        arena.workspace.restore(&arena.snapshot, Some(self.testbed.test_partition()));
+        local.end_span(Phase::Rewind, span);
+        flightrec::replay(&arena.prefix);
+        let (kernel, guests) = arena.workspace.parts();
+        (kernel, guests, Some(arena.snapshot.kernel()))
+    }
+
+    /// Opens a run window like [`booted`](Self::booted) and boots a fresh
+    /// pair from scratch, owned by the caller: the reference a rewind is
+    /// checked against, and the path testbeds without an arena take.
+    pub(crate) fn fresh(
+        &self,
+        local: &mut LocalMetrics,
+        flight: Option<usize>,
+    ) -> (XmKernel, GuestSet) {
+        open_window(flight);
+        local.note_fresh_boot();
+        self.testbed.boot(self.build)
+    }
+}
+
+/// Opens one run window on this thread's recorder: everything recorded
+/// before it is discarded, and a kept flight (`flight` is its campaign
+/// index) starts with its `TestBegin`.
+fn open_window(flight: Option<usize>) {
+    flightrec::clear();
+    if let Some(index) = flight {
+        flightrec::record(0, EventKind::TestBegin, NO_PARTITION, index as u32, 0, 0);
     }
 }
 
@@ -381,20 +415,20 @@ impl WorkerLog {
     /// event, drains the worker's ring, folds hypercall costs into the
     /// latency histograms and files the flight under its campaign index.
     pub(crate) fn end_flight(&mut self, index: usize, class: CrashClass) {
-        flightrec::record_timeless(
-            flightrec::EventKind::TestEnd,
-            flightrec::NO_PARTITION,
-            class.index() as u32,
-            0,
-            0,
-        );
+        flightrec::record_timeless(EventKind::TestEnd, NO_PARTITION, class.index() as u32, 0, 0);
         let drained = flightrec::drain();
-        for e in &drained.events {
-            if e.kind == flightrec::EventKind::HypercallExit {
+        self.fold_latency(&drained.events);
+        self.flights.push(TestFlight { index, events: drained.events, dropped: drained.dropped });
+    }
+
+    /// Folds the modelled cost of every hypercall in `events` into the
+    /// latency histograms.
+    pub(crate) fn fold_latency(&mut self, events: &[Event]) {
+        for e in events {
+            if e.kind == EventKind::HypercallExit {
                 self.hist.observe(e.code, e.b);
             }
         }
-        self.flights.push(TestFlight { index, events: drained.events, dropped: drained.dropped });
     }
 }
 
@@ -527,10 +561,11 @@ fn resolve_chunk(n: usize, n_threads: usize) -> usize {
 ///
 /// Each thread first calls `start` on its worker state; the value it
 /// returns is thread-local scratch handed to every `body` call on that
-/// thread. The flight recorder is thread-local, so enabling it — and
-/// booting a per-worker arena whose boot events must then be drained —
-/// belongs in `start`. The `workers` entries outlive the call, so state
-/// such as the fuzzer's boot arenas persists from one call to the next.
+/// thread. The flight recorder is thread-local, so enabling it belongs
+/// in `start`; the boot events of a per-worker arena booted there belong
+/// to no test and go with the first run window. The `workers` entries
+/// outlive the call, so state such as the fuzzer's boot arenas persists
+/// from one call to the next.
 /// A run claimed from another worker's range adds one to `steals` (once
 /// per run, never per item). Results depend only on `body`, never on the
 /// thread count or the steal schedule.
@@ -701,30 +736,16 @@ pub fn run_campaign<T: Testbed + ?Sized>(
             if opts.record {
                 flightrec::enable(DEFAULT_RING_CAPACITY);
             }
-            let booter = Booter::new(testbed, opts.build, &mut w.log.local);
-            if opts.record {
-                // The per-worker snapshot boot belongs to no test.
-                let _ = flightrec::drain();
-            }
-            booter
+            Booter::new(testbed, opts.build, &mut w.log.local)
         },
         |w, booter, i| {
             let case = &cases[i];
             let local = &mut w.log.local;
-            if opts.record {
-                flightrec::record(
-                    0,
-                    flightrec::EventKind::TestBegin,
-                    flightrec::NO_PARTITION,
-                    i as u32,
-                    0,
-                    0,
-                );
-            }
             let span = local.start_span();
             let expectation = w.cache.expect(&case.raw());
             local.end_span(Phase::Oracle, span);
-            let rec = execute(testbed, booter, local, &ctx, expectation, case);
+            let rec =
+                execute(testbed, booter, local, &ctx, expectation, case, opts.record.then_some(i));
             local.note_outcome(rec.classification.class);
             if opts.record {
                 w.log.end_flight(i, rec.classification.class);

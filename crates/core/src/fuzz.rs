@@ -588,7 +588,6 @@ pub fn replay_coverage<T: Testbed + ?Sized>(
     let ctx = testbed.oracle_context(build);
     let (mut kernel, mut guests) = testbed.boot(build);
     flightrec::enable(DEFAULT_RING_CAPACITY);
-    let _ = flightrec::drain();
     let eval = run_one_sequence(testbed, &ctx, &mut kernel, &mut guests, steps, steps_per_slot);
     let drained = flightrec::drain();
     flightrec::disable();
@@ -797,10 +796,8 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
     steps: &[RawHypercall],
 ) -> CandidateOutcome {
     let FuzzWorker { booter, log, trace } = worker;
-    // Drain before the rewind, which replays the prefix's events: the
-    // candidate's stream is everything since boot.
-    let _ = flightrec::drain();
-    let (kernel, guests) = booter.booted(&mut log.local);
+    // The candidate's stream is its run window: everything since boot.
+    let (kernel, guests) = booter.booted(&mut log.local, None);
     let span = log.local.start_span();
     // Judged by classification only; a finding's kept verdict is the
     // refined run's below.
@@ -809,11 +806,7 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
     log.local.end_span(Phase::Frames, span);
     let drained = flightrec::drain();
     if opts.record {
-        for e in &drained.events {
-            if e.kind == flightrec::EventKind::HypercallExit {
-                log.hist.observe(e.code, e.b);
-            }
-        }
+        log.fold_latency(&drained.events);
     }
     let coverage = extract_coverage(trace, &drained.events, &eval);
 

@@ -1000,11 +1000,7 @@ pub(crate) fn triage<'t, T: Testbed + ?Sized>(
         out
     });
     // Shrink evaluations are scaffolding: only the run below is kept.
-    let _ = flightrec::drain();
-    if let Some(index) = flight {
-        begin_flight(index);
-    }
-    let (kernel, guests) = booter.booted(local);
+    let (kernel, guests) = booter.booted(local, flight);
     let (repro, evidence) = match &shrunk {
         Some(out) => (out.steps.as_slice(), Evidence::Render),
         None => (steps, Evidence::Skip),
@@ -1022,42 +1018,29 @@ pub(crate) fn triage<'t, T: Testbed + ?Sized>(
     })
 }
 
-/// The sequence and fuzz campaigns' authoritative re-verdict: the steps
-/// re-run on the arena at one step per slot — exact step attribution,
-/// and immune to several calls legitimately sharing one slot budget.
-pub(crate) fn refine<T: Testbed + ?Sized>(
-    testbed: &T,
-    ctx: &OracleContext,
-    booter: &mut Booter<'_, T>,
-    local: &mut LocalMetrics,
-    steps: &[RawHypercall],
-) -> SequenceEval {
-    let (kernel, guests) = booter.booted(local);
-    let span = local.start_span();
-    let eval = run_one_sequence(testbed, ctx, kernel, guests, steps, 1);
-    local.end_span(Phase::Frames, span);
-    eval
-}
-
-/// The sequence and fuzz campaigns' shrink predicate: a candidate
-/// reproduces iff an arena run at one step per slot gives it the
-/// `target` classification.
+/// The shrink predicate of every oracle finding: a candidate reproduces
+/// iff an arena run at one step per slot, over at least `min_frames`
+/// frames, gives it the `target` classification.
 pub(crate) fn same_class<'a, 't, T: Testbed + ?Sized>(
     testbed: &'a T,
     ctx: &'a OracleContext,
     target: Classification,
+    min_frames: usize,
 ) -> impl FnMut(&mut Booter<'t, T>, &mut LocalMetrics, &[RawHypercall]) -> bool + 'a {
     move |booter, local, cand| {
-        let (kernel, guests) = booter.booted(local);
-        let eval = lockstep(testbed, ctx, kernel, guests, cand, 1, 0, Evidence::Skip);
+        let (kernel, guests) = booter.booted(local, None);
+        let eval = lockstep(testbed, ctx, kernel, guests, cand, 1, min_frames, Evidence::Skip);
         eval.verdict.classification == target
     }
 }
 
-/// Confirms a first-pass divergence for the sequence and fuzz campaigns:
-/// the authoritative [`refine`] run, then — when the divergence holds —
-/// [`triage`] against its classification. Returns the refined run (even
-/// when it downgrades to Pass) and the minimal reproducer.
+/// Confirms a first-pass divergence for the sequence and fuzz campaigns.
+/// The authoritative re-verdict re-runs the steps on the arena at one
+/// step per slot — exact step attribution, and immune to several calls
+/// legitimately sharing one slot budget — in the window of `how.flight`.
+/// When the divergence holds, [`triage`] runs against its
+/// classification. Returns the refined run (even when it downgrades to
+/// Pass) and the minimal reproducer.
 pub(crate) fn confirm<'t, T: Testbed + ?Sized>(
     testbed: &T,
     ctx: &OracleContext,
@@ -1066,12 +1049,16 @@ pub(crate) fn confirm<'t, T: Testbed + ?Sized>(
     steps: &[RawHypercall],
     how: Triage,
 ) -> (SequenceEval, Option<MinimalRepro>) {
-    let refined = refine(testbed, ctx, booter, &mut log.local, steps);
+    let local = &mut log.local;
+    let (kernel, guests) = booter.booted(local, how.flight);
+    let span = local.start_span();
+    let refined = run_one_sequence(testbed, ctx, kernel, guests, steps, 1);
+    local.end_span(Phase::Frames, span);
     let target = refined.verdict.classification;
     if target.class == CrashClass::Pass {
         return (refined, None);
     }
-    let reproduces = same_class(testbed, ctx, target);
+    let reproduces = same_class(testbed, ctx, target, how.min_frames);
     let minimal = triage(testbed, ctx, booter, log, steps, target.class, how, reproduces);
     (refined, minimal)
 }
@@ -1122,24 +1109,11 @@ impl SequenceCampaignResult {
     }
 }
 
-/// Records the `TestBegin` event that opens the flight filed under
-/// campaign index `index`.
-fn begin_flight(index: usize) {
-    flightrec::record(
-        0,
-        flightrec::EventKind::TestBegin,
-        flightrec::NO_PARTITION,
-        index as u32,
-        0,
-        0,
-    );
-}
-
 /// Evaluates one spec end-to-end on a worker: main evaluation, then
-/// [`confirm`] on divergence. Recording state (when enabled) is managed
-/// so only the per-spec window survives: the whole main evaluation for
-/// passing sequences, the refined run for sequences it clears, the
-/// triage run for diverging ones.
+/// [`confirm`] on divergence. Each run opens its own window, so when
+/// recording the spec's flight is its last kept run: the main
+/// evaluation for passing sequences, the refined run for sequences it
+/// clears, the triage run for diverging ones.
 fn evaluate_spec<T: Testbed + ?Sized>(
     testbed: &T,
     ctx: &OracleContext,
@@ -1149,10 +1123,8 @@ fn evaluate_spec<T: Testbed + ?Sized>(
     spec: &SequenceSpec,
 ) -> SequenceRecord {
     let local = &mut log.local;
-    if opts.record {
-        begin_flight(spec.index);
-    }
-    let (kernel, guests) = booter.booted(local);
+    let flight = opts.record.then_some(spec.index);
+    let (kernel, guests) = booter.booted(local, flight);
     let span = local.start_span();
     // Only a passing main verdict is kept: no evidence to render.
     let main =
@@ -1171,18 +1143,8 @@ fn evaluate_spec<T: Testbed + ?Sized>(
         }
         return record(main, None);
     }
-    if opts.record {
-        // The coarse first pass is not the triage artefact; discard it.
-        let _ = flightrec::drain();
-        begin_flight(spec.index);
-    }
 
-    let how = Triage {
-        min_frames: 0,
-        shrink: opts.shrink,
-        budget: opts.shrink_budget,
-        flight: opts.record.then_some(spec.index),
-    };
+    let how = Triage { min_frames: 0, shrink: opts.shrink, budget: opts.shrink_budget, flight };
     let (refined, minimal) = confirm(testbed, ctx, booter, log, &spec.steps, how);
     if opts.record && refined.verdict.classification.class == CrashClass::Pass {
         // Cleared by the refined run: that run is the sequence's flight.
@@ -1214,12 +1176,7 @@ pub fn run_sequence_campaign<T: Testbed + ?Sized>(
             if opts.record {
                 flightrec::enable(DEFAULT_RING_CAPACITY);
             }
-            let booter = Booter::new(testbed, opts.build, &mut log.local);
-            if opts.record {
-                // The per-worker snapshot boot belongs to no sequence.
-                let _ = flightrec::drain();
-            }
-            booter
+            Booter::new(testbed, opts.build, &mut log.local)
         },
         |log, booter, i| {
             let rec = evaluate_spec(testbed, &ctx, opts, booter, log, &specs[i]);

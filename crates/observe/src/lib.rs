@@ -213,6 +213,16 @@ pub fn drain() -> DrainedFlight {
     })
 }
 
+/// Discard every recorded event on this thread and reset the window:
+/// [`drain`] without building the drained `Vec`. Recording stays enabled.
+pub fn clear() {
+    REC.with(|r| {
+        if let Some(ring) = r.ring.borrow_mut().as_mut() {
+            ring.clear();
+        }
+    });
+}
+
 /// Runs `f` in a private recording window and returns what it recorded.
 /// The window is on whether or not this thread's recorder is, and it
 /// grows with what `f` records, so nothing is dropped. The calling
@@ -314,6 +324,23 @@ mod tests {
         assert_eq!(f.events[0].kind, EventKind::TestBegin);
         assert_eq!(f.events[2].t_us, 9, "timeless event inherits last timestamp");
         disable();
+    }
+
+    #[test]
+    fn clear_resets_the_window_like_drain() {
+        enable(2);
+        for t in [40, 50, 60] {
+            record(t, EventKind::Ops, 0, 0, 0, 0);
+        }
+        clear();
+        assert!(active());
+        record(5, EventKind::Ops, 0, 0, 0, 0);
+        let f = drain();
+        assert_eq!(f.dropped, 0, "the drop count restarts");
+        assert_eq!(f.events.iter().map(|e| e.t_us).collect::<Vec<_>>(), vec![5]);
+        disable();
+        clear(); // no ring: a no-op
+        assert_eq!(drain(), DrainedFlight::default());
     }
 
     #[test]

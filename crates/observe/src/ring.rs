@@ -56,11 +56,17 @@ impl Ring {
         let mut events = Vec::with_capacity(self.buf.len());
         events.extend_from_slice(&self.buf[self.start..]);
         events.extend_from_slice(&self.buf[..self.start]);
+        let dropped = self.dropped;
+        self.clear();
+        DrainedFlight { events, dropped }
+    }
+
+    /// Discard every event and reset the window (the monotone clamp
+    /// restarts at 0). The backing buffer's capacity is retained.
+    pub(crate) fn clear(&mut self) {
         self.buf.clear();
         self.start = 0;
-        let dropped = self.dropped;
         self.dropped = 0;
         self.last_t = 0;
-        DrainedFlight { events, dropped }
     }
 }

@@ -100,6 +100,14 @@ pub fn replay(name: &str, case: u64, mut prop: impl FnMut(&mut Rng)) {
     prop(&mut rng);
 }
 
+/// FNV-1a over a rendered surface: a hash that stays stable across Rust
+/// releases (unlike `DefaultHasher`), so golden pins can be literals.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
 /// Derives a per-case seed from the property name and case index (FNV-1a
 /// over the name, mixed with the index).
 fn derive_seed(name: &str, case: u64) -> u64 {

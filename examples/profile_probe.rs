@@ -185,7 +185,7 @@ fn check_split() {
         let ((), prefix) = flightrec::capture(|| snapshot.step_until_slot_of(CALLER));
         let mut ws = snapshot.workspace();
         let rewound = |ws: &mut Workspace| {
-            let _ = flightrec::drain();
+            flightrec::clear();
             ws.restore(&snapshot, Some(CALLER));
             flightrec::replay(&prefix.events);
         };
@@ -232,7 +232,7 @@ fn check_split() {
             }
             findings += 1;
             let t = Instant::now();
-            let _ = flightrec::drain();
+            flightrec::clear();
             let (mut fk, mut fg) = tb.boot(BUILD);
             let before = victim_images(&fk, n);
             run_one_sequence_bounded(&tb, &ctx, &mut fk, &mut fg, &probe.steps, 1, horizon);

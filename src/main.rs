@@ -146,15 +146,23 @@ fn usage() -> &'static str {
 }
 
 fn parse_build(args: &[String]) -> Result<KernelBuild, String> {
-    match flag_value(args, "--build").as_deref() {
+    match flag_value(args, "--build")?.as_deref() {
         None | Some("legacy") => Ok(KernelBuild::Legacy),
         Some("patched") => Ok(KernelBuild::Patched),
         Some(other) => Err(format!("unknown build '{other}' (use legacy|patched)")),
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+/// `flag VALUE`: `None` when the flag is absent, a usage error when its
+/// value is missing or is another flag (`--out --metrics`).
+fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
+        _ => Err(format!("{flag} needs a value")),
+    }
 }
 
 fn has_flag(args: &[String], flag: &str) -> bool {
@@ -168,10 +176,9 @@ const MAX_CASES: usize = u32::MAX as usize;
 /// `flag N`: `default` when the flag is absent, an error when its value
 /// is missing or does not parse.
 fn num_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
-    if !has_flag(args, flag) {
+    let Some(value) = flag_value(args, flag)? else {
         return Ok(default);
-    }
-    let value = flag_value(args, flag).ok_or_else(|| format!("{flag} needs a value"))?;
+    };
     value.parse().map_err(|_| format!("{flag}: '{value}' is not a valid number"))
 }
 
@@ -184,10 +191,11 @@ fn positive_secs(value: &str) -> Option<std::time::Duration> {
 
 /// `--live-stats FILE [--live-interval SECS]` (default 1 s).
 fn parse_live_stats(args: &[String]) -> Result<Option<LiveStats>, String> {
-    let Some(path) = flag_value(args, "--live-stats") else {
+    let interval = flag_value(args, "--live-interval")?;
+    let Some(path) = flag_value(args, "--live-stats")? else {
         return Ok(None);
     };
-    let interval = match flag_value(args, "--live-interval") {
+    let interval = match interval {
         Some(s) => {
             positive_secs(&s).ok_or("--live-interval must be a positive number of seconds")?
         }
@@ -223,9 +231,9 @@ impl RunFlags {
         Ok(RunFlags {
             build: parse_build(args)?,
             threads: num_flag(args, "--threads", 0)?,
-            record: flag_value(args, "--record"),
+            record: flag_value(args, "--record")?,
             metrics: has_flag(args, "--metrics"),
-            metrics_out: flag_value(args, "--metrics-out"),
+            metrics_out: flag_value(args, "--metrics-out")?,
             live_stats: parse_live_stats(args)?,
         })
     }
@@ -284,7 +292,7 @@ fn cmd_campaign(args: &[String]) -> Result<i32, String> {
     let sweep = args.first().map(String::as_str) == Some("sweep");
     let args = if sweep { &args[1..] } else { args };
     let flags = RunFlags::parse(args, true)?;
-    let max_tests = match flag_value(args, "--tests") {
+    let max_tests = match flag_value(args, "--tests")? {
         Some(_) if !sweep => {
             return Err("--tests is only available in `campaign sweep` mode".into())
         }
@@ -298,10 +306,12 @@ fn cmd_campaign(args: &[String]) -> Result<i32, String> {
         },
         None => None,
     };
+    let format = flag_value(args, "--format")?;
+    let csv = flag_value(args, "--csv")?;
     let opts = CampaignOptions {
         build: flags.build,
         threads: flags.threads,
-        trace_path: flag_value(args, "--trace").map(Into::into),
+        trace_path: flag_value(args, "--trace")?.map(Into::into),
         record: flags.record.is_some(),
         max_tests,
         live_stats: flags.live_stats.clone(),
@@ -319,7 +329,7 @@ fn cmd_campaign(args: &[String]) -> Result<i32, String> {
             flags.build,
         );
     }
-    match flag_value(args, "--format").as_deref() {
+    match format.as_deref() {
         None | Some("text") => print!("{}", report.render()),
         Some("md" | "markdown") => {
             println!("## Table III — {}\n", flags.build.label());
@@ -329,7 +339,7 @@ fn cmd_campaign(args: &[String]) -> Result<i32, String> {
         }
         Some(other) => return Err(format!("unknown format '{other}' (use text|md)")),
     }
-    if let Some(path) = flag_value(args, "--csv") {
+    if let Some(path) = csv {
         let csv = skrt::report::records_to_csv(&report.result);
         std::fs::write(&path, csv).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("\nwrote per-test records to {path}");
@@ -404,7 +414,7 @@ fn cmd_check(args: &[String]) -> Result<i32, String> {
                     (max 4 partitions, 3 slots/MAF)"
             .into());
     }
-    let out_dir = flag_value(args, "--out");
+    let out_dir = flag_value(args, "--out")?;
     let opts = skrt::CheckOptions {
         build: flags.build,
         scope,
@@ -450,7 +460,7 @@ fn build_tag(build: KernelBuild) -> &'static str {
 /// self-contained forensics bundle for every divergence.
 fn cmd_report(args: &[String]) -> Result<i32, String> {
     let flags = RunFlags::parse(args, false)?;
-    let out = flag_value(args, "--out").unwrap_or_else(|| "forensics".into());
+    let out = flag_value(args, "--out")?.unwrap_or_else(|| "forensics".into());
     let seed = num_flag(args, "--seed", 1)?;
     let count = num_flag(args, "--count", 120)?;
     let steps = num_flag(args, "--steps", 8)?;
@@ -487,7 +497,7 @@ fn cmd_fuzz(args: &[String]) -> Result<i32, String> {
     let flags = RunFlags::parse(args, true)?;
 
     // Replay mode: re-execute one corpus/finding file and report.
-    if let Some(path) = flag_value(args, "--replay") {
+    if let Some(path) = flag_value(args, "--replay")? {
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let steps = skrt::parse_steps(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -517,7 +527,7 @@ fn cmd_fuzz(args: &[String]) -> Result<i32, String> {
         return Ok(i32::from(verdict.classification.class != skrt::CrashClass::Pass));
     }
 
-    let max_time = match flag_value(args, "--time") {
+    let max_time = match flag_value(args, "--time")? {
         Some(t) => Some(
             positive_secs(&t)
                 .ok_or("campaign fuzz: --time must be a positive number of seconds")?,
@@ -542,10 +552,13 @@ fn cmd_fuzz(args: &[String]) -> Result<i32, String> {
         return Err("campaign fuzz: --execs, --steps and --batch must be positive".into());
     }
 
+    let corpus_dir = flag_value(args, "--corpus-dir")?;
+    let stats = flag_value(args, "--stats")?;
+
     let report = xm_campaign::run_eagleeye_fuzz(&opts);
     print!("{}", report.render());
 
-    if let Some(dir) = flag_value(args, "--corpus-dir") {
+    if let Some(dir) = corpus_dir {
         let dir = std::path::Path::new(&dir);
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
@@ -556,7 +569,7 @@ fn cmd_fuzz(args: &[String]) -> Result<i32, String> {
         }
         println!("\nwrote {} corpus entries to {}", report.result.corpus.len(), dir.display());
     }
-    if let Some(path) = flag_value(args, "--stats") {
+    if let Some(path) = stats {
         std::fs::write(&path, report.stats_jsonl())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote JSONL stats to {path}");
@@ -658,6 +671,7 @@ fn cmd_triage(args: &[String]) -> Result<i32, String> {
     let idx: usize = idx.parse().map_err(|_| "triage: case-index must be a number")?;
     let build = parse_build(&args[2..])?;
     let last_n = num_flag(args, "--last", 40)?;
+    let record = flag_value(args, "--record")?;
     let report = xm_campaign::triage_case(build, id, idx)
         .ok_or_else(|| format!("{name} case-index {idx} is out of range"))?;
     if report.is_severe() {
@@ -673,7 +687,7 @@ fn cmd_triage(args: &[String]) -> Result<i32, String> {
             print!("{}", report.render(last_n));
         }
     }
-    if let Some(path) = flag_value(args, "--record") {
+    if let Some(path) = record {
         let mut flight = report.flight.clone();
         flight.index = 0;
         let log = skrt::flight::FlightLog { tests: vec![flight] };
@@ -690,7 +704,7 @@ fn cmd_triage(args: &[String]) -> Result<i32, String> {
 }
 
 fn cmd_specgen(args: &[String]) -> Result<i32, String> {
-    let out = flag_value(args, "--out").unwrap_or_else(|| "specs".into());
+    let out = flag_value(args, "--out")?.unwrap_or_else(|| "specs".into());
     std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {out}: {e}"))?;
     let api = api_header_doc().to_xml();
     let dt = data_type_doc(&paper_dictionary()).to_xml();

@@ -108,3 +108,33 @@ fn unrepresentable_durations_exit_2_not_panic() {
     }
     assert!(!std::path::Path::new(sink).exists(), "no run may start");
 }
+
+/// A string flag given without a value — last on the line, or followed
+/// by another flag — is a usage error naming the flag, never a silent
+/// default or a file named after the next flag.
+#[test]
+fn string_flags_missing_their_value_exit_2_before_running() {
+    let dir = std::env::temp_dir().join(format!("skrt_cli_missing_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for (args, flag) in [
+        (&["campaign", "fuzz", "--execs", "10", "--replay"][..], "--replay"),
+        (&["campaign", "check", "--out"], "--out"),
+        (&["campaign", "sequences", "--count", "5", "--record", "--metrics"], "--record"),
+        (&["campaign", "--build"], "--build"),
+        (&["campaign", "fuzz", "--execs", "10", "--time"], "--time"),
+        (&["campaign", "--live-stats", "live.jsonl", "--live-interval"], "--live-interval"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_skrt-repro"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("run skrt-repro");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args:?}: stderr must name {flag}, got: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must fail before running anything");
+    }
+    let written: Vec<_> = std::fs::read_dir(&dir).expect("list scratch dir").collect();
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    assert!(written.is_empty(), "no file may be written, got {written:?}");
+}

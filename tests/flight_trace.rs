@@ -1,13 +1,21 @@
 //! End-to-end checks for the flight-recorder trace pipeline: a recorded
 //! campaign must export a Chrome/Perfetto trace that passes the repo's
-//! own validator (`scripts/check_trace_json.py`), and the campaign CLI
-//! must exit non-zero when a requested trace cannot be written.
+//! own validator (`scripts/check_trace_json.py`), the campaign CLI
+//! must exit non-zero when a requested trace cannot be written, and
+//! every recorded campaign mode's kept flights are pinned byte-for-byte.
 
 use eagleeye::EagleEye;
 use skrt::exec::{run_campaign, CampaignOptions};
-use skrt::flight::export_chrome_trace;
+use skrt::flight::{export_chrome_trace, FlightLog};
+use skrt::fuzz::FuzzOptions;
+use skrt::metrics::MetricsReport;
+use skrt::sequence::SequenceOptions;
 use skrt::suite::CampaignSpec;
+use skrt::{run_check, CheckOptions};
 use std::process::Command;
+use testkit::fnv1a;
+use xm_campaign::fuzz::run_eagleeye_fuzz;
+use xm_campaign::sequences::run_eagleeye_sequences;
 use xm_campaign::{eagleeye_flight_names, paper_campaign};
 use xtratum::hypercall::HypercallId;
 use xtratum::vuln::KernelBuild;
@@ -87,4 +95,85 @@ fn campaign_cli_exits_nonzero_when_trace_cannot_be_written() {
         stderr.contains("failed to write trace"),
         "stderr must explain the trace failure, got: {stderr}"
     );
+}
+
+/// FNV-1a over a recorded run's flight surface: every kept flight's
+/// index, drop count and events, then the per-hypercall latency rows
+/// `(nr, count, total_us, max_us)`. Returns the flight count with it.
+fn flight_pin(flight: Option<&FlightLog>, metrics: &MetricsReport) -> (usize, u64) {
+    let flight = flight.expect("recorded run keeps a flight log");
+    let mut bytes = Vec::new();
+    for f in &flight.tests {
+        bytes.extend((f.index as u64).to_le_bytes());
+        bytes.extend(f.dropped.to_le_bytes());
+        bytes.extend((f.events.len() as u64).to_le_bytes());
+        for e in &f.events {
+            bytes.extend(e.t_us.to_le_bytes());
+            bytes.push(e.kind as u8);
+            bytes.extend(e.partition.to_le_bytes());
+            bytes.extend(e.code.to_le_bytes());
+            bytes.extend(e.a.to_le_bytes());
+            bytes.extend(e.b.to_le_bytes());
+        }
+    }
+    for row in &metrics.hc_latency {
+        bytes.extend(row.nr.to_le_bytes());
+        for v in [row.hist.count, row.hist.total_us, row.hist.max_us] {
+            bytes.extend(v.to_le_bytes());
+        }
+    }
+    (flight.tests.len(), fnv1a(&bytes))
+}
+
+/// Golden pins of the legacy recordings at two threads: the executor,
+/// sequences and fuzz (shrink on and off), and the isolation checker.
+/// Cross-thread equality alone cannot catch a recording change every
+/// thread count shares; these pins do.
+#[test]
+fn legacy_recordings_are_pinned() {
+    let build = KernelBuild::Legacy;
+    let mut got = Vec::new();
+
+    let opts = CampaignOptions { build, threads: 2, record: true, ..Default::default() };
+    let r = run_campaign(&EagleEye, &small_spec(), &opts);
+    got.push(("campaign", flight_pin(r.flight.as_ref(), &r.metrics)));
+
+    for shrink in [true, false] {
+        let opts =
+            SequenceOptions { build, threads: 2, record: true, shrink, ..Default::default() };
+        let r = run_eagleeye_sequences(1, 150, 8, &opts).result;
+        got.push((
+            if shrink { "sequences" } else { "sequences/no-shrink" },
+            flight_pin(r.flight.as_ref(), &r.metrics),
+        ));
+
+        let opts = FuzzOptions {
+            build,
+            seed: 7,
+            max_execs: 150,
+            batch: 32,
+            threads: 2,
+            record: true,
+            shrink,
+            ..FuzzOptions::default()
+        };
+        let r = run_eagleeye_fuzz(&opts).result;
+        got.push((
+            if shrink { "fuzz" } else { "fuzz/no-shrink" },
+            flight_pin(r.flight.as_ref(), &r.metrics),
+        ));
+    }
+
+    let r = run_check(&CheckOptions { build, threads: 2, record: true, ..Default::default() });
+    got.push(("check", flight_pin(r.flight.as_ref(), &r.metrics)));
+
+    let want = [
+        ("campaign", (65, 0xe680_2de3_3aa9_b9b0)),
+        ("sequences", (150, 0x230b_c589_e7ec_529b)),
+        ("fuzz", (31, 0x9b13_de35_7a08_89f5)),
+        ("sequences/no-shrink", (150, 0x6a86_4869_a7a7_cee5)),
+        ("fuzz/no-shrink", (31, 0x0698_2cb4_d2c8_db36)),
+        ("check", (160, 0xc10c_07a4_6462_86bd)),
+    ];
+    assert_eq!(got, want);
 }

@@ -8,6 +8,7 @@
 
 use eagleeye::EagleEye;
 use skrt::fuzz::{parse_steps, replay_coverage, FuzzOptions};
+use testkit::fnv1a;
 use xm_campaign::fuzz::{finding_signature, run_eagleeye_fuzz, FuzzReport};
 use xtratum::vuln::KernelBuild;
 
@@ -101,14 +102,6 @@ fn recorded_run_keeps_one_closed_flight_per_finding() {
         assert_eq!(last.kind, flightrec::EventKind::TestEnd, "exec {} never closed", f.index);
         assert_eq!(last.code as usize, finding.verdict.classification.class.index());
     }
-}
-
-/// FNV-1a over a rendered surface: a hash that stays stable across Rust
-/// releases (unlike `DefaultHasher`), so the pins below can be literals.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 /// Golden pins of the legacy console report, with and without

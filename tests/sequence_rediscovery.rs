@@ -6,6 +6,7 @@
 use skrt::classify::{Cause, CrashClass};
 use skrt::fuzz::FuzzOptions;
 use skrt::sequence::SequenceOptions;
+use testkit::fnv1a;
 use xm_campaign::fuzz::{finding_signature, run_eagleeye_fuzz, stateful_defect_signatures};
 use xm_campaign::sequences::{run_eagleeye_sequences, signature_of, SequenceReport};
 use xm_campaign::write_forensics_bundle;
@@ -187,14 +188,6 @@ fn patched_build_stays_silent() {
         .records
         .iter()
         .all(|r| r.verdict.classification.class == CrashClass::Pass));
-}
-
-/// FNV-1a over a rendered surface: a hash that stays stable across Rust
-/// releases (unlike `DefaultHasher`), so the pins below can be literals.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 /// Golden pins of the legacy console report, with and without

@@ -4,8 +4,10 @@
 //! `cargo run --example spec_xml` after changing either.
 
 use skrt::apispec::{api_header_doc, data_type_doc, dictionary_from_doc, verify_api_header};
+use skrt::fuzz::{parse_steps, FuzzOptions};
 use specxml::{ApiHeaderDoc, DataTypeDoc};
-use xm_campaign::paper_dictionary;
+use testkit::Rng;
+use xm_campaign::{campaign_from_xml, load_campaign_from_files, paper_dictionary};
 
 fn repo_file(name: &str) -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/");
@@ -78,4 +80,74 @@ fn fig2_and_fig3_content_present_in_files() {
     for v in ["<Value>0</Value>", "<Value>16</Value>", "<Value>4294967295</Value>"] {
         assert!(dt.contains(v), "{v}");
     }
+}
+
+/// One hostile edit of `bytes`: a byte flip, a truncation, a span
+/// deletion or duplication, or a splice with another input.
+fn mutate(rng: &mut Rng, bytes: &mut Vec<u8>, inputs: &[String]) {
+    // Bytes that move a reader across structure, not only content.
+    const SHARP: &[u8] = b"<>/=\"'&;#!?-_0123456789xX \n\t";
+    let n = bytes.len().max(1);
+    match rng.range(0, 5) {
+        0 => {
+            for _ in 0..rng.range(1, 9) {
+                let at = rng.range(0, n).min(bytes.len().saturating_sub(1));
+                if let Some(b) = bytes.get_mut(at) {
+                    *b =
+                        if rng.chance(1, 2) { *rng.pick(SHARP) } else { *b ^ rng.next_u32() as u8 };
+                }
+            }
+        }
+        1 => bytes.truncate(rng.range(0, n)),
+        2 => {
+            let lo = rng.range(0, n).min(bytes.len());
+            let hi = (lo + rng.range(1, 64)).min(bytes.len());
+            bytes.drain(lo..hi);
+        }
+        3 => {
+            let lo = rng.range(0, n).min(bytes.len());
+            let hi = (lo + rng.range(1, 256)).min(bytes.len());
+            let span = bytes[lo..hi].to_vec();
+            let at = rng.range(0, bytes.len() + 1);
+            bytes.splice(at..at, span);
+        }
+        _ => {
+            let other = rng.pick(inputs).as_bytes();
+            let cut = rng.range(0, bytes.len() + 1);
+            let from = rng.range(0, other.len() + 1);
+            bytes.truncate(cut);
+            bytes.extend_from_slice(&other[from..]);
+        }
+    }
+}
+
+/// The typed readers treat every file as hostile input: the committed
+/// spec files and a rendered corpus entry, mangled by seeded byte flips,
+/// truncations, span deletions and duplications and splices, must come
+/// back `Ok` or `Err` from every reader — never a panic.
+#[test]
+fn typed_readers_are_total_on_mangled_inputs() {
+    let fuzz = FuzzOptions { max_execs: 16, batch: 16, threads: 1, ..FuzzOptions::default() };
+    let corpus = xm_campaign::run_eagleeye_fuzz(&fuzz).result.corpus;
+    let entry = corpus.last().expect("a fuzz run grows a corpus").render();
+    let inputs = [
+        repo_file("xm_api.xml"),
+        repo_file("xm_datatypes.xml"),
+        repo_file("xm_campaign.xml"),
+        entry,
+    ];
+    let ranges = [(eagleeye::FDIR_BASE, eagleeye::PART_SIZE)];
+    testkit::check("typed readers are total", 512, |rng| {
+        let mut bytes = rng.pick(&inputs).clone().into_bytes();
+        for _ in 0..rng.range(1, 4) {
+            mutate(rng, &mut bytes, &inputs);
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = ApiHeaderDoc::from_xml(&text);
+        let _ = DataTypeDoc::from_xml(&text);
+        let _ = load_campaign_from_files(&text, &inputs[1], &ranges);
+        let _ = load_campaign_from_files(&inputs[0], &text, &ranges);
+        let _ = campaign_from_xml(&text, &ranges);
+        let _ = parse_steps(&text);
+    });
 }
