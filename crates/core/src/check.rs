@@ -29,7 +29,7 @@
 //! surfaced through the same forensics path as fuzzer findings.
 
 use crate::classify::{Cause, Classification, CrashClass};
-use crate::exec::{fold_logs, par_indexed, resolve_threads, Booter, WorkerLog};
+use crate::exec::{fold_logs, on_campaign_thread, par_indexed, resolve_threads, Booter, WorkerLog};
 use crate::flight::{FlightLog, DEFAULT_RING_CAPACITY};
 use crate::metrics::{MetricsReport, Phase};
 use crate::oracle::{ChannelView, OracleContext};
@@ -932,6 +932,11 @@ fn run_case<'t>(
 /// never crosses workers; per-worker metrics, lock-free hot path. The
 /// result is byte-identical across thread counts and recorder settings.
 pub fn run_check(opts: &CheckOptions) -> CheckResult {
+    on_campaign_thread(|| check_body(opts))
+}
+
+/// [`run_check`], on the campaign's own thread.
+fn check_body(opts: &CheckOptions) -> CheckResult {
     let started = Instant::now();
     let configs = enumerate_configs(&opts.scope);
     let probe_sets: Vec<Vec<CheckProbe>> = configs.iter().map(probes_for).collect();

@@ -32,21 +32,24 @@
 //! invariants).
 //!
 //! [`par_indexed`] is the parallel driver behind [`run_campaign`], the
-//! sequence campaign, the fuzzer's rounds and the isolation checker. It
-//! runs one `std::thread::scope` worker per entry of a caller-owned
-//! worker-state slice and distributes indices by **work stealing**: the
-//! index space is pre-split into one contiguous range per worker, each
-//! packed into a single `AtomicU64` ([`WorkStealQueues`]). A worker pops
-//! chunk-sized runs off the *front* of its own range with a CAS; once
-//! empty it steals runs from the *back* of a victim's range, so no
-//! worker idles while another still holds work. Every index is claimed
-//! exactly once, runs carry their start index, and the result reassembles
-//! by sorting runs — results are byte-identical whatever the thread count
-//! or steal schedule. Metrics tally into per-worker [`WorkerLog`]s
-//! (plain integers and inline histograms); [`fold_logs`] adds them into
-//! one [`MetricsReport`] on the thread that joined the workers, so no
-//! counter is shared while they run (see [`crate::metrics`]). The one
-//! exception is `--live-stats`: a campaign's heartbeat thread samples
+//! sequence campaign, the fuzzer's rounds and the isolation checker. Each
+//! of those drivers runs on one thread of its own
+//! (`on_campaign_thread`). `par_indexed` runs one worker per entry of a
+//! caller-owned worker-state slice — worker 0 on the driver's thread, the
+//! rest on `std::thread::scope` threads — and distributes indices by
+//! **work stealing**: the index space is pre-split into one contiguous
+//! range per worker, each packed into a single `AtomicU64`
+//! ([`WorkStealQueues`]). A worker pops chunk-sized runs off the *front*
+//! of its own range with a CAS; once empty it steals runs from the *back*
+//! of a victim's range, so no worker idles while another still holds
+//! work. Every index is claimed exactly once, runs carry their start
+//! index, and the result reassembles by sorting runs — results are
+//! byte-identical whatever the thread count or steal schedule. Metrics
+//! tally into per-worker [`WorkerLog`]s (plain integers and inline
+//! histograms); [`fold_logs`] adds them into one [`MetricsReport`] on the
+//! driver's thread once the workers join, so no counter is shared while
+//! they run (see [`crate::metrics`]). The one exception is
+//! `--live-stats`: a campaign's heartbeat thread samples
 //! [`LiveProgress`], the only state workers publish mid-run, and writes
 //! it through the same [`LiveSink`] the fuzzer uses.
 
@@ -556,19 +559,23 @@ fn resolve_chunk(n: usize, n_threads: usize) -> usize {
     (n / (n_threads * 8)).clamp(1, 64)
 }
 
-/// Runs `body` for every index in `0..n`, on one scoped thread per entry
-/// of `workers`, and returns the results in index order.
+/// Runs `body` for every index in `0..n`, one worker per entry of
+/// `workers`, and returns the results in index order.
 ///
-/// Each thread first calls `start` on its worker state; the value it
-/// returns is thread-local scratch handed to every `body` call on that
-/// thread. The flight recorder is thread-local, so enabling it belongs
-/// in `start`; the boot events of a per-worker arena booted there belong
-/// to no test and go with the first run window. The `workers` entries
-/// outlive the call, so state such as the fuzzer's boot arenas persists
-/// from one call to the next.
-/// A run claimed from another worker's range adds one to `steals` (once
-/// per run, never per item). Results depend only on `body`, never on the
-/// thread count or the steal schedule.
+/// Worker 0 runs on the calling thread — in a driver, the campaign's own
+/// thread (see [`on_campaign_thread`]) — inside a [`flightrec::isolated`]
+/// window, so it starts like a fresh thread and leaves the caller's
+/// recorder as it found it. Workers 1.. each get a scoped thread. Each
+/// worker first calls `start` on its state; the value it returns is
+/// scratch handed to every `body` call on that worker. The flight
+/// recorder is thread-local, so enabling it belongs in `start`; the boot
+/// events of a per-worker arena booted there belong to no test and go
+/// with the first run window. The `workers` entries outlive the call, so
+/// state such as the fuzzer's boot arenas persists from one call to the
+/// next. A run claimed from another worker's range adds one to `steals`
+/// (once per run, never per item). Results depend only on `body`, never
+/// on the thread count or the steal schedule. A panic in `body` or
+/// `start` comes out of the call with its original payload.
 pub(crate) fn par_indexed<W, S, R>(
     n: usize,
     workers: &mut [W],
@@ -580,32 +587,45 @@ where
     W: Send,
     R: Send,
 {
-    assert!(!workers.is_empty(), "par_indexed needs at least one worker");
-    let chunk = resolve_chunk(n, workers.len());
-    let queues = WorkStealQueues::new(n, workers.len());
-    let (queues, start, body) = (&queues, &start, &body);
-    let mut runs: Vec<(usize, Vec<R>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .iter_mut()
-            .enumerate()
-            .map(|(w, state)| {
-                scope.spawn(move || {
-                    let mut scratch = start(state);
-                    let mut runs = Vec::new();
-                    while let Some((lo, hi, stolen)) = queues.next(w, chunk) {
-                        if stolen {
-                            steals.fetch_add(1, Ordering::Relaxed);
-                        }
-                        runs.push((lo, (lo..hi).map(|i| body(state, &mut scratch, i)).collect()));
-                    }
-                    runs
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("campaign worker panicked")).collect()
+    let n_workers = workers.len();
+    let (first, rest) = workers.split_first_mut().expect("par_indexed needs at least one worker");
+    let chunk = resolve_chunk(n, n_workers);
+    let queues = WorkStealQueues::new(n, n_workers);
+    let run = |w: usize, state: &mut W| {
+        let mut scratch = start(state);
+        let mut runs = Vec::new();
+        while let Some((lo, hi, stolen)) = queues.next(w, chunk) {
+            if stolen {
+                steals.fetch_add(1, Ordering::Relaxed);
+            }
+            runs.push((lo, (lo..hi).map(|i| body(state, &mut scratch, i)).collect::<Vec<R>>()));
+        }
+        runs
+    };
+    let run = &run;
+    let mut runs = std::thread::scope(|scope| {
+        let handles: Vec<_> =
+            (1..).zip(rest).map(|(w, state)| scope.spawn(move || run(w, state))).collect();
+        let mut runs = flightrec::isolated(|| run(0, first));
+        for h in handles {
+            runs.extend(h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
+        }
+        runs
     });
     runs.sort_unstable_by_key(|&(lo, _)| lo);
     runs.into_iter().flat_map(|(_, r)| r).collect()
+}
+
+/// Runs a campaign driver's whole body `f` on one scoped thread of its
+/// own and returns its result; a panic in `f` comes out with its original
+/// payload. The campaign's worker 0 runs on this thread (see
+/// [`par_indexed`]), so a driver that calls `par_indexed` once per round
+/// starts one thread for the campaign, not one per round, and the
+/// caller's thread — its recorder, its heap — is left as it was.
+pub(crate) fn on_campaign_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+    std::thread::scope(|scope| {
+        scope.spawn(f).join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    })
 }
 
 /// Shared in-flight progress counters behind `--live-stats`. With live
@@ -696,6 +716,15 @@ struct ExecWorker<'c> {
 /// Executes a whole campaign, in parallel, preserving campaign order in
 /// the result.
 pub fn run_campaign<T: Testbed + ?Sized>(
+    testbed: &T,
+    spec: &CampaignSpec,
+    opts: &CampaignOptions,
+) -> CampaignResult {
+    on_campaign_thread(|| campaign_body(testbed, spec, opts))
+}
+
+/// [`run_campaign`], on the campaign's own thread.
+fn campaign_body<T: Testbed + ?Sized>(
     testbed: &T,
     spec: &CampaignSpec,
     opts: &CampaignOptions,
@@ -922,25 +951,78 @@ mod tests {
     #[test]
     fn par_indexed_returns_index_order_and_keeps_worker_state() {
         // Per-worker counters persist across calls; results come back in
-        // index order whatever the thread count.
+        // index order whatever the thread count. Worker 0 runs on the
+        // calling thread, every other worker off it, and a `start` that
+        // enables the recorder leaves the caller's window as it found it:
+        // here enabled, two buffered events, one drop.
+        let caller = std::thread::current().id();
+        flightrec::enable(2);
+        for t in [1, 2, 3] {
+            flightrec::record(t, EventKind::Ops, 0, 0, 0, 0);
+        }
         for threads in [1usize, 3, 8] {
-            let mut workers = vec![0usize; threads];
+            // (items run, the threads `start` and `body` ran on)
+            let mut workers = vec![(0usize, Vec::new()); threads];
             let steals = AtomicU64::new(0);
             for round in 0..2 {
                 let out = par_indexed(
                     100,
                     &mut workers,
                     &steals,
-                    |_| 0usize,
-                    |count, scratch, i| {
+                    |(_, ran_on)| {
+                        ran_on.push(std::thread::current().id());
+                        flightrec::enable(DEFAULT_RING_CAPACITY);
+                        0usize
+                    },
+                    |(count, ran_on), scratch, i| {
                         *count += 1;
                         *scratch += 1;
+                        ran_on.push(std::thread::current().id());
+                        flightrec::record(99, EventKind::SlotBegin, 0, 0, 0, 0);
                         i * 2 + round
                     },
                 );
                 assert_eq!(out, (0..100).map(|i| i * 2 + round).collect::<Vec<_>>());
             }
-            assert_eq!(workers.iter().sum::<usize>(), 200, "every item ran exactly once");
+            assert_eq!(workers.iter().map(|w| w.0).sum::<usize>(), 200, "every item ran once");
+            for (w, (_, ran_on)) in workers.iter().enumerate() {
+                assert!(
+                    ran_on.iter().all(|&id| (id == caller) == (w == 0)),
+                    "worker {w} of {threads} ran on the wrong thread"
+                );
+            }
         }
+        assert!(flightrec::active());
+        let window = flightrec::drain();
+        assert_eq!(window.events.iter().map(|e| e.t_us).collect::<Vec<_>>(), vec![2, 3]);
+        assert_eq!(window.dropped, 1);
+        flightrec::disable();
+    }
+
+    #[test]
+    fn panics_come_out_of_the_drivers_with_their_payload() {
+        let payload = |r: std::thread::Result<_>| {
+            *r.expect_err("the panic must come out").downcast::<&str>().expect("original payload")
+        };
+        for threads in [1usize, 3] {
+            // Index 0 starts on the calling thread's worker, 99 on the last.
+            for bad in [0usize, 99] {
+                let mut workers = vec![(); threads];
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    par_indexed(
+                        100,
+                        &mut workers,
+                        &AtomicU64::new(0),
+                        |_| (),
+                        |_, _, i| assert!(i != bad, "body panicked"),
+                    )
+                }));
+                assert_eq!(payload(run), "body panicked", "index {bad} at {threads} threads");
+            }
+        }
+        let caller = std::thread::current().id();
+        assert_ne!(on_campaign_thread(|| std::thread::current().id()), caller);
+        let run = std::panic::catch_unwind(|| on_campaign_thread(|| panic!("driver panicked")));
+        assert_eq!(payload(run), "driver panicked");
     }
 }

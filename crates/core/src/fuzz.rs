@@ -37,7 +37,8 @@
 
 use crate::classify::CrashClass;
 use crate::exec::{
-    fold_logs, par_indexed, resolve_threads, Booter, LiveSink, LiveStats, WorkerLog,
+    fold_logs, on_campaign_thread, par_indexed, resolve_threads, Booter, LiveSink, LiveStats,
+    WorkerLog,
 };
 use crate::flight::{FlightLog, DEFAULT_RING_CAPACITY};
 use crate::metrics::{MetricsReport, Phase};
@@ -508,9 +509,10 @@ pub struct FuzzResult {
 // Candidate generation (pure function of seed + round + corpus)
 // ---------------------------------------------------------------------------
 
-struct Candidate {
-    steps: Vec<RawHypercall>,
-    origin: Origin,
+/// One generated candidate: its steps and how they were made.
+pub struct Candidate {
+    pub steps: Vec<RawHypercall>,
+    pub origin: Origin,
 }
 
 fn splitmix(mut x: u64) -> u64 {
@@ -519,7 +521,11 @@ fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn make_candidate(
+/// The candidate [`run_fuzz`] executes at `slot` of `round`, given the
+/// corpus as it stood when the round began. A pure function of its
+/// arguments, so a run's candidates can be rebuilt from its final corpus:
+/// round `r` saw the entries found in rounds before it.
+pub fn make_candidate(
     opts: &FuzzOptions,
     mutator: &Mutator<'_>,
     corpus: &[CorpusEntry],
@@ -656,6 +662,16 @@ struct FuzzWorker<'t, T: ?Sized> {
 /// order. The corpus, map and findings depend only on `(alphabet, opts)`
 /// — never on thread count, work-stealing schedule or `opts.record`.
 pub fn run_fuzz<T: Testbed + ?Sized>(
+    testbed: &T,
+    alphabet: &[AlphabetEntry],
+    opts: &FuzzOptions,
+) -> FuzzResult {
+    on_campaign_thread(|| fuzz_body(testbed, alphabet, opts))
+}
+
+/// [`run_fuzz`], on the campaign's own thread: worker 0 and its boot
+/// arena stay on it from round to round.
+fn fuzz_body<T: Testbed + ?Sized>(
     testbed: &T,
     alphabet: &[AlphabetEntry],
     opts: &FuzzOptions,

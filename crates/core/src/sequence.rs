@@ -24,7 +24,7 @@
 //! triage stage is shared with the fuzz and `check` campaigns.
 
 use crate::classify::{Cause, Classification, CrashClass};
-use crate::exec::{fold_logs, par_indexed, resolve_threads, Booter, WorkerLog};
+use crate::exec::{fold_logs, on_campaign_thread, par_indexed, resolve_threads, Booter, WorkerLog};
 use crate::flight::{FlightLog, DEFAULT_RING_CAPACITY};
 use crate::metrics::{LocalMetrics, MetricsReport, Phase};
 use crate::observe::Invocation;
@@ -1158,6 +1158,15 @@ fn evaluate_spec<T: Testbed + ?Sized>(
 /// [`crate::exec::run_campaign`]: one prefix snapshot + persistent
 /// workspace per worker, per-worker metrics, lock-free hot path.
 pub fn run_sequence_campaign<T: Testbed + ?Sized>(
+    testbed: &T,
+    specs: &[SequenceSpec],
+    opts: &SequenceOptions,
+) -> SequenceCampaignResult {
+    on_campaign_thread(|| sequence_body(testbed, specs, opts))
+}
+
+/// [`run_sequence_campaign`], on the campaign's own thread.
+fn sequence_body<T: Testbed + ?Sized>(
     testbed: &T,
     specs: &[SequenceSpec],
     opts: &SequenceOptions,

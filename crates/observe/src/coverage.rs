@@ -90,8 +90,12 @@ pub fn event_token(e: &Event) -> Option<u64> {
 /// Per-execution coverage extraction scratch. Reused across executions
 /// (one per worker): `begin` resets only the touched cells, so the cost
 /// per execution is proportional to the trace, not to [`MAP_SIZE`].
+/// A bitmap of the touched cells lets `finish` list them in cell order
+/// by walking [`MAP_SIZE`] / 64 words instead of sorting.
 pub struct EdgeTrace {
     counts: Vec<u32>,
+    /// One bit per cell, set on the cell's first hit in this window.
+    hit: Vec<u64>,
     touched: Vec<u16>,
     prev: u64,
     sig: u64,
@@ -105,13 +109,21 @@ impl Default for EdgeTrace {
 
 impl EdgeTrace {
     pub fn new() -> Self {
-        EdgeTrace { counts: vec![0; MAP_SIZE], touched: Vec::new(), prev: 0, sig: FNV_OFFSET }
+        EdgeTrace {
+            counts: vec![0; MAP_SIZE],
+            hit: vec![0; MAP_SIZE / 64],
+            touched: Vec::new(),
+            prev: 0,
+            sig: FNV_OFFSET,
+        }
     }
 
     /// Start a fresh execution window.
     pub fn begin(&mut self) {
         for &cell in &self.touched {
             self.counts[cell as usize] = 0;
+            // Every bit set in the word is a touched cell: clear it whole.
+            self.hit[cell as usize / 64] = 0;
         }
         self.touched.clear();
         self.prev = 0;
@@ -123,11 +135,12 @@ impl EdgeTrace {
     #[inline]
     pub fn observe_token(&mut self, token: u64) {
         self.sig = fnv_step(self.sig, token);
-        let cell = ((self.prev ^ token) & MASK) as u16;
-        if self.counts[cell as usize] == 0 {
-            self.touched.push(cell);
+        let cell = ((self.prev ^ token) & MASK) as usize;
+        if self.counts[cell] == 0 {
+            self.touched.push(cell as u16);
+            self.hit[cell / 64] |= 1 << (cell % 64);
         }
-        self.counts[cell as usize] = self.counts[cell as usize].saturating_add(1);
+        self.counts[cell] = self.counts[cell].saturating_add(1);
         // Shifted, not raw: A→B and B→A hash to different edges.
         self.prev = token >> 1;
     }
@@ -140,13 +153,29 @@ impl EdgeTrace {
         }
     }
 
-    /// Finish the window: the bucketed touched-cell list (sorted by
-    /// cell, so it is a canonical value) and the stream signature.
+    /// Finish the window: the bucketed touched-cell list (in cell order,
+    /// so it is a canonical value) and the stream signature.
     pub fn finish(&mut self) -> ExecCoverage {
+        let mut cells = Vec::with_capacity(self.touched.len());
+        for (w, &word) in self.hit.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let cell = w * 64 + bits.trailing_zeros() as usize;
+                cells.push((cell as u16, bucket(self.counts[cell])));
+                bits &= bits - 1;
+            }
+        }
+        debug_assert_eq!(cells, self.sorted_cells(), "bitmap walk differs from the sort");
+        ExecCoverage { cells, signature: self.sig }
+    }
+
+    /// The reference the bitmap walk is checked against: the touched
+    /// list, bucketed and sorted.
+    fn sorted_cells(&self) -> Vec<(u16, u8)> {
         let mut cells: Vec<(u16, u8)> =
             self.touched.iter().map(|&c| (c, bucket(self.counts[c as usize]))).collect();
         cells.sort_unstable();
-        ExecCoverage { cells, signature: self.sig }
+        cells
     }
 }
 
@@ -322,6 +351,66 @@ mod tests {
         t.observe_token(10);
         t.observe_token(20);
         assert_eq!(t.finish(), first, "reused scratch must not leak between windows");
+    }
+
+    /// The bitmap walk equals the sorted-touched reference, and a plain
+    /// count-per-cell model, on 2400 seeded windows over one reused
+    /// trace: small and large token vocabularies (edges repeat, or mostly
+    /// do not), empty windows, tokens aimed at the first and last cell,
+    /// and windows abandoned by a second `begin` without `finish`.
+    #[test]
+    fn bitmap_walk_matches_the_sorted_reference() {
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            mix(state)
+        };
+        let mut t = EdgeTrace::new();
+        let (mut empty, mut abandoned, mut first, mut last, mut repeated) = (0, 0, 0, 0, 0);
+        for window in 0..2400u64 {
+            let small: Vec<u64> = (0..3).map(|_| next()).collect();
+            let len = if window % 7 == 0 { 0 } else { next() % 300 };
+            let abandon_at = (window % 5 == 0).then(|| next() % 300);
+            t.begin();
+            let mut model = std::collections::BTreeMap::<u16, u32>::new();
+            let mut prev = 0u64;
+            for i in 0..len {
+                if abandon_at == Some(i) {
+                    t.begin();
+                    model.clear();
+                    prev = 0;
+                    abandoned += 1;
+                }
+                let token = match next() % 16 {
+                    // Aimed at cell 0 or MAP_SIZE - 1, high bits random.
+                    0 => (prev & MASK) | (next() & !MASK),
+                    1 => (!prev & MASK) | (next() & !MASK),
+                    _ if window % 2 == 0 => small[(next() % 3) as usize],
+                    _ => next(),
+                };
+                t.observe_token(token);
+                *model.entry(((prev ^ token) & MASK) as u16).or_default() += 1;
+                prev = token >> 1;
+            }
+            let reference = t.sorted_cells();
+            let cov = t.finish();
+            assert_eq!(cov.cells, reference, "window {window}");
+            let modelled: Vec<(u16, u8)> = model.iter().map(|(&c, &n)| (c, bucket(n))).collect();
+            assert_eq!(cov.cells, modelled, "window {window}");
+            empty += usize::from(cov.cells.is_empty());
+            first += usize::from(model.contains_key(&0));
+            last += usize::from(model.contains_key(&((MAP_SIZE - 1) as u16)));
+            repeated += usize::from(model.values().any(|&n| n > 1));
+        }
+        for (what, n) in [
+            ("empty", empty),
+            ("abandoned", abandoned),
+            ("cell 0", first),
+            ("last cell", last),
+            ("repeated-edge", repeated),
+        ] {
+            assert!(n > 100, "only {n} {what} windows");
+        }
     }
 
     #[test]

@@ -223,13 +223,12 @@ pub fn clear() {
     });
 }
 
-/// Runs `f` in a private recording window and returns what it recorded.
-/// The window is on whether or not this thread's recorder is, and it
-/// grows with what `f` records, so nothing is dropped. The calling
-/// thread's own window — its ring, buffered events, dropped count and
-/// active flag — is set aside for the call and put back afterwards, even
-/// when `f` panics.
-pub fn capture<R>(f: impl FnOnce() -> R) -> (R, DrainedFlight) {
+/// Runs `f` on this thread as if on a fresh one: the recorder starts
+/// disabled with no ring. The calling thread's own window — its ring,
+/// buffered events, dropped count and active flag — is set aside for the
+/// call and put back afterwards, even when `f` panics, so whatever `f`
+/// enables, records or frees is gone when it returns.
+pub fn isolated<R>(f: impl FnOnce() -> R) -> R {
     /// The caller's window, put back when dropped (on unwind too).
     struct Saved(Option<Ring>, bool);
     impl Drop for Saved {
@@ -241,12 +240,22 @@ pub fn capture<R>(f: impl FnOnce() -> R) -> (R, DrainedFlight) {
             });
         }
     }
-    let saved =
-        REC.with(|r| Saved(r.ring.replace(Some(Ring::unbounded())), r.active.replace(true)));
-    let out = f();
-    let drained = drain();
-    drop(saved);
-    (out, drained)
+    let _saved = REC.with(|r| Saved(r.ring.take(), r.active.replace(false)));
+    f()
+}
+
+/// Runs `f` in a private recording window and returns what it recorded:
+/// [`isolated`], with the recorder on in a ring that grows with what `f`
+/// records, so nothing is dropped.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, DrainedFlight) {
+    isolated(|| {
+        REC.with(|r| {
+            *r.ring.borrow_mut() = Some(Ring::unbounded());
+            r.active.set(true);
+        });
+        let out = f();
+        (out, drain())
+    })
 }
 
 /// Pushes `events` into this thread's ring, in order, as if they had
@@ -401,6 +410,54 @@ mod tests {
         assert!(panicked.is_err());
         assert!(active());
         assert_eq!(drain().events.len(), 1);
+        disable();
+    }
+
+    #[test]
+    fn isolated_leaves_the_callers_window_untouched() {
+        // Caller's window: enabled, two buffered events, two drops.
+        enable(2);
+        for t in [1, 2, 3, 4] {
+            record(t, EventKind::Ops, 0, t as u32, 0, 0);
+        }
+        isolated(|| {
+            assert!(!active(), "the window starts like a fresh thread's");
+            assert_eq!(drain(), DrainedFlight::default());
+            enable(8);
+            for t in 0..100u64 {
+                record(t, EventKind::SlotBegin, 1, 0, 0, 0);
+            }
+        });
+        assert!(active());
+        let outer = drain();
+        assert_eq!(outer.events.iter().map(|e| e.t_us).collect::<Vec<_>>(), vec![3, 4]);
+        assert_eq!(outer.dropped, 2);
+        disable();
+
+        // A disabled caller stays disabled, and keeps no ring.
+        isolated(|| {
+            enable(4);
+            record(7, EventKind::Ops, 0, 0, 0, 0);
+        });
+        assert!(!active());
+        assert!(REC.with(|r| r.ring.borrow().is_none()), "the inner ring is freed");
+    }
+
+    #[test]
+    fn isolated_restores_the_callers_window_on_panic() {
+        enable(4);
+        record(1, EventKind::Ops, 0, 0, 0, 0);
+        let panicked = std::panic::catch_unwind(|| {
+            isolated(|| {
+                enable(4);
+                record(2, EventKind::Ops, 0, 0, 0, 0);
+                panic!("inside the window")
+            })
+        });
+        assert!(panicked.is_err());
+        assert!(active());
+        let f = drain();
+        assert_eq!(f.events.iter().map(|e| e.t_us).collect::<Vec<_>>(), vec![1]);
         disable();
     }
 

@@ -13,18 +13,27 @@
 //! driver times its own byte-image witness, so only this split shows the
 //! dirty-page witness.
 //!
-//! Last, splits the lockstep judge: the benchmark's 500 seeded `sequences`
+//! Then splits the lockstep judge: the benchmark's 500 seeded `sequences`
 //! inputs on the prefix arena, each run once rendering its verdict
 //! evidence (the public `run_one_sequence`, which the benchmark's traced
 //! driver times) and once classify-only (what the campaigns' main
 //! evaluations and shrink predicates run), in µs and allocations per run.
+//!
+//! Last, splits a fuzz exec: the benchmark's 6000 `fuzz` candidates
+//! (benchmark alphabet, seed 1, one thread), rebuilt from the corpus of a
+//! `run_fuzz` pass, each run the way a fuzz worker runs it — rewind plus
+//! prefix replay, lockstep, drain, token fold and `finish` — and what is
+//! left of `run_fuzz`'s per-exec time: mutation, map fold, triage and the
+//! driver itself.
 
 use eagleeye::EagleEye;
+use flightrec::{EdgeTrace, EventKind, NO_PARTITION};
 use skrt::check::{
     check_invariants, enumerate_configs, part_base, probes_for, CheckScope, CheckTestbed,
     InvariantViolation, CALLER, PART_SIZE,
 };
 use skrt::flight::DEFAULT_RING_CAPACITY;
+use skrt::fuzz::{make_candidate, run_fuzz, FuzzOptions, Mutator};
 use skrt::sequence::{lockstep, run_one_sequence_bounded, Evidence};
 use skrt::testbed::{BootSnapshot, Testbed, Workspace};
 use skrt::{shrink_sequence, Classification, CrashClass};
@@ -114,6 +123,91 @@ fn main() {
 
     check_split();
     lockstep_split(&prefix, &ctx);
+    fuzz_split(&ctx);
+}
+
+/// Runs the benchmark's `fuzz` pass, rebuilds its candidates, re-runs
+/// each on a prefix arena as a fuzz worker does, and prints µs per exec
+/// for each layer (best of three sweeps) and `run_fuzz`'s residual (best
+/// of three passes, less the layers).
+fn fuzz_split(ctx: &skrt::oracle::OracleContext) {
+    let part = EagleEye.test_partition();
+    let alphabet = xm_campaign::fuzz_benchmark_alphabet();
+    let opts =
+        FuzzOptions { build: BUILD, threads: 1, seed: 1, max_execs: 6000, ..Default::default() };
+    let mut pass = u128::MAX;
+    let mut corpus = Vec::new();
+    for _ in 0..3 {
+        let t = Instant::now();
+        corpus = run_fuzz(&EagleEye, &alphabet, &opts).corpus;
+        pass = pass.min(t.elapsed().as_nanos());
+    }
+    let mutator = Mutator::new(&alphabet, opts.max_steps);
+    let candidates: Vec<_> = (0..opts.max_execs as usize)
+        .map(|i| {
+            let (round, slot) = (i / opts.batch, i % opts.batch);
+            let known = corpus.partition_point(|e| e.exec_index <= (round * opts.batch) as u64);
+            make_candidate(&opts, &mutator, &corpus[..known], round, slot).steps
+        })
+        .collect();
+    for e in &corpus {
+        assert_eq!(e.steps, candidates[e.exec_index as usize - 1], "corpus entry {}", e.id);
+    }
+
+    let mut snapshot = EagleEye.snapshot(BUILD).unwrap();
+    let ((), prefix) = flightrec::capture(|| snapshot.step_until_slot_of(part));
+    let mut ws = snapshot.workspace();
+    let mut trace = EdgeTrace::new();
+    let mut best = [u128::MAX; 5];
+    flightrec::enable(DEFAULT_RING_CAPACITY);
+    for _ in 0..3 {
+        let mut t = [0u128; 5];
+        let mut entries = corpus.iter().peekable();
+        for (i, steps) in candidates.iter().enumerate() {
+            let t0 = Instant::now();
+            flightrec::clear();
+            flightrec::record_timeless(EventKind::SnapshotClone, NO_PARTITION, 0, 0, 0);
+            ws.restore(&snapshot, Some(part));
+            flightrec::replay(&prefix.events);
+            let t1 = Instant::now();
+            let (kernel, guests) = ws.parts();
+            let spp = opts.steps_per_slot;
+            let eval = lockstep(&EagleEye, ctx, kernel, guests, steps, spp, 0, Evidence::Skip);
+            let t2 = Instant::now();
+            let drained = flightrec::drain();
+            let t3 = Instant::now();
+            trace.begin();
+            for e in &drained.events {
+                trace.observe_event(e);
+            }
+            for &d in &eval.frame_digests {
+                trace.observe_token(d);
+            }
+            let t4 = Instant::now();
+            let cov = trace.finish();
+            let t5 = Instant::now();
+            if let Some(e) = entries.next_if(|e| e.exec_index == i as u64 + 1) {
+                assert_eq!(cov.signature, e.signature, "exec {} coverage", e.exec_index);
+            }
+            for (k, d) in [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4].into_iter().enumerate() {
+                t[k] += d.as_nanos();
+            }
+            black_box(cov);
+        }
+        for (b, t) in best.iter_mut().zip(t) {
+            *b = (*b).min(t);
+        }
+    }
+    flightrec::disable();
+    let n = candidates.len();
+    println!("fuzz ({n} execs, benchmark alphabet, seed 1, corpus {}):", corpus.len());
+    let labels = ["rewind + prefix replay", "lockstep", "drain", "token fold", "finish"];
+    for (label, t) in labels.iter().zip(best) {
+        println!("  {label:<23} {:.2} us per exec", us(t, n));
+    }
+    let residual = pass.saturating_sub(best.iter().sum());
+    println!("  run_fuzz, whole pass:   {:.2} us per exec", us(pass, n));
+    println!("  run_fuzz residual:      {:.2} us per exec", us(residual, n));
 }
 
 /// Runs the benchmark's `sequences` inputs (seed 1, 500 × 8 steps) on the

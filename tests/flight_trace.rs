@@ -1,10 +1,12 @@
 //! End-to-end checks for the flight-recorder trace pipeline: a recorded
 //! campaign must export a Chrome/Perfetto trace that passes the repo's
 //! own validator (`scripts/check_trace_json.py`), the campaign CLI
-//! must exit non-zero when a requested trace cannot be written, and
-//! every recorded campaign mode's kept flights are pinned byte-for-byte.
+//! must exit non-zero when a requested trace cannot be written, every
+//! recorded campaign mode's kept flights are pinned byte-for-byte, and no
+//! campaign driver touches its caller's recorder.
 
 use eagleeye::EagleEye;
+use flightrec::{Event, EventKind};
 use skrt::exec::{run_campaign, CampaignOptions};
 use skrt::flight::{export_chrome_trace, FlightLog};
 use skrt::fuzz::FuzzOptions;
@@ -176,4 +178,70 @@ fn legacy_recordings_are_pinned() {
         ("check", (160, 0xc10c_07a4_6462_86bd)),
     ];
     assert_eq!(got, want);
+}
+
+/// Every campaign driver is transparent to its caller's flight recorder.
+/// Called from a thread whose recorder is on and already holds events
+/// (and has dropped some), each returns exactly what it returns to a
+/// caller whose recorder is off — records, renderings and kept flights —
+/// and leaves the caller's window (events, drop count, active flag) as
+/// it found it.
+#[test]
+fn drivers_leave_the_callers_recorder_untouched() {
+    let build = KernelBuild::Legacy;
+    let campaign = |threads| {
+        let opts = CampaignOptions { build, threads, record: true, ..Default::default() };
+        let r = run_campaign(&EagleEye, &small_spec(), &opts);
+        format!("{:?}\n{:?}", r.records, flight_pin(r.flight.as_ref(), &r.metrics))
+    };
+    let sequences = |threads| {
+        let opts = SequenceOptions { build, threads, record: true, ..Default::default() };
+        let report = run_eagleeye_sequences(1, 40, 6, &opts);
+        let r = &report.result;
+        let pin = flight_pin(r.flight.as_ref(), &r.metrics);
+        format!("{}\n{:?}\n{pin:?}", report.render(), r.records)
+    };
+    let fuzz = |threads| {
+        let opts = FuzzOptions {
+            build,
+            seed: 7,
+            max_execs: 96,
+            batch: 32,
+            threads,
+            record: true,
+            ..FuzzOptions::default()
+        };
+        let report = run_eagleeye_fuzz(&opts);
+        let r = &report.result;
+        let corpus: Vec<String> = r.corpus.iter().map(|e| e.render()).collect();
+        let pin = flight_pin(r.flight.as_ref(), &r.metrics);
+        format!("{}\n{}\n{corpus:?}\n{pin:?}", report.render(), r.map.render())
+    };
+    let check = |threads| {
+        let r = run_check(&CheckOptions { build, threads, record: true, ..Default::default() });
+        let pin = flight_pin(r.flight.as_ref(), &r.metrics);
+        format!("{:?}\n{pin:?}", r.cases)
+    };
+    let drivers: [(&str, &dyn Fn(usize) -> String); 4] =
+        [("campaign", &campaign), ("sequences", &sequences), ("fuzz", &fuzz), ("check", &check)];
+    for (name, run) in drivers {
+        for threads in [1, 4] {
+            flightrec::disable();
+            let off = run(threads);
+            // The caller's window: enabled, four buffered events, two drops.
+            flightrec::enable(4);
+            let mine: Vec<Event> = (1..=6)
+                .map(|t| Event { t_us: t, kind: EventKind::Ops, partition: 1, code: 9, a: t, b: 0 })
+                .collect();
+            flightrec::replay(&mine);
+            let on = run(threads);
+            let active = flightrec::active();
+            let window = flightrec::drain();
+            flightrec::disable();
+            assert_eq!(on, off, "{name} at {threads} threads");
+            assert!(active, "{name} at {threads} threads disabled the caller's recorder");
+            assert_eq!(window.events, mine[2..], "{name} at {threads} threads");
+            assert_eq!(window.dropped, 2, "{name} at {threads} threads");
+        }
+    }
 }
