@@ -22,6 +22,14 @@
 //!   before and after every run, victims own no ports, and health-monitor
 //!   events are attributed to the caller (or to the kernel) only.
 //!
+//! The memory witness is one path on every run: the victim blocks the
+//! run dirtied, diffed against the image it started from. That is the
+//! snapshot an arena pair was rewound to, or for a fresh boot the zeroed
+//! image its regions were created with (boot writes no victim memory,
+//! which a release-build assertion checks before the run). Nothing is
+//! copied; byte images of victim memory ([`check_invariants`]) are the
+//! reference that debug builds check the witness against.
+//!
 //! Any oracle divergence or invariant violation becomes a first-class
 //! finding: re-verdicted on a fresh boot (ruling out arena-rewind
 //! artefacts), then triaged by the stage the sequence and fuzz campaigns
@@ -38,7 +46,7 @@ use crate::sequence::{
 };
 use crate::testbed::Testbed;
 use flightrec::{Event, EventKind, NO_PARTITION};
-use leon3_sim::addrspace::{AccessCtx, Perms};
+use leon3_sim::addrspace::{AccessCtx, Baseline, Perms};
 use std::sync::atomic::AtomicU64;
 use std::time::Instant;
 use xtratum::config::{ChannelCfg, MemAreaCfg, PartitionCfg, PlanCfg, PortKind, SlotCfg, XmConfig};
@@ -464,9 +472,9 @@ pub struct InvariantViolation {
     pub detail: String,
 }
 
-/// Host-side spatial witness captured around one run: victim memory
-/// images (partitions 1..n, in order). The authoritative witness for
-/// fresh boots, and the reference [`victim_changes_since`] must match.
+/// Host-side byte images of victim memory (partitions 1..n, in order):
+/// the reference [`victim_changes_since`] must match, captured around
+/// every run in debug builds.
 fn victim_memory(kernel: &XmKernel, cfg: &CheckConfig) -> Vec<Vec<u8>> {
     (1..cfg.n_partitions)
         .map(|p| {
@@ -487,22 +495,23 @@ struct MemoryChange {
     changed: usize,
 }
 
-/// The victim memory changes of a run on an arena pair rewound to
-/// `snapshot`: the run started from the snapshot's memory and every store
-/// marks its 256-byte blocks dirty, so comparing the victim blocks dirtied
-/// since the rewind against the snapshot finds exactly what the before/after
-/// [`victim_memory`] images would, without copying 64 KiB per victim.
+/// The victim memory changes since `baseline`, the image a run started
+/// from: the snapshot an arena pair was rewound to, or the zeroed image a
+/// fresh boot's regions were created with. Every store marks its 256-byte
+/// blocks dirty, so comparing the victim blocks dirtied since then against
+/// the baseline finds exactly what before/after [`victim_memory`] images
+/// would, without copying 64 KiB per victim.
 fn victim_changes_since<'a>(
     kernel: &'a XmKernel,
-    snapshot: &'a XmKernel,
+    baseline: Baseline<'a>,
     cfg: &CheckConfig,
 ) -> impl Iterator<Item = MemoryChange> + 'a {
-    (1..cfg.n_partitions).filter_map(|p| {
+    (1..cfg.n_partitions).filter_map(move |p| {
         let diff = kernel
             .machine
             .mem
-            .diff_dirty(&snapshot.machine.mem, part_base(p), PART_SIZE)
-            .expect("configured partition memory is kernel-readable")?;
+            .diff_dirty(baseline, part_base(p), PART_SIZE)
+            .expect("victim memory is mapped and has a dirty set relative to its baseline")?;
         Some(MemoryChange { partition: p, first: diff.first as usize, changed: diff.changed })
     })
 }
@@ -808,14 +817,17 @@ struct CaseRun {
 }
 
 /// One full evaluation on a pair just booted by the worker's [`Booter`]:
-/// spatial witness, lockstep run over the horizon, the run window's
-/// drained stream, invariants.
+/// lockstep run over the horizon, the run window's drained stream,
+/// invariants.
 ///
-/// `snapshot` is the kernel an arena pair was just rewound to: the
-/// spatial witness then diffs the victim pages the run dirtied against
-/// it. A fresh boot (`None`) compares before/after byte images, the
-/// authoritative path; debug builds also run it on arena pairs and
-/// assert both witnesses agree.
+/// The spatial witness diffs the victim blocks the run dirtied against
+/// the image it started from: the kernel an arena pair was just rewound
+/// to (`snapshot`), or for a fresh boot (`None`) the zeroed image its
+/// regions were created with. Before the run, an assertion that also
+/// runs in release builds checks that the victims still equal that
+/// baseline, which for a fresh boot proves its victim memory is all
+/// zeros. Debug builds also capture before/after byte images and assert
+/// that both witnesses agree.
 fn evaluate_once(
     tb: &CheckTestbed,
     ctx: &OracleContext,
@@ -826,26 +838,25 @@ fn evaluate_once(
     horizon: usize,
 ) -> CaseRun {
     let cfg = tb.config();
-    let before = (snapshot.is_none() || cfg!(debug_assertions)).then(|| victim_memory(kernel, cfg));
+    let baseline = snapshot.map_or(Baseline::Zero, |s| Baseline::Snapshot(&s.machine.mem));
+    assert!(
+        victim_changes_since(kernel, baseline, cfg).next().is_none(),
+        "victim memory differs from the run's baseline before the run"
+    );
+    let before = cfg!(debug_assertions).then(|| victim_memory(kernel, cfg));
     // An arena run's verdict is kept only when clean (a finding is
     // re-verdicted on a fresh boot), so only a fresh boot renders evidence.
     let evidence = if snapshot.is_some() { Evidence::Skip } else { Evidence::Render };
     let eval = lockstep(tb, ctx, kernel, guests, steps, 1, horizon, evidence);
     let drained = flightrec::drain();
     let ports = victim_ports(kernel, cfg);
-    let images = |kernel: &XmKernel| {
-        let before = before.as_deref().expect("captured for byte-image witnesses");
-        check_invariants(cfg, &drained.events, before, &victim_memory(kernel, cfg), &ports)
-    };
-    let violations = match snapshot {
-        Some(snapshot) => {
-            let changes = victim_changes_since(kernel, snapshot, cfg);
-            let violations = invariants(cfg, &drained.events, changes, &ports);
-            debug_assert_eq!(violations, images(kernel), "dirty-page witness diverged");
-            violations
-        }
-        None => images(kernel),
-    };
+    let changes = victim_changes_since(kernel, baseline, cfg);
+    let violations = invariants(cfg, &drained.events, changes, &ports);
+    if let Some(before) = before {
+        let after = victim_memory(kernel, cfg);
+        let images = check_invariants(cfg, &drained.events, &before, &after, &ports);
+        debug_assert_eq!(violations, images, "dirty-block witness diverged from the byte images");
+    }
     CaseRun { verdict: eval.verdict, steps_executed: eval.steps_executed, violations }
 }
 
@@ -1180,14 +1191,16 @@ mod tests {
         );
     }
 
-    /// The dirty-page witness reports exactly the violations the byte
-    /// images report, on an arena pair mutated in kernel context the way
-    /// no default-scope probe does: a store that rewrites the original
-    /// bytes (dirty, unchanged), two pages dirtied in descending address
-    /// order (the lowest address is reported), a store straddling a page
+    /// The dirty-block witness reports exactly the violations the byte
+    /// images report, on pairs mutated in kernel context the way no
+    /// default-scope probe does: a store that rewrites the original bytes
+    /// (dirty, unchanged), two pages dirtied in descending address order
+    /// (the lowest address is reported), a store straddling a page
     /// boundary, stores in both victims, and stores in the caller only.
-    /// Each pattern runs on the same arena, rewound in between, so the
-    /// rewind's reset of the dirty set is covered too.
+    /// Each pattern runs twice: on the same arena, rewound in between
+    /// (so the rewind's reset of the dirty set is covered too) and
+    /// diffed against the snapshot, and on a fresh pair from
+    /// [`Testbed::boot`] diffed against the zeroed creation image.
     #[test]
     fn dirty_page_witness_matches_byte_images() {
         let cfg = CheckConfig {
@@ -1222,20 +1235,32 @@ mod tests {
             ),
             ("caller only", vec![(part_base(CALLER), vec![3; 64])], None),
         ];
-        for (name, stores, first_detail) in patterns {
-            let (kernel, _, snapshot) = booter.booted_from(&mut log.local, None);
-            let snapshot = snapshot.expect("check testbeds snapshot");
+        // Applies `stores` in kernel context: (dirty-block witness,
+        // byte-image witness).
+        let witnesses = |kernel: &mut XmKernel, baseline: Baseline, stores: &[(u32, Vec<u8>)]| {
             let before = victim_memory(kernel, &cfg);
-            for (addr, bytes) in &stores {
+            for (addr, bytes) in stores {
                 kernel.machine.mem.write_bytes(AccessCtx::Kernel, *addr, bytes).unwrap();
             }
-            assert_eq!(kernel.machine.mem.dirty_pages() > 0, !stores.is_empty(), "{name}");
             let after = victim_memory(kernel, &cfg);
             let ports = victim_ports(kernel, &cfg);
             let images = check_invariants(&cfg, &[], &before, &after, &ports);
-            let fast = invariants(&cfg, &[], victim_changes_since(kernel, snapshot, &cfg), &ports);
-            assert_eq!(fast, images, "{name}");
-            assert_eq!(fast.first().map(|v| v.detail.as_str()), first_detail, "{name}");
+            let changes = victim_changes_since(kernel, baseline, &cfg);
+            (invariants(&cfg, &[], changes, &ports), images)
+        };
+        for (name, stores, first_detail) in patterns {
+            let (kernel, _, snapshot) = booter.booted_from(&mut log.local, None);
+            let snapshot = snapshot.expect("check testbeds snapshot");
+            let (arena, images) =
+                witnesses(kernel, Baseline::Snapshot(&snapshot.machine.mem), &stores);
+            assert_eq!(kernel.machine.mem.dirty_pages() > 0, !stores.is_empty(), "{name}");
+            assert_eq!(arena, images, "{name}: arena");
+            assert_eq!(arena.first().map(|v| v.detail.as_str()), first_detail, "{name}: arena");
+
+            let (mut kernel, _) = tb.boot(KernelBuild::Legacy);
+            let (fresh, images) = witnesses(&mut kernel, Baseline::Zero, &stores);
+            assert_eq!(fresh, images, "{name}: fresh boot");
+            assert_eq!(fresh.first().map(|v| v.detail.as_str()), first_detail, "{name}: fresh");
         }
     }
 

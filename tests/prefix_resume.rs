@@ -7,12 +7,19 @@
 //! this is what keeps its verdicts equal to fresh-boot runs. Checked on
 //! every EagleEye partition and on every configuration the small-scope
 //! checker enumerates.
+//!
+//! A rewound arena against the same reference: after any run, a
+//! workspace restored to its prefix snapshot must equal a fresh boot
+//! stepped to the same slot, in every memory byte and in everything the
+//! oracle and harness read. This is what lets a finding found on an arena
+//! be re-verdicted on a fresh boot and get the same answer.
 
-use eagleeye::{EagleEye, FDIR, SCRATCH};
+use eagleeye::{EagleEye, BATCH_END, BATCH_START, FDIR, SCRATCH};
+use leon3_sim::addrspace::AccessCtx;
 use skrt::check::{enumerate_configs, part_base, probes_for, CheckScope, CheckTestbed, CALLER};
 use skrt::mutant::MutantGuest;
 use skrt::sequence::run_one_sequence_bounded;
-use skrt::testbed::Testbed;
+use skrt::testbed::{BootSnapshot, Testbed};
 use xtratum::guest::GuestSet;
 use xtratum::hypercall::{HypercallId, RawHypercall};
 use xtratum::kernel::{StateDigest, XmKernel};
@@ -123,5 +130,89 @@ fn check_configs_prefix_resume_equals_boot() {
             };
             assert_eq!(run(true), run(false), "{label}: probe {}", probe.name);
         }
+    }
+}
+
+/// Every region's bytes, then `caller`'s digest and in-place hash, then
+/// [`observed`]: what a rewound workspace must share with a fresh boot.
+type KernelView = (Vec<Vec<u8>>, StateDigest, u64, String);
+
+fn kernel_view(k: &XmKernel, caller: u32) -> KernelView {
+    let mem = &k.machine.mem;
+    let regions = mem.regions();
+    let bytes = regions
+        .iter()
+        .map(|r| mem.read_bytes(AccessCtx::Kernel, r.base, r.size).unwrap())
+        .collect();
+    (bytes, k.state_digest(caller), k.state_hash(caller), observed(k))
+}
+
+fn assert_views_equal(got: &KernelView, want: &KernelView, label: &str) {
+    // Compared field by field, so a memory mismatch names the region
+    // instead of printing 64 KiB images.
+    for (i, (g, w)) in got.0.iter().zip(&want.0).enumerate() {
+        assert!(g == w, "{label}: region {i}'s bytes differ from a fresh boot's");
+    }
+    assert_eq!(got.0.len(), want.0.len(), "{label}: region count");
+    assert_eq!(got.1, want.1, "{label}: state digest");
+    assert_eq!(got.2, want.2, "{label}: state hash");
+    assert_eq!(got.3, want.3, "{label}: summary, advance stats and clock");
+}
+
+/// The prefix arena a campaign worker keeps for `tb`: its snapshot run
+/// up to the test partition's first slot, and a fresh boot stepped to the
+/// same slot viewed as the reference.
+fn prefix_arena(tb: &impl Testbed) -> (BootSnapshot, KernelView) {
+    let part = tb.test_partition();
+    let mut snapshot = tb.snapshot(BUILD).expect("testbed guests are cloneable");
+    snapshot.step_until_slot_of(part);
+    let (mut k, mut g) = tb.boot(BUILD);
+    k.step_until_slot_of(&mut g, part);
+    (snapshot, kernel_view(&k, part))
+}
+
+/// Every default-scope `check` configuration: after each of its probes,
+/// run the way the checker runs it on an arena, the rewound workspace
+/// equals a fresh boot stepped to the caller's first slot.
+#[test]
+fn check_rewinds_equal_fresh_boots() {
+    let scope = CheckScope::default();
+    for cfg in enumerate_configs(&scope) {
+        let tb = CheckTestbed::new(cfg.clone());
+        let ctx = tb.oracle_context(BUILD);
+        let (snapshot, want) = prefix_arena(&tb);
+        let mut ws = snapshot.workspace();
+        for probe in probes_for(&cfg) {
+            let (k, g) = ws.parts();
+            run_one_sequence_bounded(&tb, &ctx, k, g, &probe.steps, 1, scope.horizon as usize);
+            ws.restore(&snapshot, Some(CALLER));
+            let label = format!("{}: after probe {}", cfg.describe(), probe.name);
+            assert_views_equal(&kernel_view(ws.parts().0, CALLER), &want, &label);
+        }
+    }
+}
+
+/// EagleEye after mutants that write FDIR memory — a timestamp, a copy
+/// straddling several blocks, a multicall batch, a periodic timer — each
+/// run for a campaign test's frames on one arena: the rewound workspace
+/// equals a fresh boot stepped to FDIR's first slot.
+#[test]
+fn eagleeye_rewinds_equal_fresh_boots() {
+    let call = |id, args: &[u64]| RawHypercall::new_unchecked(id, args);
+    let mutants = [
+        call(HypercallId::GetTime, &[0, SCRATCH as u64]),
+        call(HypercallId::MemoryCopy, &[SCRATCH as u64 + 0x1F0, BATCH_START as u64, 0x600]),
+        call(HypercallId::Multicall, &[BATCH_START as u64, BATCH_END as u64]),
+        call(HypercallId::SetTimer, &[0, 500, 500]),
+    ];
+    let (snapshot, want) = prefix_arena(&EagleEye);
+    let mut ws = snapshot.workspace();
+    for mutant in mutants {
+        let (k, g) = ws.parts();
+        g.set(FDIR, Box::new(MutantGuest::new(mutant, EagleEye.prologue())));
+        k.step_major_frames(g, EagleEye.frames_per_test());
+        assert!(k.machine.mem.dirty_bytes() > 0, "{mutant:?} wrote no memory");
+        ws.restore(&snapshot, Some(FDIR));
+        assert_views_equal(&kernel_view(ws.parts().0, FDIR), &want, &format!("{mutant:?}"));
     }
 }
