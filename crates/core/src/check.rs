@@ -22,19 +22,20 @@
 //!   before and after every run, victims own no ports, and health-monitor
 //!   events are attributed to the caller (or to the kernel) only.
 //!
-//! The memory witness is one path on every run: the victim blocks the
-//! run dirtied, diffed against the image it started from. That is the
-//! snapshot an arena pair was rewound to, or for a fresh boot the zeroed
-//! image its regions were created with (boot writes no victim memory,
-//! which a release-build assertion checks before the run). Nothing is
-//! copied; byte images of victim memory ([`check_invariants`]) are the
-//! reference that debug builds check the witness against.
+//! Every case runs once, on its configuration's arena rewound to the
+//! prefix snapshot. The memory witness is the victim blocks the run
+//! dirtied, diffed against that snapshot; nothing is copied, and byte
+//! images of victim memory ([`check_invariants`]) are the reference that
+//! debug builds check the witness against.
 //!
 //! Any oracle divergence or invariant violation becomes a first-class
-//! finding: re-verdicted on a fresh boot (ruling out arena-rewind
-//! artefacts), then triaged by the stage the sequence and fuzz campaigns
-//! share ([`crate::sequence`]): ddmin-shrunk to a minimal reproducer and
-//! surfaced through the same forensics path as fuzzer findings.
+//! finding on that one run's verdict, as in the sequence and fuzz
+//! campaigns, and is triaged by the stage they share
+//! ([`crate::sequence`]): ddmin-shrunk to a minimal reproducer and
+//! surfaced through the same forensics path as fuzzer findings. Debug
+//! builds re-run every finding on a fresh boot, judged on byte images,
+//! and assert that it reaches the arena's verdict: a rewind artefact
+//! panics there instead of shipping as a finding.
 
 use crate::classify::{Cause, Classification, CrashClass};
 use crate::exec::{fold_logs, on_campaign_thread, par_indexed, resolve_threads, Booter, WorkerLog};
@@ -46,7 +47,7 @@ use crate::sequence::{
 };
 use crate::testbed::Testbed;
 use flightrec::{Event, EventKind, NO_PARTITION};
-use leon3_sim::addrspace::{AccessCtx, Baseline, Perms};
+use leon3_sim::addrspace::{AccessCtx, Perms};
 use std::sync::atomic::AtomicU64;
 use std::time::Instant;
 use xtratum::config::{ChannelCfg, MemAreaCfg, PartitionCfg, PlanCfg, PortKind, SlotCfg, XmConfig};
@@ -495,23 +496,22 @@ struct MemoryChange {
     changed: usize,
 }
 
-/// The victim memory changes since `baseline`, the image a run started
-/// from: the snapshot an arena pair was rewound to, or the zeroed image a
-/// fresh boot's regions were created with. Every store marks its 256-byte
-/// blocks dirty, so comparing the victim blocks dirtied since then against
-/// the baseline finds exactly what before/after [`victim_memory`] images
-/// would, without copying 64 KiB per victim.
+/// The victim memory changes of a run on an arena pair rewound to
+/// `snapshot`: the run started from the snapshot's memory and every store
+/// marks its 256-byte blocks dirty, so comparing the victim blocks dirtied
+/// since the rewind against the snapshot finds exactly what the before/after
+/// [`victim_memory`] images would, without copying 64 KiB per victim.
 fn victim_changes_since<'a>(
     kernel: &'a XmKernel,
-    baseline: Baseline<'a>,
+    snapshot: &'a XmKernel,
     cfg: &CheckConfig,
 ) -> impl Iterator<Item = MemoryChange> + 'a {
-    (1..cfg.n_partitions).filter_map(move |p| {
+    (1..cfg.n_partitions).filter_map(|p| {
         let diff = kernel
             .machine
             .mem
-            .diff_dirty(baseline, part_base(p), PART_SIZE)
-            .expect("victim memory is mapped and has a dirty set relative to its baseline")?;
+            .diff_dirty(&snapshot.machine.mem, part_base(p), PART_SIZE)
+            .expect("configured partition memory is kernel-readable")?;
         Some(MemoryChange { partition: p, first: diff.first as usize, changed: diff.changed })
     })
 }
@@ -721,11 +721,11 @@ pub struct CheckCaseRecord {
     pub probe: &'static str,
     /// The probe's full step list.
     pub steps: Vec<RawHypercall>,
-    /// Authoritative verdict (fresh-boot re-run when the case diverged).
+    /// Verdict of the case's one run, on its configuration's arena.
     pub verdict: SequenceVerdict,
-    /// Steps executed in the authoritative evaluation.
+    /// Steps executed in that run.
     pub steps_executed: usize,
-    /// Isolation violations observed in the authoritative evaluation.
+    /// Isolation violations observed in that run.
     pub violations: Vec<InvariantViolation>,
     /// Present when the case was a finding and had more than one step.
     pub minimal: Option<MinimalRepro>,
@@ -816,41 +816,33 @@ struct CaseRun {
     violations: Vec<InvariantViolation>,
 }
 
-/// One full evaluation on a pair just booted by the worker's [`Booter`]:
-/// lockstep run over the horizon, the run window's drained stream,
-/// invariants.
+/// One full evaluation on an arena pair the worker's [`Booter`] just
+/// rewound: lockstep run over the horizon, the run window's drained
+/// stream, invariants. A case's first evaluation is its verdict, so it
+/// renders its evidence; shrink candidates are judged by their finding
+/// signature alone and skip it.
 ///
 /// The spatial witness diffs the victim blocks the run dirtied against
-/// the image it started from: the kernel an arena pair was just rewound
-/// to (`snapshot`), or for a fresh boot (`None`) the zeroed image its
-/// regions were created with. Before the run, an assertion that also
-/// runs in release builds checks that the victims still equal that
-/// baseline, which for a fresh boot proves its victim memory is all
-/// zeros. Debug builds also capture before/after byte images and assert
-/// that both witnesses agree.
+/// the kernel the pair was rewound to (`snapshot`). Debug builds also
+/// capture before/after byte images and assert that both witnesses
+/// agree.
+#[allow(clippy::too_many_arguments)]
 fn evaluate_once(
     tb: &CheckTestbed,
     ctx: &OracleContext,
     kernel: &mut XmKernel,
     guests: &mut GuestSet,
-    snapshot: Option<&XmKernel>,
+    snapshot: &XmKernel,
     steps: &[RawHypercall],
     horizon: usize,
+    evidence: Evidence,
 ) -> CaseRun {
     let cfg = tb.config();
-    let baseline = snapshot.map_or(Baseline::Zero, |s| Baseline::Snapshot(&s.machine.mem));
-    assert!(
-        victim_changes_since(kernel, baseline, cfg).next().is_none(),
-        "victim memory differs from the run's baseline before the run"
-    );
     let before = cfg!(debug_assertions).then(|| victim_memory(kernel, cfg));
-    // An arena run's verdict is kept only when clean (a finding is
-    // re-verdicted on a fresh boot), so only a fresh boot renders evidence.
-    let evidence = if snapshot.is_some() { Evidence::Skip } else { Evidence::Render };
     let eval = lockstep(tb, ctx, kernel, guests, steps, 1, horizon, evidence);
     let drained = flightrec::drain();
     let ports = victim_ports(kernel, cfg);
-    let changes = victim_changes_since(kernel, baseline, cfg);
+    let changes = victim_changes_since(kernel, snapshot, cfg);
     let violations = invariants(cfg, &drained.events, changes, &ports);
     if let Some(before) = before {
         let after = victim_memory(kernel, cfg);
@@ -871,10 +863,11 @@ fn run_case<'t>(
 ) -> CheckCaseRecord {
     let horizon = opts.scope.horizon as usize;
 
-    // Main evaluation on the worker's arena.
     let (kernel, guests, snapshot) = booter.booted_from(&mut log.local, None);
+    let snapshot = snapshot.expect("check testbeds snapshot");
     let span = log.local.start_span();
-    let main = evaluate_once(tb, ctx, kernel, guests, snapshot, &probe.steps, horizon);
+    let run =
+        evaluate_once(tb, ctx, kernel, guests, snapshot, &probe.steps, horizon, Evidence::Render);
     log.local.end_span(Phase::Frames, span);
 
     let record = |run: CaseRun, minimal: Option<MinimalRepro>| CheckCaseRecord {
@@ -887,25 +880,13 @@ fn run_case<'t>(
         violations: run.violations,
         minimal,
     };
-
-    if finding_sig(&main.verdict, &main.violations).is_none() {
+    let Some(sig) = finding_sig(&run.verdict, &run.violations) else {
         log.local.note_outcome(CrashClass::Pass);
-        return record(main, None);
-    }
-
-    // Authoritative re-verdict on a fresh boot: rules out arena-rewind
-    // artefacts before a counterexample is reported.
-    let (mut fk, mut fg) = booter.fresh(&mut log.local, None);
-    let span = log.local.start_span();
-    let fresh = evaluate_once(tb, ctx, &mut fk, &mut fg, None, &probe.steps, horizon);
-    log.local.end_span(Phase::Frames, span);
-    drop((fk, fg));
-    let Some(sig) = finding_sig(&fresh.verdict, &fresh.violations) else {
-        // The arena run diverged but a fresh boot does not reproduce it:
-        // the clean fresh outcome is authoritative.
-        log.local.note_outcome(CrashClass::Pass);
-        return record(fresh, None);
+        return record(run, None);
     };
+    if cfg!(debug_assertions) {
+        fresh_boot_shadow(tb, ctx, opts.build, &probe.steps, horizon, &run);
+    }
 
     let class = match &sig {
         FindingSig::Oracle(c) => c.class,
@@ -925,12 +906,43 @@ fn run_case<'t>(
             return same_class(tb, ctx, target, horizon)(booter, local, cand);
         }
         let (kernel, guests, snapshot) = booter.booted_from(local, None);
-        let run = evaluate_once(tb, ctx, kernel, guests, snapshot, cand, horizon);
+        let snapshot = snapshot.expect("check testbeds snapshot");
+        let run = evaluate_once(tb, ctx, kernel, guests, snapshot, cand, horizon, Evidence::Skip);
         finding_sig(&run.verdict, &run.violations).as_ref() == Some(&sig)
     });
 
     log.local.note_outcome(class);
-    record(fresh, minimal)
+    record(run, minimal)
+}
+
+/// The reference an arena finding is checked against in debug builds:
+/// the same steps on a fresh boot of the configuration, with victim
+/// memory judged on before/after byte images by [`check_invariants`],
+/// must reach the arena run's verdict, step count and violations. A
+/// mismatch is a rewind artefact. The boot is not counted and spans no
+/// phase, so a debug run's metrics equal a release run's.
+fn fresh_boot_shadow(
+    tb: &CheckTestbed,
+    ctx: &OracleContext,
+    build: KernelBuild,
+    steps: &[RawHypercall],
+    horizon: usize,
+    arena: &CaseRun,
+) {
+    let cfg = tb.config();
+    flightrec::clear();
+    let (mut kernel, mut guests) = tb.boot(build);
+    let before = victim_memory(&kernel, cfg);
+    let eval = lockstep(tb, ctx, &mut kernel, &mut guests, steps, 1, horizon, Evidence::Render);
+    let events = flightrec::drain().events;
+    let after = victim_memory(&kernel, cfg);
+    let violations = check_invariants(cfg, &events, &before, &after, &victim_ports(&kernel, cfg));
+    debug_assert_eq!(
+        (&eval.verdict, eval.steps_executed, &violations),
+        (&arena.verdict, arena.steps_executed, &arena.violations),
+        "{}: arena finding differs from a fresh boot's",
+        cfg.describe()
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -1192,15 +1204,13 @@ mod tests {
     }
 
     /// The dirty-block witness reports exactly the violations the byte
-    /// images report, on pairs mutated in kernel context the way no
-    /// default-scope probe does: a store that rewrites the original bytes
-    /// (dirty, unchanged), two pages dirtied in descending address order
-    /// (the lowest address is reported), a store straddling a page
+    /// images report, on an arena pair mutated in kernel context the way
+    /// no default-scope probe does: a store that rewrites the original
+    /// bytes (dirty, unchanged), two pages dirtied in descending address
+    /// order (the lowest address is reported), a store straddling a page
     /// boundary, stores in both victims, and stores in the caller only.
-    /// Each pattern runs twice: on the same arena, rewound in between
-    /// (so the rewind's reset of the dirty set is covered too) and
-    /// diffed against the snapshot, and on a fresh pair from
-    /// [`Testbed::boot`] diffed against the zeroed creation image.
+    /// Each pattern runs on the same arena, rewound in between, so the
+    /// rewind's reset of the dirty set is covered too.
     #[test]
     fn dirty_page_witness_matches_byte_images() {
         let cfg = CheckConfig {
@@ -1235,32 +1245,20 @@ mod tests {
             ),
             ("caller only", vec![(part_base(CALLER), vec![3; 64])], None),
         ];
-        // Applies `stores` in kernel context: (dirty-block witness,
-        // byte-image witness).
-        let witnesses = |kernel: &mut XmKernel, baseline: Baseline, stores: &[(u32, Vec<u8>)]| {
-            let before = victim_memory(kernel, &cfg);
-            for (addr, bytes) in stores {
-                kernel.machine.mem.write_bytes(AccessCtx::Kernel, *addr, bytes).unwrap();
-            }
-            let after = victim_memory(kernel, &cfg);
-            let ports = victim_ports(kernel, &cfg);
-            let images = check_invariants(&cfg, &[], &before, &after, &ports);
-            let changes = victim_changes_since(kernel, baseline, &cfg);
-            (invariants(&cfg, &[], changes, &ports), images)
-        };
         for (name, stores, first_detail) in patterns {
             let (kernel, _, snapshot) = booter.booted_from(&mut log.local, None);
             let snapshot = snapshot.expect("check testbeds snapshot");
-            let (arena, images) =
-                witnesses(kernel, Baseline::Snapshot(&snapshot.machine.mem), &stores);
+            let before = victim_memory(kernel, &cfg);
+            for (addr, bytes) in &stores {
+                kernel.machine.mem.write_bytes(AccessCtx::Kernel, *addr, bytes).unwrap();
+            }
             assert_eq!(kernel.machine.mem.dirty_pages() > 0, !stores.is_empty(), "{name}");
-            assert_eq!(arena, images, "{name}: arena");
-            assert_eq!(arena.first().map(|v| v.detail.as_str()), first_detail, "{name}: arena");
-
-            let (mut kernel, _) = tb.boot(KernelBuild::Legacy);
-            let (fresh, images) = witnesses(&mut kernel, Baseline::Zero, &stores);
-            assert_eq!(fresh, images, "{name}: fresh boot");
-            assert_eq!(fresh.first().map(|v| v.detail.as_str()), first_detail, "{name}: fresh");
+            let after = victim_memory(kernel, &cfg);
+            let ports = victim_ports(kernel, &cfg);
+            let images = check_invariants(&cfg, &[], &before, &after, &ports);
+            let fast = invariants(&cfg, &[], victim_changes_since(kernel, snapshot, &cfg), &ports);
+            assert_eq!(fast, images, "{name}");
+            assert_eq!(fast.first().map(|v| v.detail.as_str()), first_detail, "{name}");
         }
     }
 

@@ -328,13 +328,13 @@ impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
     }
 
     /// Opens a run window and hands back a booted pair rewound to the
-    /// prefix state (or freshly booted, see [`fresh`](Self::fresh)). The
-    /// test partition's guest is skipped on restore — every caller
-    /// immediately replaces it. The window opens before the rewind: this
-    /// thread's recorder is reset, `TestBegin(index)` is recorded when a
-    /// flight index is given, then the `SnapshotClone` marker and the
-    /// prefix's replayed events follow, so a recording sees the same
-    /// stream as a run from boot.
+    /// prefix state (or, when the testbed cannot snapshot, freshly
+    /// booted into the scratch slot). The test partition's guest is
+    /// skipped on restore — every caller immediately replaces it. The
+    /// window opens before the rewind: this thread's recorder is reset,
+    /// `TestBegin(index)` is recorded when a flight index is given, then
+    /// the `SnapshotClone` marker and the prefix's replayed events
+    /// follow, so a recording sees the same stream as a run from boot.
     pub(crate) fn booted(
         &mut self,
         local: &mut LocalMetrics,
@@ -353,13 +353,12 @@ impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
         local: &mut LocalMetrics,
         flight: Option<usize>,
     ) -> (&mut XmKernel, &mut GuestSet, Option<&XmKernel>) {
-        if self.arena.is_none() {
-            let pair = self.fresh(local, flight);
-            let pair = self.scratch.insert(pair);
-            return (&mut pair.0, &mut pair.1, None);
-        }
-        let arena = self.arena.as_mut().expect("checked above");
         open_window(flight);
+        let Some(arena) = self.arena.as_mut() else {
+            local.note_fresh_boot();
+            let pair = self.scratch.insert(self.testbed.boot(self.build));
+            return (&mut pair.0, &mut pair.1, None);
+        };
         local.note_snapshot_clone();
         flightrec::record_timeless(EventKind::SnapshotClone, NO_PARTITION, 0, 0, 0);
         let span = local.start_span();
@@ -368,19 +367,6 @@ impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
         flightrec::replay(&arena.prefix);
         let (kernel, guests) = arena.workspace.parts();
         (kernel, guests, Some(arena.snapshot.kernel()))
-    }
-
-    /// Opens a run window like [`booted`](Self::booted) and boots a fresh
-    /// pair from scratch, owned by the caller: the reference a rewind is
-    /// checked against, and the path testbeds without an arena take.
-    pub(crate) fn fresh(
-        &self,
-        local: &mut LocalMetrics,
-        flight: Option<usize>,
-    ) -> (XmKernel, GuestSet) {
-        open_window(flight);
-        local.note_fresh_boot();
-        self.testbed.boot(self.build)
     }
 }
 

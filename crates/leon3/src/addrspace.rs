@@ -100,38 +100,14 @@ impl MemFault {
     }
 }
 
-/// How a range differs from the same range of its baseline image (see
-/// [`AddressSpace::diff_dirty`]).
+/// How a range differs from the same range of another address space
+/// (see [`AddressSpace::diff_dirty`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RangeDiff {
     /// Lowest differing address.
     pub first: Addr,
     /// Number of differing bytes.
     pub changed: usize,
-}
-
-/// The image [`AddressSpace::diff_dirty`] compares a space's dirty blocks
-/// against: every clean block of the space must already equal it.
-#[derive(Debug, Clone, Copy)]
-pub enum Baseline<'a> {
-    /// The space this one was cloned from or last restored to,
-    /// unmodified since.
-    Snapshot(&'a AddressSpace),
-    /// The zeroed image the space's regions were created with. Only a
-    /// region neither cloned nor restored since its creation has a dirty
-    /// set relative to it; any other refuses it.
-    Zero,
-}
-
-/// Why [`AddressSpace::diff_dirty`] could not compare a range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiffError {
-    /// The range is unmapped or crosses a region boundary.
-    Fault(MemFault),
-    /// [`Baseline::Zero`] was asked of a region cloned or restored since
-    /// its creation: its dirty blocks are relative to that source, so a
-    /// clean block need not be zero.
-    NotFromZero,
 }
 
 /// A contiguous, backed memory region.
@@ -168,9 +144,6 @@ const BLOCK_BITS: usize = 8;
 const BLOCK: usize = 1 << BLOCK_BITS;
 const BLOCKS_PER_PAGE: usize = PAGE / BLOCK;
 const _: () = assert!(BLOCKS_PER_PAGE == u16::BITS as usize, "one u16 mask bit per block");
-/// [`Baseline::Zero`]'s image of one page (a run of dirty blocks never
-/// crosses a page).
-static ZERO_PAGE: [u8; PAGE] = [0; PAGE];
 
 /// The runs of consecutive set bits of a page's block mask, as byte
 /// ranges `[lo, hi)` of the region: one copy or compare per run.
@@ -205,9 +178,6 @@ struct RegionMem {
     /// Per-page dirty-block masks: bit `b` marks block `b` of the page,
     /// and a page is in `dirty` iff its mask is non-zero.
     dirty_blocks: Box<[u16]>,
-    /// True while the dirty set is relative to the zeroed creation image
-    /// (no clone or restore since), so every clean block is zero.
-    from_zero: bool,
 }
 
 impl Clone for RegionMem {
@@ -220,7 +190,6 @@ impl Clone for RegionMem {
             bytes: self.bytes.clone(),
             dirty: Vec::new(),
             dirty_blocks: vec![0; self.dirty_blocks.len()].into_boxed_slice(),
-            from_zero: false,
         }
     }
 }
@@ -232,7 +201,6 @@ impl RegionMem {
             bytes: vec![0u8; n_pages * PAGE].into_boxed_slice(),
             dirty: Vec::new(),
             dirty_blocks: vec![0; n_pages].into_boxed_slice(),
-            from_zero: true,
         }
     }
 
@@ -267,19 +235,12 @@ impl RegionMem {
         self.bytes[off..off + data.len()].copy_from_slice(data);
     }
 
-    /// Compares `[off, off + len)` against the same range of `src`, or of
-    /// the zeroed creation image when `src` is `None`, visiting only the
-    /// dirty blocks: the lowest differing offset and the number of
-    /// differing bytes, or `None` when they are equal. Exact when every
-    /// clean block equals the baseline: under
-    /// [`restore_from`](RegionMem::restore_from)'s contract for `src`, and
-    /// while `from_zero` holds for the zero image.
-    fn diff_dirty(
-        &self,
-        src: Option<&RegionMem>,
-        off: usize,
-        len: usize,
-    ) -> Option<(usize, usize)> {
+    /// Compares `[off, off + len)` against the same range of `src`,
+    /// visiting only the dirty blocks: the lowest differing offset and
+    /// the number of differing bytes, or `None` when they are equal.
+    /// Exact under [`restore_from`](RegionMem::restore_from)'s contract
+    /// (clean blocks equal `src`'s).
+    fn diff_dirty(&self, src: &RegionMem, off: usize, len: usize) -> Option<(usize, usize)> {
         let mut first = usize::MAX;
         let mut changed = 0usize;
         for &p in &self.dirty {
@@ -288,8 +249,7 @@ impl RegionMem {
                 if lo >= hi {
                     continue;
                 }
-                let mine = &self.bytes[lo..hi];
-                let theirs = src.map_or(&ZERO_PAGE[..hi - lo], |src| &src.bytes[lo..hi]);
+                let (mine, theirs) = (&self.bytes[lo..hi], &src.bytes[lo..hi]);
                 if let Some(i) = mine.iter().zip(theirs).position(|(a, b)| a != b) {
                     first = first.min(lo + i);
                     changed += mine[i..].iter().zip(&theirs[i..]).filter(|(a, b)| a != b).count();
@@ -319,7 +279,6 @@ impl RegionMem {
             }
         }
         self.dirty.clear();
-        self.from_zero = false;
         debug_assert!(self.bytes == src.bytes, "restored memory differs from the snapshot's");
     }
 }
@@ -404,38 +363,24 @@ impl AddressSpace {
     }
 
     /// Compares `[addr, addr + len)`, which must lie in one region,
-    /// with the same range of `baseline`: the lowest differing address
-    /// and the number of differing bytes, or `None` when the ranges are
-    /// equal. Only the 256-byte blocks written since the baseline are
-    /// visited, so the cost follows the bytes written, not `len`, and
-    /// nothing is copied or allocated.
-    ///
-    /// Exact because every clean block already equals the baseline. For
-    /// [`Baseline::Snapshot`] that is
-    /// [`restore_from`](Self::restore_from)'s contract: the source is
-    /// unmodified since this space was cloned from it or last restored to
-    /// it. For [`Baseline::Zero`] it holds while the region has been
-    /// neither cloned nor restored since [`add_region`](Self::add_region)
-    /// created it zeroed, and a region that has been refuses with
-    /// [`DiffError::NotFromZero`].
+    /// with the same range of `src`: the lowest differing address and
+    /// the number of differing bytes, or `None` when the ranges are
+    /// equal. Only the 256-byte blocks written since this space was cloned
+    /// from `src` (or last restored to it) are visited, so the cost
+    /// follows the bytes written, not `len`, and nothing is copied or
+    /// allocated. Exact under [`restore_from`](Self::restore_from)'s
+    /// contract: `src` unmodified since, so every clean block already
+    /// equals it.
     pub fn diff_dirty(
         &self,
-        baseline: Baseline<'_>,
+        src: &AddressSpace,
         addr: Addr,
         len: u32,
-    ) -> Result<Option<RangeDiff>, DiffError> {
-        let idx = self
-            .locate(AccessCtx::Kernel, addr, len, 1, AccessKind::Read)
-            .map_err(DiffError::Fault)?;
-        let mem = &self.backing[idx];
-        let src = match baseline {
-            Baseline::Snapshot(src) => Some(&src.backing[idx]),
-            Baseline::Zero if mem.from_zero => None,
-            Baseline::Zero => return Err(DiffError::NotFromZero),
-        };
+    ) -> Result<Option<RangeDiff>, MemFault> {
+        let idx = self.locate(AccessCtx::Kernel, addr, len, 1, AccessKind::Read)?;
         let off = self.offset(idx, addr);
-        Ok(mem
-            .diff_dirty(src, off, len as usize)
+        Ok(self.backing[idx]
+            .diff_dirty(&src.backing[idx], off, len as usize)
             .map(|(first, changed)| RangeDiff { first: addr + (first - off) as Addr, changed }))
     }
 

@@ -6,8 +6,7 @@
 //! Randomised via the deterministic `testkit` harness.
 
 use leon3_sim::addrspace::{
-    AccessCtx, AccessKind, AddressSpace, Baseline, DiffError, MemFault, MemFaultKind, Owner, Perms,
-    RangeDiff, Region,
+    AccessCtx, AccessKind, AddressSpace, MemFault, MemFaultKind, Owner, Perms, RangeDiff, Region,
 };
 use leon3_sim::machine::{Machine, MachineConfig};
 use leon3_sim::timer::GpTimer;
@@ -389,7 +388,7 @@ fn dirty_blocks_match_a_bytewise_reference() {
                     .first()
                     .map(|&i| RangeDiff { first: base + lo + i as u32, changed: differing.len() });
                 assert_eq!(
-                    a.diff_dirty(Baseline::Snapshot(&src), base + lo, hi - lo),
+                    a.diff_dirty(&src, base + lo, hi - lo),
                     Ok(want),
                     "round {round}: region {r} [{lo:#x}, {hi:#x})"
                 );
@@ -399,94 +398,6 @@ fn dirty_blocks_match_a_bytewise_reference() {
                 assert!(region_bytes(&a, r) == region_bytes(&src, r), "round {round}: region {r}");
             }
             assert_eq!((a.dirty_pages(), a.dirty_bytes()), (0, 0), "round {round}");
-        }
-    });
-}
-
-/// The zero-baseline witness is exact on a space fresh from
-/// `add_region`. After seeded random stores — zero bytes that rewrite the
-/// original value, runs straddling 256-byte and 4 KiB boundaries, stores
-/// ending exactly at a region's end — the diff against the zeroed creation
-/// image equals a naive byte compare against zeros on random ranges. A
-/// clone of the space refuses the zero baseline in every region while
-/// the source still accepts it; the source restored to that clone
-/// refuses it too, and a region added to the clone afterwards accepts it.
-#[test]
-fn zero_baseline_diff_matches_a_bytewise_reference() {
-    testkit::check("zero_baseline_diff_matches_a_bytewise_reference", 512, |rng| {
-        let scale = rng.range_u64(1, 600);
-        let (mut a, _, top) = random_layout(rng, scale);
-        let n_regions = a.regions().len();
-        for _ in 0..rng.range(0, 24) {
-            let r = rng.range(0, n_regions);
-            let Region { base, size, .. } = a.regions()[r];
-            let len = rng.range_u64(1, 601).min(size as u64);
-            let off = match rng.range(0, 4) {
-                0 => size as u64 - len,
-                _ => match store_at(rng, &a, r, len, 1) {
-                    Some(off) => off,
-                    None => continue,
-                },
-            };
-            let data = match rng.range(0, 3) {
-                0 => vec![0; len as usize],
-                1 => rng.bytes(len as usize, len as usize + 1),
-                _ => (0..len)
-                    .map(|_| if rng.chance(1, 2) { 0 } else { rng.next_u32() as u8 })
-                    .collect(),
-            };
-            a.write_bytes(AccessCtx::Kernel, base + off as u32, &data).unwrap();
-        }
-        for _ in 0..16 {
-            let r = rng.range(0, n_regions);
-            let Region { base, size, .. } = a.regions()[r];
-            let (lo, hi) = match rng.range(0, 4) {
-                0 => (0, size),
-                _ => {
-                    let lo = rng.range_u64(0, size as u64) as u32;
-                    (lo, rng.range_u64(lo as u64 + 1, size as u64 + 1) as u32)
-                }
-            };
-            let mine = a.read_bytes(AccessCtx::Kernel, base + lo, hi - lo).unwrap();
-            let nonzero: Vec<usize> = (0..mine.len()).filter(|&i| mine[i] != 0).collect();
-            let want = nonzero
-                .first()
-                .map(|&i| RangeDiff { first: base + lo + i as u32, changed: nonzero.len() });
-            assert_eq!(
-                a.diff_dirty(Baseline::Zero, base + lo, hi - lo),
-                Ok(want),
-                "region {r} [{lo:#x}, {hi:#x})"
-            );
-        }
-
-        let whole = |a: &AddressSpace, r: usize| {
-            let Region { base, size, .. } = a.regions()[r];
-            a.diff_dirty(Baseline::Zero, base, size)
-        };
-        let mut clone = a.clone();
-        for r in 0..n_regions {
-            assert_eq!(whole(&clone, r), Err(DiffError::NotFromZero), "clone, region {r}");
-            assert!(whole(&a, r).is_ok(), "source, region {r}");
-        }
-        // Restored, the source's clean blocks hold the clone's bytes.
-        a.restore_from(&clone);
-        for r in 0..n_regions {
-            assert_eq!(whole(&a, r), Err(DiffError::NotFromZero), "restored, region {r}");
-        }
-        // A region created after the clone is relative to zero again.
-        if top < 0xFFFF_F000 {
-            let idx = clone
-                .add_region(Region {
-                    name: "late".into(),
-                    base: top as u32 + 0x100,
-                    size: 0x200,
-                    owner: Owner::Shared,
-                    perms: Perms::RW,
-                })
-                .unwrap();
-            clone.write_bytes(AccessCtx::Kernel, top as u32 + 0x1FF, &[0, 5]).unwrap();
-            let want = RangeDiff { first: top as u32 + 0x200, changed: 1 };
-            assert_eq!(whole(&clone, idx), Ok(Some(want)));
         }
     });
 }

@@ -459,6 +459,13 @@ impl XmKernel {
         self.hm_reset_flags.get(part as usize).copied().unwrap_or(false)
     }
 
+    /// Per-partition flags the health monitor sets when it resets a
+    /// partition, cleared when that partition's next slot opens
+    /// (diagnostics).
+    pub fn hm_reset_flags(&self) -> &[bool] {
+        &self.hm_reset_flags
+    }
+
     /// Permanently halts the kernel.
     pub(crate) fn halt_kernel(&mut self, reason: HaltReason) {
         if matches!(self.state, KernelState::Normal) {

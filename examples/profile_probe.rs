@@ -8,11 +8,9 @@
 //!
 //! Then splits a small-scope `check` case: the spatial witness both ways
 //! (before/after byte images vs the blocks dirtied since the rewind), the
-//! lockstep run, the isolation invariants, and for findings the
-//! fresh-boot re-verdict — boot, run, and its witness both ways (byte
-//! images vs the blocks dirtied since the zeroed creation image) — and
-//! the shrink. The benchmark's traced `check` driver times its own
-//! byte-image witness, so only this split shows the dirty-block witness.
+//! lockstep run, the isolation invariants, and for findings the shrink.
+//! The benchmark's traced `check` driver times its own byte-image
+//! witness, so only this split shows the dirty-block witness.
 //!
 //! Then splits the lockstep judge: the benchmark's 500 seeded `sequences`
 //! inputs on the prefix arena, each run once rendering its verdict
@@ -29,7 +27,6 @@
 
 use eagleeye::EagleEye;
 use flightrec::{EdgeTrace, EventKind, NO_PARTITION};
-use leon3_sim::addrspace::Baseline;
 use skrt::check::{
     check_invariants, enumerate_configs, part_base, probes_for, CheckScope, CheckTestbed,
     InvariantViolation, CALLER, PART_SIZE,
@@ -264,15 +261,6 @@ fn victim_images(kernel: &XmKernel, n_partitions: u32) -> Vec<Vec<u8>> {
     (1..n_partitions).map(|p| mem.read_bytes(ctx, part_base(p), PART_SIZE).unwrap()).collect()
 }
 
-/// Victims (partitions 1..n) whose memory differs from `baseline`, by
-/// the dirty-block witness.
-fn changed_victims(kernel: &XmKernel, n_partitions: u32, baseline: Baseline) -> usize {
-    let mem = &kernel.machine.mem;
-    (1..n_partitions)
-        .filter(|&p| mem.diff_dirty(baseline, part_base(p), PART_SIZE).unwrap().is_some())
-        .count()
-}
-
 /// Runs every case of the default `check` scope once on a prefix arena
 /// per configuration, mirroring `skrt::check`'s case lifecycle, and
 /// prints the per-case split.
@@ -281,7 +269,6 @@ fn check_split() {
     let horizon = scope.horizon as usize;
     let (mut cases, mut findings, mut shrinks, mut evals) = (0usize, 0usize, 0usize, 0usize);
     let [mut t_images, mut t_dirty, mut t_run, mut t_inv, mut t_shrink] = [0u128; 5];
-    let [mut t_boot, mut t_fresh_run, mut t_fresh_images, mut t_fresh_dirty] = [0u128; 4];
     flightrec::enable(DEFAULT_RING_CAPACITY);
     for cfg in enumerate_configs(&scope) {
         let n = cfg.n_partitions;
@@ -312,8 +299,12 @@ fn check_split() {
             let after = victim_images(kernel, n);
             let by_images = check_invariants(&cfg, &[], &before, &after, &[]).len();
             let t4 = Instant::now();
-            let src = Baseline::Snapshot(&snapshot.kernel().machine.mem);
-            let by_dirty = changed_victims(kernel, n, src);
+            let by_dirty = (1..n)
+                .filter_map(|p| {
+                    let src = &snapshot.kernel().machine.mem;
+                    kernel.machine.mem.diff_dirty(src, part_base(p), PART_SIZE).unwrap()
+                })
+                .count();
             let t5 = Instant::now();
             assert_eq!(by_dirty, by_images, "witnesses disagree on {}", cfg.describe());
             t_images += (t1 - t0 + (t4 - t3)).as_nanos();
@@ -333,26 +324,6 @@ fn check_split() {
                 continue;
             }
             findings += 1;
-            flightrec::clear();
-            let t0 = Instant::now();
-            let (mut fk, mut fg) = tb.boot(BUILD);
-            let t1 = Instant::now();
-            let before = victim_images(&fk, n);
-            let t2 = Instant::now();
-            run_one_sequence_bounded(&tb, &ctx, &mut fk, &mut fg, &probe.steps, 1, horizon);
-            let events = flightrec::drain().events;
-            let t3 = Instant::now();
-            let after = victim_images(&fk, n);
-            let by_images = check_invariants(&cfg, &[], &before, &after, &[]).len();
-            let t4 = Instant::now();
-            let by_dirty = changed_victims(&fk, n, Baseline::Zero);
-            let t5 = Instant::now();
-            assert_eq!(by_dirty, by_images, "fresh witnesses disagree on {}", cfg.describe());
-            black_box(check_invariants(&cfg, &events, &[], &[], &ports));
-            t_boot += (t1 - t0).as_nanos();
-            t_fresh_images += (t2 - t1 + (t4 - t3)).as_nanos();
-            t_fresh_run += (t3 - t2).as_nanos();
-            t_fresh_dirty += (t5 - t4).as_nanos();
             if probe.steps.len() > 1 {
                 let t = Instant::now();
                 let out = shrink_sequence(
@@ -381,11 +352,6 @@ fn check_split() {
     println!("  witness, dirty blocks: {:.2} us per case", us(t_dirty, cases));
     println!("  lockstep run:          {:.2} us per case", us(t_run, cases));
     println!("  invariants:            {:.2} us per case", us(t_inv, cases));
-    println!("  fresh re-verdict, per finding:");
-    println!("    boot:                   {:.2} us", us(t_boot, findings));
-    println!("    lockstep run:           {:.2} us", us(t_fresh_run, findings));
-    println!("    witness, byte images:   {:.2} us", us(t_fresh_images, findings));
-    println!("    witness, dirty blocks:  {:.2} us", us(t_fresh_dirty, findings));
     println!("  shrink:                {:.2} us per shrunk finding", us(t_shrink, shrinks));
 }
 

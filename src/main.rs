@@ -34,7 +34,7 @@ use xtratum::vuln::KernelBuild;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
+    let code = reject_unknown_flags(&args).and_then(|()| match args.first().map(String::as_str) {
         Some("campaign") => cmd_campaign(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("suite") => cmd_suite(&args[1..]),
@@ -48,7 +48,7 @@ fn main() {
             Ok(0)
         }
         Some(other) => Err(format!("unknown command '{other}'\n{}", usage())),
-    };
+    });
     std::process::exit(code.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         2
@@ -113,10 +113,11 @@ fn usage() -> &'static str {
      \x20     slot assignments, channel topologies) and run kernel + state model\n\
      \x20     in lockstep over a per-config probe set, asserting temporal and\n\
      \x20     spatial isolation invariants against the kernel independently of\n\
-     \x20     the oracle. Counterexamples are re-verdicted from a fresh boot,\n\
-     \x20     shrunk to minimal reproducers, and — with --out — shipped as a\n\
-     \x20     self-contained forensics bundle. Results are byte-identical across\n\
-     \x20     thread counts. Exit code 1 when any counterexample is found.\n\
+     \x20     the oracle. Counterexamples are confirmed on the arena, re-checked\n\
+     \x20     on a fresh boot in debug builds, shrunk to minimal reproducers,\n\
+     \x20     and — with --out — shipped as a self-contained forensics bundle.\n\
+     \x20     Results are byte-identical across thread counts. Exit code 1 when\n\
+     \x20     any counterexample is found.\n\
      \x20 skrt-repro campaign report [--out DIR] [--build legacy|patched] [--seed N]\n\
      \x20                     [--count N] [--steps N] [--threads N]\n\
      \x20     Run a recorded sequence campaign and write a self-contained triage\n\
@@ -143,6 +144,68 @@ fn usage() -> &'static str {
      \x20     Response-coverage report: distinct kernel responses per hypercall.\n\
      \x20 skrt-repro tables\n\
      \x20     Print Table I (data types) and Table II (test-value example).\n"
+}
+
+/// The flags `RunFlags` reads, shared by the `campaign` modes.
+macro_rules! run_flags {
+    ($($more:literal),*) => {
+        &["--build", "--threads", "--record", "--metrics", "--metrics-out", $($more),*]
+    };
+}
+
+/// Every flag each command reads. Any other `--flag` on its command line
+/// is a usage error naming it, so a mistyped flag never runs the command
+/// with the default it meant to override.
+const ACCEPTED_FLAGS: &[(&str, &[&str])] = &[
+    ("campaign", run_flags!("--live-stats", "--live-interval", "--trace", "--format", "--csv")),
+    (
+        "campaign sweep",
+        run_flags!("--live-stats", "--live-interval", "--trace", "--format", "--csv", "--tests"),
+    ),
+    ("campaign sequences", run_flags!("--seed", "--count", "--steps", "--no-shrink")),
+    (
+        "campaign fuzz",
+        run_flags!(
+            "--live-stats",
+            "--live-interval",
+            "--seed",
+            "--execs",
+            "--time",
+            "--steps",
+            "--batch",
+            "--no-shrink",
+            "--corpus-dir",
+            "--stats",
+            "--replay"
+        ),
+    ),
+    ("campaign check", run_flags!("--partitions", "--slots", "--horizon", "--out")),
+    ("campaign report", &["--build", "--threads", "--out", "--seed", "--count", "--steps"]),
+    ("sweep", &["--build"]),
+    ("suite", &["--build"]),
+    ("mutant", &[]),
+    ("triage", &["--build", "--last", "--record"]),
+    ("specgen", &["--out"]),
+    ("coverage", &["--build"]),
+    ("tables", &[]),
+];
+
+/// Fails on the first `--flag` the command does not read (see
+/// [`ACCEPTED_FLAGS`]; a `campaign` mode is looked up as
+/// `campaign <mode>`). Unknown commands are left to the dispatcher.
+fn reject_unknown_flags(args: &[String]) -> Result<(), String> {
+    let command = [2, 1].into_iter().filter(|&n| n <= args.len()).find_map(|n| {
+        let name = args[..n].join(" ");
+        ACCEPTED_FLAGS.iter().find(|(command, _)| *command == name)
+    });
+    let Some((name, accepted)) = command else {
+        return Ok(());
+    };
+    match args.iter().find(|a| a.starts_with("--") && !accepted.contains(&a.as_str())) {
+        Some(flag) if accepted.is_empty() => Err(format!("{name} takes no flags, got {flag}")),
+        Some(flag) => Err(format!("{name} does not take {flag} (flags: {})", accepted.join(" "))),
+        None => Ok(()),
+    }
 }
 
 fn parse_build(args: &[String]) -> Result<KernelBuild, String> {
@@ -220,14 +283,9 @@ struct RunFlags {
 }
 
 impl RunFlags {
-    /// Parses the shared flags. `live` says whether the mode streams
-    /// `--live-stats`; the others reject the flag instead of ignoring it.
-    fn parse(args: &[String], live: bool) -> Result<Self, String> {
-        if !live && has_flag(args, "--live-stats") {
-            return Err("--live-stats is only available in `campaign`, `campaign sweep` \
-                        and `campaign fuzz`"
-                .into());
-        }
+    /// Parses the shared flags (`--live-stats` is accepted only by the
+    /// modes that stream it, see [`ACCEPTED_FLAGS`]).
+    fn parse(args: &[String]) -> Result<Self, String> {
         Ok(RunFlags {
             build: parse_build(args)?,
             threads: num_flag(args, "--threads", 0)?,
@@ -291,11 +349,8 @@ fn cmd_campaign(args: &[String]) -> Result<i32, String> {
     }
     let sweep = args.first().map(String::as_str) == Some("sweep");
     let args = if sweep { &args[1..] } else { args };
-    let flags = RunFlags::parse(args, true)?;
+    let flags = RunFlags::parse(args)?;
     let max_tests = match flag_value(args, "--tests")? {
-        Some(_) if !sweep => {
-            return Err("--tests is only available in `campaign sweep` mode".into())
-        }
         Some(t) => match t.parse::<usize>() {
             Ok(n) if (1..=MAX_CASES).contains(&n) => Some(n),
             _ => {
@@ -363,7 +418,7 @@ fn cmd_campaign(args: &[String]) -> Result<i32, String> {
 }
 
 fn cmd_sequences(args: &[String]) -> Result<i32, String> {
-    let flags = RunFlags::parse(args, false)?;
+    let flags = RunFlags::parse(args)?;
     let seed = num_flag(args, "--seed", 1)?;
     let count = num_flag(args, "--count", 500)?;
     let steps = num_flag(args, "--steps", 8)?;
@@ -399,7 +454,7 @@ fn cmd_sequences(args: &[String]) -> Result<i32, String> {
 /// configuration space and verify the kernel's isolation invariants in
 /// lockstep with the state oracle.
 fn cmd_check(args: &[String]) -> Result<i32, String> {
-    let flags = RunFlags::parse(args, false)?;
+    let flags = RunFlags::parse(args)?;
     let defaults = skrt::CheckScope::default();
     let scope = skrt::CheckScope {
         partitions: num_flag(args, "--partitions", defaults.partitions)?,
@@ -459,7 +514,7 @@ fn build_tag(build: KernelBuild) -> &'static str {
 /// `campaign report`: run a recorded sequence campaign and write a
 /// self-contained forensics bundle for every divergence.
 fn cmd_report(args: &[String]) -> Result<i32, String> {
-    let flags = RunFlags::parse(args, false)?;
+    let flags = RunFlags::parse(args)?;
     let out = flag_value(args, "--out")?.unwrap_or_else(|| "forensics".into());
     let seed = num_flag(args, "--seed", 1)?;
     let count = num_flag(args, "--count", 120)?;
@@ -494,7 +549,7 @@ fn cmd_report(args: &[String]) -> Result<i32, String> {
 }
 
 fn cmd_fuzz(args: &[String]) -> Result<i32, String> {
-    let flags = RunFlags::parse(args, true)?;
+    let flags = RunFlags::parse(args)?;
 
     // Replay mode: re-execute one corpus/finding file and report.
     if let Some(path) = flag_value(args, "--replay")? {

@@ -1,6 +1,7 @@
 //! The CLI treats its own flags as hostile input: a numeric flag whose
-//! value is missing or does not parse is a usage error (exit 2, message
-//! on stderr), never a silent fallback to the default.
+//! value is missing or does not parse, or a flag the command does not
+//! read, is a usage error (exit 2, message on stderr), never a silent
+//! fallback to the default.
 
 use std::process::Command;
 
@@ -123,6 +124,45 @@ fn string_flags_missing_their_value_exit_2_before_running() {
         (&["campaign", "--build"], "--build"),
         (&["campaign", "fuzz", "--execs", "10", "--time"], "--time"),
         (&["campaign", "--live-stats", "live.jsonl", "--live-interval"], "--live-interval"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_skrt-repro"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("run skrt-repro");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args:?}: stderr must name {flag}, got: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must fail before running anything");
+    }
+    let written: Vec<_> = std::fs::read_dir(&dir).expect("list scratch dir").collect();
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    assert!(written.is_empty(), "no file may be written, got {written:?}");
+}
+
+/// A flag the command does not read — a typo, or a flag of another
+/// mode — is a usage error naming it, never silently ignored (which
+/// would run the command with the default the flag meant to override).
+/// One case per command; `campaign check --partition 4` used to run the
+/// 3-partition scope.
+#[test]
+fn flags_a_command_does_not_read_exit_2_before_running() {
+    let dir = std::env::temp_dir().join(format!("skrt_cli_unread_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for (args, flag) in [
+        (&["campaign", "--formt", "md"][..], "--formt"),
+        (&["campaign", "sweep", "--test", "10"], "--test"),
+        (&["campaign", "sequences", "--step", "3"], "--step"),
+        (&["campaign", "fuzz", "--partitions", "9"], "--partitions"),
+        (&["campaign", "check", "--partition", "4"], "--partition"),
+        (&["campaign", "report", "--seeds", "2"], "--seeds"),
+        (&["sweep", "--threads", "2"], "--threads"),
+        (&["suite", "XM_set_timer", "--bulid", "patched"], "--bulid"),
+        (&["mutant", "XM_set_timer", "0", "--build", "legacy"], "--build"),
+        (&["triage", "XM_set_timer", "2", "--lats", "5"], "--lats"),
+        (&["specgen", "--output", "specs"], "--output"),
+        (&["coverage", "--metrics"], "--metrics"),
+        (&["tables", "--csv", "t.csv"], "--csv"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_skrt-repro"))
             .args(args)

@@ -27,10 +27,12 @@ use xtratum::vuln::KernelBuild;
 
 const BUILD: KernelBuild = KernelBuild::Legacy;
 
-/// What the harness observes of a kernel: the summary, the advance stats
-/// and the clock.
+/// What the harness observes of a kernel: the summary, the advance stats,
+/// the clock and the health monitor's partition-reset flags (which no
+/// digest or summary reads).
 fn observed(k: &XmKernel) -> String {
-    format!("{:?}|{:?}|{}", k.summary(), k.advance_stats(), k.machine.now())
+    let flags = k.hm_reset_flags();
+    format!("{:?}|{:?}|{}|{flags:?}", k.summary(), k.advance_stats(), k.machine.now())
 }
 
 /// Steps `n` frames one at a time, returning each frame's digest as
@@ -156,7 +158,7 @@ fn assert_views_equal(got: &KernelView, want: &KernelView, label: &str) {
     assert_eq!(got.0.len(), want.0.len(), "{label}: region count");
     assert_eq!(got.1, want.1, "{label}: state digest");
     assert_eq!(got.2, want.2, "{label}: state hash");
-    assert_eq!(got.3, want.3, "{label}: summary, advance stats and clock");
+    assert_eq!(got.3, want.3, "{label}: summary, advance stats, clock and HM reset flags");
 }
 
 /// The prefix arena a campaign worker keeps for `tb`: its snapshot run
@@ -173,10 +175,13 @@ fn prefix_arena(tb: &impl Testbed) -> (BootSnapshot, KernelView) {
 
 /// Every default-scope `check` configuration: after each of its probes,
 /// run the way the checker runs it on an arena, the rewound workspace
-/// equals a fresh boot stepped to the caller's first slot.
+/// equals a fresh boot stepped to the caller's first slot. Some runs
+/// (the legacy multicall overrun, reset by the health monitor) end with
+/// a partition-reset flag still set, so the rewind must clear it.
 #[test]
 fn check_rewinds_equal_fresh_boots() {
     let scope = CheckScope::default();
+    let mut flagged = 0;
     for cfg in enumerate_configs(&scope) {
         let tb = CheckTestbed::new(cfg.clone());
         let ctx = tb.oracle_context(BUILD);
@@ -185,11 +190,13 @@ fn check_rewinds_equal_fresh_boots() {
         for probe in probes_for(&cfg) {
             let (k, g) = ws.parts();
             run_one_sequence_bounded(&tb, &ctx, k, g, &probe.steps, 1, scope.horizon as usize);
+            flagged += usize::from(k.hm_reset_flags().contains(&true));
             ws.restore(&snapshot, Some(CALLER));
             let label = format!("{}: after probe {}", cfg.describe(), probe.name);
             assert_views_equal(&kernel_view(ws.parts().0, CALLER), &want, &label);
         }
     }
+    assert!(flagged > 0, "no probe ends with an HM reset flag set");
 }
 
 /// EagleEye after mutants that write FDIR memory — a timestamp, a copy
