@@ -43,7 +43,7 @@ use crate::flight::{FlightLog, DEFAULT_RING_CAPACITY};
 use crate::metrics::{MetricsReport, Phase};
 use crate::oracle::{ChannelView, OracleContext};
 use crate::sequence::{
-    lockstep, same_class, triage, Evidence, MinimalRepro, SequenceVerdict, Triage,
+    lockstep, same_class, triage, Evidence, MinimalRepro, SequenceVerdict, Triage, VerdictAt,
 };
 use crate::testbed::Testbed;
 use flightrec::{Event, EventKind, NO_PARTITION};
@@ -812,6 +812,7 @@ impl CheckResult {
 
 struct CaseRun {
     verdict: SequenceVerdict,
+    verdict_at: Option<VerdictAt>,
     steps_executed: usize,
     violations: Vec<InvariantViolation>,
 }
@@ -849,7 +850,12 @@ fn evaluate_once(
         let images = check_invariants(cfg, &drained.events, &before, &after, &ports);
         debug_assert_eq!(violations, images, "dirty-block witness diverged from the byte images");
     }
-    CaseRun { verdict: eval.verdict, steps_executed: eval.steps_executed, violations }
+    CaseRun {
+        verdict: eval.verdict,
+        verdict_at: eval.verdict_at,
+        steps_executed: eval.steps_executed,
+        violations,
+    }
 }
 
 fn run_case<'t>(
@@ -894,17 +900,25 @@ fn run_case<'t>(
     };
 
     // Shrink while the finding signature holds; a (≤1-step) probe has
-    // nothing to shrink.
+    // nothing to shrink. An oracle signature is the case run's class,
+    // which that run reproduces.
     let how = Triage {
         min_frames: horizon,
         shrink: probe.steps.len() > 1,
         budget: opts.shrink_budget,
         flight: opts.record.then_some(index),
     };
-    let minimal = triage(tb, ctx, booter, log, &probe.steps, class, how, |booter, local, cand| {
-        if let FindingSig::Oracle(target) = sig {
-            return same_class(tb, ctx, target, horizon)(booter, local, cand);
+    let mut oracle = match sig {
+        FindingSig::Oracle(target) => {
+            Some(same_class(tb, ctx, target, horizon, (&probe.steps, run.verdict_at)))
         }
+        FindingSig::Invariant(_) => None,
+    };
+    let minimal = triage(tb, ctx, booter, log, &probe.steps, class, how, |booter, local, cand| {
+        if let Some(same_class) = oracle.as_mut() {
+            return same_class(booter, local, cand);
+        }
+        local.note_shrink_eval(false);
         let (kernel, guests, snapshot) = booter.booted_from(local, None);
         let snapshot = snapshot.expect("check testbeds snapshot");
         let run = evaluate_once(tb, ctx, kernel, guests, snapshot, cand, horizon, Evidence::Skip);

@@ -5,9 +5,10 @@
 //!
 //! 1. materialises a booted testbed — normally by **rewinding a
 //!    per-worker [`Workspace`]** to a snapshot taken once per worker
-//!    just before the test partition's first slot (see [`Booter`]): the
-//!    other partitions' first-frame work is identical in every test, so
-//!    it is simulated once, not per test. The snapshot's memory is flat,
+//!    inside the test partition's first slot, after its prologue (see
+//!    [`Booter`]): the other partitions' first-frame work and the
+//!    prologue are identical in every test, so they are simulated once,
+//!    not per test. The snapshot's memory is flat,
 //!    so the rewind is one bounded copy of the 256-byte blocks the
 //!    last test wrote, plus
 //!    capacity-preserving `clone_from`s, with no per-test allocation or
@@ -265,9 +266,10 @@ pub fn run_single_test<T: Testbed + ?Sized>(
 /// snapshot (skipping the test partition's guest, replaced next),
 /// install the mutant, run, summarise by reference. Produces a record
 /// byte-identical to [`run_single_test`] — the restore rebuilds the
-/// exact state a run from boot reaches at the test partition's first
-/// slot, and [`XmKernel::summary`] equals [`XmKernel::into_summary`] —
-/// without the per-test boot or the re-run of the shared prefix.
+/// exact state a run from boot reaches after the test partition's
+/// prologue, the mutant learns from the kernel that it ran, and
+/// [`XmKernel::summary`] equals [`XmKernel::into_summary`] — without the
+/// per-test boot or the re-run of the shared prefix.
 fn execute<T: Testbed + ?Sized>(
     testbed: &T,
     booter: &mut Booter<'_, T>,
@@ -291,13 +293,13 @@ fn execute<T: Testbed + ?Sized>(
 }
 
 /// A worker's source of booted `(kernel, guests)` pairs, each already run
-/// up to the test partition's first slot. It boots once, runs that shared
-/// prefix once, and keeps one persistent [`Workspace`] rewound to the
-/// prefix state before every evaluation (the flat-arena fast path: no
-/// per-evaluation deep copy, and no per-evaluation re-run of the other
-/// partitions' first-frame work). When the testbed cannot snapshot (its
-/// guests are not cloneable), it fresh-boots into a scratch slot per
-/// evaluation instead.
+/// up to the test partition's first slot and through its prologue there.
+/// It boots once, runs that shared prefix once, and keeps one persistent
+/// [`Workspace`] rewound to the prefix state before every evaluation (the
+/// flat-arena fast path: no per-evaluation deep copy, and no
+/// per-evaluation re-run of the other partitions' first-frame work or of
+/// the prologue). When the testbed cannot snapshot (its guests are not
+/// cloneable), it fresh-boots into a scratch slot per evaluation instead.
 pub(crate) struct Booter<'t, T: ?Sized> {
     testbed: &'t T,
     build: KernelBuild,
@@ -307,22 +309,30 @@ pub(crate) struct Booter<'t, T: ?Sized> {
 
 /// A prefix snapshot, the workspace rewound to it, and the flight events
 /// the prefix recorded, replayed after each rewind so a recording sees
-/// the same stream as a run from boot.
+/// the same stream as a run from boot. `inside` says whether the prefix
+/// ends inside the test partition's slot, after its prologue: it does
+/// unless the kernel refused to open the slot
+/// ([`XmKernel::enter_slot_of`]), and then each run's guest runs the
+/// prologue itself.
 struct Arena {
     snapshot: BootSnapshot,
     workspace: Workspace,
     prefix: Vec<Event>,
+    inside: bool,
 }
 
 impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
     pub(crate) fn new(testbed: &'t T, build: KernelBuild, local: &mut LocalMetrics) -> Self {
         local.note_fresh_boot();
+        let part = testbed.test_partition();
         let arena = testbed.snapshot(build).map(|mut snapshot| {
             // A private recording window: the caller's ring is untouched.
-            let ((), prefix) =
-                flightrec::capture(|| snapshot.step_until_slot_of(testbed.test_partition()));
+            let (inside, prefix) = flightrec::capture(|| {
+                snapshot.step_until_slot_of(part);
+                snapshot.enter_slot_of(part, testbed.prologue())
+            });
             let workspace = snapshot.workspace();
-            Arena { snapshot, workspace, prefix: prefix.events }
+            Arena { snapshot, workspace, prefix: prefix.events, inside }
         });
         Booter { testbed, build, arena, scratch: None }
     }
@@ -356,10 +366,12 @@ impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
         open_window(flight);
         let Some(arena) = self.arena.as_mut() else {
             local.note_fresh_boot();
+            local.note_prologue(false);
             let pair = self.scratch.insert(self.testbed.boot(self.build));
             return (&mut pair.0, &mut pair.1, None);
         };
         local.note_snapshot_clone();
+        local.note_prologue(arena.inside);
         flightrec::record_timeless(EventKind::SnapshotClone, NO_PARTITION, 0, 0, 0);
         let span = local.start_span();
         arena.workspace.restore(&arena.snapshot, Some(self.testbed.test_partition()));

@@ -647,11 +647,16 @@ struct PendingFinding {
 }
 
 /// A fuzz worker's state, kept across rounds: booting is the expensive
-/// part, rewinding is the cheap one.
+/// part, rewinding is the cheap one. Its recorder window — coverage is
+/// the feedback signal, so the recorder is always on, independent of
+/// `opts.record` — is kept here too: each exec runs in it on whichever
+/// thread the round gives the worker, so its ring is allocated once per
+/// campaign, not once per round.
 struct FuzzWorker<'t, T: ?Sized> {
     booter: Booter<'t, T>,
     log: WorkerLog,
     trace: EdgeTrace,
+    window: flightrec::Window,
 }
 
 /// Runs a coverage-guided fuzzing campaign over `alphabet` on `testbed`.
@@ -684,7 +689,8 @@ fn fuzz_body<T: Testbed + ?Sized>(
         .map(|_| {
             let mut log = WorkerLog::new(opts.record);
             let booter = Booter::new(testbed, opts.build, &mut log.local);
-            FuzzWorker { booter, log, trace: EdgeTrace::new() }
+            let window = flightrec::Window::enabled(DEFAULT_RING_CAPACITY);
+            FuzzWorker { booter, log, trace: EdgeTrace::new(), window }
         })
         .collect();
     let steals = AtomicU64::new(0);
@@ -717,9 +723,7 @@ fn fuzz_body<T: Testbed + ?Sized>(
             batch_n,
             &mut workers,
             &steals,
-            // Coverage is the feedback signal: the recorder is always on,
-            // independent of opts.record.
-            |_| flightrec::enable(DEFAULT_RING_CAPACITY),
+            |_| (),
             |w, _, slot| {
                 let exec_index = round_base + slot as u64 + 1;
                 evaluate_candidate(testbed, &ctx, opts, w, exec_index, &candidates[slot].steps)
@@ -800,9 +804,9 @@ fn fuzz_body<T: Testbed + ?Sized>(
     }
 }
 
-/// Executes one candidate on a worker: coverage-producing main run, then
-/// (on divergence) [`confirm`]: the one-step-per-slot authoritative
-/// re-judgement and triage.
+/// Executes one candidate on a worker, in its recorder window:
+/// coverage-producing main run, then (on divergence) [`confirm`]: the
+/// one-step-per-slot authoritative re-judgement and triage.
 fn evaluate_candidate<T: Testbed + ?Sized>(
     testbed: &T,
     ctx: &crate::oracle::OracleContext,
@@ -811,42 +815,44 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
     exec_index: u64,
     steps: &[RawHypercall],
 ) -> CandidateOutcome {
-    let FuzzWorker { booter, log, trace } = worker;
-    // The candidate's stream is its run window: everything since boot.
-    let (kernel, guests) = booter.booted(&mut log.local, None);
-    let span = log.local.start_span();
-    // Judged by classification only; a finding's kept verdict is the
-    // refined run's below.
-    let eval =
-        lockstep(testbed, ctx, kernel, guests, steps, opts.steps_per_slot, 0, Evidence::Skip);
-    log.local.end_span(Phase::Frames, span);
-    let drained = flightrec::drain();
-    if opts.record {
-        log.fold_latency(&drained.events);
-    }
-    let coverage = extract_coverage(trace, &drained.events, &eval);
-
-    let mut finding = None;
-    let mut class = eval.verdict.classification.class;
-    if class != CrashClass::Pass {
-        let how = Triage {
-            min_frames: 0,
-            shrink: opts.shrink,
-            budget: opts.shrink_budget,
-            flight: opts.record.then_some(exec_index as usize),
-        };
-        let (refined, minimal) = confirm(testbed, ctx, booter, log, steps, how);
-        class = refined.verdict.classification.class;
-        if class != CrashClass::Pass {
-            finding = Some(PendingFinding {
-                verdict: refined.verdict,
-                steps_executed: refined.steps_executed,
-                minimal,
-            });
+    let FuzzWorker { booter, log, trace, window } = worker;
+    flightrec::isolated_in(window, || {
+        // The candidate's stream is its run window: everything since boot.
+        let (kernel, guests) = booter.booted(&mut log.local, None);
+        let span = log.local.start_span();
+        // Judged by classification only; a finding's kept verdict is the
+        // refined run's below.
+        let eval =
+            lockstep(testbed, ctx, kernel, guests, steps, opts.steps_per_slot, 0, Evidence::Skip);
+        log.local.end_span(Phase::Frames, span);
+        let drained = flightrec::drain();
+        if opts.record {
+            log.fold_latency(&drained.events);
         }
-    }
-    log.local.note_outcome(class);
-    CandidateOutcome { coverage, finding }
+        let coverage = extract_coverage(trace, &drained.events, &eval);
+
+        let mut finding = None;
+        let mut class = eval.verdict.classification.class;
+        if class != CrashClass::Pass {
+            let how = Triage {
+                min_frames: 0,
+                shrink: opts.shrink,
+                budget: opts.shrink_budget,
+                flight: opts.record.then_some(exec_index as usize),
+            };
+            let (refined, minimal) = confirm(testbed, ctx, booter, log, steps, how);
+            class = refined.verdict.classification.class;
+            if class != CrashClass::Pass {
+                finding = Some(PendingFinding {
+                    verdict: refined.verdict,
+                    steps_executed: refined.steps_executed,
+                    minimal,
+                });
+            }
+        }
+        log.local.note_outcome(class);
+        CandidateOutcome { coverage, finding }
+    })
 }
 
 #[cfg(test)]

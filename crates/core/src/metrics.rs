@@ -64,6 +64,10 @@ pub(crate) struct LocalMetrics {
     class_counts: [u64; 6],
     snapshot_clones: u64,
     fresh_boots: u64,
+    prologues_resumed: u64,
+    prologues_live: u64,
+    shrink_runs: u64,
+    shrink_decided: u64,
     phase: [LatencyHistogram; N_PHASES],
     /// Whether this worker times its phases (fixed at construction).
     profile: bool,
@@ -107,6 +111,27 @@ impl LocalMetrics {
         self.fresh_boots += 1;
     }
 
+    /// One run handed out by a `Booter`: `resumed` when it starts inside
+    /// the test partition's slot with the prologue run on the arena,
+    /// otherwise it starts before the prologue.
+    pub(crate) fn note_prologue(&mut self, resumed: bool) {
+        if resumed {
+            self.prologues_resumed += 1;
+        } else {
+            self.prologues_live += 1;
+        }
+    }
+
+    /// One shrink evaluation: `decided` when a reproducing run's prefix
+    /// settled it without a run of its own.
+    pub(crate) fn note_shrink_eval(&mut self, decided: bool) {
+        if decided {
+            self.shrink_decided += 1;
+        } else {
+            self.shrink_runs += 1;
+        }
+    }
+
     /// One finished test (case, sequence, candidate or check case).
     pub(crate) fn note_outcome(&mut self, class: CrashClass) {
         self.tests_executed += 1;
@@ -122,6 +147,10 @@ impl LocalMetrics {
         }
         self.snapshot_clones += other.snapshot_clones;
         self.fresh_boots += other.fresh_boots;
+        self.prologues_resumed += other.prologues_resumed;
+        self.prologues_live += other.prologues_live;
+        self.shrink_runs += other.shrink_runs;
+        self.shrink_decided += other.shrink_decided;
         for (h, o) in self.phase.iter_mut().zip(&other.phase) {
             h.merge(o);
         }
@@ -153,6 +182,10 @@ impl LocalMetrics {
             class_counts: self.class_counts,
             snapshot_clones: self.snapshot_clones,
             fresh_boots: self.fresh_boots,
+            prologues_resumed: self.prologues_resumed,
+            prologues_live: self.prologues_live,
+            shrink_runs: self.shrink_runs,
+            shrink_decided: self.shrink_decided,
             phases,
             hc_latency,
             ..Default::default()
@@ -171,6 +204,20 @@ pub struct MetricsReport {
     pub snapshot_clones: u64,
     /// Tests that required a full fresh boot.
     pub fresh_boots: u64,
+    /// Runs that started on an arena inside the test partition's slot,
+    /// its prologue already run there once per arena.
+    pub prologues_resumed: u64,
+    /// Runs that started before the test partition's prologue, which its
+    /// guest then runs live if it gets a slot: fresh boots, and arenas
+    /// whose kernel could not open the slot (in `check`, the
+    /// configurations whose caller owns none). A reset partition
+    /// re-running its prologue later in a run is not counted.
+    pub prologues_live: u64,
+    /// Shrink evaluations that ran the candidate.
+    pub shrink_runs: u64,
+    /// Shrink evaluations a reproducing run's prefix decided without a
+    /// run (see `sequence::same_class`).
+    pub shrink_decided: u64,
     /// Always 0: every test executes. Kept so readers of the report
     /// written when a per-worker result memo existed still compile.
     pub memo_hits: u64,
@@ -249,6 +296,16 @@ impl MetricsReport {
             "  boots: {} snapshot clones, {} fresh boots\n",
             self.snapshot_clones, self.fresh_boots
         ));
+        out.push_str(&format!(
+            "  test prologue: {} runs resumed after it, {} started before it\n",
+            self.prologues_resumed, self.prologues_live
+        ));
+        if self.shrink_runs + self.shrink_decided > 0 {
+            out.push_str(&format!(
+                "  shrink: {} evaluations run, {} decided by a reproducing run's prefix\n",
+                self.shrink_runs, self.shrink_decided
+            ));
+        }
         let lookups = self.oracle_hits + self.oracle_misses;
         let hit_pct =
             if lookups > 0 { 100.0 * self.oracle_hits as f64 / lookups as f64 } else { 0.0 };
@@ -323,6 +380,22 @@ impl MetricsReport {
             &[],
             self.fresh_boots,
         );
+        for (how, n) in [("resumed", self.prologues_resumed), ("live", self.prologues_live)] {
+            reg.push_counter(
+                "skrt_test_prologues",
+                "Runs resumed after the test partition's prologue, or started before it.",
+                &[("how", how)],
+                n,
+            );
+        }
+        for (how, n) in [("run", self.shrink_runs), ("decided", self.shrink_decided)] {
+            reg.push_counter(
+                "skrt_shrink_evaluations",
+                "Shrink evaluations: run, or decided by a reproducing run's prefix.",
+                &[("how", how)],
+                n,
+            );
+        }
         reg.push_counter("skrt_oracle_hits", "Oracle cache hits.", &[], self.oracle_hits);
         reg.push_counter("skrt_oracle_misses", "Oracle cache misses.", &[], self.oracle_misses);
         reg.push_counter("skrt_steals", "Work-stealing chunk claims.", &[], self.steals);
@@ -457,6 +530,8 @@ mod tests {
             "skrt_verdicts",
             "skrt_snapshot_clones",
             "skrt_fresh_boots",
+            "skrt_test_prologues",
+            "skrt_shrink_evaluations",
             "skrt_oracle_hits",
             "skrt_oracle_misses",
             "skrt_steals",
@@ -503,10 +578,16 @@ mod tests {
         a.note_outcome(CrashClass::Pass);
         a.note_snapshot_clone();
         a.note_fresh_boot();
+        a.note_prologue(true);
+        a.note_shrink_eval(true);
         let mut b = LocalMetrics::new(true);
         b.note_outcome(CrashClass::Silent);
         b.note_outcome(CrashClass::Pass);
         b.note_snapshot_clone();
+        b.note_prologue(true);
+        b.note_prologue(false);
+        b.note_shrink_eval(false);
+        b.note_shrink_eval(true);
         b.note_phase(Phase::Shrink, Duration::from_micros(3));
         b.note_phase(Phase::Rewind, Duration::from_micros(2));
         let mut total = LocalMetrics::new(false);
@@ -518,6 +599,17 @@ mod tests {
         assert_eq!(r.tests_executed, 3);
         assert_eq!((r.count(CrashClass::Pass), r.count(CrashClass::Silent)), (2, 1));
         assert_eq!((r.snapshot_clones, r.fresh_boots), (2, 1));
+        assert_eq!((r.prologues_resumed, r.prologues_live), (2, 1));
+        assert_eq!((r.shrink_runs, r.shrink_decided), (1, 2));
+        let text = r.render();
+        assert!(
+            text.contains("test prologue: 2 runs resumed after it, 1 started before"),
+            "{text}"
+        );
+        assert!(text.contains("shrink: 1 evaluations run, 2 decided"), "{text}");
+        let prom = r.telemetry("t").render_openmetrics();
+        assert!(prom.contains("skrt_shrink_evaluations_total{how=\"decided\"} 2"), "{prom}");
+        assert!(prom.contains("skrt_test_prologues_total{how=\"live\"} 1"), "{prom}");
         let names: Vec<&str> = r.phases.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["arena_rewind", "shrink"]);
         assert_eq!(r.hc_latency.len(), 1);

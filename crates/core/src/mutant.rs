@@ -135,13 +135,11 @@ pub fn take_invocations(guests: &mut GuestSet, part: u32) -> Vec<Invocation> {
 impl GuestProgram for MutantGuest {
     fn run_slot(&mut self, api: &mut PartitionApi<'_>) {
         // Re-enter PartitionMain after any partition reset.
-        let boot = api.boot_count();
-        if self.last_boot_count != Some(boot) {
-            self.last_boot_count = Some(boot);
+        if api.needs_prologue(&mut self.last_boot_count) {
             (self.prologue)(api);
-            if api.ended().is_some() {
-                return;
-            }
+        }
+        if api.ended().is_some() {
+            return;
         }
         if self.workload_us > 0 {
             api.consume(self.workload_us);

@@ -192,13 +192,11 @@ impl SequenceGuest {
 
 impl GuestProgram for SequenceGuest {
     fn run_slot(&mut self, api: &mut PartitionApi<'_>) {
-        let bc = api.boot_count();
-        if self.last_boot_count != Some(bc) {
-            self.last_boot_count = Some(bc);
+        if api.needs_prologue(&mut self.last_boot_count) {
             (self.prologue)(api);
-            if api.ended().is_some() {
-                return;
-            }
+        }
+        if api.ended().is_some() {
+            return;
         }
         let mut issued = 0;
         while issued < self.steps_per_slot && self.next < self.steps.len() {
@@ -626,6 +624,25 @@ pub struct SequenceEval {
     /// coverage stream so architectural-state novelty counts as coverage
     /// even when the event stream alone would collide.
     pub frame_digests: Vec<u64>,
+    /// Where the frame loop reached the verdict; `None` for a pass and
+    /// for the stall verdict given after the loop.
+    pub(crate) verdict_at: Option<VerdictAt>,
+}
+
+/// The frame in which a lockstep run's frame loop reached its verdict,
+/// counted from 1, and the steps the run had executed before it and
+/// through it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct VerdictAt {
+    frame: usize,
+    before: usize,
+    through: usize,
+}
+
+/// Frames a lockstep run over `steps` steps may take: worst case one step
+/// per frame, plus slack for prologue re-runs, and at least `min_frames`.
+fn frame_cap(steps: usize, min_frames: usize) -> usize {
+    (steps + 4).max(min_frames)
 }
 
 /// Runs `steps` on an already-booted `(kernel, guests)` pair, advancing
@@ -703,11 +720,11 @@ pub fn lockstep<T: Testbed + ?Sized>(
     SequenceGuest::install(guests, caller, steps, testbed.prologue(), steps_per_slot);
     let mut model = StateModel::new(ctx);
     let mut outcomes: Vec<StepOutcome> = Vec::with_capacity(steps.len());
-    // Worst case one step per frame, plus slack for prologue re-runs.
-    let frame_cap = (steps.len() + 4).max(min_frames);
+    let frame_cap = frame_cap(steps.len(), min_frames);
     let mut frame_digests: Vec<u64> = Vec::with_capacity(frame_cap);
     let mut executed = 0usize;
     let mut verdict: Option<SequenceVerdict> = None;
+    let mut verdict_at = None;
     // Set when the run may stop with the remaining steps vacuously passed:
     // all steps done, a predicted system halt, or a caller both sides
     // agree is no longer schedulable.
@@ -856,6 +873,8 @@ pub fn lockstep<T: Testbed + ?Sized>(
 
         executed += frame_exec;
         if verdict.is_some() {
+            let before = executed - frame_exec;
+            verdict_at = Some(VerdictAt { frame: frame_digests.len(), before, through: executed });
             break;
         }
         if halt_predicted {
@@ -902,7 +921,7 @@ pub fn lockstep<T: Testbed + ?Sized>(
             }
         }
     });
-    SequenceEval { verdict, steps_executed: executed, outcomes, frame_digests }
+    SequenceEval { verdict, steps_executed: executed, outcomes, frame_digests, verdict_at }
 }
 
 // ---------------------------------------------------------------------------
@@ -1020,17 +1039,81 @@ pub(crate) fn triage<'t, T: Testbed + ?Sized>(
 
 /// The shrink predicate of every oracle finding: a candidate reproduces
 /// iff an arena run at one step per slot, over at least `min_frames`
-/// frames, gives it the `target` classification.
+/// frames, gives it the `target` classification. `reproducing` is a run
+/// known to reproduce it the same way — its steps and where its verdict
+/// came — and the predicate keeps the last such run: every candidate
+/// that reproduces by running replaces it.
+///
+/// A candidate that replays that run's frames up to its verdict is
+/// decided without a run ([`Reproducer::decides`]). Debug builds run it
+/// anyway, uncounted, and assert the class. Every evaluation is counted
+/// as run or decided.
 pub(crate) fn same_class<'a, 't, T: Testbed + ?Sized>(
     testbed: &'a T,
     ctx: &'a OracleContext,
     target: Classification,
     min_frames: usize,
+    reproducing: (&[RawHypercall], Option<VerdictAt>),
 ) -> impl FnMut(&mut Booter<'t, T>, &mut LocalMetrics, &[RawHypercall]) -> bool + 'a {
+    let mut known = Reproducer { steps: reproducing.0.to_vec(), at: reproducing.1 };
     move |booter, local, cand| {
+        let decided = known.decides(cand, min_frames);
+        local.note_shrink_eval(decided);
+        if decided && !cfg!(debug_assertions) {
+            return true;
+        }
+        // A decided candidate runs only as the rule's shadow.
+        let mut shadow = LocalMetrics::default();
+        let local = if decided { &mut shadow } else { local };
         let (kernel, guests) = booter.booted(local, None);
         let eval = lockstep(testbed, ctx, kernel, guests, cand, 1, min_frames, Evidence::Skip);
-        eval.verdict.classification == target
+        let same = eval.verdict.classification == target;
+        debug_assert!(
+            same || !decided,
+            "the prefix rule decided {cand:?} reproduces {target:?}, a run gives {:?}",
+            eval.verdict.classification
+        );
+        if same && !decided {
+            known.steps.clear();
+            known.steps.extend_from_slice(cand);
+            known.at = eval.verdict_at;
+        }
+        same
+    }
+}
+
+/// A step list whose one-step-per-slot run is known to reach a verdict,
+/// and where its frame loop reached it (`None`: after the loop).
+struct Reproducer {
+    steps: Vec<RawHypercall>,
+    at: Option<VerdictAt>,
+}
+
+impl Reproducer {
+    /// Whether a one-step-per-slot run of `cand` over at least
+    /// `min_frames` frames is known to reach this run's verdict without
+    /// running it: with F the verdict's frame, b the steps executed
+    /// before it and e those executed through it, `cand`
+    ///
+    /// - starts with this run's first e steps,
+    /// - has more than b steps (so no frame before F ends the run with
+    ///   every step done),
+    /// - may run at least F frames, and
+    /// - has no more steps than this run, or this run had a step left
+    ///   after frame F (so its guest never found its list exhausted in a
+    ///   slot where `cand`'s would issue one more).
+    ///
+    /// The guest then issues the same calls in the same slots of frames
+    /// 1..F, so the kernel, the model and the judgement of every frame up
+    /// to F are this run's: `cand` reaches the same verdict in frame F.
+    fn decides(&self, cand: &[RawHypercall], min_frames: usize) -> bool {
+        let Some(VerdictAt { frame, before, through }) = self.at else {
+            return false;
+        };
+        cand.len() > before
+            && cand.get(..through) == self.steps.get(..through)
+            && frame_cap(cand.len(), min_frames) >= frame
+            && (cand.len() <= self.steps.len() || self.steps.len() > through)
     }
 }
 
@@ -1058,7 +1141,7 @@ pub(crate) fn confirm<'t, T: Testbed + ?Sized>(
     if target.class == CrashClass::Pass {
         return (refined, None);
     }
-    let reproduces = same_class(testbed, ctx, target, how.min_frames);
+    let reproduces = same_class(testbed, ctx, target, how.min_frames, (steps, refined.verdict_at));
     let minimal = triage(testbed, ctx, booter, log, steps, target.class, how, reproduces);
     (refined, minimal)
 }
@@ -1455,6 +1538,121 @@ mod tests {
             }
         }
         assert!(diverged > 20 && diverged < runs, "{diverged} of {runs} runs diverged");
+    }
+
+    /// The prefix rule is exact: every candidate [`Reproducer::decides`]
+    /// gets the reproducing run's classification from a real run. Seeded
+    /// reproducing runs over every small-scope configuration, on both
+    /// builds, with and without a frame floor, against candidates of
+    /// every shape the shrinker proposes (chunk removals, canonical
+    /// argument rewrites) and some it never does (truncations, longer
+    /// sequences, rewritten tails). The runs include verdicts reached in
+    /// a frame that executed no step, whose candidates are decided too,
+    /// and post-loop stall verdicts, which decide nothing. The checks are
+    /// plain asserts, so a release-mode test run makes them as well.
+    #[test]
+    fn prefix_rule_decisions_match_real_runs() {
+        use crate::check::{enumerate_configs, probes_for, CheckScope, CheckTestbed};
+        let mut rng = SeqRng::new(0xDEC1DE);
+        let (mut decided, mut idle_frame, mut stalls, mut references) = (0, 0, 0, 0);
+        for build in [KernelBuild::Legacy, KernelBuild::Patched] {
+            for (i, cfg) in enumerate_configs(&CheckScope::default()).into_iter().enumerate() {
+                let tb = CheckTestbed::new(cfg.clone());
+                let ctx = tb.oracle_context(build);
+                let alphabet: Vec<AlphabetEntry> = probes_for(&cfg)
+                    .iter()
+                    .flat_map(|p| &p.steps)
+                    .copied()
+                    .chain([
+                        call(HypercallId::SetTimer, &[0, 5100, 1]),
+                        call(HypercallId::SetTimer, &[1, 1, 1]),
+                        call(HypercallId::SuspendPartition, &[0]),
+                        call(HypercallId::HaltPartition, &[1]),
+                        call(HypercallId::ResetPartition, &[0, 0, 0]),
+                        call(HypercallId::ResetSystem, &[0]),
+                    ])
+                    .map(|call| AlphabetEntry { call, weight: 1 })
+                    .collect();
+                let run = |steps: &[RawHypercall], min_frames| {
+                    let (mut k, mut g) = tb.boot(build);
+                    lockstep(&tb, &ctx, &mut k, &mut g, steps, 1, min_frames, Evidence::Skip)
+                };
+                for spec in generate_sequences(&alphabet, 0xD1CE + i as u64, 3, 6) {
+                    for min_frames in [0, 6] {
+                        let reference = run(&spec.steps, min_frames);
+                        let target = reference.verdict.classification;
+                        if target.class == CrashClass::Pass {
+                            continue;
+                        }
+                        references += 1;
+                        let rule =
+                            Reproducer { steps: spec.steps.clone(), at: reference.verdict_at };
+                        let Some(at) = rule.at else {
+                            stalls += 1;
+                            assert_eq!(target.cause, Cause::PartitionHang, "{}", cfg.describe());
+                            continue;
+                        };
+                        for cand in candidates(&spec.steps, &alphabet, &mut rng) {
+                            if !rule.decides(&cand, min_frames) {
+                                continue;
+                            }
+                            let got = run(&cand, min_frames).verdict.classification;
+                            let label = format!("{} seq {} {cand:?}", cfg.describe(), spec.index);
+                            assert_eq!(got, target, "{label}: decided, but a run disagrees");
+                            decided += 1;
+                            idle_frame += usize::from(at.before == at.through);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(references > 100 && decided > 1000, "{decided} decided over {references} runs");
+        assert!(idle_frame > 0, "no decided verdict from a frame that executed no step");
+        assert!(stalls > 0, "no post-loop stall verdict");
+    }
+
+    /// Candidate step lists derived from `steps`: every chunk removal and
+    /// canonical argument rewrite the shrinker may try, every truncation,
+    /// and seeded longer lists and rewritten tails.
+    fn candidates(
+        steps: &[RawHypercall],
+        alphabet: &[AlphabetEntry],
+        rng: &mut SeqRng,
+    ) -> Vec<Vec<RawHypercall>> {
+        let draw =
+            |rng: &mut SeqRng| alphabet[(rng.next_u64() % alphabet.len() as u64) as usize].call;
+        let mut out = Vec::new();
+        for chunk in 1..steps.len() {
+            for lo in 0..steps.len() {
+                let mut c = steps.to_vec();
+                c.drain(lo..(lo + chunk).min(steps.len()));
+                out.push(c);
+            }
+        }
+        for (i, step) in steps.iter().enumerate() {
+            for arg in 0..step.args().len() {
+                for word in [0, 1] {
+                    let mut words = step.args().to_vec();
+                    words[arg] = word;
+                    let mut c = steps.to_vec();
+                    c[i] = RawHypercall::new_unchecked(step.id, &words);
+                    out.push(c);
+                }
+            }
+        }
+        for len in 1..steps.len() {
+            out.push(steps[..len].to_vec());
+        }
+        for _ in 0..6 {
+            let mut longer = steps.to_vec();
+            longer.extend((0..1 + rng.next_u64() % 3).map(|_| draw(rng)));
+            out.push(longer);
+            let keep = (rng.next_u64() % (steps.len() as u64 + 1)) as usize;
+            let mut tail = steps[..keep].to_vec();
+            tail.extend((0..rng.next_u64() % 5).map(|_| draw(rng)));
+            out.push(tail);
+        }
+        out
     }
 
     #[test]

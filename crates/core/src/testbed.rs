@@ -20,8 +20,10 @@ use xtratum::vuln::KernelBuild;
 ///
 /// [`Testbed::snapshot`] captures the boot state. The campaign executor
 /// then runs it forward with [`BootSnapshot::step_until_slot_of`] to the
-/// test partition's first slot, so the first-frame work of the partitions
-/// scheduled before it is simulated once per worker, not once per test.
+/// test partition's first slot and with [`BootSnapshot::enter_slot_of`]
+/// through the test partition's prologue in it, so the first-frame work
+/// of the partitions scheduled before it, and the prologue every test
+/// runs first, are simulated once per worker, not once per test.
 pub struct BootSnapshot {
     kernel: XmKernel,
     guests: GuestSet,
@@ -48,6 +50,15 @@ impl BootSnapshot {
     /// installs there. Call it before materialising workspaces.
     pub fn step_until_slot_of(&mut self, pid: u32) {
         self.kernel.step_until_slot_of(&mut self.guests, pid);
+    }
+
+    /// Then opens `pid`'s slot and runs `prologue` in it, leaving the
+    /// captured state inside the slot (see [`XmKernel::enter_slot_of`]):
+    /// a guest a test installs in `pid` resumes after the prologue
+    /// instead of running it. Returns whether it did; on `false` nothing
+    /// changed and tests start at the slot's beginning.
+    pub fn enter_slot_of(&mut self, pid: u32, prologue: fn(&mut PartitionApi<'_>)) -> bool {
+        self.kernel.enter_slot_of(pid, prologue)
     }
 
     /// The captured kernel: a restored workspace's memory equals its

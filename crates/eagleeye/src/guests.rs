@@ -41,16 +41,6 @@ fn create_port(
     api.hypercall(&hc).unwrap_or(-1)
 }
 
-fn needs_boot(last: &mut Option<u32>, api: &PartitionApi<'_>) -> bool {
-    let boot = api.boot_count();
-    if *last == Some(boot) {
-        false
-    } else {
-        *last = Some(boot);
-        true
-    }
-}
-
 /// Implements the snapshot-restore hooks for a plain-data guest type:
 /// the campaign executor rewinds these guests per test by assignment
 /// (their state is a handful of scalars), so the per-test reset never
@@ -104,7 +94,7 @@ impl GuestProgram for AocsGuest {
 
     fn run_slot(&mut self, api: &mut PartitionApi<'_>) {
         let base = part_base(AOCS);
-        if needs_boot(&mut self.last_boot, api) {
+        if api.needs_prologue(&mut self.last_boot) {
             self.gyro_port = create_port(api, base + 0xF000, "GyroData", false, 0, GYRO_MSG_LEN, 0);
         }
         // Sensor acquisition + control-law computation.
@@ -148,7 +138,7 @@ impl GuestProgram for PayloadGuest {
 
     fn run_slot(&mut self, api: &mut PartitionApi<'_>) {
         let base = part_base(PAYLOAD);
-        if needs_boot(&mut self.last_boot, api) {
+        if api.needs_prologue(&mut self.last_boot) {
             self.data_port = create_port(api, base + 0xF000, "PayloadData", true, 8, 64, 0);
         }
         api.consume(10_000); // image processing
@@ -187,7 +177,7 @@ impl GuestProgram for HkGuest {
 
     fn run_slot(&mut self, api: &mut PartitionApi<'_>) {
         let base = part_base(HK);
-        if needs_boot(&mut self.last_boot, api) {
+        if api.needs_prologue(&mut self.last_boot) {
             self.report_port = create_port(api, base + 0xF000, "HkReport", false, 0, 32, 0);
         }
         api.consume(2_000);
@@ -232,7 +222,7 @@ impl GuestProgram for TmtcGuest {
 
     fn run_slot(&mut self, api: &mut PartitionApi<'_>) {
         let base = part_base(TMTC);
-        if needs_boot(&mut self.last_boot, api) {
+        if api.needs_prologue(&mut self.last_boot) {
             self.fdir_status_port = create_port(api, base + 0xF000, "FdirStatus", false, 0, 8, 1);
             self.tm_port = create_port(api, base + 0xF020, "TmQueue", true, 4, 32, 1);
             self.tc_port = create_port(api, base + 0xF040, "TcQueue", true, 4, TC_MSG_LEN, 0);
@@ -299,7 +289,7 @@ impl GuestProgram for FdirNominalGuest {
     }
 
     fn run_slot(&mut self, api: &mut PartitionApi<'_>) {
-        if needs_boot(&mut self.last_boot, api) {
+        if api.needs_prologue(&mut self.last_boot) {
             fdir_prologue(api);
         }
         api.consume(2_000);

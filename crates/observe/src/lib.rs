@@ -229,18 +229,52 @@ pub fn clear() {
 /// call and put back afterwards, even when `f` panics, so whatever `f`
 /// enables, records or frees is gone when it returns.
 pub fn isolated<R>(f: impl FnOnce() -> R) -> R {
-    /// The caller's window, put back when dropped (on unwind too).
-    struct Saved(Option<Ring>, bool);
-    impl Drop for Saved {
+    isolated_in(&mut Window::default(), f)
+}
+
+/// A recording window kept off any thread: a ring and whether recording
+/// is on. A worker whose runs move between threads keeps its window here
+/// and runs each one [`isolated_in`] it, so its ring is allocated once,
+/// not once per thread it lands on.
+#[derive(Debug, Default)]
+pub struct Window {
+    ring: Option<Ring>,
+    active: bool,
+}
+
+impl Window {
+    /// A window recording into a ring of `capacity` events, allocated
+    /// here.
+    pub fn enabled(capacity: usize) -> Self {
+        Window { ring: Some(Ring::new(capacity)), active: true }
+    }
+}
+
+/// [`isolated`], with `window` as the thread's window for the call: `f`
+/// starts with `window`'s ring and flag, and whatever `f` leaves on the
+/// thread — its ring, buffered events, flag — goes back into `window`
+/// (on unwind too), while the caller's own window is put back.
+pub fn isolated_in<R>(window: &mut Window, f: impl FnOnce() -> R) -> R {
+    /// The caller's window, put back when dropped (on unwind too), and
+    /// the lent one, taken back.
+    struct Lent<'w> {
+        caller: Window,
+        lent: &'w mut Window,
+    }
+    impl Drop for Lent<'_> {
         fn drop(&mut self) {
-            let ring = self.0.take();
+            let caller = std::mem::take(&mut self.caller);
             REC.with(|r| {
-                *r.ring.borrow_mut() = ring;
-                r.active.set(self.1);
+                self.lent.ring = r.ring.replace(caller.ring);
+                self.lent.active = r.active.replace(caller.active);
             });
         }
     }
-    let _saved = REC.with(|r| Saved(r.ring.take(), r.active.replace(false)));
+    let caller = REC.with(|r| Window {
+        ring: r.ring.replace(window.ring.take()),
+        active: r.active.replace(window.active),
+    });
+    let _lent = Lent { caller, lent: window };
     f()
 }
 
@@ -458,6 +492,42 @@ mod tests {
         assert!(active());
         let f = drain();
         assert_eq!(f.events.iter().map(|e| e.t_us).collect::<Vec<_>>(), vec![1]);
+        disable();
+    }
+
+    /// A lent window keeps its ring — the same allocation — and what is
+    /// buffered in it from one call to the next, on any thread, while
+    /// each caller's own window is left as it was.
+    #[test]
+    fn isolated_in_lends_a_window_and_takes_it_back() {
+        let ring_ptr = |w: &Window| w.ring.as_ref().map(|r| r.buf.as_ptr());
+        let mut window = Window::enabled(4);
+        let ptr = ring_ptr(&window);
+        enable(2);
+        record(1, EventKind::Ops, 0, 0, 0, 0);
+        isolated_in(&mut window, || {
+            assert!(active());
+            record(5, EventKind::SlotBegin, 1, 0, 0, 0);
+        });
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                isolated_in(&mut window, || {
+                    record(6, EventKind::SlotEnd, 1, 0, 0, 0);
+                    assert_eq!(drain().events.iter().map(|e| e.t_us).collect::<Vec<_>>(), [5, 6]);
+                });
+                assert!(!active(), "a fresh thread's window is put back");
+            });
+        });
+        assert_eq!(ring_ptr(&window), ptr, "the ring was reused, not reallocated");
+        assert_eq!(drain().events.iter().map(|e| e.t_us).collect::<Vec<_>>(), [1]);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            isolated_in(&mut window, || {
+                record(9, EventKind::Ops, 0, 0, 0, 0);
+                panic!("inside the window")
+            })
+        }));
+        assert!(panicked.is_err() && active());
+        assert_eq!(ring_ptr(&window), ptr, "a panic hands the ring back too");
         disable();
     }
 

@@ -8,7 +8,7 @@ use crate::{DrainedFlight, Event};
 /// consumers (span exporters, the triage timeline) can rely on ordering.
 #[derive(Debug)]
 pub struct Ring {
-    buf: Vec<Event>,
+    pub(crate) buf: Vec<Event>,
     cap: usize,
     /// Index of the oldest event once the buffer has wrapped.
     start: usize,

@@ -8,7 +8,7 @@
 
 use crate::hm::HmEventKind;
 use crate::hypercall::RawHypercall;
-use crate::kernel::{HcResult, NoReturnKind, XmKernel};
+use crate::kernel::{HcResult, NoReturnKind, SlotResume, XmKernel};
 use crate::partition::PartitionStatus;
 use leon3_sim::addrspace::AccessCtx;
 use leon3_sim::TimeUs;
@@ -176,16 +176,43 @@ pub struct PartitionApi<'k> {
     budget_us: u64,
     consumed_us: u64,
     ended: Option<NoReturnKind>,
+    prologue_ran: Option<u32>,
 }
 
 impl<'k> PartitionApi<'k> {
     pub(crate) fn new(kern: &'k mut XmKernel, part: u32, budget_us: u64) -> Self {
-        PartitionApi { kern, part, budget_us, consumed_us: 0, ended: None }
+        PartitionApi { kern, part, budget_us, consumed_us: 0, ended: None, prologue_ran: None }
+    }
+
+    /// The rest of a slot `XmKernel::enter_slot_of` opened and ran the
+    /// prologue in.
+    pub(crate) fn resumed(
+        kern: &'k mut XmKernel,
+        part: u32,
+        budget_us: u64,
+        r: SlotResume,
+    ) -> Self {
+        let SlotResume { consumed_us, ended, boot } = r;
+        PartitionApi { kern, part, budget_us, consumed_us, ended, prologue_ran: Some(boot) }
     }
 
     /// This partition's id.
     pub fn partition_id(&self) -> u32 {
         self.part
+    }
+
+    /// Whether this slot starts a (re)boot whose prologue — the
+    /// partition's initialisation — has not run yet, given the
+    /// [`boot_count`](Self::boot_count) the guest last ran it at in
+    /// `last_boot`, which it updates. A slot the kernel resumed after
+    /// running the prologue itself ([`XmKernel::enter_slot_of`]) starts
+    /// none: that boot's prologue has run. A later reset's boot needs it
+    /// again.
+    pub fn needs_prologue(&self, last_boot: &mut Option<u32>) -> bool {
+        let boot = self.prologue_ran.unwrap_or_else(|| self.boot_count());
+        let needed = self.prologue_ran.is_none() && *last_boot != Some(boot);
+        *last_boot = Some(boot);
+        needed
     }
 
     /// Slot budget (µs).

@@ -236,19 +236,35 @@ pub struct XmKernel {
     pub(crate) port_stage: Vec<SampleStage>,
     /// Channel indices with a pending staged write (drained on commit).
     pub(crate) stage_dirty: Vec<u32>,
-    /// Mid-frame resume point left by [`XmKernel::step_until_slot_of`];
-    /// `None` at a major-frame boundary.
+    /// Mid-frame resume point left by [`XmKernel::step_until_slot_of`] or
+    /// [`XmKernel::enter_slot_of`]; `None` at a major-frame boundary.
     frame_cursor: Option<FrameCursor>,
 }
 
 /// Where a partially run major frame resumes: the frame's start time, the
 /// plan it runs (a cold reset inside the frame switches the scheduler to
-/// plan 0 but never the frame in flight) and the next slot to run.
+/// plan 0 but never the frame in flight), the next slot to run and, when
+/// that slot is already open, where inside it.
 #[derive(Debug, Clone, Copy)]
 struct FrameCursor {
     frame_start: TimeUs,
     plan: usize,
     next_slot: usize,
+    inside: Option<SlotResume>,
+}
+
+/// A slot opened by [`XmKernel::enter_slot_of`], its prologue run: what
+/// the rest of the slot needs to continue as if the slot had run in one
+/// piece. A staged sampling write the prologue made stays in the kernel's
+/// port stage until the slot ends.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlotResume {
+    /// Budget the prologue consumed.
+    pub(crate) consumed_us: u64,
+    /// Set when the prologue ended the partition's slot.
+    pub(crate) ended: Option<NoReturnKind>,
+    /// The partition's boot count the prologue ran at.
+    pub(crate) boot: u32,
 }
 
 impl XmKernel {
@@ -698,12 +714,32 @@ impl XmKernel {
     /// the window, the advance is a single clock assignment. Returns
     /// whether it happened; on `false` nothing was changed.
     fn try_quiescent_advance(&mut self, t: TimeUs) -> bool {
-        if self.vtimer_horizon > t.max(self.machine.now()) && self.machine.advance_quiescent(t) {
+        let from = self.machine.now();
+        if self.vtimer_horizon > t.max(from) && self.machine.advance_quiescent(t) {
             self.adv_quiescent += 1;
+            debug_assert!(
+                self.scan_fires_nothing(from, t),
+                "quiescent advance {from} -> {t} skipped a due GPTIMER unit or vtimer"
+            );
             true
         } else {
             false
         }
+    }
+
+    /// The slow reference for [`Self::try_quiescent_advance`]: whether the
+    /// full processing path of an advance from `from` to `t` would fire
+    /// nothing. It scans every GPTIMER unit instead of reading the cached
+    /// deadline, and every HW vtimer at the new clock instead of reading
+    /// the horizon.
+    fn scan_fires_nothing(&self, from: TimeUs, t: TimeUs) -> bool {
+        let timers = &self.machine.timers;
+        let gptimer_due = self.machine.is_running()
+            && t > from
+            && (0..timers.len())
+                .any(|i| timers.unit(i).and_then(|u| u.expiry).is_some_and(|e| e <= t));
+        let now = self.machine.now() as i64;
+        !gptimer_due && !self.hw_vtimers.iter().any(|v| v.due_by(now))
     }
 
     /// Recomputes the vtimer horizon exactly from the armed timers.
@@ -769,13 +805,16 @@ impl XmKernel {
     /// call always completes `frames` more frame boundaries.
     pub fn step_major_frames(&mut self, guests: &mut GuestSet, frames: u32) {
         for _ in 0..frames {
-            if !self.alive() {
+            // A slot left open by `enter_slot_of` finishes even when its
+            // prologue stopped the kernel, as a slot run in one piece does.
+            if !self.alive() && self.frame_cursor.is_none_or(|c| c.inside.is_none()) {
                 break;
             }
             let (plan_table, current) = self.sched.current_plan_shared();
             let cursor = self.frame_cursor.take().unwrap_or_else(|| self.fresh_frame(current));
             let plan = &plan_table[cursor.plan];
-            self.run_slots(guests, plan, cursor.frame_start, cursor.next_slot..plan.slots.len());
+            let slots = cursor.next_slot..plan.slots.len();
+            self.run_slots(guests, plan, cursor.frame_start, slots, cursor.inside);
             if !self.alive() {
                 break;
             }
@@ -813,65 +852,128 @@ impl XmKernel {
         if target <= cursor.next_slot {
             return;
         }
-        self.run_slots(guests, plan, cursor.frame_start, cursor.next_slot..target);
-        self.frame_cursor = Some(FrameCursor { next_slot: target, ..cursor });
+        self.run_slots(guests, plan, cursor.frame_start, cursor.next_slot..target, cursor.inside);
+        self.frame_cursor = Some(FrameCursor { next_slot: target, inside: None, ..cursor });
+    }
+
+    /// Opens the slot [`XmKernel::step_until_slot_of`] stopped before —
+    /// partition `pid`'s — runs `prologue` in it as the partition's code,
+    /// and leaves a resume point inside the slot: the next
+    /// [`XmKernel::step_major_frames`] hands the rest of the slot to
+    /// `pid`'s guest, which [`PartitionApi::needs_prologue`] tells that this
+    /// boot's prologue has run, then finishes the frame. The state it
+    /// stops in is the one every run of the frame shares up to the end of
+    /// `pid`'s prologue, whatever `pid`'s guest does after it: the prefix
+    /// a campaign arena is captured at.
+    ///
+    /// Returns whether it did. It refuses, changing nothing, unless the
+    /// next slot to run is `pid`'s, `pid` is schedulable, the kernel is
+    /// alive, the slot is not already open, and the advance to the slot's
+    /// start is quiescent (no timer event the slot would observe first).
+    pub fn enter_slot_of(
+        &mut self,
+        pid: u32,
+        prologue: impl FnOnce(&mut PartitionApi<'_>),
+    ) -> bool {
+        if !self.alive() {
+            return false;
+        }
+        let (plan_table, current) = self.sched.current_plan_shared();
+        let cursor = self.frame_cursor.unwrap_or_else(|| self.fresh_frame(current));
+        let Some(slot) = plan_table[cursor.plan].slots.get(cursor.next_slot) else {
+            return false;
+        };
+        let start = (cursor.frame_start + slot.start_us).max(self.machine.now());
+        if cursor.inside.is_some()
+            || slot.partition != pid
+            || !self.parts[pid as usize].status.schedulable()
+            || !self.try_quiescent_advance(start)
+        {
+            return false;
+        }
+        self.open_slot(pid, cursor.next_slot, slot.duration_us);
+        let mut api = PartitionApi::new(self, pid, slot.duration_us);
+        let boot = api.boot_count();
+        prologue(&mut api);
+        let inside = SlotResume { consumed_us: api.consumed_us(), ended: api.ended(), boot };
+        self.frame_cursor = Some(FrameCursor { inside: Some(inside), ..cursor });
+        true
     }
 
     /// The resume point of a frame of plan `plan` that starts now.
     fn fresh_frame(&self, plan: usize) -> FrameCursor {
-        FrameCursor { frame_start: self.machine.now(), plan, next_slot: 0 }
+        FrameCursor { frame_start: self.machine.now(), plan, next_slot: 0, inside: None }
+    }
+
+    /// Hands schedulable partition `pid` the CPU for slot `slot_idx`, the
+    /// clock at the slot's start.
+    fn open_slot(&mut self, pid: u32, slot_idx: usize, duration_us: u64) {
+        self.hm_reset_flags[pid as usize] = false;
+        flightrec::record(
+            self.machine.now(),
+            flightrec::EventKind::SlotBegin,
+            pid as u16,
+            slot_idx as u32,
+            duration_us,
+            0,
+        );
+        self.parts[pid as usize].status = PartitionStatus::Running;
     }
 
     /// Runs slots `slots` of `plan` in the frame that began at
-    /// `frame_start`. Stops early when the kernel dies.
+    /// `frame_start`; `inside` resumes the first of them where
+    /// [`XmKernel::enter_slot_of`] left it. Stops early when the kernel
+    /// dies.
     fn run_slots(
         &mut self,
         guests: &mut GuestSet,
         plan: &PlanCfg,
         frame_start: TimeUs,
         slots: std::ops::Range<usize>,
+        mut inside: Option<SlotResume>,
     ) {
         for slot_idx in slots {
-            if !self.alive() {
-                return;
-            }
             let slot = &plan.slots[slot_idx];
             let slot_start = frame_start + slot.start_us;
             let pid = slot.partition;
             let idx = pid as usize;
-            // Idle-slot fast path: an unschedulable partition's slot
-            // with no observable event in its window collapses both
-            // advances into one horizon-checked clock jump. A
-            // quiescent advance cannot change schedulability (or
-            // anything else), so pre-checking the status is equivalent
-            // to the slow path's advance-then-check ordering; neither
-            // path emits SlotBegin/SlotEnd for unschedulable slots.
-            if !self.parts[idx].status.schedulable()
-                && self.try_quiescent_advance(slot_start + slot.duration_us)
-            {
-                self.hm_reset_flags[idx] = false;
-                continue;
+            let resumed = inside.take();
+            if resumed.is_none() {
+                if !self.alive() {
+                    return;
+                }
+                // Idle-slot fast path: an unschedulable partition's slot
+                // with no observable event in its window collapses both
+                // advances into one horizon-checked clock jump. A
+                // quiescent advance cannot change schedulability (or
+                // anything else), so pre-checking the status is
+                // equivalent to the slow path's advance-then-check
+                // ordering; neither path emits SlotBegin/SlotEnd for
+                // unschedulable slots.
+                if !self.parts[idx].status.schedulable()
+                    && self.try_quiescent_advance(slot_start + slot.duration_us)
+                {
+                    self.hm_reset_flags[idx] = false;
+                    continue;
+                }
+                self.advance_and_process(slot_start.max(self.machine.now()));
+                if !self.alive() {
+                    return;
+                }
+                if !self.parts[idx].status.schedulable() {
+                    self.hm_reset_flags[idx] = false;
+                    self.advance_and_process(
+                        (slot_start + slot.duration_us).max(self.machine.now()),
+                    );
+                    continue;
+                }
+                self.open_slot(pid, slot_idx, slot.duration_us);
             }
-            self.advance_and_process(slot_start.max(self.machine.now()));
-            if !self.alive() {
-                return;
-            }
-            self.hm_reset_flags[idx] = false;
-            if !self.parts[idx].status.schedulable() {
-                self.advance_and_process((slot_start + slot.duration_us).max(self.machine.now()));
-                continue;
-            }
-            flightrec::record(
-                self.machine.now(),
-                flightrec::EventKind::SlotBegin,
-                pid as u16,
-                slot_idx as u32,
-                slot.duration_us,
-                0,
-            );
-            self.parts[idx].status = PartitionStatus::Running;
             let consumed = {
-                let mut api = PartitionApi::new(self, pid, slot.duration_us);
+                let mut api = match resumed {
+                    Some(r) => PartitionApi::resumed(self, pid, slot.duration_us, r),
+                    None => PartitionApi::new(self, pid, slot.duration_us),
+                };
                 guests.run_slot(pid, &mut api);
                 api.consumed_us()
             };
@@ -990,14 +1092,13 @@ impl XmKernel {
         *vtimer_horizon = src.vtimer_horizon;
         *adv_quiescent = src.adv_quiescent;
         *adv_processed = src.adv_processed;
-        // Snapshots are taken between slots, where the stage is always
-        // drained; clearing (capacity kept) restores that empty state.
-        debug_assert!(src.stage_dirty.is_empty(), "snapshot has staged port writes");
-        for st in port_stage.iter_mut() {
-            st.writes = 0;
-            st.buf.clear();
+        // A snapshot taken inside a slot (`enter_slot_of`) carries the
+        // sampling writes its prologue staged; the slot's end commits them.
+        for (st, s) in port_stage.iter_mut().zip(&src.port_stage) {
+            st.writes = s.writes;
+            st.buf.clone_from(&s.buf);
         }
-        stage_dirty.clear();
+        stage_dirty.clone_from(&src.stage_dirty);
         *frame_cursor = src.frame_cursor;
     }
 
@@ -1521,6 +1622,168 @@ mod tests {
         ws.restore_from(&proto);
         assert_eq!(frame_digests(&mut ws, &mut clock_guests(), 3), want_digests);
         assert_eq!(observed(&ws), observed(&want));
+    }
+
+    type Prologue = fn(&mut PartitionApi<'_>);
+
+    /// Runs its prologue once per boot ([`PartitionApi::needs_prologue`])
+    /// then reads the clock into its memory every slot.
+    struct Booting {
+        prologue: Prologue,
+        last: Option<u32>,
+        clock_at: u64,
+    }
+
+    impl crate::guest::GuestProgram for Booting {
+        fn run_slot(&mut self, api: &mut PartitionApi<'_>) {
+            if api.needs_prologue(&mut self.last) {
+                (self.prologue)(api);
+            }
+            if api.ended().is_none() {
+                let clock = [0, self.clock_at];
+                let _ = api.hypercall(&RawHypercall::new_unchecked(HypercallId::GetTime, clock));
+            }
+        }
+    }
+
+    /// `test_config` plus a sampling channel from partition 1 to 0.
+    fn channel_config() -> XmConfig {
+        XmConfig {
+            channels: vec![crate::config::ChannelCfg {
+                name: "S".into(),
+                kind: crate::config::PortKind::Sampling,
+                max_msg_size: 8,
+                max_msgs: 0,
+                source: 1,
+                destinations: vec![0],
+            }],
+            ..test_config()
+        }
+    }
+
+    /// Partition 1's prologue: burns time, creates its sampling port and
+    /// writes one sample, which stays staged until the slot ends.
+    fn staging_prologue(api: &mut PartitionApi<'_>) {
+        let call = |id, args: &[u64]| RawHypercall::new_unchecked(id, args);
+        api.consume(700);
+        let _ = api.write_bytes(0x4020_0100, b"S\0");
+        let _ = api.hypercall(&call(HypercallId::CreateSamplingPort, &[0x4020_0100, 8, 0]));
+        let _ = api.hypercall(&call(HypercallId::WriteSamplingMessage, &[0, 0x4020_0200, 8]));
+    }
+
+    /// Leaves 1 µs of the 50 ms slot, so the guest's call after it
+    /// overruns the slot.
+    fn busy_prologue(api: &mut PartitionApi<'_>) {
+        api.consume(49_999);
+    }
+
+    fn suspending_prologue(api: &mut PartitionApi<'_>) {
+        let _ = api.hypercall(&RawHypercall::new_unchecked(HypercallId::SuspendSelf, []));
+    }
+
+    fn halting_prologue(api: &mut PartitionApi<'_>) {
+        let _ = api.hypercall(&RawHypercall::new_unchecked(HypercallId::HaltSystem, []));
+    }
+
+    /// Both partitions run `Booting` guests; `pid`'s has `prologue`.
+    fn booting(pid: u32, prologue: Prologue) -> (XmKernel, GuestSet) {
+        let k = XmKernel::boot(channel_config(), KernelBuild::Legacy).unwrap();
+        let mut guests = GuestSet::idle(2);
+        for (p, clock_at) in [(0, 0x4010_0000), (1, 0x4020_0000)] {
+            let prologue = if p == pid { prologue } else { |_: &mut PartitionApi<'_>| {} };
+            guests.set(p, Box::new(Booting { prologue, last: None, clock_at }));
+        }
+        (k, guests)
+    }
+
+    /// [`observed`], the HM reset flags, `channel_config`'s channel (its
+    /// sample and write count) and the clock readings `Booting` guests
+    /// stored.
+    fn with_flags(k: &XmKernel) -> String {
+        let clocks = [0x4010_0000, 0x4020_0000]
+            .map(|at| k.machine.mem.read_bytes(leon3_sim::addrspace::AccessCtx::Kernel, at, 8));
+        let channel = k.ports.channel(0);
+        format!("{}|{:?}|{channel:?}|{clocks:?}", observed(k), k.hm_reset_flags())
+    }
+
+    /// Stepping on from inside a slot whose prologue `enter_slot_of` ran
+    /// equals stepping from boot — also when the prologue staged a
+    /// sampling write, used up the slot, suspended its partition or
+    /// halted the kernel.
+    #[test]
+    fn entering_a_slot_after_its_prologue_equals_stepping_from_boot() {
+        let cases: [(u32, Prologue); 5] = [
+            (1, staging_prologue),
+            (0, staging_prologue),
+            (1, busy_prologue),
+            (1, suspending_prologue),
+            (0, halting_prologue),
+        ];
+        for (pid, prologue) in cases {
+            for n in 1..=3 {
+                let (mut boot, mut guests) = booting(pid, prologue);
+                let want_digests = frame_digests(&mut boot, &mut guests, n);
+                let want = with_flags(&boot);
+
+                let (mut k, mut guests) = booting(pid, prologue);
+                k.step_until_slot_of(&mut guests, pid);
+                assert!(k.enter_slot_of(pid, prologue), "pid {pid}: the slot opens");
+                assert_eq!(k.summary().frames_completed, 0);
+                assert_eq!(frame_digests(&mut k, &mut guests, n), want_digests, "pid {pid}");
+                assert_eq!(with_flags(&k), want, "pid {pid}, {n} frames");
+            }
+        }
+    }
+
+    /// `enter_slot_of` refuses, changing nothing, when the next slot is
+    /// not the partition's, the partition cannot run, an armed timer is
+    /// due at the slot's start, or the slot is already open.
+    #[test]
+    fn entering_a_slot_refuses_and_changes_nothing() {
+        let refuses = |k: &mut XmKernel, label: &str| {
+            let before = (with_flags(k), k.state_digest(1), format!("{:?}", k.frame_cursor));
+            assert!(!k.enter_slot_of(1, staging_prologue), "{label}: opened");
+            let after = (with_flags(k), k.state_digest(1), format!("{:?}", k.frame_cursor));
+            assert_eq!(after, before, "{label}: changed the kernel");
+        };
+        let (mut k, _) = booting(1, staging_prologue);
+        refuses(&mut k, "slot 0 is partition 0's");
+
+        let (mut k, mut guests) = booting(1, staging_prologue);
+        let suspend = RawHypercall::new_unchecked(HypercallId::SuspendPartition, [1]);
+        assert_eq!(k.hypercall(0, &suspend).result, HcResult::Ret(0));
+        k.step_until_slot_of(&mut guests, 1);
+        refuses(&mut k, "partition 1 is suspended");
+
+        let (mut k, mut guests) = booting(1, staging_prologue);
+        k.step_until_slot_of(&mut guests, 1);
+        let past = RawHypercall::new_unchecked(HypercallId::SetTimer, [0, 1, 0]);
+        assert_eq!(k.hypercall(1, &past).result, HcResult::Ret(0));
+        refuses(&mut k, "a vtimer is due");
+
+        let (mut k, mut guests) = booting(1, staging_prologue);
+        k.step_until_slot_of(&mut guests, 1);
+        assert!(k.enter_slot_of(1, staging_prologue));
+        refuses(&mut k, "the slot is open");
+    }
+
+    /// A snapshot taken inside a slot carries its staged sampling write:
+    /// a kernel restored to it and stepped on equals the snapshot stepped
+    /// on, and a run from boot.
+    #[test]
+    fn restore_carries_a_staged_write() {
+        let (mut proto, mut guests) = booting(1, staging_prologue);
+        proto.step_until_slot_of(&mut guests, 1);
+        assert!(proto.enter_slot_of(1, staging_prologue));
+        assert!(!proto.stage_dirty.is_empty(), "the prologue's write is staged");
+        let fresh = || booting(1, staging_prologue).1;
+        let mut from_boot = XmKernel::boot(channel_config(), KernelBuild::Legacy).unwrap();
+        let want_digests = frame_digests(&mut from_boot, &mut booting(1, staging_prologue).1, 3);
+        let mut ws = proto.clone();
+        ws.step_major_frames(&mut fresh(), 2);
+        ws.restore_from(&proto);
+        assert_eq!(frame_digests(&mut ws, &mut fresh(), 3), want_digests);
+        assert_eq!(with_flags(&ws), with_flags(&from_boot));
     }
 
     #[test]

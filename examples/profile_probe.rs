@@ -1,10 +1,15 @@
 //! Ad-hoc phase profiler for the campaign hot path (not part of the
 //! shipped toolset; run with `cargo run --release --example profile_probe`).
 //!
-//! Splits a test two ways: on an arena captured at boot, and on the
-//! prefix arena the executor uses (captured just before the test
-//! partition's first slot). The difference is the first-frame work of the
-//! partitions scheduled before FDIR, now paid once per worker.
+//! Splits a test three ways: on an arena captured at boot, on a prefix
+//! arena captured just before the test partition's first slot, and on the
+//! arena the executor uses, captured inside that slot after the test
+//! partition's prologue. The differences are the first-frame work of the
+//! partitions scheduled before FDIR and FDIR's prologue, both now paid
+//! once per worker.
+//!
+//! Then counts the shrink evaluations of the benchmark's `sequences` and
+//! `fuzz` passes that ran and those a reproducing run's prefix decided.
 //!
 //! Then splits a small-scope `check` case: the spatial witness both ways
 //! (before/after byte images vs the blocks dirtied since the rewind), the
@@ -13,7 +18,7 @@
 //! witness, so only this split shows the dirty-block witness.
 //!
 //! Then splits the lockstep judge: the benchmark's 500 seeded `sequences`
-//! inputs on the prefix arena, each run once rendering its verdict
+//! inputs on the executor's arena, each run once rendering its verdict
 //! evidence (the public `run_one_sequence`, which the benchmark's traced
 //! driver times) and once classify-only (what the campaigns' main
 //! evaluations and shrink predicates run), in µs and allocations per run.
@@ -33,7 +38,9 @@ use skrt::check::{
 };
 use skrt::flight::DEFAULT_RING_CAPACITY;
 use skrt::fuzz::{make_candidate, run_fuzz, FuzzOptions, Mutator};
-use skrt::sequence::{lockstep, run_one_sequence_bounded, Evidence};
+use skrt::sequence::{
+    lockstep, run_one_sequence_bounded, run_sequence_campaign, Evidence, SequenceOptions,
+};
 use skrt::testbed::{BootSnapshot, Testbed, Workspace};
 use skrt::{shrink_sequence, Classification, CrashClass};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -113,20 +120,59 @@ fn main() {
     println!("prefix (once per worker): {:.2} us", us(t_prefix, runs));
     let mut prefix = EagleEye.snapshot(BUILD).unwrap();
     prefix.step_until_slot_of(part);
+    let (inside, _) = executor_arena(&EagleEye);
 
     // Phase 4: per-test split on each arena.
-    for (label, snapshot) in [("boot arena", &boot), ("prefix arena", &prefix)] {
+    for (label, snapshot) in
+        [("boot arena", &boot), ("prefix arena", &prefix), ("post-prologue arena", &inside)]
+    {
         println!("{label}:");
         split(snapshot, &mut snapshot.workspace(), &ctx, &cases, n);
     }
 
+    shrink_split();
     check_split();
-    lockstep_split(&prefix, &ctx);
+    lockstep_split(&inside, &ctx);
     fuzz_split(&ctx);
 }
 
+/// The arena a campaign worker keeps for `tb`: boot, run to the test
+/// partition's first slot, open it and run the prologue in it. Returns it
+/// with the flight events that prefix recorded.
+fn executor_arena<T: Testbed>(tb: &T) -> (BootSnapshot, Vec<flightrec::Event>) {
+    let part = tb.test_partition();
+    let mut snapshot = tb.snapshot(BUILD).unwrap();
+    let (_, prefix) = flightrec::capture(|| {
+        snapshot.step_until_slot_of(part);
+        snapshot.enter_slot_of(part, tb.prologue())
+    });
+    (snapshot, prefix.events)
+}
+
+/// Runs the benchmark's `sequences` and `fuzz` passes (seed 1, one
+/// thread) and prints their shrink evaluations: run on the arena, and
+/// decided by a reproducing run's prefix.
+fn shrink_split() {
+    let opts = SequenceOptions { build: BUILD, threads: 1, ..Default::default() };
+    let specs = xm_campaign::eagleeye_sequence_specs(1, 500, 8);
+    let sequences = run_sequence_campaign(&EagleEye, &specs, &opts).metrics;
+    let alphabet = xm_campaign::fuzz_benchmark_alphabet();
+    let opts =
+        FuzzOptions { build: BUILD, threads: 1, seed: 1, max_execs: 6000, ..Default::default() };
+    let fuzz = run_fuzz(&EagleEye, &alphabet, &opts).metrics;
+    println!("shrink evaluations (benchmark passes, seed 1):");
+    for (label, m) in [("sequences", sequences), ("fuzz", fuzz)] {
+        println!(
+            "  {label:<10} {} evaluations: {} run, {} decided by a reproducing run's prefix",
+            m.shrink_runs + m.shrink_decided,
+            m.shrink_runs,
+            m.shrink_decided
+        );
+    }
+}
+
 /// Runs the benchmark's `fuzz` pass, rebuilds its candidates, re-runs
-/// each on a prefix arena as a fuzz worker does, and prints µs per exec
+/// each on the executor's arena as a fuzz worker does, and prints µs per exec
 /// for each layer (best of three sweeps) and `run_fuzz`'s residual (best
 /// of three passes, less the layers).
 fn fuzz_split(ctx: &skrt::oracle::OracleContext) {
@@ -153,8 +199,7 @@ fn fuzz_split(ctx: &skrt::oracle::OracleContext) {
         assert_eq!(e.steps, candidates[e.exec_index as usize - 1], "corpus entry {}", e.id);
     }
 
-    let mut snapshot = EagleEye.snapshot(BUILD).unwrap();
-    let ((), prefix) = flightrec::capture(|| snapshot.step_until_slot_of(part));
+    let (snapshot, prefix) = executor_arena(&EagleEye);
     let mut ws = snapshot.workspace();
     let mut trace = EdgeTrace::new();
     let mut best = [u128::MAX; 5];
@@ -167,7 +212,7 @@ fn fuzz_split(ctx: &skrt::oracle::OracleContext) {
             flightrec::clear();
             flightrec::record_timeless(EventKind::SnapshotClone, NO_PARTITION, 0, 0, 0);
             ws.restore(&snapshot, Some(part));
-            flightrec::replay(&prefix.events);
+            flightrec::replay(&prefix);
             let t1 = Instant::now();
             let (kernel, guests) = ws.parts();
             let spp = opts.steps_per_slot;
@@ -210,21 +255,21 @@ fn fuzz_split(ctx: &skrt::oracle::OracleContext) {
 }
 
 /// Runs the benchmark's `sequences` inputs (seed 1, 500 × 8 steps) on the
-/// prefix arena, rendering and classify-only, at the main evaluation's
+/// executor's arena, rendering and classify-only, at the main evaluation's
 /// four steps per slot and the refine/shrink runs' one, and prints µs and
 /// allocations per run.
-fn lockstep_split(prefix: &BootSnapshot, ctx: &skrt::oracle::OracleContext) {
+fn lockstep_split(arena: &BootSnapshot, ctx: &skrt::oracle::OracleContext) {
     let part = EagleEye.test_partition();
     let specs = xm_campaign::eagleeye_sequence_specs(1, 500, 8);
-    let mut ws = prefix.workspace();
-    println!("lockstep ({} sequences, prefix arena):", specs.len());
+    let mut ws = arena.workspace();
+    println!("lockstep ({} sequences, post-prologue arena):", specs.len());
     for steps_per_slot in [4, 1] {
         for (label, evidence) in
             [("rendering", Evidence::Render), ("classify-only", Evidence::Skip)]
         {
             let (mut t, mut allocs, mut diverged) = (0u128, 0u64, 0usize);
             for spec in &specs {
-                ws.restore(prefix, Some(part));
+                ws.restore(arena, Some(part));
                 let (kernel, guests) = ws.parts();
                 let a = ALLOCS.load(Ordering::Relaxed);
                 let t0 = Instant::now();
@@ -261,8 +306,8 @@ fn victim_images(kernel: &XmKernel, n_partitions: u32) -> Vec<Vec<u8>> {
     (1..n_partitions).map(|p| mem.read_bytes(ctx, part_base(p), PART_SIZE).unwrap()).collect()
 }
 
-/// Runs every case of the default `check` scope once on a prefix arena
-/// per configuration, mirroring `skrt::check`'s case lifecycle, and
+/// Runs every case of the default `check` scope once on the executor's
+/// arena per configuration, mirroring `skrt::check`'s case lifecycle, and
 /// prints the per-case split.
 fn check_split() {
     let scope = CheckScope::default();
@@ -274,13 +319,12 @@ fn check_split() {
         let n = cfg.n_partitions;
         let tb = CheckTestbed::new(cfg.clone());
         let ctx = tb.oracle_context(BUILD);
-        let mut snapshot = tb.snapshot(BUILD).unwrap();
-        let ((), prefix) = flightrec::capture(|| snapshot.step_until_slot_of(CALLER));
+        let (snapshot, prefix) = executor_arena(&tb);
         let mut ws = snapshot.workspace();
         let rewound = |ws: &mut Workspace| {
             flightrec::clear();
             ws.restore(&snapshot, Some(CALLER));
-            flightrec::replay(&prefix.events);
+            flightrec::replay(&prefix);
         };
         for probe in probes_for(&cfg) {
             cases += 1;

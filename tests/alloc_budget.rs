@@ -21,13 +21,15 @@
 //! hundreds per test) without flaking on allocator-library noise.
 
 use skrt::classify::CrashClass;
+use skrt::flight::DEFAULT_RING_CAPACITY;
+use skrt::fuzz::FuzzOptions;
 use skrt::mutant::{take_invocations, MutantGuest};
 use skrt::observe::TestObservation;
 use skrt::sequence::run_one_sequence;
 use skrt::testbed::Testbed;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use xtratum::hypercall::{HypercallId, RawHypercall};
 use xtratum::vuln::KernelBuild;
@@ -62,9 +64,20 @@ fn note_alloc() {
     }
 }
 
+/// Bytes of one default-capacity flight-recorder ring.
+const RING_BYTES: usize = DEFAULT_RING_CAPACITY * std::mem::size_of::<flightrec::Event>();
+
+/// Ring-sized allocations on any thread, counted while `COUNT_RINGS` is
+/// set: campaign workers run off the measuring thread.
+static RINGS: AtomicU64 = AtomicU64::new(0);
+static COUNT_RINGS: AtomicBool = AtomicBool::new(false);
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_alloc();
+        if layout.size() == RING_BYTES && COUNT_RINGS.load(Ordering::Relaxed) {
+            RINGS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc(layout) }
     }
 
@@ -146,11 +159,12 @@ fn workspace_restore_is_allocation_free_after_warmup() {
     );
 }
 
-/// The executor's arenas sit at the test partition's first slot, and with
-/// the recorder on every rewind is followed by a replay of the events the
-/// skipped prefix recorded. Rewind plus replay — the whole per-test
-/// arena reset of a recording worker — must stay allocation-free: the
-/// replay pushes `Copy` events into the ring preallocated by `enable`.
+/// The executor's arenas sit inside the test partition's first slot,
+/// after its prologue, and with the recorder on every rewind is followed
+/// by a replay of the events the skipped prefix recorded. Rewind plus
+/// replay — the whole per-test arena reset of a recording worker — must
+/// stay allocation-free: the replay pushes `Copy` events into the ring
+/// preallocated by `enable`.
 #[test]
 fn prefix_rewind_and_event_replay_are_allocation_free() {
     let _serial = serial();
@@ -158,7 +172,11 @@ fn prefix_rewind_and_event_replay_are_allocation_free() {
     let cases = xm_campaign::paper_campaign().all_cases();
     let part = testbed.test_partition();
     let mut snapshot = testbed.snapshot(KernelBuild::Legacy).expect("EagleEye snapshots");
-    let ((), prefix) = flightrec::capture(|| snapshot.step_until_slot_of(part));
+    let (entered, prefix) = flightrec::capture(|| {
+        snapshot.step_until_slot_of(part);
+        snapshot.enter_slot_of(part, testbed.prologue())
+    });
+    assert!(entered, "FDIR's slot opens");
     assert!(!prefix.events.is_empty(), "the EagleEye prefix runs four partitions' slots");
     let mut ws = snapshot.workspace();
 
@@ -341,4 +359,23 @@ fn lockstep_frames_are_allocation_free() {
         long <= LOCKSTEP_RUN_BUDGET,
         "a passing lockstep run allocates {long} times (budget {LOCKSTEP_RUN_BUDGET})"
     );
+}
+
+/// A fuzz worker keeps one recorder ring for the whole campaign, whatever
+/// thread each round runs it on: the benchmark's 6000-exec pass is 94
+/// rounds of 64 execs, and allocates one ring at one thread and one per
+/// worker at four — not one per worker per round.
+#[test]
+fn fuzz_workers_allocate_one_recorder_ring_per_campaign() {
+    let _serial = serial();
+    for threads in [1, 4] {
+        RINGS.store(0, Ordering::SeqCst);
+        COUNT_RINGS.store(true, Ordering::SeqCst);
+        let opts = FuzzOptions { seed: 1, threads, max_execs: 6000, ..FuzzOptions::default() };
+        let report = xm_campaign::fuzz::run_eagleeye_fuzz(&opts);
+        COUNT_RINGS.store(false, Ordering::SeqCst);
+        assert_eq!(report.result.rounds.len(), 94, "{threads} threads");
+        let rings = RINGS.load(Ordering::SeqCst);
+        assert_eq!(rings, threads as u64, "{threads} threads: {rings} rings for 94 rounds");
+    }
 }

@@ -178,3 +178,194 @@ fn flags_a_command_does_not_read_exit_2_before_running() {
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
     assert!(written.is_empty(), "no file may be written, got {written:?}");
 }
+
+/// Valid command lines for every subcommand, small enough to run in
+/// milliseconds: `--threads` at most 2, tiny counts. Positional operands
+/// follow the command words; every `--flag` is followed by its value
+/// unless it is one of `SWITCHES`.
+const VALID_ARGV: &[&[&str]] = &[
+    &[
+        "campaign",
+        "--threads",
+        "2",
+        "--build",
+        "patched",
+        "--format",
+        "md",
+        "--trace",
+        "t.jsonl",
+        "--csv",
+        "r.csv",
+        "--metrics",
+        "--metrics-out",
+        "m.prom",
+        "--live-stats",
+        "live.jsonl",
+        "--live-interval",
+        "0.5",
+    ],
+    &["campaign", "sweep", "--tests", "3", "--threads", "2", "--record", "r.json"],
+    &[
+        "campaign",
+        "sequences",
+        "--seed",
+        "5",
+        "--count",
+        "2",
+        "--steps",
+        "2",
+        "--threads",
+        "2",
+        "--no-shrink",
+        "--metrics",
+    ],
+    &[
+        "campaign",
+        "fuzz",
+        "--seed",
+        "3",
+        "--execs",
+        "8",
+        "--batch",
+        "4",
+        "--steps",
+        "2",
+        "--threads",
+        "2",
+        "--time",
+        "5",
+        "--stats",
+        "s.jsonl",
+        "--corpus-dir",
+        "corpus",
+    ],
+    &["campaign", "fuzz", "--replay", "repro.seq", "--build", "patched"],
+    &[
+        "campaign",
+        "check",
+        "--partitions",
+        "1",
+        "--slots",
+        "1",
+        "--horizon",
+        "1",
+        "--threads",
+        "2",
+        "--out",
+        "bundle",
+    ],
+    &[
+        "campaign",
+        "report",
+        "--count",
+        "2",
+        "--steps",
+        "2",
+        "--seed",
+        "1",
+        "--threads",
+        "1",
+        "--out",
+        "forensics",
+    ],
+    &["sweep", "--build", "patched"],
+    &["suite", "XM_set_timer", "--build", "legacy"],
+    &["mutant", "XM_set_timer", "0"],
+    &["triage", "XM_set_timer", "2", "--last", "5", "--build", "legacy"],
+    &["specgen", "--out", "specs"],
+    &["coverage", "--build", "patched"],
+    &["tables"],
+];
+
+/// Flags that take no value.
+const SWITCHES: &[&str] = &["--metrics", "--no-shrink"];
+
+/// Words that name a command rather than an operand.
+const COMMAND_WORDS: &[&str] = &["campaign", "sweep", "sequences", "fuzz", "check", "report"];
+
+/// One seeded hostile edit of `argv`: a flag's or operand's value
+/// dropped, replaced by a non-number, by a number past `u64`, or by a
+/// negative one; a flag repeated; or an unknown flag inserted. None of
+/// them introduces a number that parses, so whatever still runs keeps
+/// the valid line's thread count and tiny counts.
+fn mutate(argv: &mut Vec<String>, rng: &mut skrt::sequence::SeqRng) {
+    const NON_NUMBERS: &[&str] = &["abc", "1e3", "", "0x10", " 7", "7 ", "+-1", "NaN", "inf", "½"];
+    const PAST_U64: &[&str] = &["18446744073709551616", "340282366920938463463374607431768211456"];
+    const NEGATIVE: &[&str] = &["-1", "-0", "-18446744073709551616"];
+    const UNKNOWN: &[&str] = &["--bogus", "--thread", "--threads=2", "--", "--THREADS", "---x"];
+    let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+    // Values: operands after the command words, and every flag's value.
+    let values: Vec<usize> = (1..argv.len())
+        .filter(|&i| {
+            let prev = argv[i - 1].as_str();
+            let operand = !argv[..i].iter().any(|a| a.starts_with("--"))
+                && !COMMAND_WORDS.contains(&argv[i].as_str());
+            !argv[i].starts_with("--")
+                && (operand || (prev.starts_with("--") && !SWITCHES.contains(&prev)))
+        })
+        .collect();
+    let flags: Vec<usize> = (0..argv.len()).filter(|&i| argv[i].starts_with("--")).collect();
+    match pick(6) {
+        0 if !values.is_empty() => {
+            argv.remove(values[pick(values.len())]);
+        }
+        1 if !values.is_empty() => argv[values[pick(values.len())]] = NON_NUMBERS[pick(10)].into(),
+        2 if !values.is_empty() => argv[values[pick(values.len())]] = PAST_U64[pick(2)].into(),
+        3 if !values.is_empty() => argv[values[pick(values.len())]] = NEGATIVE[pick(3)].into(),
+        4 if !flags.is_empty() => {
+            let at = flags[pick(flags.len())];
+            let takes_value = !SWITCHES.contains(&argv[at].as_str());
+            let end = (at + usize::from(takes_value)).min(argv.len() - 1);
+            let repeated: Vec<String> = argv[at..=end].to_vec();
+            argv.extend(repeated);
+        }
+        _ => {
+            let at = pick(argv.len() + 1);
+            argv.insert(at, UNKNOWN[pick(UNKNOWN.len())].into());
+        }
+    }
+}
+
+/// Seeded hostile command lines for every subcommand — valid lines with
+/// missing values, non-numbers, numbers past `u64`, negative numbers,
+/// repeated flags and unknown flags — run one after another: each exits
+/// 0, 1 or 2, never 101 (a panic) or on a signal. No edit introduces a
+/// number, so a line that still parses runs with at most 2 threads and
+/// tiny counts (checked below). The binary is the one this test profile
+/// builds: under `cargo test` a dev build, whose overflow checks turn a
+/// silent wrap into a panic this test catches.
+#[test]
+fn hostile_argv_never_panics() {
+    let dir = std::env::temp_dir().join(format!("skrt_cli_hostile_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    std::fs::write(dir.join("repro.seq"), "XM_get_time 0 1074790400\n").expect("write replay");
+    let mut rng = skrt::sequence::SeqRng::new(0xA26F);
+    let (mut ran, mut rejected) = (0, 0);
+    for valid in VALID_ARGV {
+        for case in 0..16 {
+            let mut argv: Vec<String> = valid.iter().map(|a| a.to_string()).collect();
+            for _ in 0..1 + case % 3 {
+                mutate(&mut argv, &mut rng);
+            }
+            for token in &argv {
+                assert!(
+                    token.parse::<u64>().is_err() || valid.contains(&token.as_str()),
+                    "{argv:?}: the edits introduced the number {token}"
+                );
+            }
+            let out = Command::new(env!("CARGO_BIN_EXE_skrt-repro"))
+                .args(&argv)
+                .current_dir(&dir)
+                .output()
+                .expect("run skrt-repro");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            match out.status.code() {
+                Some(0 | 1) => ran += 1,
+                Some(2) => rejected += 1,
+                code => panic!("{argv:?} exited {code:?}:\n{stderr}"),
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    assert!(ran > 10 && rejected > 100, "{ran} lines ran, {rejected} were rejected");
+}

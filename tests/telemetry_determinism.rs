@@ -6,6 +6,7 @@
 //! recorder.
 
 use eagleeye::EagleEye;
+use skrt::check::enumerate_configs;
 use skrt::exec::{run_campaign, CampaignOptions, CampaignResult, LiveStats};
 use skrt::fuzz::FuzzOptions;
 use skrt::metrics::MetricsReport;
@@ -218,20 +219,26 @@ fn live_stats_sink_errors_are_captured_not_fatal() {
 }
 
 /// The thread-independent part of a folded report: tests executed,
-/// per-class tallies, snapshot clones, and each phase's span count (not
-/// its time).
-type FoldFacts = (u64, [u64; 6], u64, Vec<(String, u64)>);
+/// per-class tallies, snapshot clones, runs resumed after the test
+/// partition's prologue and runs that ran it live, shrink evaluations
+/// run and decided by a reproducing run's prefix, and each phase's span
+/// count (not its time).
+type FoldFacts = (u64, [u64; 6], u64, [u64; 4], Vec<(String, u64)>);
 
 fn fold_facts(m: &MetricsReport) -> FoldFacts {
     let spans = m.phases.iter().map(|p| (p.name.clone(), p.hist.count)).collect();
-    (m.tests_executed, m.class_counts, m.snapshot_clones, spans)
+    let ledger = [m.prologues_resumed, m.prologues_live, m.shrink_runs, m.shrink_decided];
+    (m.tests_executed, m.class_counts, m.snapshot_clones, ledger, spans)
 }
 
 /// Folding the workers' counters is exact: across threads 1/4/16 every
-/// mode reports the same tests, verdict tallies, snapshot clones and
-/// (with the recorder on) phase span counts, and one fresh boot per
-/// worker — per configuration for `check`, which boots each
-/// configuration's arena once and confirms its findings on it.
+/// mode reports the same tests, verdict tallies, snapshot clones, ledger
+/// counters and (with the recorder on) phase span counts, and one fresh
+/// boot per worker — per configuration for `check`, which boots each
+/// configuration's arena once and confirms its findings on it. Every
+/// arena run starts after the prologue, except `check`'s on the
+/// configurations whose caller owns no slot, and the shrinking modes
+/// both run and decide evaluations.
 #[test]
 fn metrics_fold_is_exact_across_thread_counts() {
     let spec = subset();
@@ -252,8 +259,9 @@ fn metrics_fold_is_exact_across_thread_counts() {
         .result
         .metrics;
         let fuzz = fuzz_run(threads, true, None).result.metrics;
+        let check_scope = CheckScope { partitions: 2, slots: 2, horizon: 4 };
         let check = run_check(&CheckOptions {
-            scope: CheckScope { partitions: 2, slots: 2, horizon: 4 },
+            scope: check_scope,
             threads,
             record: true,
             ..Default::default()
@@ -270,6 +278,15 @@ fn metrics_fold_is_exact_across_thread_counts() {
         }
         assert_eq!(campaign.tests_executed, spec.total_tests());
         assert_eq!(campaign.snapshot_clones, campaign.tests_executed);
+        for (mode, m) in [("campaign", &campaign), ("sequences", &sequences), ("fuzz", &fuzz)] {
+            assert_eq!(m.prologues_resumed, m.snapshot_clones, "{mode}: every run resumes");
+            assert_eq!(m.prologues_live, 0, "{mode}: no prologue runs live");
+        }
+        let unscheduled = enumerate_configs(&check_scope).iter().any(|c| !c.caller_scheduled());
+        assert_eq!(check.metrics.prologues_live > 0, unscheduled, "check at {threads} threads");
+        for (mode, m) in [("sequences", &sequences), ("fuzz", &fuzz), ("check", &check.metrics)] {
+            assert!(m.shrink_runs > 0 && m.shrink_decided > 0, "{mode}: {m:?}");
+        }
         for (slot, m) in seen.iter_mut().zip([&campaign, &sequences, &fuzz, &check.metrics]) {
             let facts = fold_facts(m);
             match slot {
