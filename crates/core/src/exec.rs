@@ -20,8 +20,7 @@
 //! 3. runs the configured number of cyclic schedules ("the test call is
 //!    invoked at least once per major frame");
 //! 4. logs return codes and partition/kernel health;
-//! 5. classifies the outcome against the oracle (cached per worker —
-//!    datasets repeat magic values across suites).
+//! 5. classifies the outcome against the oracle.
 //!
 //! **The run-window rule.** A test's log (§III.C) is the flight-recorder
 //! window its worker's `Booter` opens: every rewind or fresh boot it
@@ -61,7 +60,7 @@ use crate::issues::{deduplicate, Issue};
 use crate::metrics::{write_trace, LocalMetrics, MetricsReport, Phase};
 use crate::mutant::MutantGuest;
 use crate::observe::TestObservation;
-use crate::oracle::{Expectation, OracleCache, OracleContext, ParamClass};
+use crate::oracle::{Expectation, OracleContext, ParamClass};
 use crate::suite::{CampaignSpec, TestCase};
 use crate::testbed::{BootSnapshot, Testbed, Workspace};
 use flightrec::{Event, EventKind, NO_PARTITION};
@@ -705,12 +704,6 @@ fn spawn_emitter(
     })
 }
 
-/// A campaign worker's persistent state: its log and its oracle cache.
-struct ExecWorker<'c> {
-    log: WorkerLog,
-    cache: OracleCache<'c>,
-}
-
 /// Executes a whole campaign, in parallel, preserving campaign order in
 /// the result.
 pub fn run_campaign<T: Testbed + ?Sized>(
@@ -747,14 +740,14 @@ fn campaign_body<T: Testbed + ?Sized>(
         .as_ref()
         .map(|cfg| spawn_emitter(cfg, Arc::clone(&progress), cases.len(), started));
 
-    let mut workers: Vec<ExecWorker> = (0..resolve_threads(opts.threads, cases.len()))
-        .map(|_| ExecWorker { log: WorkerLog::new(opts.record), cache: OracleCache::new(&ctx) })
+    let mut logs: Vec<WorkerLog> = (0..resolve_threads(opts.threads, cases.len()))
+        .map(|_| WorkerLog::new(opts.record))
         .collect();
     let records = par_indexed(
         cases.len(),
-        &mut workers,
+        &mut logs,
         &progress.steals,
-        |w| {
+        |log| {
             // One snapshot + workspace per worker: guest trait objects are
             // Send but not Sync, so the prototype cannot be shared across
             // threads — but one boot and one prefix per worker (instead of
@@ -763,19 +756,19 @@ fn campaign_body<T: Testbed + ?Sized>(
             if opts.record {
                 flightrec::enable(DEFAULT_RING_CAPACITY);
             }
-            Booter::new(testbed, opts.build, &mut w.log.local)
+            Booter::new(testbed, opts.build, &mut log.local)
         },
-        |w, booter, i| {
+        |log, booter, i| {
             let case = &cases[i];
-            let local = &mut w.log.local;
+            let local = &mut log.local;
             let span = local.start_span();
-            let expectation = w.cache.expect(&case.raw());
+            let expectation = ctx.expect(&case.raw());
             local.end_span(Phase::Oracle, span);
             let rec =
                 execute(testbed, booter, local, &ctx, expectation, case, opts.record.then_some(i));
             local.note_outcome(rec.classification.class);
             if opts.record {
-                w.log.end_flight(i, rec.classification.class);
+                log.end_flight(i, rec.classification.class);
             }
             if opts.live_stats.is_some() {
                 progress.note_test(rec.classification.class, booter.arena.is_some());
@@ -790,13 +783,8 @@ fn campaign_body<T: Testbed + ?Sized>(
         h.thread().unpark();
         h.join().expect("live-stats emitter panicked")
     });
-    let (oracle_hits, oracle_misses) =
-        workers.iter().map(|w| w.cache.stats()).fold((0, 0), |(h, m), s| (h + s.0, m + s.1));
     let steals = progress.steals.load(Ordering::Relaxed);
-    let logs = workers.into_iter().map(|w| w.log);
-    let (mut report, flight) = fold_logs(logs, steals, opts.record, started);
-    report.oracle_hits = oracle_hits;
-    report.oracle_misses = oracle_misses;
+    let (report, flight) = fold_logs(logs, steals, opts.record, started);
     let mut result = CampaignResult {
         build: opts.build,
         records,

@@ -200,9 +200,13 @@ pub struct MetricsReport {
     pub tests_executed: u64,
     /// Per-class tallies, indexed by [`CrashClass::index`].
     pub class_counts: [u64; 6],
-    /// Tests served by rewinding a snapshot arena.
+    /// Arena rewinds: every run a worker started from its snapshot arena
+    /// — a test's main evaluation, and in the sequence, fuzz and `check`
+    /// campaigns also each refinement, shrink run and triage re-run. Not
+    /// a test count: tests are [`MetricsReport::tests_executed`].
     pub snapshot_clones: u64,
-    /// Tests that required a full fresh boot.
+    /// Full boots: one per worker's arena (per configuration in
+    /// `check`), plus one per run when the testbed cannot snapshot.
     pub fresh_boots: u64,
     /// Runs that started on an arena inside the test partition's slot,
     /// its prologue already run there once per arena.
@@ -223,10 +227,11 @@ pub struct MetricsReport {
     pub memo_hits: u64,
     /// Always 0, like [`MetricsReport::memo_hits`].
     pub memo_misses: u64,
-    /// Oracle expectation cache hits across all workers.
+    /// Always 0: every test asks the oracle directly. Kept, like
+    /// [`MetricsReport::memo_hits`], for readers of the report written
+    /// when the campaign consulted an `OracleCache`.
     pub oracle_hits: u64,
-    /// Oracle expectation cache misses (one per distinct raw invocation
-    /// per worker).
+    /// Always 0, like [`MetricsReport::oracle_hits`].
     pub oracle_misses: u64,
     /// Work-stealing: chunks a worker claimed from another worker's range.
     pub steals: u64,
@@ -293,7 +298,7 @@ impl MetricsReport {
             self.threads,
         ));
         out.push_str(&format!(
-            "  boots: {} snapshot clones, {} fresh boots\n",
+            "  arena: {} rewinds (snapshot clones), {} fresh boots\n",
             self.snapshot_clones, self.fresh_boots
         ));
         out.push_str(&format!(
@@ -306,13 +311,6 @@ impl MetricsReport {
                 self.shrink_runs, self.shrink_decided
             ));
         }
-        let lookups = self.oracle_hits + self.oracle_misses;
-        let hit_pct =
-            if lookups > 0 { 100.0 * self.oracle_hits as f64 / lookups as f64 } else { 0.0 };
-        out.push_str(&format!(
-            "  oracle cache: {} hits / {} lookups ({hit_pct:.1}%)\n",
-            self.oracle_hits, lookups
-        ));
         if self.steals > 0 {
             out.push_str(&format!("  work stealing: {} chunks stolen\n", self.steals));
         }
@@ -370,13 +368,13 @@ impl MetricsReport {
         }
         reg.push_counter(
             "skrt_snapshot_clones",
-            "Tests served by rewinding a snapshot arena.",
+            "Arena rewinds: runs started from a snapshot arena, not tests.",
             &[],
             self.snapshot_clones,
         );
         reg.push_counter(
             "skrt_fresh_boots",
-            "Tests that required a full fresh boot.",
+            "Full boots: one per arena, or per run when the testbed cannot snapshot.",
             &[],
             self.fresh_boots,
         );
@@ -490,8 +488,6 @@ mod tests {
         let mut r = MetricsReport {
             tests_executed: 100,
             wall: Duration::from_secs(2),
-            oracle_hits: 75,
-            oracle_misses: 25,
             ..Default::default()
         };
         r.class_counts[CrashClass::Pass.index()] = 90;
@@ -501,7 +497,7 @@ mod tests {
         assert_eq!(r.count(CrashClass::Silent), 10);
         let text = r.render();
         assert!(text.contains("100 tests"), "{text}");
-        assert!(text.contains("75 hits / 100 lookups (75.0%)"), "{text}");
+        assert!(!text.contains("oracle cache"), "no mode consults an oracle cache: {text}");
         assert!(text.contains("Pass 90, Silent 10"), "{text}");
     }
 
@@ -602,6 +598,7 @@ mod tests {
         assert_eq!((r.prologues_resumed, r.prologues_live), (2, 1));
         assert_eq!((r.shrink_runs, r.shrink_decided), (1, 2));
         let text = r.render();
+        assert!(text.contains("arena: 2 rewinds (snapshot clones), 1 fresh boots"), "{text}");
         assert!(
             text.contains("test prologue: 2 runs resumed after it, 1 started before"),
             "{text}"

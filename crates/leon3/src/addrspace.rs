@@ -160,19 +160,32 @@ fn block_runs(page: u32, mut mask: u16) -> impl Iterator<Item = (usize, usize)> 
     })
 }
 
-/// Flat backing store of one region with block-granular dirty tracking.
+/// What an unmaterialised region reads as. Words and block runs are at
+/// most a page long, and [`RegionMem::run`] stops at the page's end; the
+/// copying reads fill zeros instead.
+static ZERO_PAGE: [u8; PAGE] = [0; PAGE];
+
+/// Backing store of one region with block-granular dirty tracking.
 ///
 /// The region's contents live in one contiguous, page-rounded buffer, so
 /// loads and stores are direct slice copies — no refcounting, no page
-/// chasing, no copy-on-write bookkeeping on the access path. Every store
-/// marks the 256-byte blocks it covers in its 4 KiB page's block mask;
-/// [`RegionMem::restore_from`] copies back only the marked blocks, which
-/// is what makes per-test state reset in the campaign executor a bounded
+/// chasing, no copy-on-write bookkeeping on the access path. The buffer
+/// is allocated, zeroed, on the region's first store: until then the
+/// region is *unmaterialised*, reads return zeros from [`ZERO_PAGE`],
+/// and a clone copies nothing, so memory no one writes (a victim
+/// partition's, the kernel's, the I/O window) costs no allocation, zero
+/// fill or copy. Every store marks the 256-byte blocks it covers in its
+/// 4 KiB page's block mask; [`RegionMem::restore_from`] copies back only
+/// the marked blocks (zeros from a source with no buffer), which is
+/// what makes per-test state reset in the campaign executor a bounded
 /// memcpy proportional to the bytes a test actually wrote, not to the
-/// configured memory size or to the pages those bytes sit in.
+/// configured memory size or to the pages those bytes sit in. A buffer,
+/// once allocated, is kept across restores, so rewinds stay
+/// allocation-free.
 #[derive(Debug)]
 struct RegionMem {
-    bytes: Box<[u8]>,
+    /// `None` until the first store: the region reads as all zeros.
+    bytes: Option<Box<[u8]>>,
     /// Pages written since creation, the last clone, or the last restore.
     dirty: Vec<u32>,
     /// Per-page dirty-block masks: bit `b` marks block `b` of the page,
@@ -185,6 +198,7 @@ impl Clone for RegionMem {
     /// its source at clone time, so a later
     /// [`restore_from`](RegionMem::restore_from) against that (since
     /// unmodified) source only needs the blocks written *after* the clone.
+    /// An unmaterialised source clones to an unmaterialised region.
     fn clone(&self) -> Self {
         RegionMem {
             bytes: self.bytes.clone(),
@@ -195,25 +209,51 @@ impl Clone for RegionMem {
 }
 
 impl RegionMem {
+    /// An unmaterialised region of `len` bytes (rounded up to pages).
     fn zeroed(len: usize) -> Self {
-        let n_pages = len.div_ceil(PAGE);
         RegionMem {
-            bytes: vec![0u8; n_pages * PAGE].into_boxed_slice(),
+            bytes: None,
             dirty: Vec::new(),
-            dirty_blocks: vec![0; n_pages].into_boxed_slice(),
+            dirty_blocks: vec![0; len.div_ceil(PAGE)].into_boxed_slice(),
         }
     }
 
     fn read(&self, off: usize, len: usize) -> Vec<u8> {
-        self.bytes[off..off + len].to_vec()
+        match &self.bytes {
+            Some(bytes) => bytes[off..off + len].to_vec(),
+            None => vec![0; len],
+        }
     }
 
     fn read_into(&self, off: usize, len: usize, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.bytes[off..off + len]);
+        match &self.bytes {
+            Some(bytes) => out.extend_from_slice(&bytes[off..off + len]),
+            None => out.resize(out.len() + len, 0),
+        }
     }
 
+    /// `[off, off + len)`; at most a page long when the region is
+    /// unmaterialised (words and block runs are).
     fn slice(&self, off: usize, len: usize) -> &[u8] {
-        &self.bytes[off..off + len]
+        match &self.bytes {
+            Some(bytes) => &bytes[off..off + len],
+            None => &ZERO_PAGE[..len],
+        }
+    }
+
+    /// Up to `max` bytes from `off` (`off + max` within the region): all
+    /// of them, or on an unmaterialised region those up to the end of
+    /// `off`'s page.
+    fn run(&self, off: usize, max: usize) -> &[u8] {
+        match &self.bytes {
+            Some(bytes) => &bytes[off..off + max],
+            None => &ZERO_PAGE[..max.min(PAGE - off % PAGE)],
+        }
+    }
+
+    /// Bytes of the allocated buffer (0 while unmaterialised).
+    fn resident_bytes(&self) -> usize {
+        self.bytes.as_ref().map_or(0, |bytes| bytes.len())
     }
 
     fn write(&mut self, off: usize, data: &[u8]) {
@@ -232,14 +272,17 @@ impl RegionMem {
             }
             *mask |= bits;
         }
-        self.bytes[off..off + data.len()].copy_from_slice(data);
+        let pages = self.dirty_blocks.len();
+        let bytes = self.bytes.get_or_insert_with(|| vec![0; pages * PAGE].into_boxed_slice());
+        bytes[off..off + data.len()].copy_from_slice(data);
     }
 
     /// Compares `[off, off + len)` against the same range of `src`,
     /// visiting only the dirty blocks: the lowest differing offset and
     /// the number of differing bytes, or `None` when they are equal.
     /// Exact under [`restore_from`](RegionMem::restore_from)'s contract
-    /// (clean blocks equal `src`'s).
+    /// (clean blocks equal `src`'s); an unmaterialised `src` compares as
+    /// zeros.
     fn diff_dirty(&self, src: &RegionMem, off: usize, len: usize) -> Option<(usize, usize)> {
         let mut first = usize::MAX;
         let mut changed = 0usize;
@@ -249,7 +292,7 @@ impl RegionMem {
                 if lo >= hi {
                     continue;
                 }
-                let (mine, theirs) = (&self.bytes[lo..hi], &src.bytes[lo..hi]);
+                let (mine, theirs) = (self.slice(lo, hi - lo), src.slice(lo, hi - lo));
                 if let Some(i) = mine.iter().zip(theirs).position(|(a, b)| a != b) {
                     first = first.min(lo + i);
                     changed += mine[i..].iter().zip(&theirs[i..]).filter(|(a, b)| a != b).count();
@@ -267,23 +310,39 @@ impl RegionMem {
         blocks as usize * BLOCK
     }
 
-    /// Copies back every dirty block from `src` and clears the dirty set.
-    /// `src` must be the buffer this one was cloned from (or restored to
-    /// last), unmodified since — clean blocks are already identical.
+    /// Copies back every dirty block from `src` — zeros when `src` is
+    /// unmaterialised — and clears the dirty set, keeping this region's
+    /// buffer. `src` must be the region this one was cloned from (or
+    /// restored to last), unmodified since — clean blocks are already
+    /// identical. A region with dirty blocks has a buffer: only stores
+    /// mark blocks.
     fn restore_from(&mut self, src: &RegionMem) {
-        debug_assert_eq!(self.bytes.len(), src.bytes.len());
-        for &p in &self.dirty {
-            let mask = std::mem::take(&mut self.dirty_blocks[p as usize]);
-            for (lo, hi) in block_runs(p, mask) {
-                self.bytes[lo..hi].copy_from_slice(&src.bytes[lo..hi]);
+        debug_assert_eq!(self.dirty_blocks.len(), src.dirty_blocks.len());
+        if let Some(bytes) = &mut self.bytes {
+            for &p in &self.dirty {
+                let mask = std::mem::take(&mut self.dirty_blocks[p as usize]);
+                for (lo, hi) in block_runs(p, mask) {
+                    bytes[lo..hi].copy_from_slice(src.slice(lo, hi - lo));
+                }
             }
         }
         self.dirty.clear();
-        debug_assert!(self.bytes == src.bytes, "restored memory differs from the snapshot's");
+        // Logical contents: a region with no buffer reads as zeros.
+        debug_assert!(
+            (0..self.dirty_blocks.len() * PAGE)
+                .step_by(PAGE)
+                .all(|p| self.slice(p, PAGE) == src.slice(p, PAGE)),
+            "restored memory differs from the snapshot's"
+        );
     }
 }
 
 /// The simulated physical address space.
+///
+/// Each region's memory is allocated on its first store, so a space
+/// whose partitions leave most regions untouched, and every clone of
+/// it, holds only the regions written so far
+/// ([`resident_bytes`](Self::resident_bytes)).
 ///
 /// ```
 /// use leon3_sim::addrspace::*;
@@ -350,8 +409,10 @@ impl AddressSpace {
     /// 256-byte blocks written since this space was cloned from `src` (or
     /// last restored to it). `src` is the flat boot image: it must be
     /// unmodified since the clone, which holds for boot snapshots — they
-    /// are captured once and never executed. Allocation-free and bounded
-    /// by [`dirty_bytes`](Self::dirty_bytes), this is the campaign
+    /// are captured once and never executed. A block whose `src` region
+    /// was never written is zero-filled, and a region this space
+    /// materialised keeps its buffer. Allocation-free and bounded by
+    /// [`dirty_bytes`](Self::dirty_bytes), this is the campaign
     /// executor's per-test state reset.
     pub fn restore_from(&mut self, src: &AddressSpace) {
         // The region table is shared with `src` since the clone and only
@@ -368,7 +429,8 @@ impl AddressSpace {
     /// equal. Only the 256-byte blocks written since this space was cloned
     /// from `src` (or last restored to it) are visited, so the cost
     /// follows the bytes written, not `len`, and nothing is copied or
-    /// allocated. Exact under [`restore_from`](Self::restore_from)'s
+    /// allocated; a `src` region that was never written compares as
+    /// zeros. Exact under [`restore_from`](Self::restore_from)'s
     /// contract: `src` unmodified since, so every clean block already
     /// equals it.
     pub fn diff_dirty(
@@ -382,6 +444,14 @@ impl AddressSpace {
         Ok(self.backing[idx]
             .diff_dirty(&src.backing[idx], off, len as usize)
             .map(|(first, changed)| RangeDiff { first: addr + (first - off) as Addr, changed }))
+    }
+
+    /// Bytes of region memory allocated, across all regions: a region
+    /// gets its page-rounded buffer on its first store and keeps it, so
+    /// regions never written (here or in the space this one was cloned
+    /// from) cost nothing.
+    pub fn resident_bytes(&self) -> usize {
+        self.backing.iter().map(RegionMem::resident_bytes).sum()
     }
 
     /// Distinct 4 KiB pages holding at least one dirty block, across all
@@ -507,14 +577,16 @@ impl AddressSpace {
     /// to `max` of them — the chunked primitive behind NUL-terminated
     /// string reads: permissions are uniform within a region, so one check
     /// covers the whole run, and a fault surfaces exactly where a one-byte
-    /// read at `addr` would fault. Returns at least one byte when `max >=
-    /// 1` (regions are non-empty and never cross the 4 GiB boundary).
+    /// read at `addr` would fault. A region no store has touched yet reads
+    /// as zeros and yields at most the rest of `addr`'s 4 KiB page, so a
+    /// caller that wants more loops. Returns at least one byte when `max
+    /// >= 1` (regions are non-empty and never cross the 4 GiB boundary).
     pub fn read_run(&self, ctx: AccessCtx, addr: Addr, max: u32) -> Result<&[u8], MemFault> {
         let idx = self.locate(ctx, addr, 1, 1, AccessKind::Read)?;
         let region = &self.regions[idx];
         let off = (addr - region.base) as usize;
         let avail = (region.size as u64 - off as u64).min(max as u64) as usize;
-        Ok(self.backing[idx].slice(off, avail))
+        Ok(self.backing[idx].run(off, avail))
     }
 
     /// Writes bytes after a successful check.

@@ -401,3 +401,145 @@ fn dirty_blocks_match_a_bytewise_reference() {
         }
     });
 }
+
+/// A seeded store into region `r` of `a`, mirrored into `model` (the
+/// region's bytes): a 32/64-bit store, a word run, or a byte run of
+/// 1..=600, straddling 256-byte and 4 KiB boundaries half the time and
+/// ending at the region's last byte one time in eight. Returns whether
+/// the store fit in the region.
+fn mirrored_store(rng: &mut Rng, a: &mut AddressSpace, model: &mut [u8], r: usize) -> bool {
+    let Region { base, size, .. } = a.regions()[r];
+    let (len, align) = match rng.range(0, 4) {
+        0 => (4, 4),
+        1 => (8, 8),
+        2 => (4 * rng.range_u64(1, 150), 4),
+        _ => (rng.range_u64(1, 601), 1),
+    };
+    let at_end = (base as u64 + size as u64).checked_sub(len).filter(|e| e % align == 0);
+    let off = match at_end {
+        Some(end) if end >= base as u64 && rng.chance(1, 8) => end - base as u64,
+        _ => match store_at(rng, a, r, len, align) {
+            Some(off) => off,
+            None => return false,
+        },
+    };
+    let data = rng.bytes(len as usize, len as usize + 1);
+    let (addr, ctx) = (base + off as u32, AccessCtx::Kernel);
+    match (len, align) {
+        (4, 4) => a.write_u32(ctx, addr, u32::from_be_bytes(data[..4].try_into().unwrap())),
+        (8, 8) => a.write_u64(ctx, addr, u64::from_be_bytes(data[..8].try_into().unwrap())),
+        (_, 4) => {
+            let words: Vec<u32> =
+                data.chunks(4).map(|w| u32::from_be_bytes(w.try_into().unwrap())).collect();
+            a.write_u32s(ctx, addr, &words)
+        }
+        _ => a.write_bytes(ctx, addr, &data),
+    }
+    .unwrap();
+    model[off as usize..(off + len) as usize].copy_from_slice(&data);
+    true
+}
+
+/// Every read path of `a` agrees with `model` (one byte vector per
+/// region) on seeded ranges: `read_bytes`, `read_bytes_into`, aligned
+/// `read_u8`/`read_u32`/`read_u64`, and `read_run`, whose runs are never
+/// empty, never longer than asked or than the region, and concatenate to
+/// the range.
+fn reads_match(rng: &mut Rng, a: &AddressSpace, model: &[Vec<u8>], what: &str) {
+    let ctx = AccessCtx::Kernel;
+    for _ in 0..12 {
+        let r = rng.range(0, model.len());
+        let (Region { base, size, .. }, want) = (a.regions()[r].clone(), &model[r]);
+        let lo = rng.range(0, size as usize);
+        let hi =
+            if rng.chance(1, 4) { size as usize } else { rng.range(lo + 1, size as usize + 1) };
+        let at = base + lo as u32;
+        assert_eq!(a.read_bytes(ctx, at, (hi - lo) as u32).unwrap(), want[lo..hi], "{what} r{r}");
+        let mut out = vec![7];
+        a.read_bytes_into(ctx, at, (hi - lo) as u32, &mut out).unwrap();
+        assert_eq!(out[1..], want[lo..hi], "{what} r{r} into");
+        assert_eq!(a.read_u8(ctx, at).unwrap(), want[lo], "{what} r{r} u8");
+        let word = |w: usize| (at as usize).next_multiple_of(w) - base as usize;
+        if let Some(b) = want.get(word(4)..word(4) + 4) {
+            let got = a.read_u32(ctx, base + word(4) as u32).unwrap();
+            assert_eq!(got, u32::from_be_bytes(b.try_into().unwrap()), "{what} r{r} u32");
+        }
+        if let Some(b) = want.get(word(8)..word(8) + 8) {
+            let got = a.read_u64(ctx, base + word(8) as u32).unwrap();
+            assert_eq!(got, u64::from_be_bytes(b.try_into().unwrap()), "{what} r{r} u64");
+        }
+        let max = rng.range(1, 3 * 4096);
+        let mut runs = Vec::new();
+        while runs.len() < max.min(size as usize - lo) {
+            let left = (max - runs.len()) as u32;
+            let run = a.read_run(ctx, at + runs.len() as u32, left).unwrap();
+            assert!(!run.is_empty() && run.len() <= left as usize, "{what} r{r} run");
+            runs.extend_from_slice(run);
+        }
+        assert_eq!(runs, want[lo..lo + runs.len()], "{what} r{r} runs from {lo:#x}");
+    }
+}
+
+/// Regions allocate their buffer on their first store, so until then
+/// they read as zeros, clone for free and restore and diff against
+/// zeros. Checked against an eager byte-wise model of every region:
+/// seeded stores on a source that leave some regions never written,
+/// every read path on both, a clone that writes regions its source never
+/// had a buffer for (region-end stores included), the dirty-range witness
+/// against such a source, and two restores of the clone. Resident bytes
+/// are the page-rounded sizes of the regions written so far, and a
+/// restore keeps the clone's buffers.
+#[test]
+fn lazy_regions_match_an_eager_bytewise_reference() {
+    testkit::check("lazy_regions_match_an_eager_bytewise_reference", 512, |rng| {
+        let scale = rng.range_u64(1, 600);
+        let (mut src, _, _) = random_layout(rng, scale);
+        let n = src.regions().len();
+        let pages =
+            |a: &AddressSpace, r: usize| (a.regions()[r].size as usize).next_multiple_of(4096);
+        let resident = |a: &AddressSpace, written: &BTreeSet<usize>| {
+            written.iter().map(|&r| pages(a, r)).sum::<usize>()
+        };
+        let mut src_model: Vec<Vec<u8>> =
+            src.regions().iter().map(|r| vec![0; r.size as usize]).collect();
+        let mut written = BTreeSet::new();
+        reads_match(rng, &src, &src_model, "fresh source");
+        assert_eq!(src.resident_bytes(), 0);
+        for _ in 0..rng.range(0, 6) {
+            let r = rng.range(0, n);
+            if r % 2 == 0 && mirrored_store(rng, &mut src, &mut src_model[r], r) {
+                written.insert(r);
+            }
+        }
+        reads_match(rng, &src, &src_model, "source");
+        assert_eq!(src.resident_bytes(), resident(&src, &written), "source");
+
+        let mut a = src.clone();
+        assert_eq!(a.resident_bytes(), src.resident_bytes(), "a clone holds what its source holds");
+        reads_match(rng, &a, &src_model, "clone");
+        for round in 0..2 {
+            let mut model = src_model.clone();
+            for _ in 0..rng.range(1, 12) {
+                let r = rng.range(0, n);
+                if mirrored_store(rng, &mut a, &mut model[r], r) {
+                    written.insert(r);
+                }
+            }
+            reads_match(rng, &a, &model, "written clone");
+            assert_eq!(a.resident_bytes(), resident(&a, &written), "round {round}");
+            for r in 0..n {
+                let Region { base, size, .. } = a.regions()[r];
+                let differing: Vec<usize> =
+                    (0..size as usize).filter(|&i| model[r][i] != src_model[r][i]).collect();
+                let want = differing
+                    .first()
+                    .map(|&i| RangeDiff { first: base + i as u32, changed: differing.len() });
+                assert_eq!(a.diff_dirty(&src, base, size), Ok(want), "round {round}: region {r}");
+            }
+            a.restore_from(&src);
+            reads_match(rng, &a, &src_model, "restored clone");
+            assert_eq!(a.resident_bytes(), resident(&a, &written), "restore keeps the buffers");
+            assert_eq!((a.dirty_pages(), a.dirty_bytes()), (0, 0), "round {round}");
+        }
+    });
+}

@@ -6,14 +6,16 @@
 //! arena the executor uses, captured inside that slot after the test
 //! partition's prologue. The differences are the first-frame work of the
 //! partitions scheduled before FDIR and FDIR's prologue, both now paid
-//! once per worker.
+//! once per worker. Each split also prints the region memory the arena's
+//! snapshot and workspace hold (`AddressSpace::resident_bytes`).
 //!
 //! Then counts the shrink evaluations of the benchmark's `sequences` and
 //! `fuzz` passes that ran and those a reproducing run's prefix decided.
 //!
 //! Then splits a small-scope `check` case: the spatial witness both ways
 //! (before/after byte images vs the blocks dirtied since the rewind), the
-//! lockstep run, the isolation invariants, and for findings the shrink.
+//! lockstep run, the isolation invariants, and for findings the shrink,
+//! plus the region memory the scope's arenas hold.
 //! The benchmark's traced `check` driver times its own byte-image
 //! witness, so only this split shows the dirty-block witness.
 //!
@@ -314,6 +316,7 @@ fn check_split() {
     let horizon = scope.horizon as usize;
     let (mut cases, mut findings, mut shrinks, mut evals) = (0usize, 0usize, 0usize, 0usize);
     let [mut t_images, mut t_dirty, mut t_run, mut t_inv, mut t_shrink] = [0u128; 5];
+    let (mut resident_snapshots, mut resident_workspaces) = (0usize, 0usize);
     flightrec::enable(DEFAULT_RING_CAPACITY);
     for cfg in enumerate_configs(&scope) {
         let n = cfg.n_partitions;
@@ -321,6 +324,7 @@ fn check_split() {
         let ctx = tb.oracle_context(BUILD);
         let (snapshot, prefix) = executor_arena(&tb);
         let mut ws = snapshot.workspace();
+        resident_snapshots += snapshot.kernel().machine.mem.resident_bytes();
         let rewound = |ws: &mut Workspace| {
             flightrec::clear();
             ws.restore(&snapshot, Some(CALLER));
@@ -389,6 +393,7 @@ fn check_split() {
                 evals += out.evals;
             }
         }
+        resident_workspaces += ws.parts().0.machine.mem.resident_bytes();
     }
     flightrec::disable();
     println!("check ({cases} cases, {findings} findings, {shrinks} shrunk in {evals} evals):");
@@ -397,6 +402,10 @@ fn check_split() {
     println!("  lockstep run:          {:.2} us per case", us(t_run, cases));
     println!("  invariants:            {:.2} us per case", us(t_inv, cases));
     println!("  shrink:                {:.2} us per shrunk finding", us(t_shrink, shrinks));
+    println!(
+        "  resident:              {resident_snapshots} bytes in the snapshots, \
+         {resident_workspaces} in the workspaces after their cases"
+    );
 }
 
 /// Runs `n` campaign tests on `ws`, rewound to `snapshot` before each,
@@ -465,6 +474,11 @@ fn split(
         "  dirty pages: {:.2} per test ({:.0} bytes rewound)",
         dirty_pages as f64 / n as f64,
         dirty_bytes as f64 / n as f64
+    );
+    println!(
+        "  resident:    {} bytes in the snapshot, {} in the workspace",
+        snapshot.kernel().machine.mem.resident_bytes(),
+        ws.parts().0.machine.mem.resident_bytes()
     );
     println!("  restore:     {:.2} us", us(t_restore, n));
     println!("  first frame: {:.2} us", us(t_first, n));

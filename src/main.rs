@@ -217,12 +217,14 @@ fn parse_build(args: &[String]) -> Result<KernelBuild, String> {
 }
 
 /// `flag VALUE`: `None` when the flag is absent, a usage error when its
-/// value is missing or is another flag (`--out --metrics`).
+/// value is missing, empty (`--corpus-dir ""` would name the working
+/// directory) or is another flag (`--out --metrics`).
 fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
     let Some(i) = args.iter().position(|a| a == flag) else {
         return Ok(None);
     };
     match args.get(i + 1) {
+        Some(value) if value.is_empty() => Err(format!("{flag} needs a non-empty value")),
         Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
         _ => Err(format!("{flag} needs a value")),
     }

@@ -379,3 +379,85 @@ fn fuzz_workers_allocate_one_recorder_ring_per_campaign() {
         assert_eq!(rings, threads as u64, "{threads} threads: {rings} rings for 94 rounds");
     }
 }
+
+/// The arena of `tb` a campaign worker keeps: booted, run to the test
+/// partition's first slot and through its prologue there.
+fn executor_arena<T: Testbed>(tb: &T) -> skrt::testbed::BootSnapshot {
+    let part = tb.test_partition();
+    let mut snapshot = tb.snapshot(KernelBuild::Legacy).expect("the testbed snapshots");
+    snapshot.step_until_slot_of(part);
+    snapshot.enter_slot_of(part, tb.prologue());
+    snapshot
+}
+
+/// A region gets its buffer on its first store, so an arena holds only
+/// the memory its boot and prefix wrote. The EagleEye arena holds its
+/// five partitions' 64 KiB areas and no kernel or I/O memory; the 56
+/// `check` arenas of the default scope hold one 64 KiB area each for the
+/// 32 configurations whose caller runs its prologue in the arena, and
+/// nothing else — no victim, kernel or I/O memory. A workspace holds
+/// what its snapshot holds.
+#[test]
+fn arenas_hold_only_the_memory_they_wrote() {
+    const AREA: usize = 64 * 1024;
+    let eagleeye = executor_arena(&eagleeye::EagleEye);
+    let resident = |s: &skrt::testbed::BootSnapshot| s.kernel().machine.mem.resident_bytes();
+    assert_eq!(resident(&eagleeye), 5 * AREA);
+    let mut ws = eagleeye.workspace();
+    assert_eq!(ws.parts().0.machine.mem.resident_bytes(), 5 * AREA);
+
+    let configs = skrt::check::enumerate_configs(&skrt::check::CheckScope::default());
+    assert_eq!(configs.len(), 56);
+    let check: usize = configs
+        .into_iter()
+        .map(|cfg| resident(&executor_arena(&skrt::check::CheckTestbed::new(cfg))))
+        .sum();
+    assert_eq!(check, 32 * AREA);
+}
+
+/// A test that writes a region its arena never wrote gives the
+/// workspace that region's buffer, and the workspace keeps it: later
+/// rewinds zero-fill the written blocks from the snapshot's missing
+/// buffer and stay allocation-free. Each test here runs the `check`
+/// probe `get_time` and then stores across a page boundary of victim
+/// partition 1 in kernel context, the write a spatial-isolation break
+/// would make (the simulated kernel makes none on its own).
+#[test]
+fn a_region_materialised_by_a_test_keeps_rewinds_allocation_free() {
+    use leon3_sim::addrspace::AccessCtx;
+    use skrt::check::{enumerate_configs, part_base, probes_for, CheckScope, CheckTestbed};
+    let _serial = serial();
+    let cfg = enumerate_configs(&CheckScope::default())
+        .into_iter()
+        .find(|c| c.caller_scheduled() && c.n_partitions >= 2)
+        .expect("the default scope schedules the caller beside a victim");
+    let probe = probes_for(&cfg)
+        .into_iter()
+        .find(|p| p.name == "get_time")
+        .expect("a scheduled caller gets the get_time probe");
+    let tb = CheckTestbed::new(cfg);
+    let ctx = tb.oracle_context(KernelBuild::Legacy);
+    let snapshot = executor_arena(&tb);
+    let src = &snapshot.kernel().machine.mem;
+    let victim = part_base(1);
+    let before = src.resident_bytes();
+    let mut ws = snapshot.workspace();
+    let mut allocs = 0u64;
+    for round in 0..20u32 {
+        ALLOCS.store(0, Ordering::SeqCst);
+        set_counting(round > 0);
+        ws.restore(&snapshot, Some(skrt::check::CALLER));
+        set_counting(false);
+        allocs += ALLOCS.load(Ordering::SeqCst);
+        let (kernel, guests) = ws.parts();
+        assert_eq!(kernel.machine.mem.diff_dirty(src, victim, 0x1_0000), Ok(None));
+        let eval = run_one_sequence(&tb, &ctx, kernel, guests, &probe.steps, 1);
+        assert_eq!(eval.verdict.classification.class, CrashClass::Pass);
+        let mem = &mut kernel.machine.mem;
+        mem.write_bytes(AccessCtx::Kernel, victim + 0xFF0, &[0xA5; 32]).unwrap();
+        assert_eq!(mem.resident_bytes(), before + 0x1_0000, "round {round}");
+        let diff = mem.diff_dirty(src, victim, 0x1_0000).unwrap().expect("the store shows");
+        assert_eq!((diff.first, diff.changed), (victim + 0xFF0, 32));
+    }
+    assert_eq!(allocs, 0, "19 rewinds after the region was materialised allocated {allocs} times");
+}

@@ -140,6 +140,45 @@ fn string_flags_missing_their_value_exit_2_before_running() {
     assert!(written.is_empty(), "no file may be written, got {written:?}");
 }
 
+/// An empty value is a usage error naming the flag, never the working
+/// directory or a file with no name: `--corpus-dir ""` used to write the
+/// fuzz corpus into the directory the command ran in.
+#[test]
+fn empty_flag_values_exit_2_before_running() {
+    let dir = std::env::temp_dir().join(format!("skrt_cli_empty_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for (args, flag) in [
+        (
+            &["campaign", "fuzz", "--execs", "8", "--batch", "4", "--corpus-dir", ""][..],
+            "--corpus-dir",
+        ),
+        (&["campaign", "fuzz", "--execs", "8", "--batch", "4", "--stats", ""], "--stats"),
+        (&["campaign", "fuzz", "--replay", ""], "--replay"),
+        (&["campaign", "check", "--partitions", "1", "--out", ""], "--out"),
+        (&["campaign", "report", "--count", "2", "--out", ""], "--out"),
+        (&["campaign", "sweep", "--tests", "4", "--trace", ""], "--trace"),
+        (&["campaign", "sequences", "--count", "2", "--record", ""], "--record"),
+        (&["campaign", "sequences", "--count", "2", "--metrics-out", ""], "--metrics-out"),
+        (&["campaign", "--live-stats", ""], "--live-stats"),
+        (&["campaign", "--build", ""], "--build"),
+        (&["triage", "XM_set_timer", "2", "--record", ""], "--record"),
+        (&["specgen", "--out", ""], "--out"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_skrt-repro"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("run skrt-repro");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args:?}: stderr must name {flag}, got: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must fail before running anything");
+    }
+    let written: Vec<_> = std::fs::read_dir(&dir).expect("list scratch dir").collect();
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    assert!(written.is_empty(), "no file may be written, got {written:?}");
+}
+
 /// A flag the command does not read — a typo, or a flag of another
 /// mode — is a usage error naming it, never silently ignored (which
 /// would run the command with the default the flag meant to override).
@@ -284,10 +323,10 @@ const SWITCHES: &[&str] = &["--metrics", "--no-shrink"];
 const COMMAND_WORDS: &[&str] = &["campaign", "sweep", "sequences", "fuzz", "check", "report"];
 
 /// One seeded hostile edit of `argv`: a flag's or operand's value
-/// dropped, replaced by a non-number, by a number past `u64`, or by a
-/// negative one; a flag repeated; or an unknown flag inserted. None of
-/// them introduces a number that parses, so whatever still runs keeps
-/// the valid line's thread count and tiny counts.
+/// dropped, emptied, replaced by a non-number, by a number past `u64`,
+/// or by a negative one; a flag repeated; or an unknown flag inserted.
+/// None of them introduces a number that parses, so whatever still runs
+/// keeps the valid line's thread count and tiny counts.
 fn mutate(argv: &mut Vec<String>, rng: &mut skrt::sequence::SeqRng) {
     const NON_NUMBERS: &[&str] = &["abc", "1e3", "", "0x10", " 7", "7 ", "+-1", "NaN", "inf", "½"];
     const PAST_U64: &[&str] = &["18446744073709551616", "340282366920938463463374607431768211456"];
@@ -305,10 +344,11 @@ fn mutate(argv: &mut Vec<String>, rng: &mut skrt::sequence::SeqRng) {
         })
         .collect();
     let flags: Vec<usize> = (0..argv.len()).filter(|&i| argv[i].starts_with("--")).collect();
-    match pick(6) {
+    match pick(7) {
         0 if !values.is_empty() => {
             argv.remove(values[pick(values.len())]);
         }
+        6 if !values.is_empty() => argv[values[pick(values.len())]].clear(),
         1 if !values.is_empty() => argv[values[pick(values.len())]] = NON_NUMBERS[pick(10)].into(),
         2 if !values.is_empty() => argv[values[pick(values.len())]] = PAST_U64[pick(2)].into(),
         3 if !values.is_empty() => argv[values[pick(values.len())]] = NEGATIVE[pick(3)].into(),
@@ -327,7 +367,7 @@ fn mutate(argv: &mut Vec<String>, rng: &mut skrt::sequence::SeqRng) {
 }
 
 /// Seeded hostile command lines for every subcommand — valid lines with
-/// missing values, non-numbers, numbers past `u64`, negative numbers,
+/// missing or empty values, non-numbers, numbers past `u64`, negative numbers,
 /// repeated flags and unknown flags — run one after another: each exits
 /// 0, 1 or 2, never 101 (a panic) or on a signal. No edit introduces a
 /// number, so a line that still parses runs with at most 2 threads and

@@ -334,3 +334,26 @@ fn final_heartbeat_matches_folded_metrics() {
         }
     }
 }
+
+/// `snapshot_clones` counts arena rewinds, not tests: on the benchmark's
+/// `sequences` pass (seed 1, 500 × 8) every main evaluation, refined
+/// re-run, shrink run and triage re-run starts from a rewind, so 1815
+/// rewinds = 500 tests + 175 refines + 965 shrink runs + 175 triage
+/// re-runs, at one thread and at four.
+#[test]
+fn snapshot_clones_count_every_arena_rewind() {
+    for threads in [1usize, 4] {
+        let report = xm_campaign::run_eagleeye_sequences(
+            1,
+            500,
+            8,
+            &SequenceOptions { threads, ..Default::default() },
+        );
+        let m = &report.result.metrics;
+        let diverged = report.result.divergences().len() as u64;
+        let minimal = report.result.records.iter().filter(|r| r.minimal.is_some()).count();
+        assert_eq!((m.tests_executed, diverged, minimal, m.shrink_runs), (500, 175, 175, 965));
+        assert_eq!(m.snapshot_clones, m.tests_executed + diverged + m.shrink_runs + diverged);
+        assert_eq!(m.snapshot_clones, 1815, "{threads} threads");
+    }
+}
