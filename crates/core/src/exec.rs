@@ -379,6 +379,13 @@ impl<'t, T: Testbed + ?Sized> Booter<'t, T> {
         let (kernel, guests) = arena.workspace.parts();
         (kernel, guests, Some(arena.snapshot.kernel()))
     }
+
+    /// The flight events the arena's prefix recorded, which every run
+    /// window replays right after its `SnapshotClone` marker; `None` when
+    /// the testbed cannot snapshot and each run boots afresh.
+    pub(crate) fn prefix_events(&self) -> Option<&[Event]> {
+        self.arena.as_ref().map(|arena| arena.prefix.as_slice())
+    }
 }
 
 /// Opens one run window on this thread's recorder: everything recorded

@@ -564,14 +564,14 @@ pub fn make_candidate(
 // Coverage extraction
 // ---------------------------------------------------------------------------
 
-/// Folds one execution's drained flight events and frame digests into a
-/// canonical [`ExecCoverage`].
+/// Folds one execution's drained flight events, then its frame digests,
+/// into the window `trace` has open (a new trace's, or one `begin` or
+/// `resume` opened) and finishes it into a canonical [`ExecCoverage`].
 fn extract_coverage(
     trace: &mut EdgeTrace,
     events: &[flightrec::Event],
     eval: &SequenceEval,
 ) -> ExecCoverage {
-    trace.begin();
     for e in events {
         trace.observe_event(e);
     }
@@ -651,11 +651,15 @@ struct PendingFinding {
 /// the feedback signal, so the recorder is always on, independent of
 /// `opts.record` — is kept here too: each exec runs in it on whichever
 /// thread the round gives the worker, so its ring is allocated once per
-/// campaign, not once per round.
+/// campaign, not once per round. Every window opens with the arena
+/// prefix's events, the same for every exec, so the worker folds them
+/// once (`prefix`; `None` without an arena) and each exec resumes from
+/// that fold.
 struct FuzzWorker<'t, T: ?Sized> {
     booter: Booter<'t, T>,
     log: WorkerLog,
     trace: EdgeTrace,
+    prefix: Option<EdgeTrace>,
     window: flightrec::Window,
 }
 
@@ -689,8 +693,13 @@ fn fuzz_body<T: Testbed + ?Sized>(
         .map(|_| {
             let mut log = WorkerLog::new(opts.record);
             let booter = Booter::new(testbed, opts.build, &mut log.local);
+            let prefix = booter.prefix_events().map(|events| {
+                let mut prefix = EdgeTrace::new();
+                events.iter().for_each(|e| prefix.observe_event(e));
+                prefix
+            });
             let window = flightrec::Window::enabled(DEFAULT_RING_CAPACITY);
-            FuzzWorker { booter, log, trace: EdgeTrace::new(), window }
+            FuzzWorker { booter, log, trace: EdgeTrace::new(), prefix, window }
         })
         .collect();
     let steals = AtomicU64::new(0);
@@ -815,7 +824,7 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
     exec_index: u64,
     steps: &[RawHypercall],
 ) -> CandidateOutcome {
-    let FuzzWorker { booter, log, trace, window } = worker;
+    let FuzzWorker { booter, log, trace, prefix, window } = worker;
     flightrec::isolated_in(window, || {
         // The candidate's stream is its run window: everything since boot.
         let (kernel, guests) = booter.booted(&mut log.local, None);
@@ -829,7 +838,27 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
         if opts.record {
             log.fold_latency(&drained.events);
         }
-        let coverage = extract_coverage(trace, &drained.events, &eval);
+        // The window is the `SnapshotClone` marker, the replayed prefix,
+        // then this candidate's own run: fold only the run, unless the
+        // ring dropped events from the window's start.
+        let (resumed, rest) = match prefix.as_ref().filter(|_| drained.dropped == 0) {
+            Some(prefix) => {
+                trace.resume(prefix);
+                let skipped = 1 + booter.prefix_events().map_or(0, <[_]>::len);
+                (prefix.tokens(), &drained.events[skipped..])
+            }
+            None => {
+                trace.begin();
+                (0, &drained.events[..])
+            }
+        };
+        let coverage = extract_coverage(trace, rest, &eval);
+        log.local.note_coverage_tokens(trace.tokens() - resumed, resumed);
+        debug_assert_eq!(
+            coverage,
+            extract_coverage(&mut EdgeTrace::new(), &drained.events, &eval),
+            "prefix-resumed coverage differs from a fold from the window's start"
+        );
 
         let mut finding = None;
         let mut class = eval.verdict.classification.class;

@@ -68,6 +68,8 @@ pub(crate) struct LocalMetrics {
     prologues_live: u64,
     shrink_runs: u64,
     shrink_decided: u64,
+    coverage_folded: u64,
+    coverage_resumed: u64,
     phase: [LatencyHistogram; N_PHASES],
     /// Whether this worker times its phases (fixed at construction).
     profile: bool,
@@ -132,6 +134,13 @@ impl LocalMetrics {
         }
     }
 
+    /// One fuzz exec's coverage window: `folded` tokens it folded itself,
+    /// `resumed` ones a resume from the arena prefix's fold supplied.
+    pub(crate) fn note_coverage_tokens(&mut self, folded: u64, resumed: u64) {
+        self.coverage_folded += folded;
+        self.coverage_resumed += resumed;
+    }
+
     /// One finished test (case, sequence, candidate or check case).
     pub(crate) fn note_outcome(&mut self, class: CrashClass) {
         self.tests_executed += 1;
@@ -151,6 +160,8 @@ impl LocalMetrics {
         self.prologues_live += other.prologues_live;
         self.shrink_runs += other.shrink_runs;
         self.shrink_decided += other.shrink_decided;
+        self.coverage_folded += other.coverage_folded;
+        self.coverage_resumed += other.coverage_resumed;
         for (h, o) in self.phase.iter_mut().zip(&other.phase) {
             h.merge(o);
         }
@@ -186,6 +197,8 @@ impl LocalMetrics {
             prologues_live: self.prologues_live,
             shrink_runs: self.shrink_runs,
             shrink_decided: self.shrink_decided,
+            coverage_tokens_folded: self.coverage_folded,
+            coverage_tokens_resumed: self.coverage_resumed,
             phases,
             hc_latency,
             ..Default::default()
@@ -222,6 +235,13 @@ pub struct MetricsReport {
     /// Shrink evaluations a reproducing run's prefix decided without a
     /// run (see `sequence::same_class`).
     pub shrink_decided: u64,
+    /// Coverage tokens the fuzz execs folded themselves: each exec's own
+    /// events and frame digests, or its whole window when it was not
+    /// resumed (no arena, or the ring dropped events).
+    pub coverage_tokens_folded: u64,
+    /// Coverage tokens the fuzz execs took over by resuming from their
+    /// worker's one fold of the arena prefix, instead of folding them.
+    pub coverage_tokens_resumed: u64,
     /// Always 0: every test executes. Kept so readers of the report
     /// written when a per-worker result memo existed still compile.
     pub memo_hits: u64,
@@ -311,6 +331,12 @@ impl MetricsReport {
                 self.shrink_runs, self.shrink_decided
             ));
         }
+        if self.coverage_tokens_folded + self.coverage_tokens_resumed > 0 {
+            out.push_str(&format!(
+                "  coverage tokens: {} folded, {} resumed from the arena prefix's fold\n",
+                self.coverage_tokens_folded, self.coverage_tokens_resumed
+            ));
+        }
         if self.steals > 0 {
             out.push_str(&format!("  work stealing: {} chunks stolen\n", self.steals));
         }
@@ -390,6 +416,16 @@ impl MetricsReport {
             reg.push_counter(
                 "skrt_shrink_evaluations",
                 "Shrink evaluations: run, or decided by a reproducing run's prefix.",
+                &[("how", how)],
+                n,
+            );
+        }
+        for (how, n) in
+            [("folded", self.coverage_tokens_folded), ("resumed", self.coverage_tokens_resumed)]
+        {
+            reg.push_counter(
+                "skrt_coverage_tokens",
+                "Fuzz coverage tokens: folded by the exec, or resumed from the arena prefix's fold.",
                 &[("how", how)],
                 n,
             );
@@ -498,6 +534,7 @@ mod tests {
         let text = r.render();
         assert!(text.contains("100 tests"), "{text}");
         assert!(!text.contains("oracle cache"), "no mode consults an oracle cache: {text}");
+        assert!(!text.contains("coverage tokens"), "only fuzz folds coverage: {text}");
         assert!(text.contains("Pass 90, Silent 10"), "{text}");
     }
 
@@ -528,6 +565,7 @@ mod tests {
             "skrt_fresh_boots",
             "skrt_test_prologues",
             "skrt_shrink_evaluations",
+            "skrt_coverage_tokens",
             "skrt_oracle_hits",
             "skrt_oracle_misses",
             "skrt_steals",
@@ -576,6 +614,7 @@ mod tests {
         a.note_fresh_boot();
         a.note_prologue(true);
         a.note_shrink_eval(true);
+        a.note_coverage_tokens(70, 54);
         let mut b = LocalMetrics::new(true);
         b.note_outcome(CrashClass::Silent);
         b.note_outcome(CrashClass::Pass);
@@ -584,6 +623,7 @@ mod tests {
         b.note_prologue(false);
         b.note_shrink_eval(false);
         b.note_shrink_eval(true);
+        b.note_coverage_tokens(120, 0);
         b.note_phase(Phase::Shrink, Duration::from_micros(3));
         b.note_phase(Phase::Rewind, Duration::from_micros(2));
         let mut total = LocalMetrics::new(false);
@@ -597,6 +637,7 @@ mod tests {
         assert_eq!((r.snapshot_clones, r.fresh_boots), (2, 1));
         assert_eq!((r.prologues_resumed, r.prologues_live), (2, 1));
         assert_eq!((r.shrink_runs, r.shrink_decided), (1, 2));
+        assert_eq!((r.coverage_tokens_folded, r.coverage_tokens_resumed), (190, 54));
         let text = r.render();
         assert!(text.contains("arena: 2 rewinds (snapshot clones), 1 fresh boots"), "{text}");
         assert!(
@@ -604,9 +645,11 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("shrink: 1 evaluations run, 2 decided"), "{text}");
+        assert!(text.contains("coverage tokens: 190 folded, 54 resumed"), "{text}");
         let prom = r.telemetry("t").render_openmetrics();
         assert!(prom.contains("skrt_shrink_evaluations_total{how=\"decided\"} 2"), "{prom}");
         assert!(prom.contains("skrt_test_prologues_total{how=\"live\"} 1"), "{prom}");
+        assert!(prom.contains("skrt_coverage_tokens_total{how=\"resumed\"} 54"), "{prom}");
         let names: Vec<&str> = r.phases.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["arena_rewind", "shrink"]);
         assert_eq!(r.hc_latency.len(), 1);

@@ -90,15 +90,16 @@ pub fn event_token(e: &Event) -> Option<u64> {
 /// Per-execution coverage extraction scratch. Reused across executions
 /// (one per worker): `begin` resets only the touched cells, so the cost
 /// per execution is proportional to the trace, not to [`MAP_SIZE`].
-/// A bitmap of the touched cells lets `finish` list them in cell order
-/// by walking [`MAP_SIZE`] / 64 words instead of sorting.
+/// Touched cells are listed in first-touch order, which is a function of
+/// the token stream, so `finish` needs neither a sort nor a map walk.
 pub struct EdgeTrace {
     counts: Vec<u32>,
-    /// One bit per cell, set on the cell's first hit in this window.
-    hit: Vec<u64>,
+    /// Cells hit in this window, in first-touch order.
     touched: Vec<u16>,
     prev: u64,
     sig: u64,
+    /// Tokens folded into this window, resumed ones included.
+    tokens: u64,
 }
 
 impl Default for EdgeTrace {
@@ -111,10 +112,10 @@ impl EdgeTrace {
     pub fn new() -> Self {
         EdgeTrace {
             counts: vec![0; MAP_SIZE],
-            hit: vec![0; MAP_SIZE / 64],
             touched: Vec::new(),
             prev: 0,
             sig: FNV_OFFSET,
+            tokens: 0,
         }
     }
 
@@ -122,12 +123,27 @@ impl EdgeTrace {
     pub fn begin(&mut self) {
         for &cell in &self.touched {
             self.counts[cell as usize] = 0;
-            // Every bit set in the word is a touched cell: clear it whole.
-            self.hit[cell as usize / 64] = 0;
         }
         self.touched.clear();
         self.prev = 0;
         self.sig = FNV_OFFSET;
+        self.tokens = 0;
+    }
+
+    /// Start a window as if `from`'s tokens had just been folded into it:
+    /// folding the rest of a stream after resuming from a fold of its
+    /// head ends in the state a fold of the whole stream from
+    /// [`begin`](Self::begin) reaches, touched-cell order included. Costs
+    /// the cells `from` touched, not the tokens it folded.
+    pub fn resume(&mut self, from: &EdgeTrace) {
+        self.begin();
+        for &cell in &from.touched {
+            self.counts[cell as usize] = from.counts[cell as usize];
+        }
+        self.touched.extend_from_slice(&from.touched);
+        self.prev = from.prev;
+        self.sig = from.sig;
+        self.tokens = from.tokens;
     }
 
     /// Fold one stream token: bump the edge cell formed with the
@@ -135,10 +151,10 @@ impl EdgeTrace {
     #[inline]
     pub fn observe_token(&mut self, token: u64) {
         self.sig = fnv_step(self.sig, token);
+        self.tokens += 1;
         let cell = ((self.prev ^ token) & MASK) as usize;
         if self.counts[cell] == 0 {
             self.touched.push(cell as u16);
-            self.hit[cell / 64] |= 1 << (cell % 64);
         }
         self.counts[cell] = self.counts[cell].saturating_add(1);
         // Shifted, not raw: A→B and B→A hash to different edges.
@@ -153,29 +169,18 @@ impl EdgeTrace {
         }
     }
 
-    /// Finish the window: the bucketed touched-cell list (in cell order,
-    /// so it is a canonical value) and the stream signature.
-    pub fn finish(&mut self) -> ExecCoverage {
-        let mut cells = Vec::with_capacity(self.touched.len());
-        for (w, &word) in self.hit.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let cell = w * 64 + bits.trailing_zeros() as usize;
-                cells.push((cell as u16, bucket(self.counts[cell])));
-                bits &= bits - 1;
-            }
-        }
-        debug_assert_eq!(cells, self.sorted_cells(), "bitmap walk differs from the sort");
-        ExecCoverage { cells, signature: self.sig }
+    /// Tokens folded into this window so far, including those a
+    /// [`resume`](Self::resume) supplied.
+    pub fn tokens(&self) -> u64 {
+        self.tokens
     }
 
-    /// The reference the bitmap walk is checked against: the touched
-    /// list, bucketed and sorted.
-    fn sorted_cells(&self) -> Vec<(u16, u8)> {
-        let mut cells: Vec<(u16, u8)> =
-            self.touched.iter().map(|&c| (c, bucket(self.counts[c as usize]))).collect();
-        cells.sort_unstable();
-        cells
+    /// Finish the window: the bucketed touched-cell list (in first-touch
+    /// order, so it is a canonical value of the stream) and the stream
+    /// signature.
+    pub fn finish(&self) -> ExecCoverage {
+        let cells = self.touched.iter().map(|&c| (c, bucket(self.counts[c as usize]))).collect();
+        ExecCoverage { cells, signature: self.sig }
     }
 }
 
@@ -191,10 +196,12 @@ fn fnv_step(h: u64, word: u64) -> u64 {
 }
 
 /// Canonical coverage of one execution: the bucketed cells it touched
-/// (sorted) and a full-stream signature for byte-replay checks.
+/// (in first-touch order) and a full-stream signature for byte-replay
+/// checks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExecCoverage {
-    /// `(cell index, hit bucket)` pairs, sorted by cell index.
+    /// `(cell index, hit bucket)` pairs, one per distinct cell, in the
+    /// order the stream first touched them.
     pub cells: Vec<(u16, u8)>,
     /// Order-sensitive hash of every coverage token in the stream.
     pub signature: u64,
@@ -232,7 +239,8 @@ impl CoverageMap {
     }
 
     /// Fold one execution's coverage in; returns how many `(cell,
-    /// bucket)` observations were novel (0 = nothing new).
+    /// bucket)` observations were novel (0 = nothing new). A window lists
+    /// each cell once, so the order of `cov.cells` does not matter.
     pub fn observe(&mut self, cov: &ExecCoverage) -> usize {
         let mut novel = 0;
         for &(cell, bucket) in &cov.cells {
@@ -353,18 +361,25 @@ mod tests {
         assert_eq!(t.finish(), first, "reused scratch must not leak between windows");
     }
 
-    /// The bitmap walk equals the sorted-touched reference, and a plain
-    /// count-per-cell model, on 2400 seeded windows over one reused
-    /// trace: small and large token vocabularies (edges repeat, or mostly
-    /// do not), empty windows, tokens aimed at the first and last cell,
-    /// and windows abandoned by a second `begin` without `finish`.
-    #[test]
-    fn bitmap_walk_matches_the_sorted_reference() {
-        let mut state = 0x5EED_u64;
-        let mut next = move || {
+    /// A seeded SplitMix64 stream for the window tests.
+    fn seeded(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             mix(state)
-        };
+        }
+    }
+
+    /// `finish` lists every touched cell once, in first-touch order, with
+    /// its bucketed count. Checked against a plain model (a list that
+    /// appends a cell on its first hit and counts the later ones) on 2400
+    /// seeded windows over one reused trace: small and large token
+    /// vocabularies (edges repeat, or mostly do not), empty windows,
+    /// tokens aimed at the first and last cell, and windows abandoned by
+    /// a second `begin` without `finish`.
+    #[test]
+    fn finish_lists_cells_in_first_touch_order() {
+        let mut next = seeded(0x5EED);
         let mut t = EdgeTrace::new();
         let (mut empty, mut abandoned, mut first, mut last, mut repeated) = (0, 0, 0, 0, 0);
         for window in 0..2400u64 {
@@ -372,12 +387,14 @@ mod tests {
             let len = if window % 7 == 0 { 0 } else { next() % 300 };
             let abandon_at = (window % 5 == 0).then(|| next() % 300);
             t.begin();
-            let mut model = std::collections::BTreeMap::<u16, u32>::new();
+            let mut model: Vec<(u16, u32)> = Vec::new();
+            let mut at = std::collections::HashMap::<u16, usize>::new();
             let mut prev = 0u64;
             for i in 0..len {
                 if abandon_at == Some(i) {
                     t.begin();
                     model.clear();
+                    at.clear();
                     prev = 0;
                     abandoned += 1;
                 }
@@ -389,18 +406,21 @@ mod tests {
                     _ => next(),
                 };
                 t.observe_token(token);
-                *model.entry(((prev ^ token) & MASK) as u16).or_default() += 1;
+                let cell = ((prev ^ token) & MASK) as u16;
+                let k = *at.entry(cell).or_insert_with(|| {
+                    model.push((cell, 0));
+                    model.len() - 1
+                });
+                model[k].1 += 1;
                 prev = token >> 1;
             }
-            let reference = t.sorted_cells();
             let cov = t.finish();
-            assert_eq!(cov.cells, reference, "window {window}");
-            let modelled: Vec<(u16, u8)> = model.iter().map(|(&c, &n)| (c, bucket(n))).collect();
+            let modelled: Vec<(u16, u8)> = model.iter().map(|&(c, n)| (c, bucket(n))).collect();
             assert_eq!(cov.cells, modelled, "window {window}");
             empty += usize::from(cov.cells.is_empty());
-            first += usize::from(model.contains_key(&0));
-            last += usize::from(model.contains_key(&((MAP_SIZE - 1) as u16)));
-            repeated += usize::from(model.values().any(|&n| n > 1));
+            first += usize::from(at.contains_key(&0));
+            last += usize::from(at.contains_key(&((MAP_SIZE - 1) as u16)));
+            repeated += usize::from(model.iter().any(|&(_, n)| n > 1));
         }
         for (what, n) in [
             ("empty", empty),
@@ -408,6 +428,79 @@ mod tests {
             ("cell 0", first),
             ("last cell", last),
             ("repeated-edge", repeated),
+        ] {
+            assert!(n > 100, "only {n} {what} windows");
+        }
+    }
+
+    /// Resuming from a fold of a stream's head and folding the rest ends
+    /// where a fold of the whole stream from `begin` ends: the same cells
+    /// in the same order, the same signature and token count. Checked on
+    /// 2400 seeded (head, rest) splits resumed into one reused trace:
+    /// empty heads and empty rests, rests whose edges re-hit the head's
+    /// cells, a trace left mid-window (no `finish`) before the resume, and
+    /// a plain `begin` window after a resumed one.
+    #[test]
+    fn resume_then_fold_equals_a_fold_from_begin() {
+        let mut next = seeded(0xC0DE);
+        let (mut head, mut t, mut reference) =
+            (EdgeTrace::new(), EdgeTrace::new(), EdgeTrace::new());
+        let fold = |trace: &mut EdgeTrace, tokens: &[u64]| {
+            for &x in tokens {
+                trace.observe_token(x);
+            }
+        };
+        let (mut empty_head, mut empty_rest, mut rehit, mut unfinished, mut after) =
+            (0, 0, 0, 0, 0);
+        for window in 0..2400u64 {
+            let vocab: Vec<u64> = (0..4).map(|_| next()).collect();
+            let head_len = if window % 6 == 0 { 0 } else { next() % 120 };
+            let rest_len = if window % 5 == 0 { 0 } else { next() % 120 };
+            let stream: Vec<u64> = (0..head_len + rest_len)
+                .map(|_| if window % 2 == 0 { vocab[(next() % 4) as usize] } else { next() })
+                .collect();
+            let (h, r) = stream.split_at(head_len as usize);
+            head.begin();
+            fold(&mut head, h);
+            if window % 3 == 0 {
+                // A window left open: the resume must drop all of it.
+                let junk: Vec<u64> = (0..1 + next() % 40).map(|_| next()).collect();
+                fold(&mut t, &junk);
+                unfinished += 1;
+            }
+            t.resume(&head);
+            fold(&mut t, r);
+            reference.begin();
+            fold(&mut reference, &stream);
+            assert_eq!(t.tokens(), reference.tokens(), "window {window}");
+            assert_eq!(t.finish(), reference.finish(), "window {window}");
+
+            let head_cells: Vec<u16> = head.finish().cells.iter().map(|&(c, _)| c).collect();
+            let mut prev = h.last().map_or(0, |&x| x >> 1);
+            rehit += usize::from(r.iter().any(|&x| {
+                let cell = ((prev ^ x) & MASK) as u16;
+                prev = x >> 1;
+                head_cells.contains(&cell)
+            }));
+            empty_head += usize::from(h.is_empty());
+            empty_rest += usize::from(r.is_empty());
+            if window % 4 == 0 {
+                // A `begin` after a resumed window starts from nothing.
+                t.begin();
+                fold(&mut t, r);
+                reference.begin();
+                fold(&mut reference, r);
+                assert_eq!(t.tokens(), reference.tokens(), "window {window} after resume");
+                assert_eq!(t.finish(), reference.finish(), "window {window} after resume");
+                after += 1;
+            }
+        }
+        for (what, n) in [
+            ("empty-head", empty_head),
+            ("empty-rest", empty_rest),
+            ("re-hit", rehit),
+            ("unfinished", unfinished),
+            ("begin-after-resume", after),
         ] {
             assert!(n > 100, "only {n} {what} windows");
         }

@@ -28,9 +28,11 @@
 //! Last, splits a fuzz exec: the benchmark's 6000 `fuzz` candidates
 //! (benchmark alphabet, seed 1, one thread), rebuilt from the corpus of a
 //! `run_fuzz` pass, each run the way a fuzz worker runs it — rewind plus
-//! prefix replay, lockstep, drain, token fold and `finish` — and what is
-//! left of `run_fuzz`'s per-exec time: mutation, map fold, triage and the
-//! driver itself.
+//! prefix replay, lockstep, drain, a resume from the arena prefix's fold
+//! plus a fold of the run's own tokens, and `finish` — with the tokens
+//! resumed and folded and the cells listed per exec, and what is left of
+//! `run_fuzz`'s per-exec time: mutation, map fold, triage and the driver
+//! itself.
 
 use eagleeye::EagleEye;
 use flightrec::{EdgeTrace, EventKind, NO_PARTITION};
@@ -203,11 +205,20 @@ fn fuzz_split(ctx: &skrt::oracle::OracleContext) {
 
     let (snapshot, prefix) = executor_arena(&EagleEye);
     let mut ws = snapshot.workspace();
+    // A worker folds the prefix once; each window opens with the
+    // `SnapshotClone` marker and the prefix, then the run's own events.
+    let mut head = EdgeTrace::new();
+    for e in &prefix {
+        head.observe_event(e);
+    }
+    let skipped = 1 + prefix.len();
     let mut trace = EdgeTrace::new();
     let mut best = [u128::MAX; 5];
+    let (mut folded, mut cells) = (0, 0);
     flightrec::enable(DEFAULT_RING_CAPACITY);
     for _ in 0..3 {
         let mut t = [0u128; 5];
+        (folded, cells) = (0, 0);
         let mut entries = corpus.iter().peekable();
         for (i, steps) in candidates.iter().enumerate() {
             let t0 = Instant::now();
@@ -222,8 +233,9 @@ fn fuzz_split(ctx: &skrt::oracle::OracleContext) {
             let t2 = Instant::now();
             let drained = flightrec::drain();
             let t3 = Instant::now();
-            trace.begin();
-            for e in &drained.events {
+            assert_eq!(drained.dropped, 0, "exec {i} wrapped the ring");
+            trace.resume(&head);
+            for e in &drained.events[skipped..] {
                 trace.observe_event(e);
             }
             for &d in &eval.frame_digests {
@@ -232,6 +244,8 @@ fn fuzz_split(ctx: &skrt::oracle::OracleContext) {
             let t4 = Instant::now();
             let cov = trace.finish();
             let t5 = Instant::now();
+            folded += trace.tokens() - head.tokens();
+            cells += cov.cells.len();
             if let Some(e) = entries.next_if(|e| e.exec_index == i as u64 + 1) {
                 assert_eq!(cov.signature, e.signature, "exec {} coverage", e.exec_index);
             }
@@ -247,10 +261,16 @@ fn fuzz_split(ctx: &skrt::oracle::OracleContext) {
     flightrec::disable();
     let n = candidates.len();
     println!("fuzz ({n} execs, benchmark alphabet, seed 1, corpus {}):", corpus.len());
-    let labels = ["rewind + prefix replay", "lockstep", "drain", "token fold", "finish"];
+    let labels = ["rewind + prefix replay", "lockstep", "drain", "resume + token fold", "finish"];
     for (label, t) in labels.iter().zip(best) {
         println!("  {label:<23} {:.2} us per exec", us(t, n));
     }
+    println!(
+        "  coverage tokens:        {} resumed, {:.1} folded per exec; {:.1} cells per exec",
+        head.tokens(),
+        folded as f64 / n as f64,
+        cells as f64 / n as f64
+    );
     let residual = pass.saturating_sub(best.iter().sum());
     println!("  run_fuzz, whole pass:   {:.2} us per exec", us(pass, n));
     println!("  run_fuzz residual:      {:.2} us per exec", us(residual, n));

@@ -103,7 +103,8 @@ fn usage() -> &'static str {
      \x20     (with coverage occupancy, corpus composition, hottest edges and\n\
      \x20     the rounds-since-novel plateau signal); --record adds coverage and\n\
      \x20     throughput counter tracks to the Perfetto trace; --replay\n\
-     \x20     re-executes one corpus/finding file and prints the verdict.\n\
+     \x20     re-executes one corpus/finding file and prints the verdict\n\
+     \x20     (it takes only --build besides).\n\
      \x20     Exit code 1 when any divergence is found.\n\
      \x20 skrt-repro campaign check [--build legacy|patched] [--partitions N]\n\
      \x20                     [--slots N] [--horizon N] [--threads N] [--out DIR]\n\
@@ -201,6 +202,12 @@ fn reject_unknown_flags(args: &[String]) -> Result<(), String> {
     let Some((name, accepted)) = command else {
         return Ok(());
     };
+    reject_unread_flags(name, accepted, args)
+}
+
+/// Fails on the first `--flag` in `args` that is not in `accepted`,
+/// naming it and the flags `name` reads.
+fn reject_unread_flags(name: &str, accepted: &[&str], args: &[String]) -> Result<(), String> {
     match args.iter().find(|a| a.starts_with("--") && !accepted.contains(&a.as_str())) {
         Some(flag) if accepted.is_empty() => Err(format!("{name} takes no flags, got {flag}")),
         Some(flag) => Err(format!("{name} does not take {flag} (flags: {})", accepted.join(" "))),
@@ -551,19 +558,19 @@ fn cmd_report(args: &[String]) -> Result<i32, String> {
 }
 
 fn cmd_fuzz(args: &[String]) -> Result<i32, String> {
-    let flags = RunFlags::parse(args)?;
-
-    // Replay mode: re-execute one corpus/finding file and report.
+    // Replay mode: re-execute one corpus/finding file and report. It
+    // reads only the build, so any search flag is a usage error.
     if let Some(path) = flag_value(args, "--replay")? {
+        reject_unread_flags("campaign fuzz --replay", &["--build", "--replay"], args)?;
+        let build = parse_build(args)?;
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let steps = skrt::parse_steps(&text).map_err(|e| format!("{path}: {e}"))?;
         // Same steps-per-slot as the fuzzer's coverage-producing
         // evaluation, so the printed signature matches the corpus header.
         let steps_per_slot = skrt::FuzzOptions::default().steps_per_slot;
-        let (coverage, verdict) =
-            skrt::replay_coverage(&EagleEye, flags.build, &steps, steps_per_slot);
-        println!("replay {path} on {} ({} steps):", flags.build.label(), steps.len());
+        let (coverage, verdict) = skrt::replay_coverage(&EagleEye, build, &steps, steps_per_slot);
+        println!("replay {path} on {} ({} steps):", build.label(), steps.len());
         for (i, step) in steps.iter().enumerate() {
             let marker = if verdict.failing_step == Some(i) { ">" } else { " " };
             println!("  {marker} {i}: {step}");
@@ -584,6 +591,7 @@ fn cmd_fuzz(args: &[String]) -> Result<i32, String> {
         return Ok(i32::from(verdict.classification.class != skrt::CrashClass::Pass));
     }
 
+    let flags = RunFlags::parse(args)?;
     let max_time = match flag_value(args, "--time")? {
         Some(t) => Some(
             positive_secs(&t)

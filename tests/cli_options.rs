@@ -218,6 +218,63 @@ fn flags_a_command_does_not_read_exit_2_before_running() {
     assert!(written.is_empty(), "no file may be written, got {written:?}");
 }
 
+/// `campaign fuzz --replay` reads only `--build`: a search flag next to
+/// it is a usage error naming the first such flag, not a replay that
+/// silently writes neither the corpus nor the stats it was asked for.
+#[test]
+fn replay_rejects_the_search_flags_it_ignores() {
+    let dir = std::env::temp_dir().join(format!("skrt_cli_replay_flags_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    std::fs::write(dir.join("r.seq"), "XM_get_time 0 1074790400\n").expect("write replay");
+    for (args, flag) in [
+        (
+            &[
+                "campaign",
+                "fuzz",
+                "--replay",
+                "r.seq",
+                "--corpus-dir",
+                "d",
+                "--stats",
+                "s.jsonl",
+                "--execs",
+                "5",
+                "--seed",
+                "9",
+            ][..],
+            "--corpus-dir",
+        ),
+        (&["campaign", "fuzz", "--threads", "2", "--replay", "r.seq"], "--threads"),
+        (
+            &["campaign", "fuzz", "--replay", "r.seq", "--build", "patched", "--metrics"],
+            "--metrics",
+        ),
+        (&["campaign", "fuzz", "--replay", "r.seq", "--record", "t.json"], "--record"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_skrt-repro"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("run skrt-repro");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args:?}: stderr must name {flag}, got: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must fail before replaying");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_skrt-repro"))
+        .args(["campaign", "fuzz", "--build", "patched", "--replay", "r.seq"])
+        .current_dir(&dir)
+        .output()
+        .expect("run skrt-repro");
+    assert_eq!(out.status.code(), Some(0), "--build is the flag replay reads");
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list scratch dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    assert_eq!(written, ["r.seq"], "no file may be written");
+}
+
 /// Valid command lines for every subcommand, small enough to run in
 /// milliseconds: `--threads` at most 2, tiny counts. Positional operands
 /// follow the command words; every `--flag` is followed by its value

@@ -7,9 +7,14 @@
 //! must really execute, so the coverage map sees its flight stream.
 
 use eagleeye::EagleEye;
-use skrt::fuzz::{parse_steps, replay_coverage, FuzzOptions};
+use flightrec::coverage::{event_token, EdgeTrace};
+use skrt::flight::DEFAULT_RING_CAPACITY;
+use skrt::fuzz::{make_candidate, parse_steps, replay_coverage, FuzzOptions, Mutator};
+use skrt::sequence::run_one_sequence;
+use skrt::testbed::Testbed;
 use testkit::fnv1a;
 use xm_campaign::fuzz::{finding_signature, run_eagleeye_fuzz, FuzzReport};
+use xm_campaign::sequences::eagleeye_sequence_alphabet;
 use xtratum::vuln::KernelBuild;
 
 fn run(seed: u64, threads: usize, record: bool) -> FuzzReport {
@@ -120,5 +125,67 @@ fn legacy_fuzz_render_is_pinned() {
         });
         let rendered = report.render();
         assert_eq!(fnv1a(rendered.as_bytes()), pin, "shrink={shrink} render drifted:\n{rendered}");
+    }
+}
+
+/// The coverage-token ledger folds exactly. Every exec resumes from its
+/// worker's one fold of the arena prefix (54 tokens on EagleEye) and folds
+/// the rest of its window itself; the two add up to the tokens of a fold
+/// of the same window from its start, rebuilt here for every candidate
+/// from a fresh boot. The counts are the same at 1, 4 and 16 threads.
+#[test]
+fn coverage_token_counters_fold_exactly() {
+    let build = KernelBuild::Legacy;
+    let part = EagleEye.test_partition();
+    let mut snapshot = EagleEye.snapshot(build).expect("EagleEye guests are cloneable");
+    let (_, prefix) = flightrec::capture(|| {
+        snapshot.step_until_slot_of(part);
+        snapshot.enter_slot_of(part, EagleEye.prologue())
+    });
+    let prefix_tokens = prefix.events.iter().filter_map(event_token).count() as u64;
+    assert_eq!(prefix_tokens, 54, "EagleEye's arena prefix");
+
+    let baseline = run(7, 1, false);
+    let opts = FuzzOptions { seed: 7, max_execs: 150, batch: 32, ..FuzzOptions::default() };
+    let alphabet = eagleeye_sequence_alphabet();
+    let mutator = Mutator::new(&alphabet, opts.max_steps);
+    let corpus = &baseline.result.corpus;
+    let ctx = EagleEye.oracle_context(build);
+    let mut trace = EdgeTrace::new();
+    let mut from_begin = 0;
+    for i in 0..opts.max_execs as usize {
+        let (round, slot) = (i / opts.batch, i % opts.batch);
+        let known = corpus.partition_point(|e| e.exec_index <= (round * opts.batch) as u64);
+        let steps = make_candidate(&opts, &mutator, &corpus[..known], round, slot).steps;
+        let (mut kernel, mut guests) = EagleEye.boot(build);
+        flightrec::enable(DEFAULT_RING_CAPACITY);
+        let eval = run_one_sequence(
+            &EagleEye,
+            &ctx,
+            &mut kernel,
+            &mut guests,
+            &steps,
+            opts.steps_per_slot,
+        );
+        let drained = flightrec::drain();
+        flightrec::disable();
+        trace.begin();
+        for e in &drained.events {
+            trace.observe_event(e);
+        }
+        for &d in &eval.frame_digests {
+            trace.observe_token(d);
+        }
+        from_begin += trace.tokens();
+    }
+
+    for (threads, report) in [(1, baseline), (4, run(7, 4, false)), (16, run(7, 16, false))] {
+        let m = &report.result.metrics;
+        assert_eq!(m.coverage_tokens_resumed, opts.max_execs * prefix_tokens, "threads={threads}");
+        assert_eq!(
+            m.coverage_tokens_folded + m.coverage_tokens_resumed,
+            from_begin,
+            "threads={threads}"
+        );
     }
 }
