@@ -22,28 +22,31 @@
 //!   before and after every run, victims own no ports, and health-monitor
 //!   events are attributed to the caller (or to the kernel) only.
 //!
-//! Every case runs once, on its configuration's arena rewound to the
-//! prefix snapshot. The memory witness is the victim blocks the run
-//! dirtied, diffed against that snapshot; nothing is copied, and byte
-//! images of victim memory ([`check_invariants`]) are the reference that
-//! debug builds check the witness against.
+//! Every case runs once, through [`crate::sequence`]'s `confirm` like a
+//! sequence or fuzz finding: one arena run at one step per slot over the
+//! horizon, on its configuration's arena rewound to the prefix snapshot,
+//! judged by the oracle and by the invariants as confirm's second judge.
+//! The memory witness is the victim blocks the run dirtied, diffed
+//! against that snapshot; nothing is copied, and byte images of victim
+//! memory ([`check_invariants`]) are the reference that debug builds
+//! check the witness against.
 //!
-//! Any oracle divergence or invariant violation becomes a first-class
-//! finding on that one run's verdict, as in the sequence and fuzz
-//! campaigns, and is triaged by the stage they share
-//! ([`crate::sequence`]): ddmin-shrunk to a minimal reproducer and
-//! surfaced through the same forensics path as fuzzer findings. Debug
-//! builds re-run every finding on a fresh boot, judged on byte images,
-//! and assert that it reaches the arena's verdict: a rewind artefact
-//! panics there instead of shipping as a finding.
+//! The case's finding signature is the one all three modes share: an
+//! oracle divergence wins, otherwise any invariant violation is a
+//! Catastrophic finding (an isolation breach the oracle missed). Triage
+//! ddmin-shrinks the probe while that signature holds, to a minimal
+//! reproducer surfaced through the same forensics path as fuzzer
+//! findings. Debug builds re-run every finding on a fresh boot, judged
+//! on byte images, and assert that it reaches the arena's verdict: a
+//! rewind artefact panics there instead of shipping as a finding.
 
-use crate::classify::{Cause, Classification, CrashClass};
+use crate::classify::{Cause, CrashClass};
 use crate::exec::{fold_logs, on_campaign_thread, par_indexed, resolve_threads, Booter, WorkerLog};
 use crate::flight::{FlightLog, DEFAULT_RING_CAPACITY};
-use crate::metrics::{MetricsReport, Phase};
+use crate::metrics::MetricsReport;
 use crate::oracle::{ChannelView, OracleContext};
 use crate::sequence::{
-    lockstep, same_class, triage, Evidence, MinimalRepro, SequenceVerdict, Triage, VerdictAt,
+    confirm, lockstep, Evidence, FindingSig, MinimalRepro, SequenceVerdict, Triage,
 };
 use crate::testbed::Testbed;
 use flightrec::{Event, EventKind, NO_PARTITION};
@@ -684,33 +687,41 @@ fn invariants(
     out
 }
 
+/// The isolation invariants judge of the run an arena pair just made
+/// since it was rewound to `snapshot`: the temporal ones against the run
+/// window's drained stream, the spatial ones against the victim blocks
+/// the run dirtied, diffed against the snapshot, and the victims' ports.
+/// Debug builds also judge byte images of victim memory, taken from the
+/// snapshot (a rewound pair's memory equals it, which every dev-build
+/// restore asserts) and after the run, and assert that both witnesses
+/// agree.
+pub(crate) fn judge_invariants(
+    cfg: &CheckConfig,
+    kernel: &XmKernel,
+    snapshot: Option<&XmKernel>,
+) -> Vec<InvariantViolation> {
+    let snapshot = snapshot.expect("check testbeds snapshot");
+    let drained = flightrec::drain();
+    let ports = victim_ports(kernel, cfg);
+    let violations =
+        invariants(cfg, &drained.events, victim_changes_since(kernel, snapshot, cfg), &ports);
+    if cfg!(debug_assertions) {
+        let (before, after) = (victim_memory(snapshot, cfg), victim_memory(kernel, cfg));
+        let images = check_invariants(cfg, &drained.events, &before, &after, &ports);
+        debug_assert_eq!(violations, images, "dirty-block witness diverged from the byte images");
+    }
+    violations
+}
+
 // ---------------------------------------------------------------------------
 // Findings
 // ---------------------------------------------------------------------------
 
-/// What made a case a finding — the shrinker preserves this signature.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum FindingSig {
-    /// The differential oracle diverged.
-    Oracle(Classification),
-    /// The oracle agreed but an isolation invariant broke.
-    Invariant(Vec<InvariantKind>),
-}
-
-fn finding_sig(verdict: &SequenceVerdict, violations: &[InvariantViolation]) -> Option<FindingSig> {
-    if verdict.classification.class != CrashClass::Pass {
-        return Some(FindingSig::Oracle(verdict.classification));
-    }
-    if violations.is_empty() {
-        return None;
-    }
-    let mut kinds: Vec<InvariantKind> = violations.iter().map(|v| v.kind).collect();
-    kinds.sort_unstable();
-    kinds.dedup();
-    Some(FindingSig::Invariant(kinds))
-}
-
-/// One enumerated, executed and judged check case.
+/// One enumerated, executed and judged check case: the verdict and
+/// violations of its one run, by the oracle and by the isolation
+/// invariants. It is a finding when either judge fails it, and reports
+/// the oracle's class when the oracle diverged, Catastrophic when only
+/// an invariant broke.
 #[derive(Debug, Clone)]
 pub struct CheckCaseRecord {
     /// Global case index (deterministic enumeration order).
@@ -727,26 +738,22 @@ pub struct CheckCaseRecord {
     pub steps_executed: usize,
     /// Isolation violations observed in that run.
     pub violations: Vec<InvariantViolation>,
-    /// Present when the case was a finding and had more than one step.
+    /// Present when the case was a finding and had more than one step:
+    /// shrunk while its finding signature held.
     pub minimal: Option<MinimalRepro>,
 }
 
 impl CheckCaseRecord {
     /// True when the case diverged from the oracle or broke an invariant.
     pub fn is_finding(&self) -> bool {
-        self.verdict.classification.class != CrashClass::Pass || !self.violations.is_empty()
+        FindingSig::of(&self.verdict, &self.violations).is_some()
     }
 
     /// CRASH class the finding reports (isolation violations the oracle
-    /// missed count as Catastrophic: an undetected isolation breach).
+    /// missed count as Catastrophic: an undetected isolation breach),
+    /// `Pass` for a case that is none.
     pub fn crash_class(&self) -> CrashClass {
-        if self.verdict.classification.class != CrashClass::Pass {
-            self.verdict.classification.class
-        } else if self.violations.is_empty() {
-            CrashClass::Pass
-        } else {
-            CrashClass::Catastrophic
-        }
+        FindingSig::of(&self.verdict, &self.violations).map_or(CrashClass::Pass, |sig| sig.class())
     }
 }
 
@@ -810,123 +817,47 @@ impl CheckResult {
 // Case lifecycle
 // ---------------------------------------------------------------------------
 
-struct CaseRun {
-    verdict: SequenceVerdict,
-    verdict_at: Option<VerdictAt>,
-    steps_executed: usize,
-    violations: Vec<InvariantViolation>,
-}
-
-/// One full evaluation on an arena pair the worker's [`Booter`] just
-/// rewound: lockstep run over the horizon, the run window's drained
-/// stream, invariants. A case's first evaluation is its verdict, so it
-/// renders its evidence; shrink candidates are judged by their finding
-/// signature alone and skip it.
-///
-/// The spatial witness diffs the victim blocks the run dirtied against
-/// the kernel the pair was rewound to (`snapshot`). Debug builds also
-/// capture before/after byte images and assert that both witnesses
-/// agree.
+/// Runs one case through [`confirm`], as sequences and fuzz run their
+/// findings: one rendering arena run of the probe at one step per slot
+/// over the horizon, judged by the oracle and the isolation invariants of
+/// `cfg`, and triaged when it is a finding. Debug builds check every
+/// finding against [`fresh_boot_shadow`].
 #[allow(clippy::too_many_arguments)]
-fn evaluate_once(
-    tb: &CheckTestbed,
-    ctx: &OracleContext,
-    kernel: &mut XmKernel,
-    guests: &mut GuestSet,
-    snapshot: &XmKernel,
-    steps: &[RawHypercall],
-    horizon: usize,
-    evidence: Evidence,
-) -> CaseRun {
-    let cfg = tb.config();
-    let before = cfg!(debug_assertions).then(|| victim_memory(kernel, cfg));
-    let eval = lockstep(tb, ctx, kernel, guests, steps, 1, horizon, evidence);
-    let drained = flightrec::drain();
-    let ports = victim_ports(kernel, cfg);
-    let changes = victim_changes_since(kernel, snapshot, cfg);
-    let violations = invariants(cfg, &drained.events, changes, &ports);
-    if let Some(before) = before {
-        let after = victim_memory(kernel, cfg);
-        let images = check_invariants(cfg, &drained.events, &before, &after, &ports);
-        debug_assert_eq!(violations, images, "dirty-block witness diverged from the byte images");
-    }
-    CaseRun {
-        verdict: eval.verdict,
-        verdict_at: eval.verdict_at,
-        steps_executed: eval.steps_executed,
-        violations,
-    }
-}
-
-fn run_case<'t>(
-    tb: &'t CheckTestbed,
+fn run_case<'t, T: Testbed + ?Sized>(
+    tb: &'t T,
+    cfg: &CheckConfig,
     ctx: &OracleContext,
     opts: &CheckOptions,
-    booter: &mut Booter<'t, CheckTestbed>,
+    booter: &mut Booter<'t, T>,
     log: &mut WorkerLog,
     index: usize,
     probe: &CheckProbe,
 ) -> CheckCaseRecord {
     let horizon = opts.scope.horizon as usize;
-
-    let (kernel, guests, snapshot) = booter.booted_from(&mut log.local, None);
-    let snapshot = snapshot.expect("check testbeds snapshot");
-    let span = log.local.start_span();
-    let run =
-        evaluate_once(tb, ctx, kernel, guests, snapshot, &probe.steps, horizon, Evidence::Render);
-    log.local.end_span(Phase::Frames, span);
-
-    let record = |run: CaseRun, minimal: Option<MinimalRepro>| CheckCaseRecord {
-        index,
-        config: tb.config().clone(),
-        probe: probe.name,
-        steps: probe.steps.clone(),
-        verdict: run.verdict,
-        steps_executed: run.steps_executed,
-        violations: run.violations,
-        minimal,
-    };
-    let Some(sig) = finding_sig(&run.verdict, &run.violations) else {
-        log.local.note_outcome(CrashClass::Pass);
-        return record(run, None);
-    };
-    if cfg!(debug_assertions) {
-        fresh_boot_shadow(tb, ctx, opts.build, &probe.steps, horizon, &run);
-    }
-
-    let class = match &sig {
-        FindingSig::Oracle(c) => c.class,
-        FindingSig::Invariant(_) => CrashClass::Catastrophic,
-    };
-
-    // Shrink while the finding signature holds; a (≤1-step) probe has
-    // nothing to shrink. An oracle signature is the case run's class,
-    // which that run reproduces.
+    // A (≤1-step) probe has nothing to shrink.
     let how = Triage {
         min_frames: horizon,
         shrink: probe.steps.len() > 1,
         budget: opts.shrink_budget,
         flight: opts.record.then_some(index),
+        judge: Some(cfg),
     };
-    let mut oracle = match sig {
-        FindingSig::Oracle(target) => {
-            Some(same_class(tb, ctx, target, horizon, (&probe.steps, run.verdict_at)))
-        }
-        FindingSig::Invariant(_) => None,
+    let (run, violations, minimal) = confirm(tb, ctx, booter, log, &probe.steps, how);
+    let case = CheckCaseRecord {
+        index,
+        config: cfg.clone(),
+        probe: probe.name,
+        steps: probe.steps.clone(),
+        verdict: run.verdict,
+        steps_executed: run.steps_executed,
+        violations,
+        minimal,
     };
-    let minimal = triage(tb, ctx, booter, log, &probe.steps, class, how, |booter, local, cand| {
-        if let Some(same_class) = oracle.as_mut() {
-            return same_class(booter, local, cand);
-        }
-        local.note_shrink_eval(false);
-        let (kernel, guests, snapshot) = booter.booted_from(local, None);
-        let snapshot = snapshot.expect("check testbeds snapshot");
-        let run = evaluate_once(tb, ctx, kernel, guests, snapshot, cand, horizon, Evidence::Skip);
-        finding_sig(&run.verdict, &run.violations).as_ref() == Some(&sig)
-    });
-
-    log.local.note_outcome(class);
-    record(run, minimal)
+    if cfg!(debug_assertions) && case.is_finding() {
+        fresh_boot_shadow(tb, ctx, opts.build, horizon, &case);
+    }
+    log.local.note_outcome(case.crash_class());
+    case
 }
 
 /// The reference an arena finding is checked against in debug builds:
@@ -935,19 +866,19 @@ fn run_case<'t>(
 /// must reach the arena run's verdict, step count and violations. A
 /// mismatch is a rewind artefact. The boot is not counted and spans no
 /// phase, so a debug run's metrics equal a release run's.
-fn fresh_boot_shadow(
-    tb: &CheckTestbed,
+fn fresh_boot_shadow<T: Testbed + ?Sized>(
+    tb: &T,
     ctx: &OracleContext,
     build: KernelBuild,
-    steps: &[RawHypercall],
     horizon: usize,
-    arena: &CaseRun,
+    arena: &CheckCaseRecord,
 ) {
-    let cfg = tb.config();
+    let cfg = &arena.config;
     flightrec::clear();
     let (mut kernel, mut guests) = tb.boot(build);
     let before = victim_memory(&kernel, cfg);
-    let eval = lockstep(tb, ctx, &mut kernel, &mut guests, steps, 1, horizon, Evidence::Render);
+    let eval =
+        lockstep(tb, ctx, &mut kernel, &mut guests, &arena.steps, 1, horizon, Evidence::Render);
     let events = flightrec::drain().events;
     let after = victim_memory(&kernel, cfg);
     let violations = check_invariants(cfg, &events, &before, &after, &victim_ports(&kernel, cfg));
@@ -1004,7 +935,8 @@ fn check_body(opts: &CheckOptions) -> CheckResult {
                 .iter()
                 .enumerate()
                 .map(|(pi, probe)| {
-                    run_case(&tb, &ctx, opts, &mut booter, log, case_offsets[ci] + pi, probe)
+                    let index = case_offsets[ci] + pi;
+                    run_case(&tb, tb.config(), &ctx, opts, &mut booter, log, index, probe)
                 })
                 .collect::<Vec<_>>()
         },
@@ -1053,7 +985,8 @@ pub fn legacy_rediscovery_targets() -> Vec<RediscoveryTarget> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequence::run_one_sequence_bounded;
+    use crate::sequence::{run_one_sequence_bounded, same_class};
+    use xtratum::guest::GuestProgram;
 
     #[test]
     fn enumeration_is_deterministic_and_counts_match() {
@@ -1187,36 +1120,6 @@ mod tests {
         assert!(v.iter().any(|v| v.kind == InvariantKind::SlotOutsidePlan), "{v:?}");
     }
 
-    #[test]
-    fn finding_signature_prefers_oracle_and_dedups_invariants() {
-        let pass = SequenceVerdict {
-            classification: Classification { class: CrashClass::Pass, cause: Cause::None },
-            failing_step: None,
-            state_diff: vec![],
-        };
-        assert_eq!(finding_sig(&pass, &[]), None);
-        let viol = |k| InvariantViolation { kind: k, detail: String::new() };
-        assert_eq!(
-            finding_sig(
-                &pass,
-                &[viol(InvariantKind::SlotOverrun), viol(InvariantKind::SlotOverrun)]
-            ),
-            Some(FindingSig::Invariant(vec![InvariantKind::SlotOverrun]))
-        );
-        let div = SequenceVerdict {
-            classification: Classification {
-                class: CrashClass::Restart,
-                cause: Cause::TemporalOverrun,
-            },
-            failing_step: Some(0),
-            state_diff: vec![],
-        };
-        assert_eq!(
-            finding_sig(&div, &[viol(InvariantKind::SlotOverrun)]),
-            Some(FindingSig::Oracle(div.classification))
-        );
-    }
-
     /// The dirty-block witness reports exactly the violations the byte
     /// images report, on an arena pair mutated in kernel context the way
     /// no default-scope probe does: a store that rewrites the original
@@ -1274,6 +1177,124 @@ mod tests {
             assert_eq!(fast, images, "{name}");
             assert_eq!(fast.first().map(|v| v.detail.as_str()), first_detail, "{name}");
         }
+    }
+
+    /// Partition 1 of a `sampling` configuration, creating the `CKS`
+    /// destination port in every slot of its own: the `ForeignPort`
+    /// invariant breaks, and the lockstep oracle still passes, since the
+    /// caller-scoped `StateDigest` counts only the caller's ports. The
+    /// port name is written at boot, so victim memory stays unchanged.
+    struct PortThief(CheckTestbed);
+
+    #[derive(Clone)]
+    struct PortThiefGuest;
+
+    impl GuestProgram for PortThiefGuest {
+        fn run_slot(&mut self, api: &mut PartitionApi<'_>) {
+            let args = [(part_base(1) + NAME_SAMPLING_OFF) as u64, CHANNEL_MSG_SIZE as u64, 1];
+            let _ =
+                api.hypercall(&RawHypercall::new_unchecked(HypercallId::CreateSamplingPort, args));
+        }
+
+        fn clone_boxed(&self) -> Option<Box<dyn GuestProgram>> {
+            Some(Box::new(PortThiefGuest))
+        }
+    }
+
+    impl Testbed for PortThief {
+        fn boot(&self, build: KernelBuild) -> (XmKernel, GuestSet) {
+            let (mut kernel, mut guests) = self.0.boot(build);
+            let name = part_base(1) + NAME_SAMPLING_OFF;
+            kernel.machine.mem.write_bytes(AccessCtx::Kernel, name, b"CKS\0").unwrap();
+            guests.set(1, Box::new(PortThiefGuest));
+            (kernel, guests)
+        }
+
+        fn test_partition(&self) -> u32 {
+            CALLER
+        }
+
+        fn prologue(&self) -> fn(&mut PartitionApi<'_>) {
+            self.0.prologue()
+        }
+
+        fn oracle_context(&self, build: KernelBuild) -> OracleContext {
+            self.0.oracle_context(build)
+        }
+    }
+
+    /// The invariant-only path end to end, which no default-scope
+    /// workload reaches: a case the oracle passes but an invariant
+    /// breaks is a Catastrophic finding, confirmed and shrunk under its
+    /// invariant signature to a one-step reproducer, with every shrink
+    /// evaluation run (the prefix rule decides none). A candidate that
+    /// diverges in the oracle does not reproduce it, and neither it nor
+    /// an oracle target's candidates drain the recorder for the
+    /// invariants. When the oracle diverges too, the oracle's class wins.
+    #[test]
+    fn invariant_only_findings_confirm_and_shrink_under_their_signature() {
+        let build = KernelBuild::Legacy;
+        let cfg = CheckConfig {
+            index: 0,
+            n_partitions: 2,
+            slot_owners: vec![0, 1],
+            channels: ChannelTopology::Sampling,
+        };
+        let tb = PortThief(CheckTestbed::new(cfg.clone()));
+        let ctx = tb.oracle_context(build);
+        let opts = CheckOptions { build, record: true, ..Default::default() };
+        let horizon = opts.scope.horizon as usize;
+        let probe = |name| probes_for(&cfg).into_iter().find(|p| p.name == name).unwrap();
+        flightrec::enable(DEFAULT_RING_CAPACITY);
+        let mut log = WorkerLog::new(false);
+        let mut booter = Booter::new(&tb, build, &mut log.local);
+
+        let periodic = probe("set_timer_periodic");
+        let case = run_case(&tb, &cfg, &ctx, &opts, &mut booter, &mut log, 7, &periodic);
+        let foreign = InvariantViolation {
+            kind: InvariantKind::ForeignPort,
+            detail: "victim partition 1 owns 1 port(s)".into(),
+        };
+        assert_eq!(case.verdict.classification.class, CrashClass::Pass);
+        assert_eq!(case.violations, vec![foreign.clone()]);
+        assert!(case.is_finding());
+        assert_eq!(case.crash_class(), CrashClass::Catastrophic);
+        let minimal = case.minimal.as_ref().expect("a three-step probe shrinks");
+        assert_eq!(minimal.steps.len(), 1, "{:?}", minimal.steps);
+        assert_eq!(minimal.verdict.classification.class, CrashClass::Pass);
+        let flight = log.flights.pop().expect("a recorded finding files its flight");
+        let end = flight.events.last().expect("the flight ends with TestEnd");
+        assert_eq!((flight.index, end.kind), (7, EventKind::TestEnd));
+        assert_eq!(end.code, CrashClass::Catastrophic.index() as u32);
+        let (report, _) = fold_logs([log], 0, false, Instant::now());
+        assert_eq!(report.shrink_decided, 0, "the prefix rule decided a shrink evaluation");
+        assert_eq!(report.shrink_runs, minimal.evals as u64);
+        assert!(minimal.evals > 0);
+        let mut log = WorkerLog::new(false);
+
+        // The oracle diverges too (the legacy build accepts a negative
+        // interval): the oracle's class wins over the violation.
+        let negative = probe("set_timer_negative");
+        let case = run_case(&tb, &cfg, &ctx, &opts, &mut booter, &mut log, 8, &negative);
+        assert_eq!(case.violations, vec![foreign]);
+        assert_eq!(case.verdict.classification.cause, Cause::WrongSuccess);
+        assert_eq!(case.crash_class(), CrashClass::Silent);
+        assert_eq!(case.minimal.as_ref().map(|m| m.steps.len()), Some(1));
+
+        let target = FindingSig::Invariant(vec![InvariantKind::ForeignPort]);
+        let oracle = FindingSig::Oracle(case.verdict.classification);
+        let mut invariant =
+            same_class(&tb, &ctx, target, Some(&cfg), horizon, (&periodic.steps, None));
+        let mut diverged =
+            same_class(&tb, &ctx, oracle, Some(&cfg), horizon, (&negative.steps, None));
+        let local = &mut log.local;
+        assert!(invariant(&mut booter, local, &periodic.steps[..1]));
+        assert!(flightrec::drain().events.is_empty(), "the invariants drain the run window");
+        assert!(!invariant(&mut booter, local, &negative.steps[1..2]), "diverging candidate");
+        assert!(!flightrec::drain().events.is_empty(), "invariants judged on a diverging run");
+        assert!(!diverged(&mut booter, local, &periodic.steps[..1]));
+        assert!(!flightrec::drain().events.is_empty(), "invariants judged for an oracle target");
+        flightrec::disable();
     }
 
     /// The invariants read the stream a run from boot records. On an

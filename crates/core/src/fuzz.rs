@@ -868,8 +868,9 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
                 shrink: opts.shrink,
                 budget: opts.shrink_budget,
                 flight: opts.record.then_some(exec_index as usize),
+                judge: None,
             };
-            let (refined, minimal) = confirm(testbed, ctx, booter, log, steps, how);
+            let (refined, _, minimal) = confirm(testbed, ctx, booter, log, steps, how);
             class = refined.verdict.classification.class;
             if class != CrashClass::Pass {
                 finding = Some(PendingFinding {

@@ -21,8 +21,11 @@
 //! (exact step attribution), minimised by [`crate::shrink`], and the
 //! minimal reproducer is re-run — under the flight recorder when
 //! [`SequenceOptions::record`] is set — to yield a triage bundle. That
-//! triage stage is shared with the fuzz and `check` campaigns.
+//! confirm-and-triage stage, and the finding signature its shrink
+//! preserves, are shared with the fuzz and `check` campaigns; `check`
+//! passes its isolation invariants in as a second judge.
 
+use crate::check::{judge_invariants, CheckConfig, InvariantKind, InvariantViolation};
 use crate::classify::{Cause, Classification, CrashClass};
 use crate::exec::{fold_logs, on_campaign_thread, par_indexed, resolve_threads, Booter, WorkerLog};
 use crate::flight::{FlightLog, DEFAULT_RING_CAPACITY};
@@ -976,10 +979,10 @@ pub struct MinimalRepro {
     pub shrunk_args: usize,
 }
 
-/// Where the campaign modes' triage of a finding differs; [`triage`]
-/// is otherwise the same for sequences, fuzz and `check`.
-pub(crate) struct Triage {
-    /// Frame floor of every triage run: `check`'s horizon, 0 otherwise.
+/// Where the campaign modes' triage of a finding differs; [`confirm`]
+/// and [`triage`] are otherwise the same for sequences, fuzz and `check`.
+pub(crate) struct Triage<'a> {
+    /// Frame floor of every run: `check`'s horizon, 0 otherwise.
     pub(crate) min_frames: usize,
     /// Whether to shrink. Without it no reproducer is built, and a kept
     /// flight is a re-run of the unshrunk steps.
@@ -989,6 +992,47 @@ pub(crate) struct Triage {
     /// Campaign index the finding's flight is filed under (`None`: keep
     /// no flight).
     pub(crate) flight: Option<usize>,
+    /// The judge besides the oracle: `check`'s configuration, whose
+    /// isolation invariants ([`judge_invariants`]) drain the run window.
+    /// `None` (sequences, fuzz) drains and judges nothing.
+    pub(crate) judge: Option<&'a CheckConfig>,
+}
+
+/// What makes a run a finding: the signature [`triage`]'s shrink
+/// preserves, in every campaign mode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum FindingSig {
+    /// The lockstep oracle diverged.
+    Oracle(Classification),
+    /// The oracle agreed but isolation invariants broke: their kinds,
+    /// sorted and deduplicated.
+    Invariant(Vec<InvariantKind>),
+}
+
+impl FindingSig {
+    /// The precedence rule: an oracle divergence wins, otherwise any
+    /// invariant violation is a finding. `None` when both judges pass.
+    pub(crate) fn of(verdict: &SequenceVerdict, violations: &[InvariantViolation]) -> Option<Self> {
+        if verdict.classification.class != CrashClass::Pass {
+            return Some(FindingSig::Oracle(verdict.classification));
+        }
+        if violations.is_empty() {
+            return None;
+        }
+        let mut kinds: Vec<InvariantKind> = violations.iter().map(|v| v.kind).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        Some(FindingSig::Invariant(kinds))
+    }
+
+    /// The CRASH class the finding reports: an isolation breach the
+    /// oracle missed is Catastrophic.
+    pub(crate) fn class(&self) -> CrashClass {
+        match self {
+            FindingSig::Oracle(c) => c.class,
+            FindingSig::Invariant(_) => CrashClass::Catastrophic,
+        }
+    }
 }
 
 /// Triages one finding after its authoritative verdict: ddmin-shrinks
@@ -1004,10 +1048,10 @@ pub(crate) fn triage<'t, T: Testbed + ?Sized>(
     log: &mut WorkerLog,
     steps: &[RawHypercall],
     class: CrashClass,
-    how: Triage,
+    how: Triage<'_>,
     mut reproduces: impl FnMut(&mut Booter<'t, T>, &mut LocalMetrics, &[RawHypercall]) -> bool,
 ) -> Option<MinimalRepro> {
-    let Triage { min_frames, shrink, budget, flight } = how;
+    let Triage { min_frames, shrink, budget, flight, .. } = how;
     if !shrink && flight.is_none() {
         return None;
     }
@@ -1037,25 +1081,31 @@ pub(crate) fn triage<'t, T: Testbed + ?Sized>(
     })
 }
 
-/// The shrink predicate of every oracle finding: a candidate reproduces
-/// iff an arena run at one step per slot, over at least `min_frames`
-/// frames, gives it the `target` classification. `reproducing` is a run
-/// known to reproduce it the same way — its steps and where its verdict
-/// came — and the predicate keeps the last such run: every candidate
-/// that reproduces by running replaces it.
+/// The shrink predicate of every finding: a candidate reproduces iff an
+/// arena run at one step per slot, over at least `min_frames` frames,
+/// has the `target` signature. `judge` judges the invariants only when
+/// the oracle passes and `target` is an invariant signature, so oracle
+/// targets drain nothing. `reproducing` is a run known to reproduce it
+/// the same way — its steps and where its verdict came — and the
+/// predicate keeps the last such run: every candidate that reproduces
+/// by running replaces it.
 ///
 /// A candidate that replays that run's frames up to its verdict is
-/// decided without a run ([`Reproducer::decides`]). Debug builds run it
-/// anyway, uncounted, and assert the class. Every evaluation is counted
-/// as run or decided.
+/// decided without a run ([`Reproducer::decides`]); an invariant target
+/// comes from a passing run, with no verdict frame, so none of its
+/// candidates is. Debug builds run a decided candidate anyway,
+/// uncounted, and assert the signature. Every evaluation is counted as
+/// run or decided.
 pub(crate) fn same_class<'a, 't, T: Testbed + ?Sized>(
     testbed: &'a T,
     ctx: &'a OracleContext,
-    target: Classification,
+    target: FindingSig,
+    judge: Option<&'a CheckConfig>,
     min_frames: usize,
     reproducing: (&[RawHypercall], Option<VerdictAt>),
 ) -> impl FnMut(&mut Booter<'t, T>, &mut LocalMetrics, &[RawHypercall]) -> bool + 'a {
     let mut known = Reproducer { steps: reproducing.0.to_vec(), at: reproducing.1 };
+    let judge = judge.filter(|_| matches!(target, FindingSig::Invariant(_)));
     move |booter, local, cand| {
         let decided = known.decides(cand, min_frames);
         local.note_shrink_eval(decided);
@@ -1065,9 +1115,12 @@ pub(crate) fn same_class<'a, 't, T: Testbed + ?Sized>(
         // A decided candidate runs only as the rule's shadow.
         let mut shadow = LocalMetrics::default();
         let local = if decided { &mut shadow } else { local };
-        let (kernel, guests) = booter.booted(local, None);
+        let (kernel, guests, snapshot) = booter.booted_from(local, None);
         let eval = lockstep(testbed, ctx, kernel, guests, cand, 1, min_frames, Evidence::Skip);
-        let same = eval.verdict.classification == target;
+        let judged = judge.filter(|_| eval.verdict.classification.class == CrashClass::Pass);
+        let violations =
+            judged.map_or_else(Vec::new, |cfg| judge_invariants(cfg, kernel, snapshot));
+        let same = FindingSig::of(&eval.verdict, &violations).as_ref() == Some(&target);
         debug_assert!(
             same || !decided,
             "the prefix rule decided {cand:?} reproduces {target:?}, a run gives {:?}",
@@ -1117,33 +1170,35 @@ impl Reproducer {
     }
 }
 
-/// Confirms a first-pass divergence for the sequence and fuzz campaigns.
-/// The authoritative re-verdict re-runs the steps on the arena at one
-/// step per slot — exact step attribution, and immune to several calls
-/// legitimately sharing one slot budget — in the window of `how.flight`.
-/// When the divergence holds, [`triage`] runs against its
-/// classification. Returns the refined run (even when it downgrades to
-/// Pass) and the minimal reproducer.
+/// Confirms a case for every campaign mode. The authoritative run is an
+/// arena run of the steps at one step per slot — exact step attribution,
+/// and immune to several calls legitimately sharing one slot budget —
+/// over at least `how.min_frames` frames, in the window of `how.flight`,
+/// judged by the oracle and `how.judge`. When it is a finding,
+/// [`triage`] runs against its [`FindingSig`]. Returns the run (even
+/// when it passes), its invariant violations and the minimal reproducer.
 pub(crate) fn confirm<'t, T: Testbed + ?Sized>(
     testbed: &T,
     ctx: &OracleContext,
     booter: &mut Booter<'t, T>,
     log: &mut WorkerLog,
     steps: &[RawHypercall],
-    how: Triage,
-) -> (SequenceEval, Option<MinimalRepro>) {
+    how: Triage<'_>,
+) -> (SequenceEval, Vec<InvariantViolation>, Option<MinimalRepro>) {
     let local = &mut log.local;
-    let (kernel, guests) = booter.booted(local, how.flight);
+    let (kernel, guests, snapshot) = booter.booted_from(local, how.flight);
     let span = local.start_span();
-    let refined = run_one_sequence(testbed, ctx, kernel, guests, steps, 1);
+    let run = lockstep(testbed, ctx, kernel, guests, steps, 1, how.min_frames, Evidence::Render);
+    let violations = how.judge.map_or_else(Vec::new, |cfg| judge_invariants(cfg, kernel, snapshot));
     local.end_span(Phase::Frames, span);
-    let target = refined.verdict.classification;
-    if target.class == CrashClass::Pass {
-        return (refined, None);
-    }
-    let reproduces = same_class(testbed, ctx, target, how.min_frames, (steps, refined.verdict_at));
-    let minimal = triage(testbed, ctx, booter, log, steps, target.class, how, reproduces);
-    (refined, minimal)
+    let Some(target) = FindingSig::of(&run.verdict, &violations) else {
+        return (run, violations, None);
+    };
+    let class = target.class();
+    let reproduces =
+        same_class(testbed, ctx, target, how.judge, how.min_frames, (steps, run.verdict_at));
+    let minimal = triage(testbed, ctx, booter, log, steps, class, how, reproduces);
+    (run, violations, minimal)
 }
 
 /// One generated, executed and judged sequence.
@@ -1227,8 +1282,14 @@ fn evaluate_spec<T: Testbed + ?Sized>(
         return record(main, None);
     }
 
-    let how = Triage { min_frames: 0, shrink: opts.shrink, budget: opts.shrink_budget, flight };
-    let (refined, minimal) = confirm(testbed, ctx, booter, log, &spec.steps, how);
+    let how = Triage {
+        min_frames: 0,
+        shrink: opts.shrink,
+        budget: opts.shrink_budget,
+        flight,
+        judge: None,
+    };
+    let (refined, _, minimal) = confirm(testbed, ctx, booter, log, &spec.steps, how);
     if opts.record && refined.verdict.classification.class == CrashClass::Pass {
         // Cleared by the refined run: that run is the sequence's flight.
         log.end_flight(spec.index, CrashClass::Pass);
@@ -1653,6 +1714,61 @@ mod tests {
             out.push(tail);
         }
         out
+    }
+
+    #[test]
+    fn finding_signature_prefers_oracle_and_dedups_invariants() {
+        let pass = SequenceVerdict {
+            classification: Classification { class: CrashClass::Pass, cause: Cause::None },
+            failing_step: None,
+            state_diff: vec![],
+        };
+        assert_eq!(FindingSig::of(&pass, &[]), None);
+        let viol = |k| InvariantViolation { kind: k, detail: String::new() };
+        assert_eq!(
+            FindingSig::of(
+                &pass,
+                &[viol(InvariantKind::SlotOverrun), viol(InvariantKind::SlotOverrun)]
+            ),
+            Some(FindingSig::Invariant(vec![InvariantKind::SlotOverrun]))
+        );
+        let div = SequenceVerdict {
+            classification: Classification {
+                class: CrashClass::Restart,
+                cause: Cause::TemporalOverrun,
+            },
+            failing_step: Some(0),
+            state_diff: vec![],
+        };
+        assert_eq!(
+            FindingSig::of(&div, &[viol(InvariantKind::SlotOverrun)]),
+            Some(FindingSig::Oracle(div.classification))
+        );
+    }
+
+    #[test]
+    fn finding_signature_sorts_invariant_kinds_and_names_their_class() {
+        let pass = SequenceVerdict::pass();
+        let viol = |k| InvariantViolation { kind: k, detail: String::new() };
+        let sig = FindingSig::of(
+            &pass,
+            &[
+                viol(InvariantKind::MisattributedHm),
+                viol(InvariantKind::ForeignPort),
+                viol(InvariantKind::SlotOverrun),
+                viol(InvariantKind::ForeignPort),
+            ],
+        )
+        .expect("violations are a finding");
+        let kinds = vec![
+            InvariantKind::SlotOverrun,
+            InvariantKind::ForeignPort,
+            InvariantKind::MisattributedHm,
+        ];
+        assert_eq!(sig, FindingSig::Invariant(kinds));
+        assert_eq!(sig.class(), CrashClass::Catastrophic);
+        let silent = Classification { class: CrashClass::Silent, cause: Cause::WrongSuccess };
+        assert_eq!(FindingSig::Oracle(silent).class(), CrashClass::Silent);
     }
 
     #[test]

@@ -245,6 +245,14 @@ fn has_flag(args: &[String], flag: &str) -> bool {
 /// executor indexes them with `u32`.
 const MAX_CASES: usize = u32::MAX as usize;
 
+/// The most steps a generated sequence takes (`campaign sequences|report
+/// --steps`): each sequence's step list is allocated at its exact size.
+const MAX_SEQUENCE_STEPS: usize = 4096;
+
+/// The most major frames `campaign check` observes a case for
+/// (`--horizon`): every lockstep run reserves one frame digest per frame.
+const MAX_HORIZON: u32 = 1024;
+
 /// `flag N`: `default` when the flag is absent, an error when its value
 /// is missing or does not parse.
 fn num_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
@@ -437,6 +445,9 @@ fn cmd_sequences(args: &[String]) -> Result<i32, String> {
     if count > MAX_CASES {
         return Err(format!("campaign sequences: --count must be at most {MAX_CASES}"));
     }
+    if steps > MAX_SEQUENCE_STEPS {
+        return Err(format!("campaign sequences: --steps must be at most {MAX_SEQUENCE_STEPS}"));
+    }
     let opts = skrt::sequence::SequenceOptions {
         build: flags.build,
         threads: flags.threads,
@@ -472,6 +483,9 @@ fn cmd_check(args: &[String]) -> Result<i32, String> {
     };
     if scope.partitions == 0 || scope.slots == 0 || scope.horizon == 0 {
         return Err("campaign check: --partitions, --slots and --horizon must be positive".into());
+    }
+    if scope.horizon > MAX_HORIZON {
+        return Err(format!("campaign check: --horizon must be at most {MAX_HORIZON} frames"));
     }
     if scope.partitions > 4 || scope.slots > 3 {
         return Err("campaign check: scope too large for exhaustive enumeration \
@@ -533,6 +547,9 @@ fn cmd_report(args: &[String]) -> Result<i32, String> {
     }
     if count > MAX_CASES {
         return Err(format!("campaign report: --count must be at most {MAX_CASES}"));
+    }
+    if steps > MAX_SEQUENCE_STEPS {
+        return Err(format!("campaign report: --steps must be at most {MAX_SEQUENCE_STEPS}"));
     }
     let opts = skrt::sequence::SequenceOptions {
         build: flags.build,
@@ -615,6 +632,12 @@ fn cmd_fuzz(args: &[String]) -> Result<i32, String> {
     };
     if opts.max_execs == 0 || opts.steps == 0 || opts.batch == 0 {
         return Err("campaign fuzz: --execs, --steps and --batch must be positive".into());
+    }
+    if opts.steps > opts.max_steps {
+        return Err(format!(
+            "campaign fuzz: --steps must be at most {}, the mutator's sequence length cap",
+            opts.max_steps
+        ));
     }
 
     let corpus_dir = flag_value(args, "--corpus-dir")?;

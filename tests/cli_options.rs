@@ -49,6 +49,47 @@ fn case_counts_beyond_u32_exit_2_before_running() {
     }
 }
 
+/// Sizing flags past their stated bound are rejected while parsing:
+/// `campaign fuzz --steps` above the mutator's 16-step cap (which would
+/// clamp it silently), and `--steps` (sequences, report) and `--horizon`
+/// (check) above the bounds that keep their exact-size allocations
+/// small. Only values just past each bound are tried; each run must
+/// fail before building anything.
+#[test]
+fn sizing_flags_past_their_bound_exit_2_before_running() {
+    for (args, flag) in [
+        (&["campaign", "fuzz", "--steps", "17", "--execs", "1"][..], "--steps"),
+        (&["campaign", "fuzz", "--steps", "40", "--execs", "64", "--batch", "64"], "--steps"),
+        (&["campaign", "sequences", "--steps", "4097", "--count", "1"], "--steps"),
+        (&["campaign", "report", "--steps", "4097", "--count", "1"], "--steps"),
+        (&["campaign", "check", "--horizon", "1025"], "--horizon"),
+    ] {
+        let out = skrt(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args:?}: stderr must name {flag}, got: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must fail before running anything");
+    }
+    // The bounds themselves still run.
+    let fuzz = skrt(&["campaign", "fuzz", "--steps", "16", "--execs", "4", "--threads", "1"]);
+    assert!(matches!(fuzz.status.code(), Some(0 | 1)), "fuzz --steps 16 runs");
+    let check = skrt(&[
+        "campaign",
+        "check",
+        "--build",
+        "patched",
+        "--partitions",
+        "1",
+        "--slots",
+        "1",
+        "--horizon",
+        "1024",
+        "--threads",
+        "1",
+    ]);
+    assert_eq!(check.status.code(), Some(0), "check --horizon 1024 runs");
+}
+
 #[test]
 fn live_stats_is_rejected_where_no_mode_streams_it() {
     let out = skrt(&["campaign", "check", "--live-stats", "live.jsonl"]);
