@@ -225,10 +225,10 @@ impl RegionMem {
         }
     }
 
-    fn read_into(&self, off: usize, len: usize, out: &mut Vec<u8>) {
+    fn read_exact(&self, off: usize, out: &mut [u8]) {
         match &self.bytes {
-            Some(bytes) => out.extend_from_slice(&bytes[off..off + len]),
-            None => out.resize(out.len() + len, 0),
+            Some(bytes) => out.copy_from_slice(&bytes[off..off + out.len()]),
+            None => out.fill(0),
         }
     }
 
@@ -550,19 +550,14 @@ impl AddressSpace {
         Ok(self.backing[idx].read(off, len as usize))
     }
 
-    /// Reads `len` bytes, appending to `out` — the allocation-free
-    /// counterpart of [`read_bytes`](Self::read_bytes) for callers that
-    /// reuse a scratch buffer.
-    pub fn read_bytes_into(
-        &self,
-        ctx: AccessCtx,
-        addr: Addr,
-        len: u32,
-        out: &mut Vec<u8>,
-    ) -> Result<(), MemFault> {
-        let idx = self.locate(ctx, addr, len, 1, AccessKind::Read)?;
+    /// Fills `out` with the `out.len()` bytes at `addr` — the
+    /// allocation-free counterpart of [`read_bytes`](Self::read_bytes),
+    /// for callers that read straight into their own storage. On a fault
+    /// `out` is left untouched.
+    pub fn read_exact(&self, ctx: AccessCtx, addr: Addr, out: &mut [u8]) -> Result<(), MemFault> {
+        let idx = self.locate(ctx, addr, out.len() as u32, 1, AccessKind::Read)?;
         let off = self.offset(idx, addr);
-        self.backing[idx].read_into(off, len as usize, out);
+        self.backing[idx].read_exact(off, out);
         Ok(())
     }
 

@@ -441,7 +441,7 @@ fn mirrored_store(rng: &mut Rng, a: &mut AddressSpace, model: &mut [u8], r: usiz
 }
 
 /// Every read path of `a` agrees with `model` (one byte vector per
-/// region) on seeded ranges: `read_bytes`, `read_bytes_into`, aligned
+/// region) on seeded ranges: `read_bytes`, `read_exact`, aligned
 /// `read_u8`/`read_u32`/`read_u64`, and `read_run`, whose runs are never
 /// empty, never longer than asked or than the region, and concatenate to
 /// the range.
@@ -455,9 +455,9 @@ fn reads_match(rng: &mut Rng, a: &AddressSpace, model: &[Vec<u8>], what: &str) {
             if rng.chance(1, 4) { size as usize } else { rng.range(lo + 1, size as usize + 1) };
         let at = base + lo as u32;
         assert_eq!(a.read_bytes(ctx, at, (hi - lo) as u32).unwrap(), want[lo..hi], "{what} r{r}");
-        let mut out = vec![7];
-        a.read_bytes_into(ctx, at, (hi - lo) as u32, &mut out).unwrap();
-        assert_eq!(out[1..], want[lo..hi], "{what} r{r} into");
+        let mut out = vec![7; hi - lo];
+        a.read_exact(ctx, at, &mut out).unwrap();
+        assert_eq!(out, want[lo..hi], "{what} r{r} exact");
         assert_eq!(a.read_u8(ctx, at).unwrap(), want[lo], "{what} r{r} u8");
         let word = |w: usize| (at as usize).next_multiple_of(w) - base as usize;
         if let Some(b) = want.get(word(4)..word(4) + 4) {

@@ -74,6 +74,14 @@ pub enum PortKind {
     Queuing,
 }
 
+/// Largest message a channel may carry, in bytes. A channel's storage is
+/// allocated at boot, so [`XmConfig::validate`] bounds it.
+pub const MAX_CHANNEL_MSG_SIZE: u32 = 64 * 1024;
+
+/// Largest storage one channel may take, in bytes: `max_msg_size`, times
+/// `max_msgs` on a queuing channel.
+pub const MAX_CHANNEL_BYTES: u64 = 1024 * 1024;
+
 /// One configured channel between partitions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelCfg {
@@ -89,6 +97,17 @@ pub struct ChannelCfg {
     pub source: u32,
     /// Reading partitions (sampling may broadcast; queuing has exactly 1).
     pub destinations: Vec<u32>,
+}
+
+impl ChannelCfg {
+    /// Messages the channel's storage holds: the last one written on a
+    /// sampling channel, `max_msgs` on a queuing channel.
+    pub(crate) fn slots(&self) -> u32 {
+        match self.kind {
+            PortKind::Sampling => 1,
+            PortKind::Queuing => self.max_msgs,
+        }
+    }
 }
 
 /// Timing/behaviour constants for the simulated kernel.
@@ -212,6 +231,19 @@ impl XmConfig {
             }
             if c.max_msg_size == 0 {
                 errs.push(format!("channel '{}' has zero max message size", c.name));
+            }
+            if c.max_msg_size > MAX_CHANNEL_MSG_SIZE {
+                errs.push(format!(
+                    "channel '{}' max message size {} exceeds {MAX_CHANNEL_MSG_SIZE} bytes",
+                    c.name, c.max_msg_size
+                ));
+            }
+            let bytes = u64::from(c.slots()) * u64::from(c.max_msg_size);
+            if bytes > MAX_CHANNEL_BYTES {
+                errs.push(format!(
+                    "channel '{}' needs {bytes} bytes of storage, over {MAX_CHANNEL_BYTES}",
+                    c.name
+                ));
             }
             if c.kind == PortKind::Queuing {
                 if c.max_msgs == 0 {

@@ -8,34 +8,84 @@
 //! to them at runtime by creating a named port, receiving a small integer
 //! port descriptor. Sampling channels hold the last message written (with
 //! a validity flag); queuing channels are bounded FIFOs.
+//!
+//! Each channel's storage is allocated once, at boot, from its configured
+//! geometry: one `max_msg_size` slot for a sampling channel, a ring of
+//! `max_msgs` such slots for a queuing channel, and a length per slot. A
+//! message is copied once, between partition memory and its slot, and no
+//! operation allocates.
 
 use crate::config::{ChannelCfg, PortDirection, PortKind};
 use std::sync::Arc;
 
 /// Runtime state of one channel.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ChannelState {
     /// Static declaration. Arc-shared: channel configs never change
     /// after boot, so snapshot clones skip re-copying the name strings.
     pub cfg: Arc<ChannelCfg>,
-    /// Sampling: the last message (None until first write).
-    pub sample: Option<Vec<u8>>,
     /// Sampling: message counter (validity/freshness indicator).
     pub sample_seq: u64,
-    /// Queuing: FIFO of messages.
-    pub queue: std::collections::VecDeque<Vec<u8>>,
+    /// The slots, `max_msg_size` bytes each: slot `i` starts at byte
+    /// `i * max_msg_size`.
+    bytes: Box<[u8]>,
+    /// The length of the message each slot holds.
+    lens: Box<[u32]>,
+    /// The slot of the oldest message (always 0 on a sampling channel).
+    head: u32,
+    /// Messages held: the queue's depth, or 1 while a sample is valid.
+    count: u32,
 }
 
-/// One channel's staged sampling write: the kernel's step loop coalesces
-/// the sampling-port writes a slot performs into a last-value buffer and
-/// commits it once ([`PortTable::commit_staged_sample`]) at slot end — or
-/// earlier, at the first operation that could observe sampling state.
-#[derive(Debug, Clone, Default)]
-pub struct SampleStage {
-    /// How many writes this stage coalesces (each bumped `sample_seq`).
-    pub writes: u64,
-    /// The last value written (what the channel's sample becomes).
-    pub buf: Vec<u8>,
+impl ChannelState {
+    fn new(cfg: &ChannelCfg) -> Self {
+        let slots = cfg.slots() as usize;
+        ChannelState {
+            cfg: Arc::new(cfg.clone()),
+            sample_seq: 0,
+            bytes: vec![0; slots * cfg.max_msg_size as usize].into_boxed_slice(),
+            lens: vec![0; slots].into_boxed_slice(),
+            head: 0,
+            count: 0,
+        }
+    }
+
+    /// The message slot `slot` holds.
+    fn msg(&self, slot: usize) -> &[u8] {
+        let at = slot * self.cfg.max_msg_size as usize;
+        &self.bytes[at..at + self.lens[slot] as usize]
+    }
+
+    /// The slot the next message lands in: the one after the newest queued
+    /// message, or the sample's own slot.
+    fn tail(&self) -> usize {
+        (self.head + self.count) as usize % self.lens.len()
+    }
+
+    /// Sampling: the last message written (`None` until the first write
+    /// and after a flush).
+    pub fn sample(&self) -> Option<&[u8]> {
+        (self.cfg.kind == PortKind::Sampling && self.count > 0).then(|| self.msg(0))
+    }
+
+    /// Queuing: the queued messages, oldest first.
+    pub fn queue(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        let n = if self.cfg.kind == PortKind::Queuing { self.count } else { 0 };
+        (0..n).map(move |i| self.msg((self.head + i) as usize % self.lens.len()))
+    }
+}
+
+impl std::fmt::Debug for ChannelState {
+    /// The logical state only: bytes past a message's end, and slots no
+    /// message holds, are not part of it.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ChannelState")
+            .field("name", &self.cfg.name)
+            .field("sample_seq", &self.sample_seq)
+            .field("sample", &self.sample())
+            .field("queue", &self.queue().collect::<Vec<_>>())
+            .finish()
+    }
 }
 
 /// A port created by a partition.
@@ -57,29 +107,6 @@ pub struct PortTable {
     /// `p`'s port `desc` — descriptors are small per-partition integers,
     /// as in XM.
     ports: Vec<Vec<Port>>,
-    /// Retired queue-message buffers, reused by `send_queuing_from` so
-    /// steady-state queuing traffic allocates nothing.
-    recycled: Vec<Vec<u8>>,
-}
-
-/// Retired-buffer pool bound: enough for every in-flight EagleEye queue
-/// slot without hoarding memory after a flood.
-const RECYCLE_LIMIT: usize = 8;
-
-/// Retires `buf` into the recycle pool (dropped once the pool is full).
-fn retire(recycled: &mut Vec<Vec<u8>>, mut buf: Vec<u8>) {
-    if recycled.len() < RECYCLE_LIMIT {
-        buf.clear();
-        recycled.push(buf);
-    }
-}
-
-/// A copy of `msg` in a recycled buffer (a fresh one when the pool is
-/// empty).
-fn reuse(recycled: &mut Vec<Vec<u8>>, msg: &[u8]) -> Vec<u8> {
-    let mut buf = recycled.pop().unwrap_or_default();
-    buf.extend_from_slice(msg);
-    buf
 }
 
 /// Errors surfaced to the hypercall layer.
@@ -108,54 +135,30 @@ pub enum IpcError {
 }
 
 impl PortTable {
-    /// Initialises runtime state from the configured channels.
+    /// Initialises runtime state from the configured channels, allocating
+    /// each channel's storage. Boot bounds the geometry first
+    /// ([`XmConfig::validate`](crate::config::XmConfig::validate)).
     pub fn new(channels: &[ChannelCfg]) -> Self {
-        PortTable {
-            channels: channels
-                .iter()
-                .map(|c| ChannelState {
-                    cfg: Arc::new(c.clone()),
-                    sample: None,
-                    sample_seq: 0,
-                    queue: std::collections::VecDeque::new(),
-                })
-                .collect(),
-            ports: Vec::new(),
-            recycled: Vec::new(),
-        }
+        PortTable { channels: channels.iter().map(ChannelState::new).collect(), ports: Vec::new() }
     }
 
     /// Restores to `src`'s state in place (part of the campaign
-    /// executor's per-test state reset). Message buffers queued since the
-    /// snapshot are retired into the recycle pool instead of freed, and
-    /// the snapshot's own traffic (a prefix snapshot holds the samples and
-    /// queued messages of the slots it ran) is copied into reused
-    /// buffers, so steady-state restore traffic — like steady-state
-    /// queuing traffic — allocates nothing.
+    /// executor's per-test state reset): scalar copies and one bounded
+    /// copy of each channel's storage, so it allocates nothing.
     pub fn restore_from(&mut self, src: &PortTable) {
         debug_assert_eq!(self.channels.len(), src.channels.len(), "channel layout mismatch");
-        let PortTable { channels, ports, recycled } = self;
-        for (ch, s) in channels.iter_mut().zip(&src.channels) {
+        for (ch, s) in self.channels.iter_mut().zip(&src.channels) {
             debug_assert!(Arc::ptr_eq(&ch.cfg, &s.cfg), "channel config mismatch");
             ch.sample_seq = s.sample_seq;
-            match (&mut ch.sample, &s.sample) {
-                (Some(buf), Some(want)) => buf.clone_from(want),
-                (sample, want) => {
-                    if let Some(buf) = sample.take() {
-                        retire(recycled, buf);
-                    }
-                    *sample = want.as_deref().map(|w| reuse(recycled, w));
-                }
-            }
-            while let Some(buf) = ch.queue.pop_front() {
-                retire(recycled, buf);
-            }
-            ch.queue.extend(s.queue.iter().map(|msg| reuse(recycled, msg)));
+            ch.head = s.head;
+            ch.count = s.count;
+            ch.lens.copy_from_slice(&s.lens);
+            ch.bytes.copy_from_slice(&s.bytes);
         }
         // Port descriptor spaces: Vec<Vec<Port>> clone_from is element-
         // wise and keeps every inner capacity, so the per-test prologue's
         // port creation reuses the previous test's slots.
-        ports.clone_from(&src.ports);
+        self.ports.clone_from(&src.ports);
     }
 
     /// Number of channels.
@@ -228,257 +231,162 @@ impl PortTable {
         Ok((own.len() - 1) as i32)
     }
 
-    fn port_for(
-        &self,
-        partition: u32,
-        desc: i32,
-        want: Option<PortDirection>,
-    ) -> Result<Port, IpcError> {
-        if desc < 0 {
+    /// `partition`'s port `desc`: the check every port operation makes
+    /// first.
+    fn port_for(&self, partition: u32, desc: i32) -> Result<Port, IpcError> {
+        usize::try_from(desc)
+            .ok()
+            .and_then(|desc| self.ports.get(partition as usize)?.get(desc))
+            .copied()
+            .ok_or(IpcError::BadDescriptor)
+    }
+
+    /// [`port_for`](Self::port_for) on a `kind` channel: a descriptor of
+    /// the other kind is as bad as one that names no port.
+    fn typed_port(&self, partition: u32, desc: i32, kind: PortKind) -> Result<Port, IpcError> {
+        let p = self.port_for(partition, desc)?;
+        if self.channels[p.channel].cfg.kind != kind {
             return Err(IpcError::BadDescriptor);
-        }
-        let p = *self
-            .ports
-            .get(partition as usize)
-            .and_then(|own| own.get(desc as usize))
-            .ok_or(IpcError::BadDescriptor)?;
-        if let Some(d) = want {
-            if p.direction != d {
-                return Err(IpcError::WrongDirection);
-            }
         }
         Ok(p)
     }
 
-    /// Writes a sampling message.
-    pub fn write_sampling(
+    /// Where a `len`-byte write or send through `partition`'s port `desc`
+    /// lands: the channel index and the slot's first `len` bytes. Checks,
+    /// in order, the descriptor and the channel's `kind`, the size, the
+    /// port's direction and (queuing) a free slot. Nothing changes until
+    /// [`land`](Self::land) commits the message, so a caller that fails
+    /// to fill the slot leaves the channel as it was.
+    pub(crate) fn message_slot(
         &mut self,
         partition: u32,
         desc: i32,
-        msg: Vec<u8>,
-    ) -> Result<(), IpcError> {
-        self.write_sampling_from(partition, desc, &msg)
+        kind: PortKind,
+        len: usize,
+    ) -> Result<(usize, &mut [u8]), IpcError> {
+        let p = self.typed_port(partition, desc, kind)?;
+        let ch = &mut self.channels[p.channel];
+        if len == 0 || len > ch.cfg.max_msg_size as usize {
+            return Err(IpcError::BadSize);
+        }
+        if p.direction != PortDirection::Source {
+            return Err(IpcError::WrongDirection);
+        }
+        if kind == PortKind::Queuing && ch.count as usize == ch.lens.len() {
+            return Err(IpcError::QueueFull);
+        }
+        let at = ch.tail() * ch.cfg.max_msg_size as usize;
+        Ok((p.channel, &mut ch.bytes[at..at + len]))
     }
 
-    /// Writes a sampling message from a borrowed buffer, reusing the
-    /// channel's previous sample allocation when one exists.
-    pub fn write_sampling_from(
+    /// Commits the `len`-byte message written into the slot
+    /// [`message_slot`](Self::message_slot) handed out for `channel`: it
+    /// becomes the sample (counted by `sample_seq`) or the newest queued
+    /// message.
+    pub(crate) fn land(&mut self, channel: usize, len: usize) {
+        let ch = &mut self.channels[channel];
+        let tail = ch.tail();
+        ch.lens[tail] = len as u32;
+        match ch.cfg.kind {
+            PortKind::Sampling => {
+                ch.count = 1;
+                ch.sample_seq += 1;
+            }
+            PortKind::Queuing => ch.count += 1,
+        }
+    }
+
+    /// Writes a sampling message. Checks, in order, the descriptor and the
+    /// channel's kind, the size and the port's direction.
+    pub fn write_sampling(
         &mut self,
         partition: u32,
         desc: i32,
         msg: &[u8],
     ) -> Result<(), IpcError> {
-        let p = self.port_for(partition, desc, Some(PortDirection::Source))?;
-        let ch = &mut self.channels[p.channel];
-        if ch.cfg.kind != PortKind::Sampling {
-            return Err(IpcError::BadDescriptor);
-        }
-        if msg.is_empty() || msg.len() as u32 > ch.cfg.max_msg_size {
-            return Err(IpcError::BadSize);
-        }
-        match &mut ch.sample {
-            Some(buf) => {
-                buf.clear();
-                buf.extend_from_slice(msg);
-            }
-            None => ch.sample = Some(msg.to_vec()),
-        }
-        ch.sample_seq += 1;
+        self.put(partition, desc, PortKind::Sampling, msg)
+    }
+
+    /// Sends on a queuing port. Checks, in order, the descriptor and the
+    /// channel's kind, the size, the port's direction and a free slot.
+    pub fn send_queuing(&mut self, partition: u32, desc: i32, msg: &[u8]) -> Result<(), IpcError> {
+        self.put(partition, desc, PortKind::Queuing, msg)
+    }
+
+    fn put(
+        &mut self,
+        partition: u32,
+        desc: i32,
+        kind: PortKind,
+        msg: &[u8],
+    ) -> Result<(), IpcError> {
+        let (channel, slot) = self.message_slot(partition, desc, kind, msg.len())?;
+        slot.copy_from_slice(msg);
+        self.land(channel, msg.len());
         Ok(())
     }
 
-    /// Validation half of a staged sampling write: runs exactly the checks
-    /// [`PortTable::write_sampling_from`] would (same errors, same order)
-    /// for a `msg_len`-byte message and returns the target channel index
-    /// without touching channel state.
-    pub(crate) fn sampling_write_target(
-        &self,
-        partition: u32,
-        desc: i32,
-        msg_len: usize,
-    ) -> Result<usize, IpcError> {
-        let p = self.port_for(partition, desc, Some(PortDirection::Source))?;
-        let ch = &self.channels[p.channel];
-        if ch.cfg.kind != PortKind::Sampling {
-            return Err(IpcError::BadDescriptor);
-        }
-        if msg_len == 0 || msg_len as u32 > ch.cfg.max_msg_size {
-            return Err(IpcError::BadSize);
-        }
-        Ok(p.channel)
-    }
-
-    /// Commit half of a staged sampling write: makes `msg` the channel's
-    /// sample (reusing the previous allocation) and advances `sample_seq`
-    /// by `writes` — byte-identical to `writes` consecutive
-    /// [`PortTable::write_sampling_from`] calls ending in `msg`, which is
-    /// what the stage coalesced.
-    pub(crate) fn commit_staged_sample(&mut self, channel: usize, msg: &[u8], writes: u64) {
-        let ch = &mut self.channels[channel];
-        match &mut ch.sample {
-            Some(buf) => {
-                buf.clear();
-                buf.extend_from_slice(msg);
-            }
-            None => ch.sample = Some(msg.to_vec()),
-        }
-        ch.sample_seq += writes;
-    }
-
-    /// Reads the current sampling message (up to `buf_size` bytes).
-    /// Returns the message and its freshness sequence number.
+    /// Reads the current sampling message, truncated to `buf_size` bytes,
+    /// and its freshness sequence number. Checks, in order, the descriptor
+    /// and the channel's kind, a non-zero `buf_size`, the port's direction
+    /// and a valid sample.
     pub fn read_sampling(
         &self,
         partition: u32,
         desc: i32,
         buf_size: u32,
-    ) -> Result<(Vec<u8>, u64), IpcError> {
-        let p = self.port_for(partition, desc, Some(PortDirection::Destination))?;
-        let ch = &self.channels[p.channel];
-        if ch.cfg.kind != PortKind::Sampling {
-            return Err(IpcError::BadDescriptor);
-        }
+    ) -> Result<(&[u8], u64), IpcError> {
+        let p = self.typed_port(partition, desc, PortKind::Sampling)?;
         if buf_size == 0 {
             return Err(IpcError::BadSize);
         }
-        let msg = ch.sample.as_ref().ok_or(IpcError::Empty)?;
-        let n = (buf_size as usize).min(msg.len());
-        Ok((msg[..n].to_vec(), ch.sample_seq))
-    }
-
-    /// Reads the current sampling message, appending up to `buf_size`
-    /// bytes to `out` (caller-reused scratch). Returns the freshness
-    /// sequence number.
-    pub fn read_sampling_into(
-        &self,
-        partition: u32,
-        desc: i32,
-        buf_size: u32,
-        out: &mut Vec<u8>,
-    ) -> Result<u64, IpcError> {
-        let p = self.port_for(partition, desc, Some(PortDirection::Destination))?;
+        if p.direction != PortDirection::Destination {
+            return Err(IpcError::WrongDirection);
+        }
         let ch = &self.channels[p.channel];
-        if ch.cfg.kind != PortKind::Sampling {
-            return Err(IpcError::BadDescriptor);
-        }
-        if buf_size == 0 {
-            return Err(IpcError::BadSize);
-        }
-        let msg = ch.sample.as_ref().ok_or(IpcError::Empty)?;
-        let n = (buf_size as usize).min(msg.len());
-        out.extend_from_slice(&msg[..n]);
-        Ok(ch.sample_seq)
+        let msg = ch.sample().ok_or(IpcError::Empty)?;
+        Ok((&msg[..msg.len().min(buf_size as usize)], ch.sample_seq))
     }
 
-    /// Sends on a queuing port.
-    pub fn send_queuing(
-        &mut self,
-        partition: u32,
-        desc: i32,
-        msg: Vec<u8>,
-    ) -> Result<(), IpcError> {
-        let p = self.port_for(partition, desc, Some(PortDirection::Source))?;
-        let ch = &mut self.channels[p.channel];
-        if ch.cfg.kind != PortKind::Queuing {
-            return Err(IpcError::BadDescriptor);
-        }
-        if msg.is_empty() || msg.len() as u32 > ch.cfg.max_msg_size {
-            return Err(IpcError::BadSize);
-        }
-        if ch.queue.len() as u32 >= ch.cfg.max_msgs {
-            return Err(IpcError::QueueFull);
-        }
-        ch.queue.push_back(msg);
-        Ok(())
-    }
-
-    /// Sends on a queuing port from a borrowed buffer, backing the queued
-    /// copy with a retired buffer when one is available.
-    pub fn send_queuing_from(
-        &mut self,
-        partition: u32,
-        desc: i32,
-        msg: &[u8],
-    ) -> Result<(), IpcError> {
-        let p = self.port_for(partition, desc, Some(PortDirection::Source))?;
-        {
-            let ch = &self.channels[p.channel];
-            if ch.cfg.kind != PortKind::Queuing {
-                return Err(IpcError::BadDescriptor);
-            }
-            if msg.is_empty() || msg.len() as u32 > ch.cfg.max_msg_size {
-                return Err(IpcError::BadSize);
-            }
-            if ch.queue.len() as u32 >= ch.cfg.max_msgs {
-                return Err(IpcError::QueueFull);
-            }
-        }
-        let buf = reuse(&mut self.recycled, msg);
-        self.channels[p.channel].queue.push_back(buf);
-        Ok(())
-    }
-
-    /// Receives from a queuing port (message must fit in `buf_size`).
+    /// Dequeues the oldest message, which must fit in `buf_size` bytes, and
+    /// returns it from its slot (which the next send may reuse). Checks,
+    /// in order, the descriptor and the channel's kind, the port's
+    /// direction, a queued message and its fit.
     pub fn receive_queuing(
         &mut self,
         partition: u32,
         desc: i32,
         buf_size: u32,
-    ) -> Result<Vec<u8>, IpcError> {
-        let p = self.port_for(partition, desc, Some(PortDirection::Destination))?;
-        let ch = &mut self.channels[p.channel];
-        if ch.cfg.kind != PortKind::Queuing {
-            return Err(IpcError::BadDescriptor);
+    ) -> Result<&[u8], IpcError> {
+        let p = self.typed_port(partition, desc, PortKind::Queuing)?;
+        if p.direction != PortDirection::Destination {
+            return Err(IpcError::WrongDirection);
         }
-        let front_len = ch.queue.front().map(|m| m.len()).ok_or(IpcError::Empty)?;
-        if (buf_size as usize) < front_len {
+        let ch = &mut self.channels[p.channel];
+        if ch.count == 0 {
+            return Err(IpcError::Empty);
+        }
+        let head = ch.head as usize;
+        if ch.lens[head] > buf_size {
             return Err(IpcError::BadSize);
         }
-        Ok(ch.queue.pop_front().unwrap())
-    }
-
-    /// Receives from a queuing port, appending the message to `out`
-    /// (caller-reused scratch) and retiring the dequeued buffer for reuse.
-    /// Returns the message length.
-    pub fn receive_queuing_into(
-        &mut self,
-        partition: u32,
-        desc: i32,
-        buf_size: u32,
-        out: &mut Vec<u8>,
-    ) -> Result<usize, IpcError> {
-        let msg = self.receive_queuing(partition, desc, buf_size)?;
-        out.extend_from_slice(&msg);
-        let n = msg.len();
-        retire(&mut self.recycled, msg);
-        Ok(n)
+        ch.head = ((head + 1) % ch.lens.len()) as u32;
+        ch.count -= 1;
+        Ok(ch.msg(head))
     }
 
     /// Port status for the status services: (kind, queued or validity,
     /// max_msg_size). Any direction may query.
     pub fn port_status(&self, partition: u32, desc: i32) -> Result<(PortKind, u32, u32), IpcError> {
-        let p = self.port_for(partition, desc, None)?;
-        let ch = &self.channels[p.channel];
-        let level = match ch.cfg.kind {
-            PortKind::Sampling => u32::from(ch.sample.is_some()),
-            PortKind::Queuing => ch.queue.len() as u32,
-        };
-        Ok((ch.cfg.kind, level, ch.cfg.max_msg_size))
+        let ch = &self.channels[self.port_for(partition, desc)?.channel];
+        Ok((ch.cfg.kind, ch.count, ch.cfg.max_msg_size))
     }
 
     /// Flushes one port's channel (drops queued/sampled data). Returns the
     /// number of discarded messages.
     pub fn flush_port(&mut self, partition: u32, desc: i32) -> Result<u32, IpcError> {
-        let p = self.port_for(partition, desc, None)?;
-        let ch = &mut self.channels[p.channel];
-        Ok(match ch.cfg.kind {
-            PortKind::Sampling => u32::from(ch.sample.take().is_some()),
-            PortKind::Queuing => {
-                let n = ch.queue.len() as u32;
-                ch.queue.clear();
-                n
-            }
-        })
+        let p = self.port_for(partition, desc)?;
+        Ok(std::mem::take(&mut self.channels[p.channel].count))
     }
 
     /// Flushes every port owned by `partition`. Returns discarded count.
@@ -490,9 +398,9 @@ impl PortTable {
     /// Drops all runtime state (system reset); configuration survives.
     pub fn reset(&mut self) {
         for ch in &mut self.channels {
-            ch.sample = None;
             ch.sample_seq = 0;
-            ch.queue.clear();
+            ch.head = 0;
+            ch.count = 0;
         }
         self.ports.clear();
     }
@@ -587,8 +495,8 @@ mod tests {
             .create_port(0, "gyro", PortKind::Sampling, 16, None, PortDirection::Destination)
             .unwrap();
         assert_eq!(t.read_sampling(0, d, 16), Err(IpcError::Empty));
-        t.write_sampling(1, s, vec![1, 2, 3]).unwrap();
-        t.write_sampling(1, s, vec![9, 9]).unwrap();
+        t.write_sampling(1, s, &[1, 2, 3]).unwrap();
+        t.write_sampling(1, s, &[9, 9]).unwrap();
         let (msg, seq) = t.read_sampling(0, d, 16).unwrap();
         assert_eq!(msg, vec![9, 9]);
         assert_eq!(seq, 2);
@@ -602,12 +510,12 @@ mod tests {
         let mut t = table();
         let s =
             t.create_port(1, "gyro", PortKind::Sampling, 16, None, PortDirection::Source).unwrap();
-        assert_eq!(t.write_sampling(1, s, vec![]), Err(IpcError::BadSize));
-        assert_eq!(t.write_sampling(1, s, vec![0; 17]), Err(IpcError::BadSize));
+        assert_eq!(t.write_sampling(1, s, &[]), Err(IpcError::BadSize));
+        assert_eq!(t.write_sampling(1, s, &[0; 17]), Err(IpcError::BadSize));
         let d = t
             .create_port(0, "gyro", PortKind::Sampling, 16, None, PortDirection::Destination)
             .unwrap();
-        t.write_sampling(1, s, vec![1]).unwrap();
+        t.write_sampling(1, s, &[1]).unwrap();
         assert_eq!(t.read_sampling(0, d, 0), Err(IpcError::BadSize));
     }
 
@@ -619,9 +527,9 @@ mod tests {
         let d = t
             .create_port(3, "tm", PortKind::Queuing, 32, Some(2), PortDirection::Destination)
             .unwrap();
-        t.send_queuing(2, s, vec![1]).unwrap();
-        t.send_queuing(2, s, vec![2]).unwrap();
-        assert_eq!(t.send_queuing(2, s, vec![3]), Err(IpcError::QueueFull));
+        t.send_queuing(2, s, &[1]).unwrap();
+        t.send_queuing(2, s, &[2]).unwrap();
+        assert_eq!(t.send_queuing(2, s, &[3]), Err(IpcError::QueueFull));
         assert_eq!(t.receive_queuing(3, d, 32).unwrap(), vec![1]);
         assert_eq!(t.receive_queuing(3, d, 32).unwrap(), vec![2]);
         assert_eq!(t.receive_queuing(3, d, 32), Err(IpcError::Empty));
@@ -635,7 +543,7 @@ mod tests {
         let d = t
             .create_port(3, "tm", PortKind::Queuing, 32, Some(2), PortDirection::Destination)
             .unwrap();
-        t.send_queuing(2, s, vec![0; 10]).unwrap();
+        t.send_queuing(2, s, &[0; 10]).unwrap();
         assert_eq!(t.receive_queuing(3, d, 5), Err(IpcError::BadSize));
         assert_eq!(t.receive_queuing(3, d, 10).unwrap().len(), 10);
     }
@@ -646,9 +554,9 @@ mod tests {
         let s =
             t.create_port(1, "gyro", PortKind::Sampling, 16, None, PortDirection::Source).unwrap();
         // Descriptor spaces are per-partition: partition 2 has no port 0.
-        assert_eq!(t.write_sampling(2, s, vec![1]), Err(IpcError::BadDescriptor));
-        assert_eq!(t.write_sampling(1, -1, vec![1]), Err(IpcError::BadDescriptor));
-        assert_eq!(t.write_sampling(1, 99, vec![1]), Err(IpcError::BadDescriptor));
+        assert_eq!(t.write_sampling(2, s, &[1]), Err(IpcError::BadDescriptor));
+        assert_eq!(t.write_sampling(1, -1, &[1]), Err(IpcError::BadDescriptor));
+        assert_eq!(t.write_sampling(1, 99, &[1]), Err(IpcError::BadDescriptor));
     }
 
     #[test]
@@ -656,7 +564,7 @@ mod tests {
         let mut t = table();
         let s =
             t.create_port(2, "tm", PortKind::Queuing, 32, Some(2), PortDirection::Source).unwrap();
-        t.send_queuing(2, s, vec![1]).unwrap();
+        t.send_queuing(2, s, &[1]).unwrap();
         let (kind, level, max) = t.port_status(2, s).unwrap();
         assert_eq!((kind, level, max), (PortKind::Queuing, 1, 32));
         assert_eq!(t.flush_port(2, s).unwrap(), 1);
@@ -671,8 +579,8 @@ mod tests {
             t.create_port(1, "gyro", PortKind::Sampling, 16, None, PortDirection::Source).unwrap();
         let qs =
             t.create_port(2, "tm", PortKind::Queuing, 32, Some(2), PortDirection::Source).unwrap();
-        t.write_sampling(1, gs, vec![1]).unwrap();
-        t.send_queuing(2, qs, vec![2]).unwrap();
+        t.write_sampling(1, gs, &[1]).unwrap();
+        t.send_queuing(2, qs, &[2]).unwrap();
         assert_eq!(t.flush_all(1), 1);
         // partition 2's queue is untouched
         let (_, level, _) = t.port_status(2, qs).unwrap();
@@ -684,9 +592,9 @@ mod tests {
         let mut t = table();
         let s =
             t.create_port(1, "gyro", PortKind::Sampling, 16, None, PortDirection::Source).unwrap();
-        t.write_sampling(1, s, vec![1]).unwrap();
+        t.write_sampling(1, s, &[1]).unwrap();
         t.reset();
         assert_eq!(t.total_ports(), 0);
-        assert!(t.channel(0).unwrap().sample.is_none());
+        assert!(t.channel(0).unwrap().sample().is_none());
     }
 }

@@ -5,7 +5,7 @@ use crate::config::{PlanCfg, XmConfig};
 use crate::guest::{GuestSet, PartitionApi};
 use crate::hm::{HealthMonitor, HmAction, HmEventKind, HmLogEntry};
 use crate::hypercall::RawHypercall;
-use crate::ipc::{PortTable, SampleStage};
+use crate::ipc::PortTable;
 use crate::irq::IrqRouting;
 use crate::observe::{OpsEvent, OpsRecord, ResetKind, RunSummary};
 use crate::partition::{PartitionCtl, PartitionStatus};
@@ -211,9 +211,6 @@ pub struct XmKernel {
     hm_reset_flags: Vec<bool>,
     frames_run: u64,
     ops_limit: usize,
-    /// Reusable message scratch for the IPC services — cleared before each
-    /// use, so steady-state message traffic never heap-allocates.
-    pub(crate) scratch: Vec<u8>,
     /// Event horizon over the software HW-clock vtimers: a conservative
     /// lower bound (never later than the true minimum) on the earliest
     /// armed `hw_vtimers` expiry, `u64::MAX` when none is armed. Together
@@ -227,15 +224,6 @@ pub struct XmKernel {
     adv_quiescent: u64,
     /// Advances that ran the full expiry/vtimer processing path.
     adv_processed: u64,
-    /// Per-channel staged sampling-port write: the last value written this
-    /// slot plus how many writes it coalesces. Committed (sample replaced,
-    /// `sample_seq` bumped by the write count) at slot end, or earlier at
-    /// the first operation that could observe sampling state — either way
-    /// the observable history is identical to landing every write
-    /// immediately, because nothing reads the channel in between.
-    pub(crate) port_stage: Vec<SampleStage>,
-    /// Channel indices with a pending staged write (drained on commit).
-    pub(crate) stage_dirty: Vec<u32>,
     /// Mid-frame resume point left by [`XmKernel::step_until_slot_of`] or
     /// [`XmKernel::enter_slot_of`]; `None` at a major-frame boundary.
     frame_cursor: Option<FrameCursor>,
@@ -255,8 +243,7 @@ struct FrameCursor {
 
 /// A slot opened by [`XmKernel::enter_slot_of`], its prologue run: what
 /// the rest of the slot needs to continue as if the slot had run in one
-/// piece. A staged sampling write the prologue made stays in the kernel's
-/// port stage until the slot ends.
+/// piece.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SlotResume {
     /// Budget the prologue consumed.
@@ -346,12 +333,9 @@ impl XmKernel {
             hm_reset_flags: vec![false; n],
             frames_run: 0,
             ops_limit: 4096,
-            scratch: Vec::new(),
             vtimer_horizon: u64::MAX,
             adv_quiescent: 0,
             adv_processed: 0,
-            port_stage: cfg.channels.iter().map(|_| SampleStage::default()).collect(),
-            stage_dirty: Vec::new(),
             frame_cursor: None,
             flags,
             build,
@@ -578,10 +562,6 @@ impl XmKernel {
                     p.reset(XM_COLD_RESET, 0);
                 }
                 self.ports.reset();
-                // Staged sampling writes die with the port tables they
-                // were bound for (had they landed eagerly, this reset
-                // would have wiped them the same way).
-                self.clear_port_stage();
                 self.sched.cold_reset();
                 for t in &mut self.traces {
                     t.clear();
@@ -758,35 +738,6 @@ impl XmKernel {
     /// satisfied versus how many ran the full expiry/vtimer scan.
     pub fn advance_stats(&self) -> (u64, u64) {
         (self.adv_quiescent, self.adv_processed)
-    }
-
-    /// Lands every staged sampling-port write: the channel's sample
-    /// becomes the staged (last-written) value and `sample_seq` advances
-    /// by the coalesced write count — indistinguishable from having
-    /// performed each write at its hypercall, since no operation observed
-    /// the channel in between (any that could would have committed first).
-    pub(crate) fn commit_port_stage(&mut self) {
-        for di in 0..self.stage_dirty.len() {
-            let ci = self.stage_dirty[di] as usize;
-            let st = &mut self.port_stage[ci];
-            self.ports.commit_staged_sample(ci, &st.buf, st.writes);
-            st.writes = 0;
-            st.buf.clear();
-        }
-        self.stage_dirty.clear();
-    }
-
-    /// Drops all staged writes without landing them (cold reset wipes the
-    /// port tables, and the descriptor-to-channel mapping dies with them;
-    /// the pre-reset writes would have been erased by the reset anyway).
-    fn clear_port_stage(&mut self) {
-        for di in 0..self.stage_dirty.len() {
-            let ci = self.stage_dirty[di] as usize;
-            let st = &mut self.port_stage[ci];
-            st.writes = 0;
-            st.buf.clear();
-        }
-        self.stage_dirty.clear();
     }
 
     /// Runs `frames` major frames of the active plan, driving the guest
@@ -977,8 +928,6 @@ impl XmKernel {
                 guests.run_slot(pid, &mut api);
                 api.consumed_us()
             };
-            // Slot end: land the sampling writes the slot coalesced.
-            self.commit_port_stage();
             if self.parts[idx].status == PartitionStatus::Running {
                 self.parts[idx].status = PartitionStatus::Ready;
             } else if self.parts[idx].status == PartitionStatus::Idle {
@@ -1053,12 +1002,9 @@ impl XmKernel {
             hm_reset_flags,
             frames_run,
             ops_limit,
-            scratch,
             vtimer_horizon,
             adv_quiescent,
             adv_processed,
-            port_stage,
-            stage_dirty,
             frame_cursor,
         } = self;
         machine.restore_from(&src.machine);
@@ -1088,17 +1034,9 @@ impl XmKernel {
         hm_reset_flags.clone_from(&src.hm_reset_flags);
         *frames_run = src.frames_run;
         *ops_limit = src.ops_limit;
-        scratch.clone_from(&src.scratch);
         *vtimer_horizon = src.vtimer_horizon;
         *adv_quiescent = src.adv_quiescent;
         *adv_processed = src.adv_processed;
-        // A snapshot taken inside a slot (`enter_slot_of`) carries the
-        // sampling writes its prologue staged; the slot's end commits them.
-        for (st, s) in port_stage.iter_mut().zip(&src.port_stage) {
-            st.writes = s.writes;
-            st.buf.clone_from(&s.buf);
-        }
-        stage_dirty.clone_from(&src.stage_dirty);
         *frame_cursor = src.frame_cursor;
     }
 
@@ -1661,12 +1599,17 @@ mod tests {
         }
     }
 
+    /// The message [`sampling_prologue`] writes.
+    const SAMPLE: &[u8] = b"prologue";
+
     /// Partition 1's prologue: burns time, creates its sampling port and
-    /// writes one sample, which stays staged until the slot ends.
-    fn staging_prologue(api: &mut PartitionApi<'_>) {
+    /// writes [`SAMPLE`] (partition 0 is the channel's destination, so its
+    /// port and write fail).
+    fn sampling_prologue(api: &mut PartitionApi<'_>) {
         let call = |id, args: &[u64]| RawHypercall::new_unchecked(id, args);
         api.consume(700);
         let _ = api.write_bytes(0x4020_0100, b"S\0");
+        let _ = api.write_bytes(0x4020_0200, SAMPLE);
         let _ = api.hypercall(&call(HypercallId::CreateSamplingPort, &[0x4020_0100, 8, 0]));
         let _ = api.hypercall(&call(HypercallId::WriteSamplingMessage, &[0, 0x4020_0200, 8]));
     }
@@ -1706,29 +1649,40 @@ mod tests {
         format!("{}|{:?}|{channel:?}|{clocks:?}", observed(k), k.hm_reset_flags())
     }
 
+    /// `channel_config`'s channel: its sample and how many writes it has
+    /// counted.
+    fn sample_of(k: &XmKernel) -> (Option<&[u8]>, u64) {
+        let channel = k.ports.channel(0).unwrap();
+        (channel.sample(), channel.sample_seq)
+    }
+
     /// Stepping on from inside a slot whose prologue `enter_slot_of` ran
-    /// equals stepping from boot — also when the prologue staged a
-    /// sampling write, used up the slot, suspended its partition or
-    /// halted the kernel.
+    /// equals stepping from boot — also when the prologue wrote a sample
+    /// (which, with its write count, is in the channel as soon as the
+    /// slot opens and stays there), used up the slot, suspended its
+    /// partition or halted the kernel.
     #[test]
     fn entering_a_slot_after_its_prologue_equals_stepping_from_boot() {
-        let cases: [(u32, Prologue); 5] = [
-            (1, staging_prologue),
-            (0, staging_prologue),
-            (1, busy_prologue),
-            (1, suspending_prologue),
-            (0, halting_prologue),
+        let cases: [(u32, Prologue, Option<&[u8]>); 5] = [
+            (1, sampling_prologue, Some(SAMPLE)),
+            (0, sampling_prologue, None),
+            (1, busy_prologue, None),
+            (1, suspending_prologue, None),
+            (0, halting_prologue, None),
         ];
-        for (pid, prologue) in cases {
+        for (pid, prologue, sample) in cases {
+            let writes = u64::from(sample.is_some());
             for n in 1..=3 {
                 let (mut boot, mut guests) = booting(pid, prologue);
                 let want_digests = frame_digests(&mut boot, &mut guests, n);
                 let want = with_flags(&boot);
+                assert_eq!(sample_of(&boot), (sample, writes), "pid {pid}: from boot");
 
                 let (mut k, mut guests) = booting(pid, prologue);
                 k.step_until_slot_of(&mut guests, pid);
                 assert!(k.enter_slot_of(pid, prologue), "pid {pid}: the slot opens");
                 assert_eq!(k.summary().frames_completed, 0);
+                assert_eq!(sample_of(&k), (sample, writes), "pid {pid}: in the slot");
                 assert_eq!(frame_digests(&mut k, &mut guests, n), want_digests, "pid {pid}");
                 assert_eq!(with_flags(&k), want, "pid {pid}, {n} frames");
             }
@@ -1742,48 +1696,54 @@ mod tests {
     fn entering_a_slot_refuses_and_changes_nothing() {
         let refuses = |k: &mut XmKernel, label: &str| {
             let before = (with_flags(k), k.state_digest(1), format!("{:?}", k.frame_cursor));
-            assert!(!k.enter_slot_of(1, staging_prologue), "{label}: opened");
+            assert!(!k.enter_slot_of(1, sampling_prologue), "{label}: opened");
             let after = (with_flags(k), k.state_digest(1), format!("{:?}", k.frame_cursor));
             assert_eq!(after, before, "{label}: changed the kernel");
         };
-        let (mut k, _) = booting(1, staging_prologue);
+        let (mut k, _) = booting(1, sampling_prologue);
         refuses(&mut k, "slot 0 is partition 0's");
 
-        let (mut k, mut guests) = booting(1, staging_prologue);
+        let (mut k, mut guests) = booting(1, sampling_prologue);
         let suspend = RawHypercall::new_unchecked(HypercallId::SuspendPartition, [1]);
         assert_eq!(k.hypercall(0, &suspend).result, HcResult::Ret(0));
         k.step_until_slot_of(&mut guests, 1);
         refuses(&mut k, "partition 1 is suspended");
 
-        let (mut k, mut guests) = booting(1, staging_prologue);
+        let (mut k, mut guests) = booting(1, sampling_prologue);
         k.step_until_slot_of(&mut guests, 1);
         let past = RawHypercall::new_unchecked(HypercallId::SetTimer, [0, 1, 0]);
         assert_eq!(k.hypercall(1, &past).result, HcResult::Ret(0));
         refuses(&mut k, "a vtimer is due");
 
-        let (mut k, mut guests) = booting(1, staging_prologue);
+        let (mut k, mut guests) = booting(1, sampling_prologue);
         k.step_until_slot_of(&mut guests, 1);
-        assert!(k.enter_slot_of(1, staging_prologue));
+        assert!(k.enter_slot_of(1, sampling_prologue));
         refuses(&mut k, "the slot is open");
     }
 
-    /// A snapshot taken inside a slot carries its staged sampling write:
-    /// a kernel restored to it and stepped on equals the snapshot stepped
-    /// on, and a run from boot.
+    /// A snapshot taken inside a slot carries the sample its prologue
+    /// wrote and the write count: a kernel that wrote again and was
+    /// restored to it holds them, and stepped on equals a run from boot.
     #[test]
-    fn restore_carries_a_staged_write() {
-        let (mut proto, mut guests) = booting(1, staging_prologue);
+    fn restore_carries_the_prologues_sample() {
+        let (mut proto, mut guests) = booting(1, sampling_prologue);
         proto.step_until_slot_of(&mut guests, 1);
-        assert!(proto.enter_slot_of(1, staging_prologue));
-        assert!(!proto.stage_dirty.is_empty(), "the prologue's write is staged");
-        let fresh = || booting(1, staging_prologue).1;
+        assert!(proto.enter_slot_of(1, sampling_prologue));
+        assert_eq!(sample_of(&proto), (Some(SAMPLE), 1), "the prologue's write landed");
+        let fresh = || booting(1, sampling_prologue).1;
         let mut from_boot = XmKernel::boot(channel_config(), KernelBuild::Legacy).unwrap();
-        let want_digests = frame_digests(&mut from_boot, &mut booting(1, staging_prologue).1, 3);
+        let want_digests = frame_digests(&mut from_boot, &mut booting(1, sampling_prologue).1, 3);
         let mut ws = proto.clone();
         ws.step_major_frames(&mut fresh(), 2);
+        let write =
+            RawHypercall::new_unchecked(HypercallId::WriteSamplingMessage, [0, 0x4020_0100, 2]);
+        assert_eq!(ws.hypercall(1, &write).result, HcResult::Ret(0));
+        assert_eq!(sample_of(&ws), (Some(&b"S\0"[..]), 2));
         ws.restore_from(&proto);
+        assert_eq!(sample_of(&ws), (Some(SAMPLE), 1), "restored");
         assert_eq!(frame_digests(&mut ws, &mut fresh(), 3), want_digests);
         assert_eq!(with_flags(&ws), with_flags(&from_boot));
+        assert_eq!(sample_of(&ws), (Some(SAMPLE), 1), "resumed");
     }
 
     #[test]

@@ -82,26 +82,6 @@ impl XmKernel {
             .map_err(|_| XmRet::InvalidParam)
     }
 
-    fn svc_read_bytes_into(
-        &self,
-        caller: u32,
-        addr: u32,
-        len: u32,
-        out: &mut Vec<u8>,
-    ) -> Result<(), XmRet> {
-        self.machine
-            .mem
-            .read_bytes_into(AccessCtx::Partition(caller), addr, len, out)
-            .map_err(|_| XmRet::InvalidParam)
-    }
-
-    fn svc_write_bytes(&mut self, caller: u32, addr: u32, data: &[u8]) -> Result<(), XmRet> {
-        self.machine
-            .mem
-            .write_bytes(AccessCtx::Partition(caller), addr, data)
-            .map_err(|_| XmRet::InvalidParam)
-    }
-
     fn svc_write_u32s(&mut self, caller: u32, addr: u32, words: &[u32]) -> Result<(), XmRet> {
         // One range check, then consecutive stores — the whole-range
         // validation means partial writes never happen, exactly as the
@@ -126,30 +106,35 @@ impl XmKernel {
             .map_err(|_| XmRet::InvalidParam)
     }
 
-    /// Reads a NUL-terminated name of at most 31 bytes from caller memory.
-    /// Scans region-contiguous runs instead of issuing a permission check
-    /// per byte; permissions are uniform within a region, so a fault
-    /// surfaces at exactly the byte the per-byte loop would have faulted
-    /// on, and a NUL inside a readable run still wins over a fault after
-    /// it.
-    fn svc_read_cstring(&self, caller: u32, addr: u32, max: u32) -> Result<String, XmRet> {
-        let mut out = Vec::with_capacity(max as usize);
-        let mut pos = 0u32;
-        while pos < max {
+    /// Reads a NUL-terminated name of at most 31 bytes from caller memory
+    /// into `buf`, the caller's stack buffer. Scans region-contiguous runs
+    /// instead of issuing a permission check per byte; permissions are
+    /// uniform within a region, so a fault surfaces at exactly the byte
+    /// the per-byte loop would have faulted on, and a NUL inside a
+    /// readable run still wins over a fault after it.
+    fn svc_read_name<'b>(
+        &self,
+        caller: u32,
+        addr: u32,
+        buf: &'b mut [u8; 32],
+    ) -> Result<&'b str, XmRet> {
+        let mut pos = 0;
+        while pos < buf.len() {
             let run = self
                 .machine
                 .mem
-                .read_run(AccessCtx::Partition(caller), addr.wrapping_add(pos), max - pos)
+                .read_run(
+                    AccessCtx::Partition(caller),
+                    addr.wrapping_add(pos as u32),
+                    (buf.len() - pos) as u32,
+                )
                 .map_err(|_| XmRet::InvalidParam)?;
-            match run.iter().position(|&b| b == 0) {
-                Some(n) => {
-                    out.extend_from_slice(&run[..n]);
-                    return String::from_utf8(out).map_err(|_| XmRet::InvalidParam);
-                }
-                None => {
-                    out.extend_from_slice(run);
-                    pos += run.len() as u32;
-                }
+            let nul = run.iter().position(|&b| b == 0);
+            let n = nul.unwrap_or(run.len());
+            buf[pos..pos + n].copy_from_slice(&run[..n]);
+            pos += n;
+            if nul.is_some() {
+                return std::str::from_utf8(&buf[..pos]).map_err(|_| XmRet::InvalidParam);
             }
         }
         Err(XmRet::InvalidParam) // unterminated
@@ -211,7 +196,8 @@ impl XmKernel {
                 0,
             ),
             H::WriteSamplingMessage => {
-                (self.svc_write_sampling(caller, hc.arg_s32(0), hc.arg32(1), hc.arg32(2)), 0)
+                let (desc, ptr, size) = (hc.arg_s32(0), hc.arg32(1), hc.arg32(2));
+                (self.svc_put_message(caller, desc, ptr, size, PortKind::Sampling), 0)
             }
             H::ReadSamplingMessage => (
                 self.svc_read_sampling(
@@ -235,7 +221,8 @@ impl XmKernel {
                 0,
             ),
             H::SendQueuingMessage => {
-                (self.svc_send_queuing(caller, hc.arg_s32(0), hc.arg32(1), hc.arg32(2)), 0)
+                let (desc, ptr, size) = (hc.arg_s32(0), hc.arg32(1), hc.arg32(2));
+                (self.svc_put_message(caller, desc, ptr, size, PortKind::Queuing), 0)
             }
             H::ReceiveQueuingMessage => (
                 self.svc_receive_queuing(
@@ -557,7 +544,8 @@ impl XmKernel {
         direction: u32,
         kind: PortKind,
     ) -> HcResult {
-        let name = match self.svc_read_cstring(caller, name_ptr, 32) {
+        let mut buf = [0; 32];
+        let name = match self.svc_read_name(caller, name_ptr, &mut buf) {
             Ok(n) => n,
             Err(e) => return ret(e),
         };
@@ -566,7 +554,7 @@ impl XmKernel {
             1 => PortDirection::Destination,
             _ => return ret(XmRet::InvalidParam),
         };
-        match self.ports.create_port(caller, &name, kind, max_msg_size, max_msgs, dir) {
+        match self.ports.create_port(caller, name, kind, max_msg_size, max_msgs, dir) {
             Ok(desc) => {
                 flightrec::record_timeless(
                     flightrec::EventKind::PortCreated,
@@ -587,42 +575,37 @@ impl XmKernel {
         }
     }
 
-    fn svc_write_sampling(&mut self, caller: u32, desc: i32, msg_ptr: u32, size: u32) -> HcResult {
-        let (kind, _, max) = match self.ports.port_status(caller, desc) {
-            Ok(s) => s,
-            Err(e) => return ipc_err(e),
-        };
-        if kind != PortKind::Sampling {
-            return ret(XmRet::InvalidParam);
-        }
-        if size == 0 || size > max {
-            return ret(XmRet::InvalidParam);
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        let r = match self.svc_read_bytes_into(caller, msg_ptr, size, &mut scratch) {
-            // Stage instead of landing: the slot's writes to one channel
-            // coalesce into a last-value buffer committed at slot end (or
-            // at the first operation that could observe sampling state).
-            // `sampling_write_target` runs exactly the checks the eager
-            // write would, so the returned code is unchanged.
-            Ok(()) => match self.ports.sampling_write_target(caller, desc, scratch.len()) {
-                Ok(ci) => {
-                    let st = &mut self.port_stage[ci];
-                    if st.writes == 0 {
-                        self.stage_dirty.push(ci as u32);
+    /// `XM_write_sampling_message` and `XM_send_queuing_message`: the
+    /// message is copied once, from the caller's memory straight into the
+    /// channel's slot. A bad descriptor, a port of the other kind, a bad
+    /// size or an unreadable message is `InvalidParam`, ahead of a wrong
+    /// direction (`OpNotAllowed`) and a full queue (`NotAvailable`).
+    fn svc_put_message(
+        &mut self,
+        caller: u32,
+        desc: i32,
+        msg_ptr: u32,
+        size: u32,
+        kind: PortKind,
+    ) -> HcResult {
+        match self.ports.message_slot(caller, desc, kind, size as usize) {
+            Ok((channel, slot)) => {
+                match self.machine.mem.read_exact(AccessCtx::Partition(caller), msg_ptr, slot) {
+                    Ok(()) => {
+                        self.ports.land(channel, size as usize);
+                        OK
                     }
-                    st.writes += 1;
-                    st.buf.clear();
-                    st.buf.extend_from_slice(&scratch);
-                    OK
+                    Err(_) => ret(XmRet::InvalidParam),
                 }
-                Err(e) => ipc_err(e),
-            },
-            Err(e) => ret(e),
-        };
-        self.scratch = scratch;
-        r
+            }
+            Err(e @ (IpcError::WrongDirection | IpcError::QueueFull)) => {
+                match self.svc_check(caller, msg_ptr, size, 1, AccessKind::Read) {
+                    Ok(()) => ipc_err(e),
+                    Err(e) => ret(e),
+                }
+            }
+            Err(e) => ipc_err(e),
+        }
     }
 
     fn svc_read_sampling(
@@ -633,58 +616,22 @@ impl XmKernel {
         size: u32,
         flags_ptr: u32,
     ) -> HcResult {
-        // Reading observes sampling state: land staged writes first.
-        self.commit_port_stage();
-        let (kind, _, _) = match self.ports.port_status(caller, desc) {
-            Ok(s) => s,
+        let ctx = AccessCtx::Partition(caller);
+        let seq = match self.ports.read_sampling(caller, desc, size) {
+            Ok((msg, seq)) => match self.machine.mem.write_bytes(ctx, msg_ptr, msg) {
+                Ok(()) => seq,
+                Err(_) => return ret(XmRet::InvalidParam),
+            },
             Err(e) => return ipc_err(e),
         };
-        if kind != PortKind::Sampling {
-            return ret(XmRet::InvalidParam);
-        }
-        if size == 0 {
-            return ret(XmRet::InvalidParam);
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        let r = match self.ports.read_sampling_into(caller, desc, size, &mut scratch) {
-            Ok(seq) => match self.svc_write_bytes(caller, msg_ptr, &scratch) {
-                Ok(()) => match self.svc_write_u32s(caller, flags_ptr, &[seq as u32]) {
-                    Ok(()) => OK,
-                    Err(e) => ret(e),
-                },
-                Err(e) => ret(e),
-            },
-            Err(e) => ipc_err(e),
-        };
-        self.scratch = scratch;
-        r
-    }
-
-    fn svc_send_queuing(&mut self, caller: u32, desc: i32, msg_ptr: u32, size: u32) -> HcResult {
-        let (kind, _, max) = match self.ports.port_status(caller, desc) {
-            Ok(s) => s,
-            Err(e) => return ipc_err(e),
-        };
-        if kind != PortKind::Queuing {
-            return ret(XmRet::InvalidParam);
-        }
-        if size == 0 || size > max {
-            return ret(XmRet::InvalidParam);
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        let r = match self.svc_read_bytes_into(caller, msg_ptr, size, &mut scratch) {
-            Ok(()) => match self.ports.send_queuing_from(caller, desc, &scratch) {
-                Ok(()) => OK,
-                Err(e) => ipc_err(e),
-            },
+        match self.svc_write_u32s(caller, flags_ptr, &[seq as u32]) {
+            Ok(()) => OK,
             Err(e) => ret(e),
-        };
-        self.scratch = scratch;
-        r
+        }
     }
 
+    /// `XM_receive_queuing_message`: the message is dequeued before it is
+    /// copied out, so a faulting buffer loses it.
     fn svc_receive_queuing(
         &mut self,
         caller: u32,
@@ -693,32 +640,21 @@ impl XmKernel {
         size: u32,
         recv_ptr: u32,
     ) -> HcResult {
-        let (kind, _, _) = match self.ports.port_status(caller, desc) {
-            Ok(s) => s,
+        let ctx = AccessCtx::Partition(caller);
+        let n = match self.ports.receive_queuing(caller, desc, size) {
+            Ok(msg) => match self.machine.mem.write_bytes(ctx, msg_ptr, msg) {
+                Ok(()) => msg.len() as u32,
+                Err(_) => return ret(XmRet::InvalidParam),
+            },
             Err(e) => return ipc_err(e),
         };
-        if kind != PortKind::Queuing {
-            return ret(XmRet::InvalidParam);
+        match self.svc_write_u32s(caller, recv_ptr, &[n]) {
+            Ok(()) => OK,
+            Err(e) => ret(e),
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        let r = match self.ports.receive_queuing_into(caller, desc, size, &mut scratch) {
-            Ok(n) => match self.svc_write_bytes(caller, msg_ptr, &scratch) {
-                Ok(()) => match self.svc_write_u32s(caller, recv_ptr, &[n as u32]) {
-                    Ok(()) => OK,
-                    Err(e) => ret(e),
-                },
-                Err(e) => ret(e),
-            },
-            Err(e) => ipc_err(e),
-        };
-        self.scratch = scratch;
-        r
     }
 
     fn svc_port_status(&mut self, caller: u32, desc: i32, ptr: u32, want: PortKind) -> HcResult {
-        // The level of a sampling port observes staged state: commit first.
-        self.commit_port_stage();
         let (kind, level, max) = match self.ports.port_status(caller, desc) {
             Ok(s) => s,
             Err(e) => return ipc_err(e),
@@ -733,9 +669,6 @@ impl XmKernel {
     }
 
     fn svc_flush_port(&mut self, caller: u32, desc: i32) -> HcResult {
-        // Flushing discards the *landed* sample; staged writes must land
-        // first so the flush erases exactly what the eager path would.
-        self.commit_port_stage();
         match self.ports.flush_port(caller, desc) {
             Ok(_) => OK,
             Err(e) => ipc_err(e),
@@ -743,7 +676,6 @@ impl XmKernel {
     }
 
     fn svc_flush_all_ports(&mut self, caller: u32) -> HcResult {
-        self.commit_port_stage();
         self.ports.flush_all(caller);
         OK
     }
@@ -1074,7 +1006,8 @@ impl XmKernel {
         if entity > 1 {
             return ret(XmRet::InvalidParam);
         }
-        let name = match self.svc_read_cstring(caller, name_ptr, 32) {
+        let mut buf = [0; 32];
+        let name = match self.svc_read_name(caller, name_ptr, &mut buf) {
             Ok(n) => n,
             Err(e) => return ret(e),
         };

@@ -64,7 +64,7 @@ fn queuing_port_is_a_bounded_fifo() {
         for op in ops {
             match op {
                 QOp::Send(msg) => {
-                    let got = t.send_queuing(0, s, msg.clone());
+                    let got = t.send_queuing(0, s, &msg);
                     let want = if msg.is_empty() || msg.len() > 8 {
                         Err(IpcError::BadSize)
                     } else if model.len() >= 3 {
@@ -76,7 +76,7 @@ fn queuing_port_is_a_bounded_fifo() {
                     assert_eq!(got, want);
                 }
                 QOp::Recv(buf) => {
-                    let got = t.receive_queuing(1, d, buf);
+                    let got = t.receive_queuing(1, d, buf).map(<[u8]>::to_vec);
                     let want = match model.front() {
                         None => Err(IpcError::Empty),
                         Some(m) if (buf as usize) < m.len() => Err(IpcError::BadSize),
@@ -103,10 +103,222 @@ fn sampling_port_is_a_register() {
         let d =
             t.create_port(1, "s", PortKind::Sampling, 8, None, PortDirection::Destination).unwrap();
         for (i, w) in writes.iter().enumerate() {
-            t.write_sampling(0, s, w.clone()).unwrap();
+            t.write_sampling(0, s, w).unwrap();
             let (msg, seq) = t.read_sampling(1, d, 8).unwrap();
-            assert_eq!(&msg, w);
+            assert_eq!(msg, w);
             assert_eq!(seq, i as u64 + 1);
+        }
+    });
+}
+
+/// One operation on [`channels`]' table through partition `part`'s port
+/// `desc`: partition 0 holds the source ports (0 on the queue, 1 on the
+/// sample), partition 1 the destination ports, and descriptor 2 names
+/// none.
+#[derive(Debug, Clone)]
+enum ChanOp {
+    Send(u32, i32, Vec<u8>),
+    Receive(u32, i32, u32),
+    Write(u32, i32, Vec<u8>),
+    Read(u32, i32, u32),
+    Status(u32, i32),
+    Flush(u32, i32),
+    FlushAll(u32),
+    Reset,
+    Create,
+    Clone,
+    Snapshot,
+    Restore,
+}
+
+/// Random operations after the four ports' creation.
+fn arb_chan_ops(rng: &mut Rng) -> Vec<ChanOp> {
+    let ops = rng.vec_of(0, 80, |r| {
+        // Mostly well-addressed traffic, so the queue fills, drains and
+        // wraps around its ring.
+        let (part, desc) = if r.chance(3, 4) {
+            (0, 0)
+        } else {
+            (r.range_u64(0, 2) as u32, r.range_i64(0, 3) as i32)
+        };
+        match r.range(0, 22) {
+            0..=5 => ChanOp::Send(part, desc, r.bytes(0, 10)),
+            6..=10 => ChanOp::Receive(part ^ 1, desc, r.range_u64(0, 12) as u32),
+            11..=13 => ChanOp::Write(part, desc ^ 1, r.bytes(0, 10)),
+            14..=15 => ChanOp::Read(part ^ 1, desc ^ 1, r.range_u64(0, 12) as u32),
+            16 => ChanOp::Status(part, desc),
+            17 => ChanOp::Flush(part, desc),
+            18 => r.pick(&[ChanOp::FlushAll(0), ChanOp::FlushAll(1), ChanOp::Reset]).clone(),
+            19 => ChanOp::Create,
+            20 => r.pick(&[ChanOp::Clone, ChanOp::Snapshot]).clone(),
+            _ => ChanOp::Restore,
+        }
+    });
+    std::iter::once(ChanOp::Create).chain(ops).collect()
+}
+
+/// The logical state of [`channels`]' table: the queue, the sample and
+/// its write count, and whether the four ports exist.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct ChanModel {
+    queue: VecDeque<Vec<u8>>,
+    sample: Option<Vec<u8>>,
+    writes: u64,
+    ports: bool,
+}
+
+impl ChanModel {
+    /// The channel (0 queue, 1 sample) and whether the port is a source,
+    /// after the descriptor check.
+    fn port(&self, part: u32, desc: i32) -> Result<(i32, bool), IpcError> {
+        if self.ports && part < 2 && (0..2).contains(&desc) {
+            Ok((desc, part == 0))
+        } else {
+            Err(IpcError::BadDescriptor)
+        }
+    }
+
+    /// A write or send: descriptor and kind, size, direction, room.
+    fn put(&mut self, part: u32, desc: i32, channel: i32, msg: &[u8]) -> Result<(), IpcError> {
+        let (ch, source) = self.port(part, desc)?;
+        if ch != channel {
+            return Err(IpcError::BadDescriptor);
+        }
+        if msg.is_empty() || msg.len() > 8 {
+            return Err(IpcError::BadSize);
+        }
+        if !source {
+            return Err(IpcError::WrongDirection);
+        }
+        if channel == 0 {
+            if self.queue.len() == 3 {
+                return Err(IpcError::QueueFull);
+            }
+            self.queue.push_back(msg.to_vec());
+        } else {
+            self.sample = Some(msg.to_vec());
+            self.writes += 1;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self, channel: i32) -> u32 {
+        if channel == 0 {
+            std::mem::take(&mut self.queue).len() as u32
+        } else {
+            u32::from(self.sample.take().is_some())
+        }
+    }
+
+    /// The model read back from the table.
+    fn of(t: &PortTable) -> ChanModel {
+        let (q, s) = (t.channel(0).unwrap(), t.channel(1).unwrap());
+        assert_eq!(q.sample(), None, "a queuing channel has no sample");
+        assert_eq!(s.queue().len(), 0, "a sampling channel has no queue");
+        ChanModel {
+            queue: q.queue().map(<[u8]>::to_vec).collect(),
+            sample: s.sample().map(<[u8]>::to_vec),
+            writes: s.sample_seq,
+            ports: t.total_ports() == 4,
+        }
+    }
+}
+
+/// Fixed-capacity channel storage equals a `VecDeque<Vec<u8>>` queue and
+/// a register with a write count — error precedence included — over
+/// random sends and receives across the ring's wraparound, reads into
+/// short buffers, wrong-direction and wrong-kind descriptors, flushes,
+/// resets, clones and restores, checked after every operation.
+#[test]
+fn channel_storage_matches_the_queue_and_register_models() {
+    testkit::check("channel_storage_matches_the_queue_and_register_models", 512, |rng| {
+        let ops = arb_chan_ops(rng);
+        let mut t = PortTable::new(&channels());
+        let mut model = ChanModel::default();
+        let mut snapshot = (t.clone(), model.clone());
+        for (i, op) in ops.iter().enumerate() {
+            match op {
+                ChanOp::Send(part, desc, msg) => {
+                    assert_eq!(t.send_queuing(*part, *desc, msg), model.put(*part, *desc, 0, msg));
+                }
+                ChanOp::Write(part, desc, msg) => {
+                    assert_eq!(
+                        t.write_sampling(*part, *desc, msg),
+                        model.put(*part, *desc, 1, msg)
+                    );
+                }
+                ChanOp::Receive(part, desc, buf) => {
+                    let want = match model.port(*part, *desc) {
+                        Err(e) => Err(e),
+                        Ok((1, _)) => Err(IpcError::BadDescriptor),
+                        Ok((_, true)) => Err(IpcError::WrongDirection),
+                        Ok(_) => match model.queue.front() {
+                            None => Err(IpcError::Empty),
+                            Some(m) if m.len() > *buf as usize => Err(IpcError::BadSize),
+                            Some(_) => Ok(model.queue.pop_front().unwrap()),
+                        },
+                    };
+                    let got = t.receive_queuing(*part, *desc, *buf).map(<[u8]>::to_vec);
+                    assert_eq!(got, want, "op {i}");
+                }
+                ChanOp::Read(part, desc, buf) => {
+                    let want = match model.port(*part, *desc) {
+                        Err(e) => Err(e),
+                        Ok((0, _)) => Err(IpcError::BadDescriptor),
+                        _ if *buf == 0 => Err(IpcError::BadSize),
+                        Ok((_, true)) => Err(IpcError::WrongDirection),
+                        Ok(_) => match &model.sample {
+                            None => Err(IpcError::Empty),
+                            Some(m) => Ok((m[..m.len().min(*buf as usize)].to_vec(), model.writes)),
+                        },
+                    };
+                    let got = t.read_sampling(*part, *desc, *buf).map(|(m, seq)| (m.to_vec(), seq));
+                    assert_eq!(got, want, "op {i}");
+                }
+                ChanOp::Status(part, desc) => {
+                    let want = model.port(*part, *desc).map(|(ch, _)| match ch {
+                        0 => (PortKind::Queuing, model.queue.len() as u32, 8),
+                        _ => (PortKind::Sampling, u32::from(model.sample.is_some()), 8),
+                    });
+                    assert_eq!(t.port_status(*part, *desc), want, "op {i}");
+                }
+                ChanOp::Flush(part, desc) => {
+                    let want = model.port(*part, *desc).map(|(ch, _)| model.flush(ch));
+                    assert_eq!(t.flush_port(*part, *desc), want, "op {i}");
+                }
+                ChanOp::FlushAll(part) => {
+                    let want = if model.ports { model.flush(0) + model.flush(1) } else { 0 };
+                    assert_eq!(t.flush_all(*part), want, "op {i}");
+                }
+                ChanOp::Reset => {
+                    t.reset();
+                    model = ChanModel::default();
+                }
+                ChanOp::Create => {
+                    if !model.ports {
+                        for (part, dir) in
+                            [(0, PortDirection::Source), (1, PortDirection::Destination)]
+                        {
+                            assert_eq!(
+                                t.create_port(part, "q", PortKind::Queuing, 8, Some(3), dir),
+                                Ok(0)
+                            );
+                            assert_eq!(
+                                t.create_port(part, "s", PortKind::Sampling, 8, None, dir),
+                                Ok(1)
+                            );
+                        }
+                        model.ports = true;
+                    }
+                }
+                ChanOp::Clone => t = t.clone(),
+                ChanOp::Snapshot => snapshot = (t.clone(), model.clone()),
+                ChanOp::Restore => {
+                    t.restore_from(&snapshot.0);
+                    model = snapshot.1.clone();
+                }
+            }
+            assert_eq!(ChanModel::of(&t), model, "after op {i}: {op:?}");
         }
     });
 }

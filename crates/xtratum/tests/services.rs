@@ -380,7 +380,7 @@ fn queuing_channel_end_to_end() {
 }
 
 /// Creates the sampling channel's source (APP) and destination (SYS)
-/// ports for the staging tests below.
+/// ports: descriptor 0 of each.
 fn create_samp_ports(k: &mut XmKernel) {
     k.machine.mem.write_bytes(AccessCtx::Kernel, APP_BASE + 0x10, b"samp\0").unwrap();
     assert_eq!(
@@ -393,10 +393,8 @@ fn create_samp_ports(k: &mut XmKernel) {
     );
 }
 
-/// Sampling writes are staged per channel and landed at the next
-/// observation point; a burst of writes must be indistinguishable from
-/// the old eager path — the reader sees the *last* value and a
-/// freshness counter advanced once per write, not once per commit.
+/// A burst of sampling writes: the reader sees the *last* value and a
+/// freshness counter advanced once per write.
 #[test]
 fn sampling_write_burst_reads_last_value_with_full_seq() {
     let mut k = kernel(KernelBuild::Legacy);
@@ -422,10 +420,10 @@ fn sampling_write_burst_reads_last_value_with_full_seq() {
     assert_eq!(k.machine.mem.read_u32(AccessCtx::Kernel, SCRATCH + 32).unwrap(), 3);
 }
 
-/// Port status is an observation point too: a staged write must be
-/// visible as a valid sample before any read happens.
+/// A write is visible to port status as a valid sample before any read
+/// happens.
 #[test]
-fn port_status_observes_staged_sampling_write() {
+fn port_status_observes_sampling_write() {
     let mut k = kernel(KernelBuild::Legacy);
     create_samp_ports(&mut k);
     k.machine.mem.write_bytes(AccessCtx::Kernel, APP_BASE + 0x40, b"gyro-rates-xyz!!").unwrap();
@@ -437,11 +435,9 @@ fn port_status_observes_staged_sampling_write() {
     assert_eq!(k.machine.mem.read_u32(AccessCtx::Kernel, SCRATCH + 64).unwrap(), 1);
 }
 
-/// Rejected writes stage nothing: validation runs at call time (the
-/// error is returned immediately, as the eager path did) and the port
-/// still has no sample afterwards.
+/// Rejected writes leave no sample behind.
 #[test]
-fn rejected_sampling_write_stages_nothing() {
+fn rejected_sampling_write_leaves_no_sample() {
     let mut k = kernel(KernelBuild::Legacy);
     create_samp_ports(&mut k);
     // oversize and zero-length writes fail the geometry check
@@ -474,11 +470,10 @@ fn rejected_sampling_write_stages_nothing() {
     );
 }
 
-/// A cold reset between write and read drops the staged sample exactly
-/// like the eager path (where the reset wipes the landed sample): after
+/// A cold reset between write and read drops the sample: after
 /// recreating the ports, the channel reads back empty.
 #[test]
-fn cold_reset_drops_staged_sampling_write() {
+fn cold_reset_drops_sampling_write() {
     let mut k = kernel(KernelBuild::Legacy);
     create_samp_ports(&mut k);
     k.machine.mem.write_bytes(AccessCtx::Kernel, APP_BASE + 0x40, b"doomed-sample!!!").unwrap();
@@ -502,6 +497,120 @@ fn cold_reset_drops_staged_sampling_write() {
         ),
         ret(XmRet::NotAvailable)
     );
+}
+
+/// Creates the sampling ports, then the queuing channel's source (SYS)
+/// and destination (APP) ports: descriptor 1 of each.
+fn create_all_ports(k: &mut XmKernel) {
+    create_samp_ports(k);
+    assert_eq!(
+        call(k, SYS, H::CreateQueuingPort, vec![NAME_QUEUE as u64, 2, 32, 0]),
+        HcResult::Ret(1)
+    );
+    k.machine.mem.write_bytes(AccessCtx::Kernel, APP_BASE + 0x20, b"queue\0").unwrap();
+    assert_eq!(
+        call(k, APP, H::CreateQueuingPort, vec![(APP_BASE + 0x20) as u64, 2, 32, 1]),
+        HcResult::Ret(1)
+    );
+}
+
+/// SYS's read of the sample into `SCRATCH`: the result, the bytes read
+/// and the write count delivered through the flags word.
+fn read_sample(k: &mut XmKernel, size: u32) -> (HcResult, Vec<u8>, u32) {
+    let args = vec![0, SCRATCH as u64, size as u64, (SCRATCH + 32) as u64];
+    let r = call(k, SYS, H::ReadSamplingMessage, args);
+    let got = k.machine.mem.read_bytes(AccessCtx::Kernel, SCRATCH, 16).unwrap();
+    (r, got, k.machine.mem.read_u32(AccessCtx::Kernel, SCRATCH + 32).unwrap())
+}
+
+/// APP's receive into `APP_BASE + 0x100`: the result, the 32 bytes there
+/// and the length word.
+fn receive(k: &mut XmKernel, msg_ptr: u32) -> (HcResult, Vec<u8>, u32) {
+    let args = vec![1, msg_ptr as u64, 32, (APP_BASE + 0x80) as u64];
+    let r = call(k, APP, H::ReceiveQueuingMessage, args);
+    let got = k.machine.mem.read_bytes(AccessCtx::Kernel, APP_BASE + 0x100, 32).unwrap();
+    (r, got, k.machine.mem.read_u32(AccessCtx::Kernel, APP_BASE + 0x80).unwrap())
+}
+
+/// A message the caller cannot read is `InvalidParam` ahead of a wrong
+/// direction (`OpNotAllowed`) and a full queue (`NotAvailable`), and no
+/// failed write or send changes its channel or counts as a write.
+#[test]
+fn unreadable_message_outranks_direction_and_full_queue() {
+    let mut k = kernel(KernelBuild::Legacy);
+    create_all_ports(&mut k);
+    let (sys_msg, app_msg) = (SCRATCH + 0x100, APP_BASE + 0x40);
+    let queued = b"queued-message-one-0123456789abc";
+    k.machine.mem.write_bytes(AccessCtx::Kernel, sys_msg, queued).unwrap();
+    k.machine.mem.write_bytes(AccessCtx::Kernel, app_msg, b"attitude-sample!").unwrap();
+    // `caller` writes (16 bytes) or sends (32 bytes) through `desc` from `ptr`.
+    let put = |k: &mut XmKernel, caller, desc: u64, ptr: u32, queuing: bool| {
+        let (id, size) =
+            if queuing { (H::SendQueuingMessage, 32) } else { (H::WriteSamplingMessage, 16) };
+        call(k, caller, id, vec![desc, ptr as u64, size])
+    };
+    // Wrong direction: SYS writes through its sampling destination port,
+    // APP sends through its queuing destination port.
+    assert_eq!(put(&mut k, SYS, 0, app_msg, false), ret(XmRet::InvalidParam));
+    assert_eq!(put(&mut k, SYS, 0, sys_msg, false), ret(XmRet::OpNotAllowed));
+    assert_eq!(put(&mut k, APP, 1, sys_msg, true), ret(XmRet::InvalidParam));
+    assert_eq!(put(&mut k, APP, 1, app_msg, true), ret(XmRet::OpNotAllowed));
+    assert_eq!(read_sample(&mut k, 16).0, ret(XmRet::NotAvailable), "no sample landed");
+    // A faulting write from the source port leaves the sample it had.
+    assert_eq!(put(&mut k, APP, 0, app_msg, false), OK);
+    assert_eq!(put(&mut k, APP, 0, sys_msg, false), ret(XmRet::InvalidParam));
+    assert_eq!(read_sample(&mut k, 16), (OK, b"attitude-sample!".to_vec(), 1));
+    // Full queue: a faulting send is InvalidParam, a readable one NotAvailable.
+    assert_eq!(put(&mut k, SYS, 1, sys_msg, true), OK);
+    assert_eq!(put(&mut k, SYS, 1, sys_msg, true), OK);
+    assert_eq!(put(&mut k, SYS, 1, APP_BASE, true), ret(XmRet::InvalidParam));
+    assert_eq!(put(&mut k, SYS, 1, sys_msg, true), ret(XmRet::NotAvailable));
+    assert_eq!(call(&mut k, SYS, H::GetQueuingPortStatus, vec![1, SCRATCH as u64]), OK);
+    assert_eq!(k.machine.mem.read_u32(AccessCtx::Kernel, SCRATCH).unwrap(), 2, "two queued");
+    for _ in 0..2 {
+        assert_eq!(receive(&mut k, APP_BASE + 0x100), (OK, queued.to_vec(), 32));
+    }
+}
+
+/// A receive whose buffer write faults has still dequeued the message:
+/// the next receive gets the one after it.
+#[test]
+fn faulting_receive_still_dequeues() {
+    let mut k = kernel(KernelBuild::Legacy);
+    create_all_ports(&mut k);
+    for msg in [b"first-message-0123456789abcdefgh", b"second-message-0123456789abcdefg"] {
+        k.machine.mem.write_bytes(AccessCtx::Kernel, SCRATCH + 0x100, msg).unwrap();
+        let args = vec![1, (SCRATCH + 0x100) as u64, 32];
+        assert_eq!(call(&mut k, SYS, H::SendQueuingMessage, args), OK);
+    }
+    assert_eq!(receive(&mut k, SCRATCH).0, ret(XmRet::InvalidParam), "SYS memory, not APP's");
+    let (r, got, len) = receive(&mut k, APP_BASE + 0x100);
+    assert_eq!((r, got.as_slice(), len), (OK, &b"second-message-0123456789abcdefg"[..], 32));
+    assert_eq!(receive(&mut k, APP_BASE + 0x100).0, ret(XmRet::NotAvailable));
+}
+
+/// A read into a short buffer copies the sample's first bytes and leaves
+/// the rest of the buffer alone; every write is counted, and a flush
+/// drops the sample without resetting the count.
+#[test]
+fn short_sampling_reads_and_flushes() {
+    let mut k = kernel(KernelBuild::Legacy);
+    create_samp_ports(&mut k);
+    k.machine.mem.write_bytes(AccessCtx::Kernel, SCRATCH, &[0xee; 16]).unwrap();
+    for msg in [&b"first"[..], b"second-sample!!!"] {
+        k.machine.mem.write_bytes(AccessCtx::Kernel, APP_BASE + 0x40, msg).unwrap();
+        let args = vec![0, (APP_BASE + 0x40) as u64, msg.len() as u64];
+        assert_eq!(call(&mut k, APP, H::WriteSamplingMessage, args), OK);
+    }
+    let (r, got, seq) = read_sample(&mut k, 4);
+    assert_eq!((r, &got[..6], seq), (OK, &b"seco\xee\xee"[..], 2));
+    assert_eq!(call(&mut k, SYS, H::FlushPort, vec![0]), OK);
+    assert_eq!(read_sample(&mut k, 16).0, ret(XmRet::NotAvailable));
+    k.machine.mem.write_bytes(AccessCtx::Kernel, APP_BASE + 0x40, b"third").unwrap();
+    let args = vec![0, (APP_BASE + 0x40) as u64, 5];
+    assert_eq!(call(&mut k, APP, H::WriteSamplingMessage, args), OK);
+    let (r, got, seq) = read_sample(&mut k, 16);
+    assert_eq!((r, &got[..5], seq), (OK, &b"third"[..], 3));
 }
 
 // --- memory management --------------------------------------------------------------

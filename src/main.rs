@@ -474,7 +474,7 @@ fn cmd_sequences(args: &[String]) -> Result<i32, String> {
 /// configuration space and verify the kernel's isolation invariants in
 /// lockstep with the state oracle.
 fn cmd_check(args: &[String]) -> Result<i32, String> {
-    let flags = RunFlags::parse(args)?;
+    let mut flags = RunFlags::parse(args)?;
     let defaults = skrt::CheckScope::default();
     let scope = skrt::CheckScope {
         partitions: num_flag(args, "--partitions", defaults.partitions)?,
@@ -514,6 +514,9 @@ fn cmd_check(args: &[String]) -> Result<i32, String> {
         );
         println!("start at {}/summary.md", bundle.root.display());
     }
+    // The report already ends with the run counters (`## Run metrics`),
+    // so `--metrics` has nothing left to print.
+    flags.metrics = false;
     flags.finish(
         "check",
         &res.metrics,

@@ -1,20 +1,19 @@
 //! Allocation-budget regression test for the campaign hot path.
 //!
 //! The zero-allocation work on the kernel hot path (sink-based timer
-//! advancement, lazily rendered halt reasons, scratch-buffer IPC, inline
+//! advancement, lazily rendered halt reasons, IPC channel storage sized
+//! at boot, inline
 //! hypercall arguments, guest-owned invocation logs) is only protected if
 //! a regression shows up in CI. This test counts global allocations for
 //! one steady-state test executed from a boot snapshot — the exact
 //! per-test path of the campaign engine — and pins them under a budget.
 //!
 //! The measured path also covers the event-horizon bookkeeping (scalar
-//! compares and counter bumps, nothing heap-borne) and the staged
-//! sampling-port writes: the nominal AOCS/FDIR guests publish samples
-//! every frame, so each counted test stages and commits port traffic
-//! through the per-channel `SampleStage` buffers. Those buffers reach
-//! their high-water capacity during warm-up and are reused (`clear`
-//! keeps capacity) afterwards, so the budget below is unchanged from
-//! before staging existed — that *is* the pin.
+//! compares and counter bumps, nothing heap-borne) and the port traffic:
+//! the nominal AOCS/FDIR guests publish samples and queue messages every
+//! frame, and each message is copied straight between partition memory
+//! and its channel's storage, which boot allocated, so it allocates
+//! nothing.
 //!
 //! The budget is deliberately ~50% above the measured steady state so it
 //! catches reintroduced per-slot/per-expiry allocation (dozens to
@@ -133,10 +132,9 @@ fn workspace_restore_is_allocation_free_after_warmup() {
     };
 
     // Warm-up: the same cases the measured loop will run, so every
-    // lazily grown scratch buffer (message scratch, recycled port
-    // queues, dirty-page list) reaches the high-water capacity those
-    // cases need, and each measured restore has genuinely dirty blocks
-    // to rewind.
+    // lazily grown buffer (the dirty-page list) reaches the high-water
+    // capacity those cases need, and each measured restore has genuinely
+    // dirty blocks to rewind.
     for case in cases.iter().take(50) {
         ws.restore(&snapshot, Some(part));
         run_one(&mut ws, case);
@@ -267,9 +265,8 @@ fn snapshot_path_steady_state_allocations_stay_in_budget() {
         TestObservation { invocations, summary: kernel.into_summary() }
     };
 
-    // Warm-up: fills lazily grown scratch capacities (kernel message
-    // scratch, recycled IPC buffers) so the counted runs see the steady
-    // state a campaign worker reaches after its first few tests.
+    // Warm-up: fills lazily grown capacities so the counted runs see the
+    // steady state a campaign worker reaches after its first few tests.
     for _ in 0..3 {
         assert!(!run_once().invocations.is_empty());
     }
@@ -347,9 +344,8 @@ fn lockstep_frames_are_allocation_free() {
     };
     // Warm-up: the arena's guest and scratch buffers reach the capacity
     // the longest run needs.
-    // Warm-up: the arena's guest buffers and the kernel's recycled
-    // queuing-port message buffers reach the capacity the longest run
-    // needs (the pool settles after a few runs).
+    // Warm-up: the arena's guest buffers reach the capacity the longest
+    // run needs.
     for _ in 0..8 {
         run(16);
     }

@@ -90,6 +90,33 @@ fn sizing_flags_past_their_bound_exit_2_before_running() {
     assert_eq!(check.status.code(), Some(0), "check --horizon 1024 runs");
 }
 
+/// `--metrics` prints each run counter line once: `campaign check`'s
+/// report already carries them in its `## Run metrics` block, so the
+/// flag adds no second copy there.
+#[test]
+fn metrics_print_each_counter_line_once() {
+    for args in [
+        &["campaign", "check", "--metrics"][..],
+        &["campaign", "check", "--build", "patched", "--metrics"],
+        &["campaign", "sequences", "--count", "20", "--metrics"],
+    ] {
+        let out = skrt(args);
+        assert!(matches!(out.status.code(), Some(0 | 1)), "{args:?}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        // A run with nothing to shrink prints no `shrink:` line.
+        for (counter, at_least) in [
+            ("campaign metrics:", 1),
+            ("  arena:", 1),
+            ("  test prologue:", 1),
+            ("  shrink:", 0),
+            ("  classes:", 1),
+        ] {
+            let n = stdout.lines().filter(|l| l.starts_with(counter)).count();
+            assert!((at_least..=1).contains(&n), "{args:?}: {counter:?} printed {n} times");
+        }
+    }
+}
+
 #[test]
 fn live_stats_is_rejected_where_no_mode_streams_it() {
     let out = skrt(&["campaign", "check", "--live-stats", "live.jsonl"]);
