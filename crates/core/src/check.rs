@@ -33,8 +33,9 @@
 //!
 //! The case's finding signature is the one all three modes share: an
 //! oracle divergence wins, otherwise any invariant violation is a
-//! Catastrophic finding (an isolation breach the oracle missed). Triage
-//! ddmin-shrinks the probe while that signature holds, to a minimal
+//! Catastrophic finding (an isolation breach the oracle missed). Once a
+//! configuration's cases have run, the shared triage stage ddmin-shrinks
+//! each finding's probe while its signature holds, to a minimal
 //! reproducer surfaced through the same forensics path as fuzzer
 //! findings. Debug builds re-run every finding on a fresh boot, judged
 //! on byte images, and assert that it reaches the arena's verdict: a
@@ -46,7 +47,8 @@ use crate::flight::{FlightLog, DEFAULT_RING_CAPACITY};
 use crate::metrics::MetricsReport;
 use crate::oracle::{ChannelView, OracleContext};
 use crate::sequence::{
-    confirm, lockstep, Evidence, FindingSig, MinimalRepro, SequenceVerdict, Triage,
+    by_signature, confirm, lockstep, triage_group, Evidence, Finding, FindingSig, MinimalRepro,
+    SequenceVerdict, Triage, VerdictAt,
 };
 use crate::testbed::Testbed;
 use flightrec::{Event, EventKind, NO_PARTITION};
@@ -817,32 +819,67 @@ impl CheckResult {
 // Case lifecycle
 // ---------------------------------------------------------------------------
 
-/// Runs one case through [`confirm`], as sequences and fuzz run their
-/// findings: one rendering arena run of the probe at one step per slot
-/// over the horizon, judged by the oracle and the isolation invariants of
-/// `cfg`, and triaged when it is a finding. Debug builds check every
-/// finding against [`fresh_boot_shadow`].
+/// One configuration's work unit: every case through [`run_case`], then
+/// the triage stage over its findings, grouped by signature (each
+/// signature carries the configuration). Cases are indexed from `first`.
 #[allow(clippy::too_many_arguments)]
-fn run_case<'t, T: Testbed + ?Sized>(
+fn run_config<'t, T: Testbed + ?Sized>(
     tb: &'t T,
     cfg: &CheckConfig,
     ctx: &OracleContext,
     opts: &CheckOptions,
     booter: &mut Booter<'t, T>,
     log: &mut WorkerLog,
-    index: usize,
-    probe: &CheckProbe,
-) -> CheckCaseRecord {
-    let horizon = opts.scope.horizon as usize;
-    // A (≤1-step) probe has nothing to shrink.
+    first: usize,
+    probes: &[CheckProbe],
+) -> Vec<CheckCaseRecord> {
     let how = Triage {
-        min_frames: horizon,
-        shrink: probe.steps.len() > 1,
+        min_frames: opts.scope.horizon as usize,
         budget: opts.shrink_budget,
-        flight: opts.record.then_some(index),
         judge: Some(cfg),
     };
-    let (run, violations, minimal) = confirm(tb, ctx, booter, log, &probe.steps, how);
+    let (mut cases, found): (Vec<CheckCaseRecord>, Vec<_>) = (first..)
+        .zip(probes)
+        .map(|(index, probe)| run_case(tb, ctx, opts, booter, log, &how, index, probe))
+        .unzip();
+    let found = found.into_iter().zip(probes).zip(first..);
+    let groups = by_signature(found.map(|((found, probe), index)| {
+        found.map(|(sig, at)| {
+            // A (≤1-step) probe has nothing to shrink.
+            let shrink = probe.steps.len() > 1;
+            let flight = opts.record.then_some(index);
+            (sig, Finding { steps: &probe.steps, at, shrink, flight })
+        })
+    }));
+    for group in &groups {
+        for (pos, minimal) in triage_group(tb, ctx, booter, log, &how, group) {
+            cases[pos].minimal = minimal;
+        }
+    }
+    cases
+}
+
+/// Runs one case through [`confirm`], as sequences and fuzz run their
+/// findings: one rendering arena run of the probe at one step per slot
+/// over the horizon, judged by the oracle and the isolation invariants of
+/// `how.judge`. Returns the case and, when it is a finding, its signature
+/// and where its run reached its verdict, for the triage stage. Debug
+/// builds check every finding against [`fresh_boot_shadow`].
+#[allow(clippy::too_many_arguments)]
+fn run_case<'t, T: Testbed + ?Sized>(
+    tb: &'t T,
+    ctx: &OracleContext,
+    opts: &CheckOptions,
+    booter: &mut Booter<'t, T>,
+    log: &mut WorkerLog,
+    how: &Triage<'_>,
+    index: usize,
+    probe: &CheckProbe,
+) -> (CheckCaseRecord, Option<(FindingSig, Option<VerdictAt>)>) {
+    let cfg = how.judge.expect("check cases are judged by their configuration");
+    let flight = opts.record.then_some(index);
+    let (run, violations, target) =
+        confirm(tb, ctx, booter, &mut log.local, &probe.steps, flight, how);
     let case = CheckCaseRecord {
         index,
         config: cfg.clone(),
@@ -851,13 +888,13 @@ fn run_case<'t, T: Testbed + ?Sized>(
         verdict: run.verdict,
         steps_executed: run.steps_executed,
         violations,
-        minimal,
+        minimal: None,
     };
-    if cfg!(debug_assertions) && case.is_finding() {
-        fresh_boot_shadow(tb, ctx, opts.build, horizon, &case);
+    if cfg!(debug_assertions) && target.is_some() {
+        fresh_boot_shadow(tb, ctx, opts.build, how.min_frames, &case);
     }
     log.local.note_outcome(case.crash_class());
-    case
+    (case, target.map(|sig| (sig, run.verdict_at)))
 }
 
 /// The reference an arena finding is checked against in debug builds:
@@ -931,14 +968,8 @@ fn check_body(opts: &CheckOptions) -> CheckResult {
             let tb = CheckTestbed::new(configs[ci].clone());
             let ctx = tb.oracle_context(opts.build);
             let mut booter = Booter::new(&tb, opts.build, &mut log.local);
-            probe_sets[ci]
-                .iter()
-                .enumerate()
-                .map(|(pi, probe)| {
-                    let index = case_offsets[ci] + pi;
-                    run_case(&tb, tb.config(), &ctx, opts, &mut booter, log, index, probe)
-                })
-                .collect::<Vec<_>>()
+            let first = case_offsets[ci];
+            run_config(&tb, tb.config(), &ctx, opts, &mut booter, log, first, &probe_sets[ci])
         },
     );
     let cases: Vec<CheckCaseRecord> = per_config.into_iter().flatten().collect();
@@ -1250,7 +1281,8 @@ mod tests {
         let mut booter = Booter::new(&tb, build, &mut log.local);
 
         let periodic = probe("set_timer_periodic");
-        let case = run_case(&tb, &cfg, &ctx, &opts, &mut booter, &mut log, 7, &periodic);
+        let probes = std::slice::from_ref(&periodic);
+        let case = run_config(&tb, &cfg, &ctx, &opts, &mut booter, &mut log, 7, probes).remove(0);
         let foreign = InvariantViolation {
             kind: InvariantKind::ForeignPort,
             detail: "victim partition 1 owns 1 port(s)".into(),
@@ -1275,7 +1307,8 @@ mod tests {
         // The oracle diverges too (the legacy build accepts a negative
         // interval): the oracle's class wins over the violation.
         let negative = probe("set_timer_negative");
-        let case = run_case(&tb, &cfg, &ctx, &opts, &mut booter, &mut log, 8, &negative);
+        let probes = std::slice::from_ref(&negative);
+        let case = run_config(&tb, &cfg, &ctx, &opts, &mut booter, &mut log, 8, probes).remove(0);
         assert_eq!(case.violations, vec![foreign]);
         assert_eq!(case.verdict.classification.cause, Cause::WrongSuccess);
         assert_eq!(case.crash_class(), CrashClass::Silent);
@@ -1284,9 +1317,9 @@ mod tests {
         let target = FindingSig::Invariant(vec![InvariantKind::ForeignPort]);
         let oracle = FindingSig::Oracle(case.verdict.classification);
         let mut invariant =
-            same_class(&tb, &ctx, target, Some(&cfg), horizon, (&periodic.steps, None));
+            same_class(&tb, &ctx, target, Some(&cfg), horizon, (&periodic.steps, None), None);
         let mut diverged =
-            same_class(&tb, &ctx, oracle, Some(&cfg), horizon, (&negative.steps, None));
+            same_class(&tb, &ctx, oracle, Some(&cfg), horizon, (&negative.steps, None), None);
         let local = &mut log.local;
         assert!(invariant(&mut booter, local, &periodic.steps[..1]));
         assert!(flightrec::drain().events.is_empty(), "the invariants drain the run window");

@@ -617,7 +617,12 @@ where
         runs
     });
     runs.sort_unstable_by_key(|&(lo, _)| lo);
-    runs.into_iter().flat_map(|(_, r)| r).collect()
+    // Sized once: a flattening `collect` would grow from a zero size hint.
+    let mut out = Vec::with_capacity(n);
+    for (_, r) in runs {
+        out.extend(r);
+    }
+    out
 }
 
 /// Runs a campaign driver's whole body `f` on one scoped thread of its

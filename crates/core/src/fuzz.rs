@@ -43,8 +43,9 @@ use crate::exec::{
 use crate::flight::{FlightLog, DEFAULT_RING_CAPACITY};
 use crate::metrics::{MetricsReport, Phase};
 use crate::sequence::{
-    confirm, draw_weighted, lockstep, run_one_sequence, AlphabetEntry, Evidence, MinimalRepro,
-    SeqRng, SequenceEval, SequenceVerdict, Triage,
+    by_signature, confirm, draw_weighted, lockstep, run_one_sequence, triage_group, triage_stage,
+    AlphabetEntry, Evidence, Finding, FindingSig, MinimalRepro, SeqRng, SequenceEval,
+    SequenceVerdict, Triage, VerdictAt,
 };
 use crate::testbed::Testbed;
 use flightrec::coverage::{CoverageMap, EdgeTrace, ExecCoverage};
@@ -71,9 +72,12 @@ pub struct FuzzOptions {
     /// Candidate-execution budget. Refinement and shrink re-runs are
     /// triage, not search, and do not count against it.
     pub max_execs: u64,
-    /// Optional wall-clock budget, checked between rounds. Cutting a run
-    /// short by time is inherently racy against the clock, so results
-    /// are only reproducible when the run ends on `max_execs`.
+    /// Optional wall-clock budget for the search, checked between rounds.
+    /// Cutting a run short by time is inherently racy against the clock,
+    /// so results are only reproducible when the run ends on `max_execs`.
+    /// Triage is not search: the findings are shrunk after the last
+    /// round, one signature group at a time, and that stage runs to
+    /// completion whatever this budget has left.
     pub max_time: Option<Duration>,
     /// Steps per freshly generated sequence.
     pub steps: usize,
@@ -643,7 +647,8 @@ struct CandidateOutcome {
 struct PendingFinding {
     verdict: SequenceVerdict,
     steps_executed: usize,
-    minimal: Option<MinimalRepro>,
+    target: FindingSig,
+    at: Option<VerdictAt>,
 }
 
 /// A fuzz worker's state, kept across rounds: booting is the expensive
@@ -707,6 +712,8 @@ fn fuzz_body<T: Testbed + ?Sized>(
     let mut map = CoverageMap::new();
     let mut corpus: Vec<CorpusEntry> = Vec::new();
     let mut findings: Vec<FuzzFinding> = Vec::new();
+    // Each finding's signature and verdict point, for the triage stage.
+    let mut found: Vec<(FindingSig, Option<VerdictAt>)> = Vec::new();
     let mut rounds: Vec<RoundStat> = Vec::new();
     let mut execs: u64 = 0;
     let mut round = 0usize;
@@ -763,9 +770,10 @@ fn fuzz_body<T: Testbed + ?Sized>(
                     steps: candidates[slot].steps.clone(),
                     verdict: f.verdict,
                     steps_executed: f.steps_executed,
-                    minimal: f.minimal,
+                    minimal: None,
                     wall: started.elapsed(),
                 });
+                found.push((f.target, f.at));
             }
         }
         execs += batch_n as u64;
@@ -797,6 +805,27 @@ fn fuzz_body<T: Testbed + ?Sized>(
         live.write(&fuzz_live_line(started.elapsed(), opts.max_execs, last, true));
     }
 
+    // Triage after the search: one signature group per stage item, in
+    // each worker's recorder window.
+    let groups = by_signature(found.into_iter().zip(&findings).map(|((sig, at), f)| {
+        let flight = opts.record.then_some(f.exec_index as usize);
+        Some((sig, Finding { steps: &f.steps, at, shrink: opts.shrink, flight }))
+    }));
+    let how = Triage { min_frames: 0, budget: opts.shrink_budget, judge: None };
+    let triaged = triage_stage(
+        &mut workers,
+        &steals,
+        &groups,
+        |_| (),
+        |w, group| {
+            let FuzzWorker { booter, log, window, .. } = w;
+            flightrec::isolated_in(window, || triage_group(testbed, &ctx, booter, log, &how, group))
+        },
+    );
+    for (pos, minimal) in triaged {
+        findings[pos].minimal = minimal;
+    }
+
     let logs = workers.into_iter().map(|w| w.log);
     let (report, flight) = fold_logs(logs, steals.into_inner(), opts.record, started);
     FuzzResult {
@@ -815,7 +844,8 @@ fn fuzz_body<T: Testbed + ?Sized>(
 
 /// Executes one candidate on a worker, in its recorder window:
 /// coverage-producing main run, then (on divergence) [`confirm`]: the
-/// one-step-per-slot authoritative re-judgement and triage.
+/// one-step-per-slot authoritative re-judgement. A finding is triaged
+/// after the search.
 fn evaluate_candidate<T: Testbed + ?Sized>(
     testbed: &T,
     ctx: &crate::oracle::OracleContext,
@@ -863,20 +893,17 @@ fn evaluate_candidate<T: Testbed + ?Sized>(
         let mut finding = None;
         let mut class = eval.verdict.classification.class;
         if class != CrashClass::Pass {
-            let how = Triage {
-                min_frames: 0,
-                shrink: opts.shrink,
-                budget: opts.shrink_budget,
-                flight: opts.record.then_some(exec_index as usize),
-                judge: None,
-            };
-            let (refined, _, minimal) = confirm(testbed, ctx, booter, log, steps, how);
+            let how = Triage { min_frames: 0, budget: opts.shrink_budget, judge: None };
+            let flight = opts.record.then_some(exec_index as usize);
+            let (refined, _, target) =
+                confirm(testbed, ctx, booter, &mut log.local, steps, flight, &how);
             class = refined.verdict.classification.class;
-            if class != CrashClass::Pass {
+            if let Some(target) = target {
                 finding = Some(PendingFinding {
                     verdict: refined.verdict,
                     steps_executed: refined.steps_executed,
-                    minimal,
+                    target,
+                    at: refined.verdict_at,
                 });
             }
         }

@@ -52,6 +52,17 @@ impl Phase {
     }
 }
 
+/// How a shrink evaluation or a triage re-run got its answer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Answer {
+    /// A run of its own on the arena.
+    Run,
+    /// A reproducing run's prefix settled it (shrink evaluations only).
+    Decided,
+    /// An earlier finding of the same signature already ran it.
+    Recalled,
+}
+
 /// Per-worker plain counters — the hot path's contention-free metrics.
 ///
 /// Workers tally into these unsynchronised fields per test; the sets are
@@ -68,6 +79,9 @@ pub(crate) struct LocalMetrics {
     prologues_live: u64,
     shrink_runs: u64,
     shrink_decided: u64,
+    shrink_recalled: u64,
+    triage_reruns: u64,
+    triage_recalled: u64,
     coverage_folded: u64,
     coverage_resumed: u64,
     phase: [LatencyHistogram; N_PHASES],
@@ -124,13 +138,22 @@ impl LocalMetrics {
         }
     }
 
-    /// One shrink evaluation: `decided` when a reproducing run's prefix
-    /// settled it without a run of its own.
-    pub(crate) fn note_shrink_eval(&mut self, decided: bool) {
-        if decided {
-            self.shrink_decided += 1;
+    /// One shrink evaluation, by how it got its answer.
+    pub(crate) fn note_shrink_eval(&mut self, answer: Answer) {
+        match answer {
+            Answer::Run => self.shrink_runs += 1,
+            Answer::Decided => self.shrink_decided += 1,
+            Answer::Recalled => self.shrink_recalled += 1,
+        }
+    }
+
+    /// One triage re-run of a finding's reproducer: run, or `recalled`
+    /// from an earlier finding of its signature with the same reproducer.
+    pub(crate) fn note_triage_rerun(&mut self, recalled: bool) {
+        if recalled {
+            self.triage_recalled += 1;
         } else {
-            self.shrink_runs += 1;
+            self.triage_reruns += 1;
         }
     }
 
@@ -160,6 +183,9 @@ impl LocalMetrics {
         self.prologues_live += other.prologues_live;
         self.shrink_runs += other.shrink_runs;
         self.shrink_decided += other.shrink_decided;
+        self.shrink_recalled += other.shrink_recalled;
+        self.triage_reruns += other.triage_reruns;
+        self.triage_recalled += other.triage_recalled;
         self.coverage_folded += other.coverage_folded;
         self.coverage_resumed += other.coverage_resumed;
         for (h, o) in self.phase.iter_mut().zip(&other.phase) {
@@ -197,6 +223,9 @@ impl LocalMetrics {
             prologues_live: self.prologues_live,
             shrink_runs: self.shrink_runs,
             shrink_decided: self.shrink_decided,
+            shrink_recalled: self.shrink_recalled,
+            triage_reruns: self.triage_reruns,
+            triage_recalled: self.triage_recalled,
             coverage_tokens_folded: self.coverage_folded,
             coverage_tokens_resumed: self.coverage_resumed,
             phases,
@@ -215,8 +244,9 @@ pub struct MetricsReport {
     pub class_counts: [u64; 6],
     /// Arena rewinds: every run a worker started from its snapshot arena
     /// — a test's main evaluation, and in the sequence, fuzz and `check`
-    /// campaigns also each refinement, shrink run and triage re-run. Not
-    /// a test count: tests are [`MetricsReport::tests_executed`].
+    /// campaigns also each refinement, shrink run and triage re-run that
+    /// ran (recalled ones do not rewind). Not a test count: tests are
+    /// [`MetricsReport::tests_executed`].
     pub snapshot_clones: u64,
     /// Full boots: one per worker's arena (per configuration in
     /// `check`), plus one per run when the testbed cannot snapshot.
@@ -235,6 +265,16 @@ pub struct MetricsReport {
     /// Shrink evaluations a reproducing run's prefix decided without a
     /// run (see `sequence::same_class`).
     pub shrink_decided: u64,
+    /// Shrink evaluations recalled without a run: an earlier finding of
+    /// the same signature ran the same candidate (see `sequence::Recall`).
+    pub shrink_recalled: u64,
+    /// Triage re-runs of a finding's reproducer (minimal, or its own
+    /// steps when a flight is kept unshrunk) that ran on the arena.
+    pub triage_reruns: u64,
+    /// Triage re-runs recalled without a run: an earlier finding of the
+    /// same signature re-ran the same minimal reproducer. Never with a
+    /// kept flight, which is the re-run itself.
+    pub triage_recalled: u64,
     /// Coverage tokens the fuzz execs folded themselves: each exec's own
     /// events and frame digests, or its whole window when it was not
     /// resumed (no arena, or the ring dropped events).
@@ -325,10 +365,15 @@ impl MetricsReport {
             "  test prologue: {} runs resumed after it, {} started before it\n",
             self.prologues_resumed, self.prologues_live
         ));
-        if self.shrink_runs + self.shrink_decided > 0 {
+        if self.shrink_runs + self.shrink_decided + self.shrink_recalled > 0 {
             out.push_str(&format!(
-                "  shrink: {} evaluations run, {} decided by a reproducing run's prefix\n",
-                self.shrink_runs, self.shrink_decided
+                "  shrink: {} evaluations run, {} decided by a reproducing run's prefix, {} \
+                 recalled from an earlier finding; triage re-runs: {} run, {} recalled\n",
+                self.shrink_runs,
+                self.shrink_decided,
+                self.shrink_recalled,
+                self.triage_reruns,
+                self.triage_recalled
             ));
         }
         if self.coverage_tokens_folded + self.coverage_tokens_resumed > 0 {
@@ -412,10 +457,22 @@ impl MetricsReport {
                 n,
             );
         }
-        for (how, n) in [("run", self.shrink_runs), ("decided", self.shrink_decided)] {
+        for (how, n) in [
+            ("run", self.shrink_runs),
+            ("decided", self.shrink_decided),
+            ("recalled", self.shrink_recalled),
+        ] {
             reg.push_counter(
                 "skrt_shrink_evaluations",
-                "Shrink evaluations: run, or decided by a reproducing run's prefix.",
+                "Shrink evaluations: run, decided by a reproducing run's prefix, or recalled.",
+                &[("how", how)],
+                n,
+            );
+        }
+        for (how, n) in [("run", self.triage_reruns), ("recalled", self.triage_recalled)] {
+            reg.push_counter(
+                "skrt_triage_reruns",
+                "Triage re-runs of a finding's reproducer: run, or recalled.",
                 &[("how", how)],
                 n,
             );
@@ -565,6 +622,7 @@ mod tests {
             "skrt_fresh_boots",
             "skrt_test_prologues",
             "skrt_shrink_evaluations",
+            "skrt_triage_reruns",
             "skrt_coverage_tokens",
             "skrt_oracle_hits",
             "skrt_oracle_misses",
@@ -613,7 +671,9 @@ mod tests {
         a.note_snapshot_clone();
         a.note_fresh_boot();
         a.note_prologue(true);
-        a.note_shrink_eval(true);
+        a.note_shrink_eval(Answer::Decided);
+        a.note_shrink_eval(Answer::Recalled);
+        a.note_triage_rerun(true);
         a.note_coverage_tokens(70, 54);
         let mut b = LocalMetrics::new(true);
         b.note_outcome(CrashClass::Silent);
@@ -621,8 +681,9 @@ mod tests {
         b.note_snapshot_clone();
         b.note_prologue(true);
         b.note_prologue(false);
-        b.note_shrink_eval(false);
-        b.note_shrink_eval(true);
+        b.note_shrink_eval(Answer::Run);
+        b.note_shrink_eval(Answer::Decided);
+        b.note_triage_rerun(false);
         b.note_coverage_tokens(120, 0);
         b.note_phase(Phase::Shrink, Duration::from_micros(3));
         b.note_phase(Phase::Rewind, Duration::from_micros(2));
@@ -636,7 +697,8 @@ mod tests {
         assert_eq!((r.count(CrashClass::Pass), r.count(CrashClass::Silent)), (2, 1));
         assert_eq!((r.snapshot_clones, r.fresh_boots), (2, 1));
         assert_eq!((r.prologues_resumed, r.prologues_live), (2, 1));
-        assert_eq!((r.shrink_runs, r.shrink_decided), (1, 2));
+        assert_eq!((r.shrink_runs, r.shrink_decided, r.shrink_recalled), (1, 2, 1));
+        assert_eq!((r.triage_reruns, r.triage_recalled), (1, 1));
         assert_eq!((r.coverage_tokens_folded, r.coverage_tokens_resumed), (190, 54));
         let text = r.render();
         assert!(text.contains("arena: 2 rewinds (snapshot clones), 1 fresh boots"), "{text}");
@@ -644,10 +706,18 @@ mod tests {
             text.contains("test prologue: 2 runs resumed after it, 1 started before"),
             "{text}"
         );
-        assert!(text.contains("shrink: 1 evaluations run, 2 decided"), "{text}");
+        assert!(
+            text.contains(
+                "shrink: 1 evaluations run, 2 decided by a reproducing run's prefix, 1 recalled \
+                 from an earlier finding; triage re-runs: 1 run, 1 recalled"
+            ),
+            "{text}"
+        );
         assert!(text.contains("coverage tokens: 190 folded, 54 resumed"), "{text}");
         let prom = r.telemetry("t").render_openmetrics();
         assert!(prom.contains("skrt_shrink_evaluations_total{how=\"decided\"} 2"), "{prom}");
+        assert!(prom.contains("skrt_shrink_evaluations_total{how=\"recalled\"} 1"), "{prom}");
+        assert!(prom.contains("skrt_triage_reruns_total{how=\"recalled\"} 1"), "{prom}");
         assert!(prom.contains("skrt_test_prologues_total{how=\"live\"} 1"), "{prom}");
         assert!(prom.contains("skrt_coverage_tokens_total{how=\"resumed\"} 54"), "{prom}");
         let names: Vec<&str> = r.phases.iter().map(|p| p.name.as_str()).collect();

@@ -18,22 +18,25 @@
 //! return-code comparison, then the architectural state diff.
 //!
 //! On any non-Pass verdict the sequence is re-evaluated one step per slot
-//! (exact step attribution), minimised by [`crate::shrink`], and the
-//! minimal reproducer is re-run — under the flight recorder when
-//! [`SequenceOptions::record`] is set — to yield a triage bundle. That
-//! confirm-and-triage stage, and the finding signature its shrink
-//! preserves, are shared with the fuzz and `check` campaigns; `check`
+//! (exact step attribution). After the campaign's fold its findings are
+//! grouped by signature, and each is minimised by [`crate::shrink`] and
+//! its minimal reproducer re-run — under the flight recorder when
+//! [`SequenceOptions::record`] is set — to yield a triage bundle; a
+//! later finding of a signature reuses what the earlier ones ran. That
+//! confirm step, the triage stage and the finding signature its shrink
+//! preserves are shared with the fuzz and `check` campaigns; `check`
 //! passes its isolation invariants in as a second judge.
 
 use crate::check::{judge_invariants, CheckConfig, InvariantKind, InvariantViolation};
 use crate::classify::{Cause, Classification, CrashClass};
 use crate::exec::{fold_logs, on_campaign_thread, par_indexed, resolve_threads, Booter, WorkerLog};
 use crate::flight::{FlightLog, DEFAULT_RING_CAPACITY};
-use crate::metrics::{LocalMetrics, MetricsReport, Phase};
+use crate::metrics::{Answer, LocalMetrics, MetricsReport, Phase};
 use crate::observe::Invocation;
 use crate::oracle::{Expectation, ExpectedOutcome, NoReturnExpect, OracleContext};
 use crate::shrink::shrink_sequence;
 use crate::testbed::Testbed;
+use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::time::Instant;
 use xtratum::guest::{GuestProgram, GuestSet, PartitionApi};
@@ -965,7 +968,7 @@ impl Default for SequenceOptions {
 }
 
 /// A minimized reproducer for a diverging sequence.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinimalRepro {
     /// The minimal step list (never empty).
     pub steps: Vec<RawHypercall>,
@@ -979,26 +982,21 @@ pub struct MinimalRepro {
     pub shrunk_args: usize,
 }
 
-/// Where the campaign modes' triage of a finding differs; [`confirm`]
-/// and [`triage`] are otherwise the same for sequences, fuzz and `check`.
+/// Where the campaign modes' judging and triage of a finding differ;
+/// [`confirm`] and [`triage_group`] are otherwise the same for sequences,
+/// fuzz and `check`.
 pub(crate) struct Triage<'a> {
     /// Frame floor of every run: `check`'s horizon, 0 otherwise.
     pub(crate) min_frames: usize,
-    /// Whether to shrink. Without it no reproducer is built, and a kept
-    /// flight is a re-run of the unshrunk steps.
-    pub(crate) shrink: bool,
     /// Predicate evaluations per shrink.
     pub(crate) budget: usize,
-    /// Campaign index the finding's flight is filed under (`None`: keep
-    /// no flight).
-    pub(crate) flight: Option<usize>,
     /// The judge besides the oracle: `check`'s configuration, whose
     /// isolation invariants ([`judge_invariants`]) drain the run window.
     /// `None` (sequences, fuzz) drains and judges nothing.
     pub(crate) judge: Option<&'a CheckConfig>,
 }
 
-/// What makes a run a finding: the signature [`triage`]'s shrink
+/// What makes a run a finding: the signature the triage stage's shrink
 /// preserves, in every campaign mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum FindingSig {
@@ -1035,46 +1033,220 @@ impl FindingSig {
     }
 }
 
-/// Triages one finding after its authoritative verdict: ddmin-shrinks
-/// `steps` while `reproduces` holds on the worker's arena, re-runs the
-/// minimal reproducer at one step per slot, and files that run as the
-/// finding's flight, closed with the authoritative `class`. Returns the
-/// reproducer when shrinking ran.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn triage<'t, T: Testbed + ?Sized>(
+/// Confirms a case for every campaign mode, inline. The authoritative
+/// run is an arena run of the steps at one step per slot — exact step
+/// attribution, and immune to several calls legitimately sharing one
+/// slot budget — over at least `how.min_frames` frames, in the window of
+/// `flight`, judged by the oracle and `how.judge`. Returns the run (even
+/// when it passes), its invariant violations and, when it is a finding,
+/// its [`FindingSig`]: the triage stage ([`triage_group`]) takes it from
+/// there once the campaign's fold has grouped its findings.
+pub(crate) fn confirm<'t, T: Testbed + ?Sized>(
+    testbed: &T,
+    ctx: &OracleContext,
+    booter: &mut Booter<'t, T>,
+    local: &mut LocalMetrics,
+    steps: &[RawHypercall],
+    flight: Option<usize>,
+    how: &Triage<'_>,
+) -> (SequenceEval, Vec<InvariantViolation>, Option<FindingSig>) {
+    let (kernel, guests, snapshot) = booter.booted_from(local, flight);
+    let span = local.start_span();
+    let run = lockstep(testbed, ctx, kernel, guests, steps, 1, how.min_frames, Evidence::Render);
+    let violations = how.judge.map_or_else(Vec::new, |cfg| judge_invariants(cfg, kernel, snapshot));
+    local.end_span(Phase::Frames, span);
+    let target = FindingSig::of(&run.verdict, &violations);
+    (run, violations, target)
+}
+
+/// A confirmed finding as the triage stage takes it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Finding<'s> {
+    /// The steps its authoritative run ran.
+    pub(crate) steps: &'s [RawHypercall],
+    /// Where that run reached its verdict.
+    pub(crate) at: Option<VerdictAt>,
+    /// Whether to shrink it. Without it no reproducer is built, and a
+    /// kept flight is a re-run of the unshrunk steps.
+    pub(crate) shrink: bool,
+    /// Campaign index its flight is filed under (`None`: keep no flight).
+    pub(crate) flight: Option<usize>,
+}
+
+/// One signature's findings, each with its position in the campaign's
+/// list of cases, in campaign order.
+pub(crate) type Group<'s> = (FindingSig, Vec<(usize, Finding<'s>)>);
+
+/// Groups a campaign's confirmed findings by signature: `found` has one
+/// entry per case, in campaign order, `Some` for a finding. Groups come
+/// in the order of their first finding, so the grouping, like each
+/// group's triage, is the same at every thread count. A finding with
+/// nothing to triage (no shrink, no flight) joins no group.
+pub(crate) fn by_signature<'s>(
+    found: impl IntoIterator<Item = Option<(FindingSig, Finding<'s>)>>,
+) -> Vec<Group<'s>> {
+    let mut groups: Vec<Group<'s>> = Vec::new();
+    for (pos, found) in found.into_iter().enumerate() {
+        let Some((sig, finding)) = found.filter(|(_, f)| f.shrink || f.flight.is_some()) else {
+            continue;
+        };
+        match groups.iter_mut().find(|(g, _)| *g == sig) {
+            Some((_, members)) => members.push((pos, finding)),
+            None => groups.push((sig, vec![(pos, finding)])),
+        }
+    }
+    groups
+}
+
+/// The triage stage after a campaign's fold, for the modes whose
+/// signature groups span the whole campaign (sequences, fuzz): one
+/// [`par_indexed`] item per group, on the workers (and their arenas) of
+/// the main pass. `triage` triages one group on one worker, in that
+/// worker's recorder, by [`triage_group`]. Returns each finding's
+/// reproducer with its position, in group order.
+pub(crate) fn triage_stage<W: Send>(
+    workers: &mut [W],
+    steals: &AtomicU64,
+    groups: &[Group<'_>],
+    start: impl Fn(&mut W) + Sync,
+    triage: impl Fn(&mut W, &Group<'_>) -> Vec<(usize, Option<MinimalRepro>)> + Sync,
+) -> Vec<(usize, Option<MinimalRepro>)> {
+    if groups.is_empty() {
+        return Vec::new();
+    }
+    let n_workers = groups.len().min(workers.len());
+    let workers = &mut workers[..n_workers];
+    let per_group =
+        par_indexed(groups.len(), workers, steals, start, |w, _, g| triage(w, &groups[g]));
+    per_group.into_iter().flatten().collect()
+}
+
+/// Triages one signature group on one worker's arena: its findings in
+/// campaign order, each by [`triage`]. When a later finding can ask, the
+/// group keeps a [`Recall`], so it runs only the shrink candidates and
+/// the minimal reproducers no earlier finding of the group ran. Returns
+/// each finding's reproducer with its position.
+pub(crate) fn triage_group<'t, T: Testbed + ?Sized>(
     testbed: &T,
     ctx: &OracleContext,
     booter: &mut Booter<'t, T>,
     log: &mut WorkerLog,
-    steps: &[RawHypercall],
-    class: CrashClass,
-    how: Triage<'_>,
-    mut reproduces: impl FnMut(&mut Booter<'t, T>, &mut LocalMetrics, &[RawHypercall]) -> bool,
+    how: &Triage<'_>,
+    (target, members): &Group<'_>,
+) -> Vec<(usize, Option<MinimalRepro>)> {
+    let mut recall = (members.len() > 1).then(|| Recall::new(target.clone(), how.min_frames));
+    members
+        .iter()
+        .map(|(pos, finding)| {
+            (*pos, triage(testbed, ctx, booter, log, how, target, finding, recall.as_mut()))
+        })
+        .collect()
+}
+
+/// What one signature group's earlier findings learned, for its later
+/// ones: the answer (and where a run reached its verdict) of every
+/// candidate a shrink run judged, and the rendered verdict of every
+/// minimal reproducer a triage re-run ran. Every run is a pure function
+/// of its steps, target and frame floor on the arena, so a recalled
+/// answer is the run's. A table answers only for the target and frame
+/// floor it was built for: the same steps ask another group's question.
+pub(crate) struct Recall {
+    target: FindingSig,
+    min_frames: usize,
+    runs: HashMap<Vec<RawHypercall>, (bool, Option<VerdictAt>)>,
+    reruns: Vec<(Vec<RawHypercall>, SequenceVerdict)>,
+}
+
+impl Recall {
+    /// An empty table for the group of `target` at `min_frames`.
+    pub(crate) fn new(target: FindingSig, min_frames: usize) -> Self {
+        Recall { target, min_frames, runs: HashMap::new(), reruns: Vec::new() }
+    }
+
+    /// Whether this table holds answers for `target` at `min_frames`.
+    fn answers(&self, target: &FindingSig, min_frames: usize) -> bool {
+        self.target == *target && self.min_frames == min_frames
+    }
+}
+
+/// Triages one finding of `target` after its authoritative verdict:
+/// ddmin-shrinks its steps while [`same_class`] holds on the worker's
+/// arena, re-runs the minimal reproducer at one step per slot, and files
+/// that run as the finding's flight, closed with the target's class.
+/// Without a kept flight, a minimal reproducer an earlier finding of the
+/// group re-ran is recalled from `recall` instead; debug builds run it
+/// anyway, uncounted, and assert the whole verdict. Returns the
+/// reproducer when shrinking ran.
+#[allow(clippy::too_many_arguments)]
+fn triage<'t, T: Testbed + ?Sized>(
+    testbed: &T,
+    ctx: &OracleContext,
+    booter: &mut Booter<'t, T>,
+    log: &mut WorkerLog,
+    how: &Triage<'_>,
+    target: &FindingSig,
+    finding: &Finding<'_>,
+    recall: Option<&mut Recall>,
 ) -> Option<MinimalRepro> {
-    let Triage { min_frames, shrink, budget, flight, .. } = how;
+    let Finding { steps, at, shrink, flight } = *finding;
     if !shrink && flight.is_none() {
         return None;
     }
+    let mut recall = recall.filter(|r| r.answers(target, how.min_frames));
     let local = &mut log.local;
     let shrunk = shrink.then(|| {
         let span = local.start_span();
-        let out = shrink_sequence(steps, |cand| reproduces(booter, local, cand), budget);
+        let mut reproduces = same_class(
+            testbed,
+            ctx,
+            target.clone(),
+            how.judge,
+            how.min_frames,
+            (steps, at),
+            recall.as_deref_mut(),
+        );
+        let out = shrink_sequence(steps, |cand| reproduces(booter, local, cand), how.budget);
         local.end_span(Phase::Shrink, span);
         out
     });
     // Shrink evaluations are scaffolding: only the run below is kept.
-    let (kernel, guests) = booter.booted(local, flight);
     let (repro, evidence) = match &shrunk {
         Some(out) => (out.steps.as_slice(), Evidence::Render),
         None => (steps, Evidence::Skip),
     };
-    let eval = lockstep(testbed, ctx, kernel, guests, repro, 1, min_frames, evidence);
-    if let Some(index) = flight {
-        log.end_flight(index, class);
-    }
+    // A kept flight is the re-run itself: only a re-run without one (so
+    // of a minimal reproducer) is recalled.
+    let recall = recall.filter(|_| flight.is_none());
+    let recalled = recall
+        .as_deref()
+        .and_then(|r| r.reruns.iter().find(|(s, _)| s == repro))
+        .map(|(_, verdict)| verdict.clone());
+    log.local.note_triage_rerun(recalled.is_some());
+    let verdict = match recalled {
+        Some(verdict) if !cfg!(debug_assertions) => verdict,
+        recalled => {
+            // A recalled re-run runs only as its shadow.
+            let mut shadow = LocalMetrics::default();
+            let local = if recalled.is_some() { &mut shadow } else { &mut log.local };
+            let (kernel, guests) = booter.booted(local, flight);
+            let eval = lockstep(testbed, ctx, kernel, guests, repro, 1, how.min_frames, evidence);
+            if let Some(index) = flight {
+                log.end_flight(index, target.class());
+            }
+            debug_assert!(
+                recalled.as_ref().is_none_or(|v| *v == eval.verdict),
+                "the re-run of {repro:?} recalled {recalled:?}, a run gives {:?}",
+                eval.verdict
+            );
+            if let (None, Some(r)) = (&recalled, recall) {
+                r.reruns.push((repro.to_vec(), eval.verdict.clone()));
+            }
+            eval.verdict
+        }
+    };
     shrunk.map(|out| MinimalRepro {
         steps: out.steps,
-        verdict: eval.verdict,
+        verdict,
         evals: out.evals,
         removed_steps: out.removed_steps,
         shrunk_args: out.shrunk_args,
@@ -1088,14 +1260,18 @@ pub(crate) fn triage<'t, T: Testbed + ?Sized>(
 /// targets drain nothing. `reproducing` is a run known to reproduce it
 /// the same way — its steps and where its verdict came — and the
 /// predicate keeps the last such run: every candidate that reproduces
-/// by running replaces it.
+/// by running (or by recall) replaces it.
 ///
 /// A candidate that replays that run's frames up to its verdict is
 /// decided without a run ([`Reproducer::decides`]); an invariant target
 /// comes from a passing run, with no verdict frame, so none of its
-/// candidates is. Debug builds run a decided candidate anyway,
-/// uncounted, and assert the signature. Every evaluation is counted as
-/// run or decided.
+/// candidates is. A candidate the rule leaves open is asked of `recall`
+/// next, the table of the finding's signature group, and runs only when
+/// no earlier finding of the group ran it; a run's answer joins the
+/// table. A table built for another target or frame floor is not asked.
+/// Debug builds run a decided or recalled candidate anyway, uncounted,
+/// and assert the signature (and, recalled, the whole answer). Every
+/// evaluation is counted as run, decided or recalled.
 pub(crate) fn same_class<'a, 't, T: Testbed + ?Sized>(
     testbed: &'a T,
     ctx: &'a OracleContext,
@@ -1103,33 +1279,61 @@ pub(crate) fn same_class<'a, 't, T: Testbed + ?Sized>(
     judge: Option<&'a CheckConfig>,
     min_frames: usize,
     reproducing: (&[RawHypercall], Option<VerdictAt>),
+    recall: Option<&'a mut Recall>,
 ) -> impl FnMut(&mut Booter<'t, T>, &mut LocalMetrics, &[RawHypercall]) -> bool + 'a {
     let mut known = Reproducer { steps: reproducing.0.to_vec(), at: reproducing.1 };
     let judge = judge.filter(|_| matches!(target, FindingSig::Invariant(_)));
+    let mut recall = recall.filter(|r| r.answers(&target, min_frames));
     move |booter, local, cand| {
         let decided = known.decides(cand, min_frames);
-        local.note_shrink_eval(decided);
+        let recalled =
+            recall.as_deref().filter(|_| !decided).and_then(|r| r.runs.get(cand).copied());
+        let how = match (decided, recalled) {
+            (true, _) => Answer::Decided,
+            (false, Some(_)) => Answer::Recalled,
+            (false, None) => Answer::Run,
+        };
+        local.note_shrink_eval(how);
         if decided && !cfg!(debug_assertions) {
             return true;
         }
-        // A decided candidate runs only as the rule's shadow.
-        let mut shadow = LocalMetrics::default();
-        let local = if decided { &mut shadow } else { local };
-        let (kernel, guests, snapshot) = booter.booted_from(local, None);
-        let eval = lockstep(testbed, ctx, kernel, guests, cand, 1, min_frames, Evidence::Skip);
-        let judged = judge.filter(|_| eval.verdict.classification.class == CrashClass::Pass);
-        let violations =
-            judged.map_or_else(Vec::new, |cfg| judge_invariants(cfg, kernel, snapshot));
-        let same = FindingSig::of(&eval.verdict, &violations).as_ref() == Some(&target);
-        debug_assert!(
-            same || !decided,
-            "the prefix rule decided {cand:?} reproduces {target:?}, a run gives {:?}",
-            eval.verdict.classification
-        );
-        if same && !decided {
+        let (same, at) = match recalled {
+            Some(answer) if !cfg!(debug_assertions) => answer,
+            _ => {
+                // A decided or recalled candidate runs only as its shadow.
+                let mut shadow = LocalMetrics::default();
+                let local = if how == Answer::Run { &mut *local } else { &mut shadow };
+                let (kernel, guests, snapshot) = booter.booted_from(local, None);
+                let eval =
+                    lockstep(testbed, ctx, kernel, guests, cand, 1, min_frames, Evidence::Skip);
+                let judged =
+                    judge.filter(|_| eval.verdict.classification.class == CrashClass::Pass);
+                let violations =
+                    judged.map_or_else(Vec::new, |cfg| judge_invariants(cfg, kernel, snapshot));
+                let same = FindingSig::of(&eval.verdict, &violations).as_ref() == Some(&target);
+                debug_assert!(
+                    same || !decided,
+                    "the prefix rule decided {cand:?} reproduces {target:?}, a run gives {:?}",
+                    eval.verdict.classification
+                );
+                debug_assert!(
+                    recalled.is_none_or(|answer| answer == (same, eval.verdict_at)),
+                    "{cand:?} recalled {recalled:?} for {target:?}, a run gives {:?}",
+                    (same, eval.verdict_at)
+                );
+                (same, eval.verdict_at)
+            }
+        };
+        if decided {
+            return same;
+        }
+        if same {
             known.steps.clear();
             known.steps.extend_from_slice(cand);
-            known.at = eval.verdict_at;
+            known.at = at;
+        }
+        if let (None, Some(r)) = (recalled, recall.as_deref_mut()) {
+            r.runs.insert(cand.to_vec(), (same, at));
         }
         same
     }
@@ -1168,37 +1372,6 @@ impl Reproducer {
             && frame_cap(cand.len(), min_frames) >= frame
             && (cand.len() <= self.steps.len() || self.steps.len() > through)
     }
-}
-
-/// Confirms a case for every campaign mode. The authoritative run is an
-/// arena run of the steps at one step per slot — exact step attribution,
-/// and immune to several calls legitimately sharing one slot budget —
-/// over at least `how.min_frames` frames, in the window of `how.flight`,
-/// judged by the oracle and `how.judge`. When it is a finding,
-/// [`triage`] runs against its [`FindingSig`]. Returns the run (even
-/// when it passes), its invariant violations and the minimal reproducer.
-pub(crate) fn confirm<'t, T: Testbed + ?Sized>(
-    testbed: &T,
-    ctx: &OracleContext,
-    booter: &mut Booter<'t, T>,
-    log: &mut WorkerLog,
-    steps: &[RawHypercall],
-    how: Triage<'_>,
-) -> (SequenceEval, Vec<InvariantViolation>, Option<MinimalRepro>) {
-    let local = &mut log.local;
-    let (kernel, guests, snapshot) = booter.booted_from(local, how.flight);
-    let span = local.start_span();
-    let run = lockstep(testbed, ctx, kernel, guests, steps, 1, how.min_frames, Evidence::Render);
-    let violations = how.judge.map_or_else(Vec::new, |cfg| judge_invariants(cfg, kernel, snapshot));
-    local.end_span(Phase::Frames, span);
-    let Some(target) = FindingSig::of(&run.verdict, &violations) else {
-        return (run, violations, None);
-    };
-    let class = target.class();
-    let reproduces =
-        same_class(testbed, ctx, target, how.judge, how.min_frames, (steps, run.verdict_at));
-    let minimal = triage(testbed, ctx, booter, log, steps, class, how, reproduces);
-    (run, violations, minimal)
 }
 
 /// One generated, executed and judged sequence.
@@ -1248,10 +1421,12 @@ impl SequenceCampaignResult {
 }
 
 /// Evaluates one spec end-to-end on a worker: main evaluation, then
-/// [`confirm`] on divergence. Each run opens its own window, so when
-/// recording the spec's flight is its last kept run: the main
+/// [`confirm`] on divergence. Returns the record and, for a finding, its
+/// signature and where its refined run reached its verdict: the triage
+/// stage shrinks it after the fold. Each run opens its own window, so
+/// when recording the spec's flight is its last kept run: the main
 /// evaluation for passing sequences, the refined run for sequences it
-/// clears, the triage run for diverging ones.
+/// clears, the triage stage's re-run for diverging ones.
 fn evaluate_spec<T: Testbed + ?Sized>(
     testbed: &T,
     ctx: &OracleContext,
@@ -1259,7 +1434,7 @@ fn evaluate_spec<T: Testbed + ?Sized>(
     booter: &mut Booter<'_, T>,
     log: &mut WorkerLog,
     spec: &SequenceSpec,
-) -> SequenceRecord {
+) -> (SequenceRecord, Option<(FindingSig, Option<VerdictAt>)>) {
     let local = &mut log.local;
     let flight = opts.record.then_some(spec.index);
     let (kernel, guests) = booter.booted(local, flight);
@@ -1268,39 +1443,36 @@ fn evaluate_spec<T: Testbed + ?Sized>(
     let main =
         lockstep(testbed, ctx, kernel, guests, &spec.steps, opts.steps_per_slot, 0, Evidence::Skip);
     local.end_span(Phase::Frames, span);
-    let record = |eval: SequenceEval, minimal| SequenceRecord {
+    let record = |eval: SequenceEval| SequenceRecord {
         spec: spec.clone(),
         verdict: eval.verdict,
         steps_executed: eval.steps_executed,
         outcomes: eval.outcomes,
-        minimal,
+        minimal: None,
     };
     if main.verdict.classification.class == CrashClass::Pass {
         if opts.record {
             log.end_flight(spec.index, CrashClass::Pass);
         }
-        return record(main, None);
+        return (record(main), None);
     }
 
-    let how = Triage {
-        min_frames: 0,
-        shrink: opts.shrink,
-        budget: opts.shrink_budget,
-        flight,
-        judge: None,
-    };
-    let (refined, _, minimal) = confirm(testbed, ctx, booter, log, &spec.steps, how);
-    if opts.record && refined.verdict.classification.class == CrashClass::Pass {
+    let how = Triage { min_frames: 0, budget: opts.shrink_budget, judge: None };
+    let (refined, _, target) = confirm(testbed, ctx, booter, local, &spec.steps, flight, &how);
+    if opts.record && target.is_none() {
         // Cleared by the refined run: that run is the sequence's flight.
         log.end_flight(spec.index, CrashClass::Pass);
     }
-    record(refined, minimal)
+    let at = refined.verdict_at;
+    (record(refined), target.map(|sig| (sig, at)))
 }
 
 /// Executes a whole sequence campaign, in parallel, preserving campaign
 /// order in the result. Runs on [`par_indexed`] like
 /// [`crate::exec::run_campaign`]: one prefix snapshot + persistent
-/// workspace per worker, per-worker metrics, lock-free hot path.
+/// workspace per worker, per-worker metrics, lock-free hot path. The
+/// findings are triaged after the fold, one signature group per
+/// `triage_stage` item, on the same workers and arenas.
 pub fn run_sequence_campaign<T: Testbed + ?Sized>(
     testbed: &T,
     specs: &[SequenceSpec],
@@ -1317,27 +1489,44 @@ fn sequence_body<T: Testbed + ?Sized>(
 ) -> SequenceCampaignResult {
     let started = Instant::now();
     let ctx = testbed.oracle_context(opts.build);
-    let mut logs: Vec<WorkerLog> = (0..resolve_threads(opts.threads, specs.len()))
-        .map(|_| WorkerLog::new(opts.record))
-        .collect();
+    let mut workers: Vec<(WorkerLog, Booter<'_, T>)> =
+        (0..resolve_threads(opts.threads, specs.len()))
+            .map(|_| {
+                let mut log = WorkerLog::new(opts.record);
+                let booter = Booter::new(testbed, opts.build, &mut log.local);
+                (log, booter)
+            })
+            .collect();
     let steals = AtomicU64::new(0);
-    let records = par_indexed(
-        specs.len(),
-        &mut logs,
-        &steals,
-        |log| {
-            if opts.record {
-                flightrec::enable(DEFAULT_RING_CAPACITY);
-            }
-            Booter::new(testbed, opts.build, &mut log.local)
-        },
-        |log, booter, i| {
-            let rec = evaluate_spec(testbed, &ctx, opts, booter, log, &specs[i]);
+    let start = |_: &mut (WorkerLog, Booter<'_, T>)| {
+        if opts.record {
+            flightrec::enable(DEFAULT_RING_CAPACITY);
+        }
+    };
+    let (mut records, found): (Vec<SequenceRecord>, Vec<_>) =
+        par_indexed(specs.len(), &mut workers, &steals, start, |(log, booter), _, i| {
+            let (rec, found) = evaluate_spec(testbed, &ctx, opts, booter, log, &specs[i]);
             log.local.note_outcome(rec.verdict.classification.class);
-            rec
-        },
-    );
+            (rec, found)
+        })
+        .into_iter()
+        .unzip();
 
+    let groups = by_signature(found.into_iter().zip(specs).map(|(found, spec)| {
+        found.map(|(sig, at)| {
+            let flight = opts.record.then_some(spec.index);
+            (sig, Finding { steps: &spec.steps, at, shrink: opts.shrink, flight })
+        })
+    }));
+    let how = Triage { min_frames: 0, budget: opts.shrink_budget, judge: None };
+    let triaged = triage_stage(&mut workers, &steals, &groups, start, |(log, booter), group| {
+        triage_group(testbed, &ctx, booter, log, &how, group)
+    });
+    for (pos, minimal) in triaged {
+        records[pos].minimal = minimal;
+    }
+
+    let logs = workers.into_iter().map(|(log, _)| log);
     let (report, flight) = fold_logs(logs, steals.into_inner(), opts.record, started);
     SequenceCampaignResult {
         build: opts.build,
@@ -1714,6 +1903,114 @@ mod tests {
             out.push(tail);
         }
         out
+    }
+
+    /// Two findings of one signature that share shrink candidates: the
+    /// triage stage shrinks the later one with the group's table, and its
+    /// reproducer (steps, verdict, evals, removed steps and rewritten
+    /// arguments) equals shrinking it alone with every candidate run,
+    /// while its shrink recalls what the earlier finding ran and its
+    /// re-run recalls the earlier one's. A table answers only the group it
+    /// was built for: asked for another target or another frame floor, it
+    /// recalls nothing, and the shrink equals one with every candidate run.
+    #[test]
+    fn a_signature_table_recalls_only_its_own_group() {
+        use crate::check::{enumerate_configs, probes_for, CheckScope, CheckTestbed};
+        use flightrec::HistogramSet;
+        let build = KernelBuild::Legacy;
+        let cfg = enumerate_configs(&CheckScope::default())
+            .into_iter()
+            .find(|c| c.caller_scheduled())
+            .expect("a configuration schedules the caller");
+        let probe = |name| probes_for(&cfg).into_iter().find(|p| p.name == name).unwrap().steps;
+        let tiny = probe("set_timer_tiny");
+        let (clock, timer) = (tiny[0], tiny[1]);
+        let exec_clock = RawHypercall::new_unchecked(HypercallId::GetTime, &[1, clock.args()[1]]);
+        let first = vec![clock, clock, timer, exec_clock];
+        let later = vec![exec_clock, exec_clock, timer, exec_clock];
+        let tb = CheckTestbed::new(cfg.clone());
+        let ctx = tb.oracle_context(build);
+        let mut log = WorkerLog::new(false);
+        let mut booter = Booter::new(&tb, build, &mut log.local);
+        let budget = SequenceOptions::default().shrink_budget;
+        let run = |booter: &mut Booter<'_, CheckTestbed>, steps: &[RawHypercall], min_frames| {
+            let (kernel, guests) = booter.booted(&mut LocalMetrics::default(), None);
+            lockstep(&tb, &ctx, kernel, guests, steps, 1, min_frames, Evidence::Render)
+        };
+        let alone = |booter: &mut Booter<'_, CheckTestbed>, target: &FindingSig, min_frames| {
+            let same = |cand: &[RawHypercall]| {
+                FindingSig::of(&run(booter, cand, min_frames).verdict, &[]).as_ref() == Some(target)
+            };
+            shrink_sequence(&later, same, budget)
+        };
+
+        let how = Triage { min_frames: 0, budget, judge: None };
+        let found: Vec<_> = [&first, &later]
+            .into_iter()
+            .map(|steps| {
+                let (run, _, sig) =
+                    confirm(&tb, &ctx, &mut booter, &mut log.local, steps, None, &how);
+                (sig.expect("the tiny timer halts the legacy kernel"), run.verdict_at)
+            })
+            .collect();
+        let target = found[0].0.clone();
+        assert_eq!(
+            target,
+            FindingSig::Oracle(run(&mut booter, &[timer], 0).verdict.classification)
+        );
+        let groups = by_signature(found.iter().zip([&first, &later]).map(|((sig, at), steps)| {
+            Some((sig.clone(), Finding { steps, at: *at, shrink: true, flight: None }))
+        }));
+        assert_eq!(groups.len(), 1, "one signature");
+        let mut log = WorkerLog::new(false);
+        let triaged = triage_group(&tb, &ctx, &mut booter, &mut log, &how, &groups[0]);
+        let m = log.local.report(&HistogramSet::new(0));
+        assert!(m.shrink_recalled > 0, "the later finding recalls nothing: {m:?}");
+        assert_eq!((m.triage_reruns, m.triage_recalled), (1, 1), "{m:?}");
+        let reproducers: Vec<MinimalRepro> = triaged.into_iter().map(|(_, m)| m.unwrap()).collect();
+        assert_eq!(reproducers[0].steps, reproducers[1].steps, "one minimal reproducer");
+        let out = alone(&mut booter, &target, 0);
+        let verdict = run(&mut booter, &out.steps, 0).verdict;
+        let expected = MinimalRepro {
+            steps: out.steps,
+            verdict,
+            evals: out.evals,
+            removed_steps: out.removed_steps,
+            shrunk_args: out.shrunk_args,
+        };
+        assert_eq!(reproducers[1], expected);
+
+        // A table of the group (target, no frame floor), filled by the
+        // first finding, asked about the later one's candidates for
+        // another target, then for another frame floor.
+        let mut recall = Recall::new(target.clone(), 0);
+        let mut local = LocalMetrics::default();
+        let reproducing = (first.as_slice(), found[0].1);
+        let mut fill =
+            same_class(&tb, &ctx, target.clone(), None, 0, reproducing, Some(&mut recall));
+        shrink_sequence(&first, |cand| fill(&mut booter, &mut local, cand), budget);
+        drop(fill);
+        assert!(!recall.runs.is_empty());
+        let silent = FindingSig::Oracle(Classification {
+            class: CrashClass::Silent,
+            cause: Cause::WrongSuccess,
+        });
+        for (other, min_frames) in [(silent, 0), (target, 6)] {
+            let mut local = LocalMetrics::default();
+            let mut ask = same_class(
+                &tb,
+                &ctx,
+                other.clone(),
+                None,
+                min_frames,
+                (&later, None),
+                Some(&mut recall),
+            );
+            let out = shrink_sequence(&later, |cand| ask(&mut booter, &mut local, cand), budget);
+            let m = local.report(&HistogramSet::new(0));
+            assert_eq!(m.shrink_recalled, 0, "{other:?} at {min_frames} frames: {m:?}");
+            assert_eq!(out, alone(&mut booter, &other, min_frames), "{other:?} at {min_frames}");
+        }
     }
 
     #[test]

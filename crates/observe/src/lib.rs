@@ -170,7 +170,7 @@ pub fn disable() {
 pub fn record(t_us: u64, kind: EventKind, partition: u16, code: u32, a: u64, b: u64) {
     REC.with(|r| {
         if r.active.get() {
-            push_event(r, Event { t_us, kind, partition, code, a, b });
+            push_event(r, t_us, kind, partition, code, a, b);
         }
     });
 }
@@ -188,11 +188,14 @@ pub fn record_timeless(kind: EventKind, partition: u16, code: u32, a: u64, b: u6
 
 // Outlined so the disabled fast path is just a branch over a call, but
 // deliberately not `#[cold]`: when recording is on this runs for every
-// event, and cold-section placement would tax the enabled path.
+// event, and cold-section placement would tax the enabled path. The
+// fields arrive as scalars and the event is built in its ring slot: an
+// `Event` assembled on the caller's stack would be stored in narrow
+// pieces and reloaded wide here, a store-forwarding stall per event.
 #[inline(never)]
-fn push_event(r: &Recorder, e: Event) {
+fn push_event(r: &Recorder, t_us: u64, kind: EventKind, partition: u16, code: u32, a: u64, b: u64) {
     if let Some(ring) = r.ring.borrow_mut().as_mut() {
-        ring.push(e);
+        ring.record(t_us, kind, partition, code, a, b);
     }
 }
 
@@ -200,7 +203,7 @@ fn push_event(r: &Recorder, e: Event) {
 fn push_timeless(r: &Recorder, kind: EventKind, partition: u16, code: u32, a: u64, b: u64) {
     if let Some(ring) = r.ring.borrow_mut().as_mut() {
         let t = ring.last_timestamp();
-        ring.push(Event { t_us: t, kind, partition, code, a, b });
+        ring.record(t, kind, partition, code, a, b);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Fixed-capacity event ring with overwrite-oldest semantics.
 
-use crate::{DrainedFlight, Event};
+use crate::{DrainedFlight, Event, EventKind};
 
 /// Preallocated circular event buffer. `push` never allocates: once the
 /// buffer is full the oldest event is overwritten and counted as dropped.
@@ -36,11 +36,25 @@ impl Ring {
     }
 
     #[inline]
-    pub fn push(&mut self, mut e: Event) {
-        if e.t_us < self.last_t {
-            e.t_us = self.last_t;
-        }
-        self.last_t = e.t_us;
+    pub fn push(&mut self, e: Event) {
+        self.record(e.t_us, e.kind, e.partition, e.code, e.a, e.b);
+    }
+
+    /// [`push`](Self::push) from the event's fields: the event is built in
+    /// its slot, never assembled elsewhere and copied in.
+    #[inline]
+    pub fn record(
+        &mut self,
+        t_us: u64,
+        kind: EventKind,
+        partition: u16,
+        code: u32,
+        a: u64,
+        b: u64,
+    ) {
+        let t_us = t_us.max(self.last_t);
+        self.last_t = t_us;
+        let e = Event { t_us, kind, partition, code, a, b };
         if self.buf.len() < self.cap {
             self.buf.push(e);
         } else {

@@ -124,8 +124,6 @@ pub enum IpcError {
     AlreadyCreated,
     /// Bad port descriptor.
     BadDescriptor,
-    /// Descriptor belongs to another partition.
-    NotOwner,
     /// Message larger than the configured maximum (or zero).
     BadSize,
     /// Queue full (send) — message not accepted.

@@ -53,7 +53,7 @@ fn ipc_err(e: IpcError) -> HcResult {
         IpcError::NotParticipant => XmRet::PermError,
         IpcError::WrongDirection => XmRet::OpNotAllowed,
         IpcError::AlreadyCreated => XmRet::NoAction,
-        IpcError::BadDescriptor | IpcError::NotOwner | IpcError::BadSize => XmRet::InvalidParam,
+        IpcError::BadDescriptor | IpcError::BadSize => XmRet::InvalidParam,
         IpcError::QueueFull | IpcError::Empty => XmRet::NotAvailable,
     })
 }

@@ -154,8 +154,9 @@ fn executor_arena<T: Testbed>(tb: &T) -> (BootSnapshot, Vec<flightrec::Event>) {
 }
 
 /// Runs the benchmark's `sequences` and `fuzz` passes (seed 1, one
-/// thread) and prints their shrink evaluations: run on the arena, and
-/// decided by a reproducing run's prefix.
+/// thread) and prints their shrink evaluations — run on the arena,
+/// decided by a reproducing run's prefix, and recalled from an earlier
+/// finding of the signature — and their triage re-runs, run and recalled.
 fn shrink_split() {
     let opts = SequenceOptions { build: BUILD, threads: 1, ..Default::default() };
     let specs = xm_campaign::eagleeye_sequence_specs(1, 500, 8);
@@ -164,13 +165,18 @@ fn shrink_split() {
     let opts =
         FuzzOptions { build: BUILD, threads: 1, seed: 1, max_execs: 6000, ..Default::default() };
     let fuzz = run_fuzz(&EagleEye, &alphabet, &opts).metrics;
-    println!("shrink evaluations (benchmark passes, seed 1):");
+    println!("shrink evaluations and triage re-runs (benchmark passes, seed 1):");
     for (label, m) in [("sequences", sequences), ("fuzz", fuzz)] {
         println!(
-            "  {label:<10} {} evaluations: {} run, {} decided by a reproducing run's prefix",
-            m.shrink_runs + m.shrink_decided,
+            "  {label:<10} {} evaluations: {} run, {} decided by a reproducing run's prefix, \
+             {} recalled; {} triage re-runs: {} run, {} recalled",
+            m.shrink_runs + m.shrink_decided + m.shrink_recalled,
             m.shrink_runs,
-            m.shrink_decided
+            m.shrink_decided,
+            m.shrink_recalled,
+            m.triage_reruns + m.triage_recalled,
+            m.triage_reruns,
+            m.triage_recalled
         );
     }
 }

@@ -221,13 +221,22 @@ fn live_stats_sink_errors_are_captured_not_fatal() {
 /// The thread-independent part of a folded report: tests executed,
 /// per-class tallies, snapshot clones, runs resumed after the test
 /// partition's prologue and runs that ran it live, shrink evaluations
-/// run and decided by a reproducing run's prefix, and each phase's span
-/// count (not its time).
-type FoldFacts = (u64, [u64; 6], u64, [u64; 4], Vec<(String, u64)>);
+/// run, decided by a reproducing run's prefix and recalled from an
+/// earlier finding of the signature, triage re-runs run and recalled,
+/// and each phase's span count (not its time).
+type FoldFacts = (u64, [u64; 6], u64, [u64; 7], Vec<(String, u64)>);
 
 fn fold_facts(m: &MetricsReport) -> FoldFacts {
     let spans = m.phases.iter().map(|p| (p.name.clone(), p.hist.count)).collect();
-    let ledger = [m.prologues_resumed, m.prologues_live, m.shrink_runs, m.shrink_decided];
+    let ledger = [
+        m.prologues_resumed,
+        m.prologues_live,
+        m.shrink_runs,
+        m.shrink_decided,
+        m.shrink_recalled,
+        m.triage_reruns,
+        m.triage_recalled,
+    ];
     (m.tests_executed, m.class_counts, m.snapshot_clones, ledger, spans)
 }
 
@@ -238,7 +247,11 @@ fn fold_facts(m: &MetricsReport) -> FoldFacts {
 /// configuration's arena once and confirms its findings on it. Every
 /// arena run starts after the prologue, except `check`'s on the
 /// configurations whose caller owns no slot, and the shrinking modes
-/// both run and decide evaluations.
+/// both run and decide evaluations. Sequences and fuzz also recall
+/// evaluations an earlier finding of the signature ran; `check`, whose
+/// every (configuration, signature) group holds one finding here, recalls
+/// none. Recording keeps every finding's flight, so every triage re-run
+/// runs.
 #[test]
 fn metrics_fold_is_exact_across_thread_counts() {
     let spec = subset();
@@ -286,6 +299,8 @@ fn metrics_fold_is_exact_across_thread_counts() {
         assert_eq!(check.metrics.prologues_live > 0, unscheduled, "check at {threads} threads");
         for (mode, m) in [("sequences", &sequences), ("fuzz", &fuzz), ("check", &check.metrics)] {
             assert!(m.shrink_runs > 0 && m.shrink_decided > 0, "{mode}: {m:?}");
+            assert_eq!(m.shrink_recalled > 0, mode != "check", "{mode}: {m:?}");
+            assert!(m.triage_reruns > 0 && m.triage_recalled == 0, "{mode}: {m:?}");
         }
         for (slot, m) in seen.iter_mut().zip([&campaign, &sequences, &fuzz, &check.metrics]) {
             let facts = fold_facts(m);
@@ -337,9 +352,13 @@ fn final_heartbeat_matches_folded_metrics() {
 
 /// `snapshot_clones` counts arena rewinds, not tests: on the benchmark's
 /// `sequences` pass (seed 1, 500 × 8) every main evaluation, refined
-/// re-run, shrink run and triage re-run starts from a rewind, so 1815
-/// rewinds = 500 tests + 175 refines + 965 shrink runs + 175 triage
-/// re-runs, at one thread and at four.
+/// re-run, shrink run and triage re-run that runs starts from a rewind.
+/// The 175 findings fall into 7 signatures with 7 minimal reproducers:
+/// of their 1244 shrink evaluations 279 are decided by a prefix and 513
+/// recalled from an earlier finding of the signature, and 168 of the 175
+/// triage re-runs are recalled. So 1134 rewinds = 500 tests + 175
+/// refines + 452 shrink runs + 7 triage re-runs, at one thread and at
+/// four.
 #[test]
 fn snapshot_clones_count_every_arena_rewind() {
     for threads in [1usize, 4] {
@@ -352,8 +371,13 @@ fn snapshot_clones_count_every_arena_rewind() {
         let m = &report.result.metrics;
         let diverged = report.result.divergences().len() as u64;
         let minimal = report.result.records.iter().filter(|r| r.minimal.is_some()).count();
-        assert_eq!((m.tests_executed, diverged, minimal, m.shrink_runs), (500, 175, 175, 965));
-        assert_eq!(m.snapshot_clones, m.tests_executed + diverged + m.shrink_runs + diverged);
-        assert_eq!(m.snapshot_clones, 1815, "{threads} threads");
+        let shrink = (m.shrink_runs, m.shrink_decided, m.shrink_recalled);
+        assert_eq!((m.tests_executed, diverged, minimal, shrink), (500, 175, 175, (452, 279, 513)));
+        assert_eq!((m.triage_reruns, m.triage_recalled), (7, 168), "{threads} threads");
+        assert_eq!(
+            m.snapshot_clones,
+            m.tests_executed + diverged + m.shrink_runs + m.triage_reruns
+        );
+        assert_eq!(m.snapshot_clones, 1134, "{threads} threads");
     }
 }
